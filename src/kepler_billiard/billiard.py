@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    Degenerate,
     DomainError,
     EmptyLevelSet,
     EmptyRegion,
@@ -301,8 +302,8 @@ def run(
 
     Orbits that never reach the wall are legal: the run returns one sampled
     revolution of the untouched Kepler orbit with ``no_collision`` set.
-    A grazing contact halts the run early with partial output and a
-    diagnostic in ``halted``.
+    A grazing contact or a near-radial (degenerate) ellipse halts the run
+    early with the events certified so far and a diagnostic in ``halted``.
     """
     events: list[CollisionEvent] = []
     reports: list[InvariantReport] = []
@@ -325,6 +326,9 @@ def run(
             break
         except GrazingContact as exc:
             halted = f"grazing contact at event {k}: {exc}"
+            break
+        except Degenerate as exc:
+            halted = f"degenerate orbit at event {k}: {exc}"
             break
         if samples_per_arc > 0:
             el = event.pre

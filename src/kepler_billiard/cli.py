@@ -90,8 +90,10 @@ class OutputBundle:
 
 
 def _expect_number(obj, path: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {obj!r}")
+    # json.loads accepts NaN, Infinity and integers beyond the float range;
+    # the comparison is False for all three
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)) or not abs(obj) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number, got {obj!r}")
     return float(obj)
 
 
@@ -120,12 +122,15 @@ def _parse_initial(doc, params: Params, path: str):
         for k in ("A", "a", "theta0"):
             if k not in e:
                 raise ConfigError(f"{path}.elements.{k}: required")
-        el = OrbitalElements(
-            A=_expect_number(e["A"], f"{path}.elements.A"),
-            a=_expect_number(e["a"], f"{path}.elements.a"),
-            theta0=wrap_angle(_expect_number(e["theta0"], f"{path}.elements.theta0")),
-            alpha=params.alpha,
-        )
+        try:
+            el = OrbitalElements(
+                A=_expect_number(e["A"], f"{path}.elements.A"),
+                a=_expect_number(e["a"], f"{path}.elements.a"),
+                theta0=wrap_angle(_expect_number(e["theta0"], f"{path}.elements.theta0")),
+                alpha=params.alpha,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{path}.elements: {exc}") from exc
         nu = _expect_number(doc.get("nu", 0.0), f"{path}.nu")
         return None, (el, nu)
     raise ConfigError(f"{path}: need either 'cartesian' or 'elements'")
@@ -159,7 +164,7 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(tol, dict):
         raise ConfigError("tolerances: expected an object")
     for k, v in tol.items():
-        if k not in TOLERANCE_KEYS and k not in DEFAULT_THRESHOLDS:
+        if k not in TOLERANCE_KEYS and k not in VERIFY_CHECKS:
             raise ConfigError(f"tolerances.{k}: unknown tolerance")
         _expect_number(v, f"tolerances.{k}")
     ensemble = None
@@ -488,7 +493,7 @@ def cmd_gamma(cfg: RunConfig) -> OutputBundle:
         svg_path = out / "delta2_gamma.svg"
         svg_path.write_text(svg, encoding="utf-8")
         files.append(svg_path)
-    return finalize_bundle(cfg, files, t0)
+    return finalize_bundle(cfg, files, t0, {"halted": res.halted} if res.halted else None)
 
 
 def _ensemble_seeds(spec: EnsembleSpec, p: Params) -> list[CartesianState]:
@@ -616,27 +621,27 @@ def cmd_region(cfg: RunConfig) -> OutputBundle:
 
 # ----------------------------------------------------------------- verify ---
 
-DEFAULT_THRESHOLDS = {
-    "kepler_residual": 1e-13,
-    "roundtrip": 1e-10,
-    "theorem1_R_drift": 1e-9,
-    "theorem1_A_drift": 1e-9,
-    "identity_eq16_eq17": 1e-10,
-    "lemma1_equivalence": 1e-10,
-    "lemma1_reflection": 1e-10,
-    "eq110_box_violations": 0.0,
-    "oracle_impacts": 1e-6,
-    "oracle_arc": 1e-8,
-    "conjecture2_mismatches": 0.0,
-    "conjecture2_spread_even": 5e-6,
-    "conjecture2_spread_odd": 5e-6,
-    "anisochrony_ratio": 10.0,
-    "perturbation_R_drift": 1e-4,
-    "perturbation_H_arc": 1e-10,
+# verify checks in report order: name -> (kind, threshold).  A "max" check
+# passes when the measured value stays at or below its threshold, a "min"
+# check when it reaches it; config tolerances may override any threshold.
+VERIFY_CHECKS = {
+    "kepler_residual": ("max", 1e-13),
+    "roundtrip": ("max", 1e-10),
+    "theorem1_R_drift": ("max", 1e-9),
+    "theorem1_A_drift": ("max", 1e-9),
+    "identity_eq16_eq17": ("max", 1e-10),
+    "lemma1_equivalence": ("max", 1e-10),
+    "lemma1_reflection": ("max", 1e-10),
+    "eq110_box_violations": ("max", 0.0),
+    "oracle_impacts": ("max", 1e-6),
+    "oracle_arc": ("max", 1e-8),
+    "conjecture2_mismatches": ("max", 0.0),
+    "conjecture2_spread_even": ("max", 5e-6),
+    "conjecture2_spread_odd": ("max", 5e-6),
+    "anisochrony_ratio": ("min", 10.0),
+    "perturbation_R_drift": ("min", 1e-4),
+    "perturbation_H_arc": ("max", 1e-10),
 }
-
-# checks whose measured value must exceed the threshold instead of staying below
-MIN_CHECKS = {"anisochrony_ratio", "perturbation_R_drift"}
 
 
 @dataclass(frozen=True)
@@ -648,21 +653,16 @@ class Check:
     passed: bool
 
 
-def _check(name: str, measured: float, thresholds: dict[str, float]) -> Check:
-    thr = thresholds[name]
-    kind = "min" if name in MIN_CHECKS else "max"
+def _check(name: str, measured: float, tolerances: dict[str, float]) -> Check:
+    kind, thr = VERIFY_CHECKS[name]
+    thr = float(tolerances.get(name, thr))
     ok = measured >= thr if kind == "min" else measured <= thr
     return Check(name=name, kind=kind, threshold=thr, measured=measured, passed=bool(ok))
 
 
 def run_verify_checks(tolerances: dict[str, float] | None = None) -> list[Check]:
     """The built-in invariant suite over the reference configurations."""
-    thr = dict(DEFAULT_THRESHOLDS)
-    if tolerances:
-        for k, v in tolerances.items():
-            if k in thr:
-                thr[k] = float(v)
-    checks: list[Check] = []
+    m: dict[str, float] = {}
     p = reference.reference_params()
 
     # Kepler residual over the (e, M) grid
@@ -671,7 +671,7 @@ def run_verify_checks(tolerances: dict[str, float] | None = None) -> list[Check]
         for M in np.linspace(0.0, 2.0 * math.pi, 300, endpoint=False):
             E = solve_kepler(float(M), float(e))
             worst = max(worst, abs(E - e * math.sin(E) - M))
-    checks.append(_check("kepler_residual", worst, thr))
+    m["kepler_residual"] = worst
 
     # element round trip on random valid elements
     rng = np.random.default_rng(20250810)
@@ -693,18 +693,17 @@ def run_verify_checks(tolerances: dict[str, float] | None = None) -> list[Check]
             worst,
             abs(s2.x - s.x), abs(s2.y - s.y), abs(s2.px - s.px), abs(s2.py - s.py),
         )
-    checks.append(_check("roundtrip", worst, thr))
+    m["roundtrip"] = worst
 
     # Theorem 1 over 10^4 collisions of the conservation reference
     res = billiard.run(reference.conservation_state(), 10_000, p)
     R = np.array([rep.R_eq16 for rep in res.reports])
     Av = np.array([rep.A for rep in res.reports])
-    checks.append(_check("theorem1_R_drift", float(np.ptp(R) / abs(R[0])), thr))
-    checks.append(_check("theorem1_A_drift", float(np.ptp(Av) / abs(Av[0])), thr))
-    resid = max(
+    m["theorem1_R_drift"] = float(np.ptp(R) / abs(R[0]))
+    m["theorem1_A_drift"] = float(np.ptp(Av) / abs(Av[0]))
+    m["identity_eq16_eq17"] = max(
         rep.residual_identity / max(1.0, abs(rep.R_eq16)) for rep in res.reports
     )
-    checks.append(_check("identity_eq16_eq17", resid, thr))
     m_eq = m_refl = 0.0
     for ev in res.events:
         R0g = billiard.R0_from_geometry(ev.r, ev.pre.aM, ev.lam)
@@ -712,20 +711,23 @@ def run_verify_checks(tolerances: dict[str, float] | None = None) -> list[Check]
         c_post = billiard.R0_from_center(ev.post, p)
         m_eq = max(m_eq, abs(R0g - c_pre), abs(R0g - c_post))
         m_refl = max(m_refl, abs(c_pre - c_post))
-    checks.append(_check("lemma1_equivalence", m_eq, thr))
-    checks.append(_check("lemma1_reflection", m_refl, thr))
-    violations = sum(0 if rep.bounds_ok else 1 for rep in res.reports)
-    checks.append(_check("eq110_box_violations", float(violations), thr))
+    m["lemma1_equivalence"] = m_eq
+    m["lemma1_reflection"] = m_refl
+    m["eq110_box_violations"] = float(sum(0 if rep.bounds_ok else 1 for rep in res.reports))
 
-    # oracle equivalence on the rotation-regime orbit
-    icfg = perturbed.IntegratorConfig()
+    # conjecture 2 statistics on the gamma reference
     s0 = reference.gamma_state()
+    res_g = billiard.run(s0, 1100, p)
+    samples = delaunay.gamma_series(res_g.events, p)
+    m["conjecture2_mismatches"] = float(sum(1 for s in samples if s.branch_mismatch))
+    m["conjecture2_spread_even"], m["conjecture2_spread_odd"] = delaunay.spread_by_parity(samples)
+
+    # oracle equivalence on the rotation-regime orbit: its first 100 events
+    icfg = perturbed.IntegratorConfig()
     res_ode = perturbed.run_perturbed(s0, 100, p, icfg)
-    res_ev = billiard.run(s0, 100, p)
-    dx = max(
-        abs(a.x - b.x_impact) for a, b in zip(res_ode.points, res_ev.events)
+    m["oracle_impacts"] = max(
+        abs(a.x - b.x_impact) for a, b in zip(res_ode.points, res_g.events[:100])
     )
-    checks.append(_check("oracle_impacts", dx, thr))
     state = s0
     worst = 0.0
     for k in range(30):
@@ -733,16 +735,7 @@ def run_verify_checks(tolerances: dict[str, float] | None = None) -> list[Check]
         hit, _ = perturbed.integrate_to_wall(state, p, icfg)
         worst = max(worst, abs(hit.x - ev.x_impact))
         state = nxt
-    checks.append(_check("oracle_arc", worst, thr))
-
-    # conjecture 2 statistics on the gamma reference
-    res_g = billiard.run(s0, 1100, p)
-    samples = delaunay.gamma_series(res_g.events, p)
-    mism = sum(1 for s in samples if s.branch_mismatch)
-    checks.append(_check("conjecture2_mismatches", float(mism), thr))
-    se, so = delaunay.spread_by_parity(samples)
-    checks.append(_check("conjecture2_spread_even", se, thr))
-    checks.append(_check("conjecture2_spread_odd", so, thr))
+    m["oracle_arc"] = worst
 
     # anisochrony: omega at R vs R*(1+1e-3)
     L, R_lvl = reference.gamma_level()
@@ -751,16 +744,15 @@ def run_verify_checks(tolerances: dict[str, float] | None = None) -> list[Check]
     samples2 = delaunay.gamma_series(billiard.run(s1, 600, p).events, p)
     om2, e2 = delaunay.omega_estimate_of(samples2)
     noise = math.hypot(e1, e2)
-    ratio = abs(om2 - om1) / noise if noise > 0.0 else math.inf
-    checks.append(_check("anisochrony_ratio", ratio, thr))
+    m["anisochrony_ratio"] = abs(om2 - om1) / noise if noise > 0.0 else math.inf
 
     # perturbation sensitivity at g = 0.05
     pg = reference.reference_params(g=reference.PERTURBATION_G)
     res_p = perturbed.run_perturbed(reference.conservation_state(), 1000, pg, icfg)
     Rv = np.array([pt.R_value for pt in res_p.points])
-    checks.append(_check("perturbation_R_drift", float(np.ptp(Rv) / abs(Rv[0])), thr))
-    checks.append(_check("perturbation_H_arc", res_p.drift.max_rel_drift, thr))
-    return checks
+    m["perturbation_R_drift"] = float(np.ptp(Rv) / abs(Rv[0]))
+    m["perturbation_H_arc"] = res_p.drift.max_rel_drift
+    return [_check(name, m[name], tolerances or {}) for name in VERIFY_CHECKS]
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[OutputBundle, int]:

@@ -126,27 +126,6 @@ def _dadR_raw(s2: float, R: float, L: float, eps: int, eta: int, p: Params) -> f
     return eta * du / (2.0 * math.sqrt(u))
 
 
-def _dadL_raw(s2: float, R: float, L: float, eps: int, eta: int, p: Params) -> float:
-    """d a / d L of the eps-labelled root."""
-    hb = p.h * p.alpha
-    t1, disc, m = _coeffs(s2, R, L, p)
-    if disc < 0.0:
-        raise BranchUnavailable(f"discriminant {disc:g} < 0")
-    if s2 < 1e-30:
-        return 0.0
-    sd = math.sqrt(disc)
-    if sd == 0.0:
-        raise SingularDerivative("branch point: discriminant vanished")
-    hb2s2 = hb * hb * s2
-    dt1 = hb2s2 / L**3
-    ddisc = -(hb2s2 * hb2s2) / L**5 + 2.0 * R * hb2s2 / L**3
-    du = dt1 + eps * 0.5 * ddisc / sd
-    u = t1 + eps * sd
-    if u <= 0.0:
-        raise SingularDerivative(f"a^2 = {u:g} <= 0 on branch")
-    return eta * du / (2.0 * math.sqrt(u))
-
-
 def a_branch(
     theta0: float, R: float, L: float, spec: BranchSpec, p: Params
 ) -> float:
@@ -211,13 +190,6 @@ def dadR_branch(
     if a == 0.0:
         raise SingularDerivative("a = 0: derivative of sqrt diverges")
     return _dadR_raw(s2, R, L, spec.eps, spec.eta, p)
-
-
-def default_branch_path(
-    theta0: float, spec: BranchSpec
-) -> list[tuple[tuple[float, float], BranchSpec]]:
-    """Single-branch path over [0, theta0] (splits are handled by quadrature)."""
-    return [((0.0, theta0), spec)]
 
 
 def physical_branch_path(
@@ -322,33 +294,6 @@ def generating_integral(
 
         total += _quad_piece(f, lo, hi)
     return total
-
-
-def Mprime_of(
-    theta0: float,
-    M: float,
-    R: float,
-    L: float,
-    branch_path: list[tuple[tuple[float, float], BranchSpec]],
-    p: Params,
-) -> float:
-    """Transformed mean anomaly M' = M + d/dL int_0^theta0 a dpsi."""
-    _validate_path(theta0, branch_path)
-    total = 0.0
-    for (lo, hi), spec in branch_path:
-        def f(psi, _e=spec.eps, _h=spec.eta):
-            s = math.sin(psi)
-            return _dadL_raw(s * s, R, L, _e, _h, p)
-
-        total += _quad_piece(f, lo, hi)
-    return M + total
-
-
-def root_branch_of(a: float, theta0: float, R: float, L: float, p: Params) -> int:
-    """Diagnostic: which eps-labelled quadratic root the point (theta0, a) sits on."""
-    s = math.sin(theta0)
-    t1, _, _ = _coeffs(s * s, R, L, p)
-    return 1 if a * a >= t1 else -1
 
 
 def _sign(x: float) -> int:

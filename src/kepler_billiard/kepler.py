@@ -22,7 +22,7 @@ perihelion in the direction of motion, eccentric anomaly ``E`` with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import Degenerate, NoConvergence, Unbound
 
@@ -388,11 +388,3 @@ def elements_from_delaunay(d: DelaunayState, p: Params) -> OrbitalElements:
     A = -p.alpha * p.alpha / (4.0 * d.L * d.L)
     return OrbitalElements(A=A, a=d.a, theta0=wrap_angle(d.theta0), alpha=p.alpha)
 
-
-def advance_state(s: CartesianState, dt: float, p: Params) -> CartesianState:
-    """Propagate a g = 0 state by ``dt`` along its Kepler ellipse."""
-    el = elements_from_cartesian(s, p)
-    E0 = eccentric_of_state(el, s)
-    M1 = mean_from_eccentric(E0, el.e) + el.mean_motion() * dt
-    E1 = solve_kepler(M1, el.e)
-    return replace(state_at_eccentric(el, E1, p), t=s.t + dt)

@@ -95,10 +95,6 @@ def _rhs(p: Params):
     return f
 
 
-def hamiltonian(s: CartesianState, p: Params) -> float:
-    return s.hamiltonian(p)
-
-
 def _integrate_arc(s: CartesianState, p: Params, cfg: IntegratorConfig):
     """One arc up to the next upward wall crossing; returns (state, t_hit, sol).
 

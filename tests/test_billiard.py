@@ -286,6 +286,15 @@ class TestRun:
         assert res.halted is not None and "grazing" in res.halted
         assert 0 < len(res.events) < 50
 
+    def test_near_radial_halts_with_partial_output(self, params):
+        # R < h*alpha: the angular momentum passes 0, and collision 452 of
+        # this orbit leaves an ellipse too close to radial to carry elements
+        s = CartesianState(x=-0.027001534563404105, y=-0.542720763994399,
+                           px=1.1602352984510336, py=-0.05772422135138795)
+        res = run(s, 500, params)
+        assert len(res.events) == len(res.reports) == 452
+        assert res.halted is not None and "event 452" in res.halted
+
     def test_event_numbering_and_time_order(self, params, reference_state):
         res = run(reference_state, 30, params)
         assert [ev.n for ev in res.events] == list(range(30))

@@ -160,6 +160,19 @@ class TestGamma:
         assert all(r[2] == "" for r in rows)  # delta2 column empty
         assert not (cfg.output_dir / "delta2_gamma.svg").exists()
 
+    def test_near_radial_halt_in_manifest(self, tmp_path):
+        # the exact run halts at event 452 (see test_billiard); gamma keeps
+        # the rows before it and says why the series is short
+        state = {"x": -0.027001534563404105, "y": -0.542720763994399,
+                 "px": 1.1602352984510336, "py": -0.05772422135138795}
+        doc = {"mode": "gamma", "n_collisions": 500, "initial": {"cartesian": state},
+               "output_dir": str(tmp_path / "g4")}
+        cli.cmd_gamma(cli.parse_config(doc))
+        _, rows = read_csv(tmp_path / "g4" / "gamma.csv")
+        assert len(rows) == 452
+        manifest = json.loads((tmp_path / "g4" / "manifest.json").read_text())
+        assert "event 452" in manifest["halted"]
+
     def test_gamma_rejects_g(self, tmp_path):
         doc = cli.default_config("gamma")
         doc["params"]["g"] = 0.01
@@ -266,6 +279,23 @@ class TestMainExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"mode": "warp"}))
         assert cli.main(["simulate", "--config", str(bad)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, flags",
+        [
+            ({"mode": "perturbed", "params": {"g": math.nan}}, []),
+            ({"mode": "perturbed", "tolerances": {"rel_tol": math.inf}}, []),
+            ({"initial": {"elements": {"A": -0.5, "a": 0.5657, "theta0": math.nan}}}, []),
+            ({"initial": {"elements": {"A": 0.5, "a": 0.5657, "theta0": 1.2}}}, []),
+            ({}, ["--g", "nan"]),
+        ],
+        ids=["g-nan", "rel_tol-inf", "theta0-nan", "A-positive", "flag-g-nan"],
+    )
+    def test_bad_numbers_exit_2(self, tmp_path, capsys, edit, flags):
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps(base_doc(tmp_path, **edit)))  # writes NaN / Infinity
+        assert cli.main(["simulate", "--config", str(f), *flags]) == 2
         assert "configuration error" in capsys.readouterr().err
 
     def test_missing_config_file_exit_2(self, tmp_path):

@@ -8,18 +8,15 @@ from kepler_billiard.delaunay import (
     BranchSpec,
     ConjectureReport,
     GammaSample,
-    Mprime_of,
     a_branch,
     conjecture_report,
     dadR_branch,
-    default_branch_path,
     gamma_of,
     gamma_series,
     generating_integral,
     initial_state_on_level,
     omega_estimate_of,
     physical_branch_path,
-    root_branch_of,
     spread_by_parity,
 )
 from kepler_billiard.errors import (
@@ -177,22 +174,8 @@ class TestGammaOf:
     def test_fixed_eps_path_also_integrates(self, params):
         # the continuation branch is integrable as a formula
         th = 5.0
-        val = gamma_of(th, R_REF, L_REF, default_branch_path(th, BranchSpec(1, 1)), params)
+        val = gamma_of(th, R_REF, L_REF, [((0.0, th), BranchSpec(1, 1))], params)
         assert math.isfinite(val)
-
-
-class TestMprime:
-    def test_identity_at_zero(self, params):
-        assert Mprime_of(0.0, 0.5, R_REF, L_REF, physical_branch_path(0.0), params) == 0.5
-
-    def test_finite_difference_in_L(self, params):
-        th = 2.2
-        path = physical_branch_path(th)
-        Mp = Mprime_of(th, 0.5, R_REF, L_REF, path, params)
-        hL = 1e-6
-        ip = generating_integral(th, R_REF, L_REF + hL, path, params)
-        im = generating_integral(th, R_REF, L_REF - hL, path, params)
-        assert abs((Mp - 0.5) - (ip - im) / (2.0 * hL)) < 1e-6
 
 
 class TestGammaSeries:
@@ -228,12 +211,15 @@ class TestGammaSeries:
 
     def test_observed_root_follows_sin_sign(self, gamma_run):
         # on the level set the valid quadratic root is -sign(sin theta0),
-        # so every collision's post-ellipse must sit on that label
+        # so every collision's post-ellipse must sit on that label; the
+        # eps = +1 root is the one with a^2 >= R - (h*alpha*sin)^2/(2L^2)
         p, res, _ = gamma_run
         for ev in res.events:
             el = ev.post
-            expected = 1 if math.sin(el.theta0) <= 0.0 else -1
-            assert root_branch_of(el.a, el.theta0, R_REF, L_REF, p) == expected
+            s = math.sin(el.theta0)
+            expected = 1 if s <= 0.0 else -1
+            t1 = R_REF - 0.5 * (p.h * p.alpha * s) ** 2 / L_REF**2
+            assert (1 if el.a * el.a >= t1 else -1) == expected
 
     def test_low_R_regime_is_diagnostic_only(self, params):
         # R < h*alpha: branch bookkeeping runs, nothing is asserted

@@ -9,7 +9,6 @@ from kepler_billiard.kepler import (
     CartesianState,
     OrbitalElements,
     Params,
-    advance_state,
     anomaly_triple,
     cartesian_from_elements,
     delaunay_from_elements,
@@ -280,15 +279,6 @@ class TestTimeAndDelaunay:
         d = delaunay_from_elements(reference_elements, nu, params)
         tri = anomaly_triple(reference_elements, nu)
         assert abs(d.M - tri.M) < 1e-14
-
-    def test_advance_by_full_period(self, params, reference_elements, reference_state):
-        T = reference_elements.period()
-        s1 = advance_state(reference_state, T, params)
-        assert abs(s1.x - reference_state.x) < 1e-12
-        assert abs(s1.y - reference_state.y) < 1e-12
-        assert abs(s1.px - reference_state.px) < 1e-12
-        assert abs(s1.py - reference_state.py) < 1e-12
-        assert s1.t == T
 
 
 class TestParams:
