@@ -3,7 +3,6 @@
 from .billiard import CollisionEvent, InvariantReport, conserved_R, run, step
 from .kepler import (
     CartesianState,
-    DelaunayState,
     OrbitalElements,
     Params,
     elements_from_cartesian,
@@ -12,7 +11,6 @@ from .kepler import (
 __all__ = [
     "CartesianState",
     "CollisionEvent",
-    "DelaunayState",
     "InvariantReport",
     "OrbitalElements",
     "Params",

@@ -27,7 +27,7 @@ convention is insensitive to the sense of parametrization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from .kepler import (
 
 TOL_EVENT = 1e-12
 TOL_GRAZE = 1e-10
-TOL_LEVEL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -203,14 +202,15 @@ def next_wall_crossing(
 
 
 def reflect(s: CartesianState, p: Params, tol_event: float = TOL_EVENT) -> CartesianState:
-    """Elastic reflection off the wall: negate py, keep everything else.
+    """Elastic impact on the wall: pin the contact onto y = h and negate py.
 
     Raises:
-        NotOnWall: if the state is farther than ``tol_event`` from y = h.
+        NotOnWall: if the state as propagated is ``tol_event`` or farther
+            from y = h.
     """
     if abs(s.y - p.h) >= tol_event:
         raise NotOnWall(f"|y - h| = {abs(s.y - p.h):g} >= {tol_event:g}")
-    return replace(s, py=-s.py)
+    return CartesianState(x=s.x, y=p.h, px=s.px, py=-s.py, t=s.t)
 
 
 def step(
@@ -228,14 +228,12 @@ def step(
     el_pre = elements_from_cartesian(s, p)
     E0 = eccentric_of_state(el_pre, s)
     cr = next_wall_crossing(el_pre, E0, p, tol_graze=tol_graze)
-    hit = state_at_eccentric(el_pre, cr.E_hit, p, t=s.t + cr.t_hit)
-    hit = replace(hit, y=p.h)  # pin the contact exactly onto the wall
-    out = reflect(hit, p)
+    out = reflect(state_at_eccentric(el_pre, cr.E_hit, p, t=s.t + cr.t_hit), p)
     el_post = elements_from_cartesian(out, p)
     event = CollisionEvent(
         n=n,
-        t=hit.t,
-        x_impact=hit.x,
+        t=out.t,
+        x_impact=out.x,
         r=cr.r,
         lam=cr.lam,
         pre=el_pre,

@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,15 +44,9 @@ from .kepler import (
 )
 from .svg import Figure
 
-TOLERANCE_KEYS = {
-    "rel_tol",
-    "abs_tol",
-    "max_step",
-    "event_tol",
-    "max_arc_time",
-    "escape_radius",
-    "tol_graze",
-}
+# config tolerances: the ODE integrator's settings plus the exact route's
+# grazing cutoff
+TOLERANCE_KEYS = {f.name for f in fields(perturbed.IntegratorConfig)} | {"tol_graze"}
 
 MODES = ("exact-g0", "perturbed", "gamma", "section", "region", "verify")
 
@@ -80,10 +74,6 @@ class RunConfig:
 class OutputBundle:
     manifest: dict
     files: list[Path]
-
-    @property
-    def output_dir(self) -> Path:
-        return self.files[0].parent if self.files else Path(".")
 
 
 # ---------------------------------------------------------------- config ---
@@ -164,7 +154,7 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(tol, dict):
         raise ConfigError("tolerances: expected an object")
     for k, v in tol.items():
-        if k not in TOLERANCE_KEYS and k not in VERIFY_CHECKS:
+        if k not in TOLERANCE_KEYS:
             raise ConfigError(f"tolerances.{k}: unknown tolerance")
         _expect_number(v, f"tolerances.{k}")
     ensemble = None
@@ -204,8 +194,7 @@ def resolve_initial(cfg: RunConfig) -> CartesianState:
 
 
 def integrator_config(cfg: RunConfig) -> perturbed.IntegratorConfig:
-    kw = {k: v for k, v in cfg.tolerances.items()
-          if k in ("rel_tol", "abs_tol", "max_step", "event_tol", "max_arc_time", "escape_radius")}
+    kw = {k: v for k, v in cfg.tolerances.items() if k != "tol_graze"}
     try:
         return perturbed.IntegratorConfig(**kw)
     except ValueError as exc:
@@ -348,7 +337,7 @@ def _delta2_figure(samples: list[delaunay.GammaSample]) -> str | None:
 
 
 def _section_figure(
-    outcomes: list[perturbed.SeedOutcome], A: float, p: Params
+    outcomes: list[perturbed.SeedOutcome], R_values: list[list[float]], A: float, p: Params
 ) -> str | None:
     g0 = Params(alpha=p.alpha, g=0.0, h=p.h)
     try:
@@ -364,19 +353,19 @@ def _section_figure(
     )
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2",
                "#7f7f7f", "#bcbd22", "#17becf", "#ff7f0e"]
-    for out in outcomes:
-        if not out.points:
+    for out, Rv in zip(outcomes, R_values):
+        if not out.events:
             continue
         color = palette[out.seed_index % len(palette)]
-        R_mean = float(np.mean([pt.R_value for pt in out.points]))
+        R_mean = float(np.mean(Rv))
         try:
             curve = billiard.level_set_R(A, R_mean, g0)
             fig.polyline(curve.points[:, 0], curve.points[:, 1], stroke=color,
                          width=0.8, opacity=0.6)
         except EmptyLevelSet:
             pass
-        for pt in out.points:
-            fig.dot(pt.x, pt.lam, radius=1.3, fill=color)
+        for ev in out.events:
+            fig.dot(ev.x_impact, ev.lam, radius=1.3, fill=color)
     return fig.to_svg()
 
 
@@ -425,10 +414,7 @@ def cmd_simulate(cfg: RunConfig) -> OutputBundle:
         reports = [billiard.invariant_report(ev, Params(alpha=cfg.params.alpha, g=0.0, h=cfg.params.h))
                    for ev in events]
         samples = res_p.samples
-        extra["energy_drift"] = {
-            "H0": res_p.drift.H0,
-            "max_rel_per_arc": res_p.drift.max_rel_drift,
-        }
+        extra["energy_drift"] = {"H0": res_p.H0, "max_rel_per_arc": res_p.max_rel_drift}
     files = []
     ev_path = out / "events.csv"
     write_csv(ev_path, EVENT_HEADER, _event_rows(events, reports))
@@ -552,22 +538,25 @@ def cmd_section(cfg: RunConfig) -> OutputBundle:
         seeds = [s0]
         A = s0.energy_A(cfg.params)
     outcomes = perturbed.section_ensemble(seeds, cfg.n_collisions, cfg.params, icfg)
+    g0 = Params(alpha=cfg.params.alpha, g=0.0, h=cfg.params.h)
+    # the osculating R after each impact, per seed
+    R_values = [[billiard.conserved_R(ev.post, g0) for ev in o.events] for o in outcomes]
     files = []
     sec_path = out / "section.csv"
     write_csv(
         sec_path,
         ["seed_id", "n", "x", "lambda", "R_value"],
         (
-            (o.seed_index, pt.n, pt.x, pt.lam, pt.R_value)
-            for o in outcomes
-            for pt in o.points
+            (o.seed_index, ev.n, ev.x_impact, ev.lam, R)
+            for o, Rv in zip(outcomes, R_values)
+            for ev, R in zip(o.events, Rv)
         ),
     )
     files.append(sec_path)
     scatter = [
-        float(np.ptp([pt.R_value for pt in o.points]) / max(1e-300, abs(np.mean([pt.R_value for pt in o.points]))))
-        for o in outcomes
-        if len(o.points) >= 2
+        float(np.ptp(Rv) / max(1e-300, abs(np.mean(Rv))))
+        for Rv in R_values
+        if len(Rv) >= 2
     ]
     extra = {
         "r_value_scatter": float(np.mean(scatter)) if scatter else 0.0,
@@ -575,7 +564,7 @@ def cmd_section(cfg: RunConfig) -> OutputBundle:
             {"seed_id": o.seed_index, "error": o.error} for o in outcomes if o.error
         ],
     }
-    svg = _section_figure(outcomes, A, cfg.params)
+    svg = _section_figure(outcomes, R_values, A, cfg.params)
     if svg is not None:
         svg_path = out / "section.svg"
         svg_path.write_text(svg, encoding="utf-8")
@@ -623,7 +612,7 @@ def cmd_region(cfg: RunConfig) -> OutputBundle:
 
 # verify checks in report order: name -> (kind, threshold).  A "max" check
 # passes when the measured value stays at or below its threshold, a "min"
-# check when it reaches it; config tolerances may override any threshold.
+# check when it reaches it.
 VERIFY_CHECKS = {
     "kepler_residual": ("max", 1e-13),
     "roundtrip": ("max", 1e-10),
@@ -653,14 +642,13 @@ class Check:
     passed: bool
 
 
-def _check(name: str, measured: float, tolerances: dict[str, float]) -> Check:
+def _check(name: str, measured: float) -> Check:
     kind, thr = VERIFY_CHECKS[name]
-    thr = float(tolerances.get(name, thr))
     ok = measured >= thr if kind == "min" else measured <= thr
     return Check(name=name, kind=kind, threshold=thr, measured=measured, passed=bool(ok))
 
 
-def run_verify_checks(tolerances: dict[str, float] | None = None) -> list[Check]:
+def run_verify_checks() -> list[Check]:
     """The built-in invariant suite over the reference configurations."""
     m: dict[str, float] = {}
     p = reference.reference_params()
@@ -726,13 +714,13 @@ def run_verify_checks(tolerances: dict[str, float] | None = None) -> list[Check]
     icfg = perturbed.IntegratorConfig()
     res_ode = perturbed.run_perturbed(s0, 100, p, icfg)
     m["oracle_impacts"] = max(
-        abs(a.x - b.x_impact) for a, b in zip(res_ode.points, res_g.events[:100])
+        abs(a.x_impact - b.x_impact) for a, b in zip(res_ode.events, res_g.events[:100])
     )
     state = s0
     worst = 0.0
     for k in range(30):
         nxt, ev = billiard.step(state, p, n=k)
-        hit, _ = perturbed.integrate_to_wall(state, p, icfg)
+        hit, _, _ = perturbed.integrate_to_wall(state, p, icfg)
         worst = max(worst, abs(hit.x - ev.x_impact))
         state = nxt
     m["oracle_arc"] = worst
@@ -749,17 +737,17 @@ def run_verify_checks(tolerances: dict[str, float] | None = None) -> list[Check]
     # perturbation sensitivity at g = 0.05
     pg = reference.reference_params(g=reference.PERTURBATION_G)
     res_p = perturbed.run_perturbed(reference.conservation_state(), 1000, pg, icfg)
-    Rv = np.array([pt.R_value for pt in res_p.points])
+    Rv = np.array([billiard.conserved_R(ev.post, p) for ev in res_p.events])
     m["perturbation_R_drift"] = float(np.ptp(Rv) / abs(Rv[0]))
-    m["perturbation_H_arc"] = res_p.drift.max_rel_drift
-    return [_check(name, m[name], tolerances or {}) for name in VERIFY_CHECKS]
+    m["perturbation_H_arc"] = res_p.max_rel_drift
+    return [_check(name, m[name]) for name in VERIFY_CHECKS]
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[OutputBundle, int]:
     t0 = time.monotonic()
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    checks = run_verify_checks(cfg.tolerances)
+    checks = run_verify_checks()
     files = []
     csv_path = out / "verify_checks.csv"
     write_csv(
@@ -895,6 +883,11 @@ def main(argv: list[str] | None = None) -> int:
         else:
             bundle = cmd_region(cfg)
         print(f"{args.command}: wrote {len(bundle.manifest['files'])} files to {cfg.output_dir}")
+        if args.command == "section":
+            seeds = cfg.ensemble.count if cfg.ensemble is not None else 1
+            failed = len(bundle.manifest["failed_seeds"])
+            print(f"section: {failed} of {seeds} seeds failed"
+                  + (" (errors under failed_seeds in manifest.json)" if failed else ""))
         return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

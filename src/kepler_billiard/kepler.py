@@ -169,32 +169,10 @@ class OrbitalElements:
         L = self.L
         return self.alpha * self.alpha / (4.0 * abs(L) ** 3)
 
-    def period(self) -> float:
-        return TWO_PI / self.mean_motion()
-
     def max_y(self) -> float:
         """Largest y reached on the full ellipse."""
         ux, uy, vx, vy = self.frame()
         return self.center[1] + math.hypot(self.aM * uy, self.semi_minor * vy)
-
-
-@dataclass(frozen=True)
-class AnomalyTriple:
-    """Mean, eccentric, and true anomaly of the same orbital position (radians)."""
-
-    M: float
-    E: float
-    nu: float
-
-
-@dataclass(frozen=True)
-class DelaunayState:
-    """Delaunay variables: actions (L, a), conjugate angles (M, theta0)."""
-
-    L: float
-    a: float
-    M: float
-    theta0: float
 
 
 def _check_params(el: OrbitalElements, p: Params) -> None:
@@ -300,12 +278,6 @@ def mean_from_eccentric(E: float, e: float) -> float:
     return E - e * math.sin(E)
 
 
-def anomaly_triple(el: OrbitalElements, nu: float) -> AnomalyTriple:
-    """All three anomalies for the position at true anomaly ``nu``."""
-    E = eccentric_from_true(nu, el.e)
-    return AnomalyTriple(M=mean_from_eccentric(E, el.e), E=E, nu=nu)
-
-
 def eccentric_of_state(el: OrbitalElements, s: CartesianState) -> float:
     """Eccentric anomaly in [0, 2*pi) of a state lying on the ellipse ``el``."""
     sigma = 1.0 if el.a >= 0.0 else -1.0
@@ -366,25 +338,3 @@ def time_to_anomaly(
     e = el.e
     dM = mean_from_eccentric(E_to, e) - mean_from_eccentric(E_from, e)
     return dM / el.mean_motion()
-
-
-def delaunay_from_elements(
-    el: OrbitalElements, nu: float, p: Params
-) -> DelaunayState:
-    """Delaunay variables (L, a; M, theta0) of the position at true anomaly nu.
-
-    Raises:
-        Degenerate: for circular orbits, where theta0 is undefined.
-    """
-    _check_params(el, p)
-    if el.is_circular:
-        raise Degenerate("theta0 undefined for a circular orbit")
-    tri = anomaly_triple(el, nu)
-    return DelaunayState(L=el.L, a=el.a, M=tri.M, theta0=el.theta0)
-
-
-def elements_from_delaunay(d: DelaunayState, p: Params) -> OrbitalElements:
-    """Inverse of :func:`delaunay_from_elements` (the A = -alpha^2/(4L^2) leg)."""
-    A = -p.alpha * p.alpha / (4.0 * d.L * d.L)
-    return OrbitalElements(A=A, a=d.a, theta0=wrap_angle(d.theta0), alpha=p.alpha)
-

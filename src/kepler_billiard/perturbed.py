@@ -15,13 +15,13 @@ drift diagnostic, not an invariant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import billiard
-from .errors import EscapeDetected, NoCollision, StepFailure
+from .errors import BilliardError, EscapeDetected, NoCollision, StepFailure
 from .kepler import CartesianState, Params, elements_from_cartesian
 
 R_SINGULARITY_GUARD = 1e-6
@@ -39,37 +39,22 @@ class IntegratorConfig:
     escape_radius: float = 1e3
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "max_step", "event_tol",
-                     "max_arc_time", "escape_radius"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-
-
-@dataclass(frozen=True)
-class SectionPoint:
-    """Impact record on the wall section: abscissa, tangent angle, osculating R."""
-
-    n: int
-    x: float
-    lam: float
-    R_value: float
-
-
-@dataclass(frozen=True)
-class EnergyDriftReport:
-    """Hamiltonian conservation along each integrated arc."""
-
-    H0: float
-    per_arc: np.ndarray
-    max_rel_drift: float
+        for f in fields(self):
+            if not getattr(self, f.name) > 0.0:
+                raise ValueError(f"{f.name} must be positive")
 
 
 @dataclass(frozen=True)
 class PerturbedRun:
-    points: list[SectionPoint]
-    drift: EnergyDriftReport
+    """Impacts of a direct integration, with its Hamiltonian audit.
+
+    ``max_rel_drift`` is the largest per-arc change of H relative to |H0|.
+    """
+
     events: list[billiard.CollisionEvent]
     samples: np.ndarray  # (N, 5): t, x, y, px, py
+    H0: float
+    max_rel_drift: float
 
 
 @dataclass(frozen=True)
@@ -77,7 +62,7 @@ class SeedOutcome:
     """Per-seed result of an ensemble run; failures are isolated."""
 
     seed_index: int
-    points: list[SectionPoint]
+    events: list[billiard.CollisionEvent]
     error: str | None = None
 
 
@@ -95,11 +80,18 @@ def _rhs(p: Params):
     return f
 
 
-def _integrate_arc(s: CartesianState, p: Params, cfg: IntegratorConfig):
-    """One arc up to the next upward wall crossing; returns (state, t_hit, sol).
+def integrate_to_wall(s: CartesianState, p: Params, cfg: IntegratorConfig):
+    """Integrate Hamilton's equations until the next upward wall crossing.
 
-    ``sol`` is the solver result (with dense output) so callers can sample
-    the arc; it is None for the zero-length case.
+    Returns ``(state, elapsed, sol)``: the state at the crossing as
+    propagated (approaching the wall), the elapsed time, and the solver
+    result with dense output so callers can sample the arc.  A state already
+    on the wall and approaching it returns itself, 0.0 and ``sol = None``.
+
+    Raises:
+        EscapeDetected: for non-negative energy or leaving the bounding radius.
+        StepFailure: integrator breakdown or the r -> 0 singularity guard.
+        NoCollision: no crossing within ``cfg.max_arc_time``.
     """
     if abs(s.y - p.h) < cfg.event_tol and s.py > 0.0:
         return s, 0.0, None
@@ -153,23 +145,6 @@ def _integrate_arc(s: CartesianState, p: Params, cfg: IntegratorConfig):
     return out, t_hit, sol
 
 
-def integrate_to_wall(
-    s: CartesianState, p: Params, cfg: IntegratorConfig
-) -> tuple[CartesianState, float]:
-    """Integrate Hamilton's equations until the next upward wall crossing.
-
-    Returns the state at y = h (approaching the wall) and the elapsed time.
-    A state already on the wall and approaching it returns immediately.
-
-    Raises:
-        EscapeDetected: for non-negative energy or leaving the bounding radius.
-        StepFailure: integrator breakdown or the r -> 0 singularity guard.
-        NoCollision: no crossing within ``cfg.max_arc_time``.
-    """
-    out, t_hit, _ = _integrate_arc(s, p, cfg)
-    return out, t_hit
-
-
 def _dense_arc(sol_dense, t0: float, t1: float, t_offset: float, m: int) -> np.ndarray:
     ts = np.linspace(t0, t1, m, endpoint=False)
     ys = sol_dense(ts)
@@ -185,54 +160,45 @@ def run_perturbed(
 ) -> PerturbedRun:
     """n wall collisions by direct integration, with per-arc energy audit.
 
-    Reflection reuses the event-driven module's elastic law.  The osculating
-    elements at each impact use the g = 0 formulas on the instantaneous
-    state, so ``R_value`` is exactly the quantity whose drift measures the
-    perturbation.
+    Each impact goes through the event-driven module's elastic law,
+    :func:`billiard.reflect`.  The osculating elements at each impact use the
+    g = 0 formulas on the instantaneous state, so ``conserved_R`` of an
+    event's ``post`` elements is exactly the quantity whose drift measures
+    the perturbation.
     """
     cfg = cfg or IntegratorConfig()
     g0 = Params(alpha=p.alpha, g=0.0, h=p.h)
-    points: list[SectionPoint] = []
     events: list[billiard.CollisionEvent] = []
     drifts: list[float] = []
     chunks: list[np.ndarray] = []
     H0 = s0.hamiltonian(p)
     state = s0
     for k in range(n):
-        hit, elapsed, sol = _integrate_arc(state, p, cfg)
+        hit, elapsed, sol = integrate_to_wall(state, p, cfg)
         if samples_per_arc > 0 and sol is not None:
             chunks.append(_dense_arc(sol.sol, 0.0, elapsed, state.t, samples_per_arc))
         drifts.append(abs(hit.hamiltonian(p) - state.hamiltonian(p)))
-        hit = replace(hit, y=p.h)  # pin onto the wall (within event accuracy)
-        lam = math.atan2(hit.py, hit.px) % math.pi
-        el_pre = elements_from_cartesian(hit, g0)
         out = billiard.reflect(hit, p, tol_event=10.0 * cfg.event_tol)
-        el_post = elements_from_cartesian(out, g0)
-        points.append(
-            SectionPoint(
-                n=k, x=hit.x, lam=lam, R_value=billiard.conserved_R(el_post, g0)
-            )
-        )
+        # the incoming state pinned onto the wall, as reflect pinned it
+        pinned = CartesianState(x=out.x, y=out.y, px=out.px, py=hit.py, t=out.t)
         events.append(
             billiard.CollisionEvent(
-                n=k, t=hit.t, x_impact=hit.x, r=hit.r, lam=lam,
-                pre=el_pre, post=el_post,
+                n=k, t=out.t, x_impact=out.x, r=pinned.r,
+                lam=math.atan2(hit.py, hit.px) % math.pi,
+                pre=elements_from_cartesian(pinned, g0),
+                post=elements_from_cartesian(out, g0),
             )
         )
         state = out
-    per_arc = np.array(drifts)
     scale = abs(H0) if H0 != 0.0 else 1.0
-    drift = EnergyDriftReport(
-        H0=H0,
-        per_arc=per_arc,
-        max_rel_drift=float(per_arc.max() / scale) if per_arc.size else 0.0,
-    )
+    # np.max, so that a NaN drift is reported rather than skipped
+    max_rel = float(np.max(drifts)) / scale if drifts else 0.0
     samples = (
         np.vstack(chunks)
         if chunks
         else np.array([[s0.t, s0.x, s0.y, s0.px, s0.py]])
     )
-    return PerturbedRun(points=points, drift=drift, events=events, samples=samples)
+    return PerturbedRun(events=events, samples=samples, H0=H0, max_rel_drift=max_rel)
 
 
 def section_ensemble(
@@ -243,8 +209,9 @@ def section_ensemble(
 ) -> list[SeedOutcome]:
     """Section clouds for several seeds sharing one energy surface.
 
-    Per-seed failures are recorded in the outcome and do not disturb the
-    other seeds.
+    A seed's domain failure (a :class:`BilliardError`) is recorded in its
+    outcome and does not disturb the other seeds; any other exception is a
+    fault and propagates.
 
     Raises:
         ValueError: if the seeds do not share the same energy A.
@@ -259,9 +226,9 @@ def section_ensemble(
     for i, seed in enumerate(seeds):
         try:
             res = run_perturbed(seed, n, p, cfg)
-            outcomes.append(SeedOutcome(seed_index=i, points=res.points))
-        except Exception as exc:  # noqa: BLE001 - isolation is the contract
+            outcomes.append(SeedOutcome(seed_index=i, events=res.events))
+        except BilliardError as exc:
             outcomes.append(
-                SeedOutcome(seed_index=i, points=[], error=f"{type(exc).__name__}: {exc}")
+                SeedOutcome(seed_index=i, events=[], error=f"{type(exc).__name__}: {exc}")
             )
     return outcomes

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kepler_billiard.billiard import (
+    TOL_EVENT,
     ConstantRCurve,
     R0_from_center,
     R0_from_geometry,
@@ -37,6 +40,10 @@ from kepler_billiard.kepler import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+# property tests: a fixed example sequence, so every run checks the same states
+PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+coord = st.floats(-10.0, 10.0)
 
 
 def sampling_crossing_oracle(el, E_now, p, n_grid=10_000, iters=100):
@@ -213,6 +220,29 @@ class TestReflect:
         with pytest.raises(NotOnWall):
             reflect(CartesianState(0.3, 0.5, 1.0, 0.7), params)
 
+    def test_pins_within_tolerance(self, params):
+        near = CartesianState(0.3, params.h + 0.5 * TOL_EVENT, 1.0, 0.7, 2.0)
+        assert reflect(near, params) == CartesianState(0.3, params.h, 1.0, -0.7, 2.0)
+        with pytest.raises(NotOnWall):
+            reflect(CartesianState(0.3, params.h + 2.0 * TOL_EVENT, 1.0, 0.7), params)
+
+    @PROPERTY
+    @given(x=coord, px=coord, py=coord, t=st.floats(0.0, 1e3), off=st.floats(-0.99, 0.99))
+    def test_pinned_involution_property(self, x, px, py, t, off):
+        p = Params()
+        out = reflect(CartesianState(x, p.h + off * TOL_EVENT, px, py, t), p)
+        assert out == CartesianState(x, p.h, px, -py, t)
+        assert reflect(out, p) == CartesianState(x, p.h, px, py, t)
+
+    @PROPERTY
+    @given(x=coord, px=coord, py=coord, dist=st.floats(1.0, 1e9), up=st.booleans())
+    def test_off_wall_property(self, x, px, py, dist, up):
+        p = Params()
+        y = p.h + (dist if up else -dist) * TOL_EVENT
+        assume(abs(y - p.h) >= TOL_EVENT)  # y - h rounds; keep the tested side
+        with pytest.raises(NotOnWall):
+            reflect(CartesianState(x, y, px, py), p)
+
 
 class TestStep:
     def test_preserves_A_and_aM(self, params, reference_state):
@@ -245,6 +275,29 @@ class TestStep:
         for a, b in zip(r1.events, r2.events):
             assert abs(a.x_impact + b.x_impact) < 1e-9
             assert abs(a.t - b.t) < 1e-9
+
+    @PROPERTY
+    @given(
+        A=st.floats(-0.45, -0.1),
+        e=st.floats(0.05, 0.9),
+        theta0=st.floats(0.0, TWO_PI),
+        prograde=st.booleans(),
+        nu=st.floats(0.0, TWO_PI),
+    )
+    def test_random_orbits_keep_A_and_R(self, A, e, theta0, prograde, nu):
+        p = Params()
+        aM = -p.alpha / (2.0 * A)
+        a = math.sqrt(0.5 * p.alpha * aM * (1.0 - e * e))
+        el = OrbitalElements(A=A, a=a if prograde else -a, theta0=theta0, alpha=p.alpha)
+        assume(el.max_y() > p.h + 1e-3)  # reaches the wall, not grazing
+        s = cartesian_from_elements(el, nu, p)
+        assume(s.y < p.h)
+        out, ev = step(s, p)
+        assert out.y == p.h and out.py < 0.0  # on the wall, moving away
+        R = conserved_R(ev.pre, p)
+        assert abs(ev.post.A - ev.pre.A) <= 1e-10
+        assert abs(conserved_R(ev.post, p) - R) <= 1e-10 * max(1.0, abs(R))
+        assert invariant_report(ev, p).residual_identity <= 1e-10 * max(1.0, abs(R))
 
     def test_output_state_on_wall_departing(self, params, reference_state):
         out, ev = step(reference_state, params)

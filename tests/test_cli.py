@@ -37,9 +37,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bogus"):
             cli.parse_config({"bogus": 1})
 
-    def test_unknown_tolerance_path(self):
+    def test_unknown_tolerance_path(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="tolerances.nope"):
             cli.parse_config({"tolerances": {"nope": 1.0}})
+        # verify's thresholds are fixed: a check name is not a tolerance
+        for name in cli.VERIFY_CHECKS:
+            with pytest.raises(ConfigError, match=f"tolerances.{name}: unknown"):
+                cli.parse_config({"mode": "verify", "tolerances": {name: 1.0}})
+        f = tmp_path / "v.json"
+        f.write_text(json.dumps({"mode": "verify", "tolerances": {"theorem1_R_drift": 1.0}}))
+        assert cli.main(["verify", "--config", str(f), "--out", str(tmp_path / "v")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
 
     def test_bad_mode(self):
         with pytest.raises(ConfigError, match="mode"):
@@ -213,6 +222,21 @@ class TestSection:
             scatters.append(manifest["r_value_scatter"])
         assert scatters[0] < scatters[1] < scatters[2]
 
+    def test_failed_seeds_on_stdout(self, tmp_path, capsys):
+        # this ellipse stays below the wall, so its one seed fails
+        doc = {
+            "mode": "section",
+            "n_collisions": 3,
+            "initial": {"elements": {"A": -1.0, "a": math.sqrt(0.2), "theta0": 0.1}, "nu": 0.0},
+            "tolerances": {"max_arc_time": 50.0},
+        }
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(doc))
+        assert cli.main(["section", "--config", str(f), "--out", str(tmp_path / "s")]) == 0
+        assert "section: 1 of 1 seeds failed" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        assert "NoCollision" in manifest["failed_seeds"][0]["error"]
+
     def test_empty_ensemble(self, tmp_path):
         doc = {
             "mode": "section",
@@ -330,19 +354,34 @@ class TestMainExitCodes:
 
 
 class TestVerifyFaultInjection:
-    def test_tightened_tolerance_fails(self, tmp_path, capsys):
-        doc = {
-            "mode": "verify",
-            "tolerances": {"theorem1_R_drift": 0.0},
-            "output_dir": str(tmp_path / "v"),
-        }
-        f = tmp_path / "v.json"
-        f.write_text(json.dumps(doc))
-        assert cli.main(["verify", "--config", str(f)]) == 1
+    def test_failing_check_exits_1(self, tmp_path, capsys, monkeypatch):
+        # every check at its threshold passes, except one measured at twice it
+        def checks():
+            return [
+                cli._check(name, 2.0 * thr if name == "theorem1_R_drift" else thr)
+                for name, (_, thr) in cli.VERIFY_CHECKS.items()
+            ]
+
+        monkeypatch.setattr(cli, "run_verify_checks", checks)
+        assert cli.main(["verify", "--out", str(tmp_path / "v")]) == 1
+        assert "verify: FAIL" in capsys.readouterr().out
         report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
         assert report["all_passed"] is False
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["theorem1_R_drift"]["pass"] is False
         assert sum(0 if c["pass"] else 1 for c in report["checks"]) == 1
         # every check reports its measured margin
+        assert len(report["checks"]) == len(cli.VERIFY_CHECKS)
         assert all("margin" in c and "measured" in c for c in report["checks"])
+
+    def test_check_min_max(self):
+        assert cli._check("theorem1_R_drift", 1e-9).passed
+        assert not cli._check("theorem1_R_drift", 1.01e-9).passed
+        assert cli._check("eq110_box_violations", 0.0).passed
+        assert not cli._check("eq110_box_violations", 1.0).passed
+        assert cli._check("anisochrony_ratio", 10.0).passed
+        assert not cli._check("anisochrony_ratio", 9.99).passed
+        assert not cli._check("anisochrony_ratio", math.nan).passed
+        assert not cli._check("theorem1_R_drift", math.nan).passed
+        c = cli._check("perturbation_R_drift", 2e-4)
+        assert (c.kind, c.threshold, c.measured, c.passed) == ("min", 1e-4, 2e-4, True)

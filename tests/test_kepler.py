@@ -5,17 +5,13 @@ import pytest
 
 from kepler_billiard.errors import Degenerate, Unbound
 from kepler_billiard.kepler import (
-    AnomalyTriple,
     CartesianState,
     OrbitalElements,
     Params,
-    anomaly_triple,
     cartesian_from_elements,
-    delaunay_from_elements,
     eccentric_from_true,
     eccentric_of_state,
     elements_from_cartesian,
-    elements_from_delaunay,
     mean_from_eccentric,
     solve_kepler,
     state_at_eccentric,
@@ -203,11 +199,12 @@ class TestCartesianFromElements:
 
 class TestAnomalies:
     def test_triple_consistency(self, reference_elements):
+        # true -> eccentric -> mean anomaly, and Kepler's equation back
         el = reference_elements
         for nu in np.linspace(0.0, TWO_PI, 37, endpoint=False):
-            tri = anomaly_triple(el, float(nu))
-            assert isinstance(tri, AnomalyTriple)
-            assert abs(tri.M - (tri.E - el.e * math.sin(tri.E))) < 1e-14
+            E = eccentric_from_true(float(nu), el.e)
+            M = mean_from_eccentric(E, el.e)
+            assert abs(solve_kepler(M, el.e) - E) < 1e-12
 
     def test_quadrant_progression(self, reference_elements):
         # all three anomalies advance together around the orbit
@@ -256,29 +253,15 @@ class TestTimeAndDelaunay:
             assert time_to_anomaly(reference_elements, E0, E0 + dE, params) >= 0.0
 
     def test_delaunay_L_value(self, params, reference_elements):
-        d = delaunay_from_elements(reference_elements, 0.3, params)
-        assert abs(d.L + math.sqrt(0.5 * params.alpha * reference_elements.aM)) < 1e-14
+        el = reference_elements
+        assert abs(el.L + math.sqrt(0.5 * params.alpha * el.aM)) < 1e-14
 
     def test_delaunay_identity(self, params):
+        # the Delaunay action carries the energy: A = -alpha^2/(4 L^2)
         rng = np.random.default_rng(13)
         for _ in range(300):
             el = random_elements(rng)
-            d = delaunay_from_elements(el, rng.uniform(0.0, TWO_PI), params)
-            assert abs(el.A + params.alpha**2 / (4.0 * d.L * d.L)) < 1e-12
-            back = elements_from_delaunay(d, params)
-            assert abs(back.A - el.A) < 1e-12
-            assert abs(back.a - el.a) < 1e-14
-
-    def test_delaunay_circular_degenerate(self, params):
-        el = OrbitalElements(A=-0.5, a=math.sqrt(0.5), theta0=0.0, alpha=1.0)
-        with pytest.raises(Degenerate):
-            delaunay_from_elements(el, 0.0, params)
-
-    def test_delaunay_M_matches_triple(self, params, reference_elements):
-        nu = 2.2
-        d = delaunay_from_elements(reference_elements, nu, params)
-        tri = anomaly_triple(reference_elements, nu)
-        assert abs(d.M - tri.M) < 1e-14
+            assert abs(el.A + params.alpha**2 / (4.0 * el.L * el.L)) < 1e-12
 
 
 class TestParams:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from kepler_billiard.billiard import run, step
+from kepler_billiard import perturbed
+from kepler_billiard.billiard import conserved_R, run, step
 from kepler_billiard.delaunay import initial_state_on_level
 from kepler_billiard.errors import EscapeDetected, NoCollision
 from kepler_billiard.kepler import (
@@ -52,12 +53,12 @@ class TestIntegrateToWall:
     def test_zero_length_arc(self, cfg):
         p = Params()
         s = CartesianState(x=0.2, y=1.0, px=0.1, py=0.5)
-        out, elapsed = integrate_to_wall(s, p, cfg)
-        assert elapsed == 0.0 and out == s
+        out, elapsed, sol = integrate_to_wall(s, p, cfg)
+        assert elapsed == 0.0 and out == s and sol is None
 
     def test_single_arc_matches_closed_form(self, cfg, rotation_state):
         p = Params()
-        hit, _ = integrate_to_wall(rotation_state, p, cfg)
+        hit, _, _ = integrate_to_wall(rotation_state, p, cfg)
         _, ev = step(rotation_state, p)
         assert abs(hit.x - ev.x_impact) < 1e-8
         assert abs(hit.t - ev.t) < 1e-8
@@ -68,12 +69,12 @@ class TestIntegrateToWall:
         s = rotation_state
         H0 = s.hamiltonian(p)
         assert H0 < 0.0
-        hit, _ = integrate_to_wall(s, p, cfg)
+        hit, _, _ = integrate_to_wall(s, p, cfg)
         assert abs(hit.hamiltonian(p) - H0) / abs(H0) < 1e-10
 
     def test_time_reversal(self, cfg, rotation_state):
         p = Params()
-        hit, elapsed = integrate_to_wall(rotation_state, p, cfg)
+        hit, elapsed, _ = integrate_to_wall(rotation_state, p, cfg)
         back = replace(hit, px=-hit.px, py=-hit.py)
         sol = solve_ivp(
             _rhs(p), (0.0, elapsed), [back.x, back.y, back.px, back.py],
@@ -103,25 +104,25 @@ class TestRunPerturbed:
         p = Params()
         res_ode = run_perturbed(rotation_state, 40, p, cfg)
         res_ev = run(rotation_state, 40, p)
-        for a, b in zip(res_ode.points, res_ev.events):
-            assert abs(a.x - b.x_impact) < 1e-6
+        for a, b in zip(res_ode.events, res_ev.events):
+            assert abs(a.x_impact - b.x_impact) < 1e-6
             assert abs(a.lam - b.lam) < 1e-6
 
     def test_R_value_constant_g0(self, cfg, rotation_state):
         p = Params()
         res = run_perturbed(rotation_state, 40, p, cfg)
-        Rv = np.array([pt.R_value for pt in res.points])
+        Rv = np.array([conserved_R(ev.post, p) for ev in res.events])
         assert np.ptp(Rv) / abs(Rv[0]) < 1e-8
-        assert res.drift.max_rel_drift < 1e-10
+        assert res.max_rel_drift < 1e-10
 
     def test_R_drifts_under_perturbation(self, cfg):
         p = Params(alpha=1.0, g=0.05, h=1.0)
         el = OrbitalElements(A=-0.5, a=math.sqrt(0.32), theta0=1.2, alpha=1.0)
         s = cartesian_from_elements(el, 0.0, Params())
         res = run_perturbed(s, 120, p, cfg)
-        Rv = np.array([pt.R_value for pt in res.points])
+        Rv = np.array([conserved_R(ev.post, Params()) for ev in res.events])
         assert np.ptp(Rv) / abs(Rv[0]) > 1e-4
-        assert res.drift.max_rel_drift < 1e-10
+        assert res.max_rel_drift < 1e-10
 
     def test_g_sweep_monotone_scatter(self, cfg):
         el = OrbitalElements(A=-0.5, a=math.sqrt(0.32), theta0=1.2, alpha=1.0)
@@ -129,7 +130,7 @@ class TestRunPerturbed:
         spreads = []
         for g in (0.0, 1e-3, 1e-2):
             res = run_perturbed(s, 60, Params(alpha=1.0, g=g, h=1.0), cfg)
-            Rv = np.array([pt.R_value for pt in res.points])
+            Rv = np.array([conserved_R(ev.post, Params()) for ev in res.events])
             spreads.append(float(np.ptp(Rv) / abs(Rv[0])))
         assert spreads[0] < spreads[1] < spreads[2]
 
@@ -139,14 +140,14 @@ class TestRunPerturbed:
 
     def test_section_lambda_range(self, cfg, rotation_state):
         res = run_perturbed(rotation_state, 20, Params(), cfg)
-        for pt in res.points:
-            assert 0.0 < pt.lam < math.pi
+        for ev in res.events:
+            assert 0.0 < ev.lam < math.pi
 
 
 class TestSectionEnsemble:
     def test_empty_points_for_zero_collisions(self, cfg, rotation_state):
         out = section_ensemble([rotation_state], 0, Params(), cfg)
-        assert len(out) == 1 and out[0].points == [] and out[0].error is None
+        assert len(out) == 1 and out[0].events == [] and out[0].error is None
 
     def test_failed_seed_isolated(self, cfg):
         p = Params()
@@ -164,7 +165,16 @@ class TestSectionEnsemble:
         quick = IntegratorConfig(max_arc_time=100.0)
         out = section_ensemble([bad, good], 5, p, quick)
         assert out[0].error is not None and "NoCollision" in out[0].error
-        assert out[1].error is None and len(out[1].points) == 5
+        assert out[1].error is None and len(out[1].events) == 5
+
+    def test_fault_propagates(self, cfg, rotation_state, monkeypatch):
+        # only domain errors are a seed's failure; any other error is a fault
+        def broken(*args):
+            raise ZeroDivisionError("not a domain error")
+
+        monkeypatch.setattr(perturbed, "run_perturbed", broken)
+        with pytest.raises(ZeroDivisionError):
+            section_ensemble([rotation_state], 3, Params(), cfg)
 
     def test_mismatched_energy_rejected(self, cfg):
         p = Params()
