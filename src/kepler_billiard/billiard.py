@@ -158,15 +158,13 @@ def tangent_angle(el: OrbitalElements, E: float) -> float:
     return lam
 
 
-def next_wall_crossing(
-    el: OrbitalElements, E_now: float, p: Params, tol_graze: float = TOL_GRAZE
-) -> WallCrossing:
+def next_wall_crossing(el: OrbitalElements, E_now: float, p: Params) -> WallCrossing:
     """Earliest forward anomaly at which the ellipse meets y = h going up.
 
     Raises:
         NoCollision: if the ellipse stays below (or entirely above) the wall.
         GrazingContact: if the normal velocity at the contact is below
-            ``tol_graze``.
+            ``TOL_GRAZE``.
     """
     aM, b, e = el.aM, el.semi_minor, el.e
     cx, cy = el.center
@@ -187,9 +185,9 @@ def next_wall_crossing(
     # outgoing-normal filter: dy/dt must be positive (approaching the wall)
     Edot = el.mean_motion() / (1.0 - e * math.cos(E_hit))
     vy_hit = rho * math.sin(delta) * Edot
-    if vy_hit <= tol_graze:
+    if vy_hit <= TOL_GRAZE:
         raise GrazingContact(
-            f"normal velocity {vy_hit:g} at contact below tol {tol_graze:g}"
+            f"normal velocity {vy_hit:g} at contact below tol {TOL_GRAZE:g}"
         )
     cE, sE = math.cos(E_hit), math.sin(E_hit)
     x_impact = cx + aM * cE * ux + b * sE * vx
@@ -213,9 +211,7 @@ def reflect(s: CartesianState, p: Params, tol_event: float = TOL_EVENT) -> Carte
     return CartesianState(x=s.x, y=p.h, px=s.px, py=-s.py, t=s.t)
 
 
-def step(
-    s: CartesianState, p: Params, n: int = 0, tol_graze: float = TOL_GRAZE
-) -> tuple[CartesianState, CollisionEvent]:
+def step(s: CartesianState, p: Params, n: int = 0) -> tuple[CartesianState, CollisionEvent]:
     """Propagate to the next wall impact and reflect.
 
     Returns the post-reflection state (on the wall, moving away) and the
@@ -227,7 +223,7 @@ def step(
         raise NotOnWall(f"state starts above the wall (y = {s.y:g})")
     el_pre = elements_from_cartesian(s, p)
     E0 = eccentric_of_state(el_pre, s)
-    cr = next_wall_crossing(el_pre, E0, p, tol_graze=tol_graze)
+    cr = next_wall_crossing(el_pre, E0, p)
     out = reflect(state_at_eccentric(el_pre, cr.E_hit, p, t=s.t + cr.t_hit), p)
     el_post = elements_from_cartesian(out, p)
     event = CollisionEvent(
@@ -294,7 +290,6 @@ def run(
     n: int,
     p: Params,
     samples_per_arc: int = 0,
-    tol_graze: float = TOL_GRAZE,
 ) -> BilliardRun:
     """Run ``n`` collisions from ``s0``, certifying every event.
 
@@ -311,7 +306,7 @@ def run(
     no_collision = False
     for k in range(n):
         try:
-            nxt, event = step(state, p, n=k, tol_graze=tol_graze)
+            nxt, event = step(state, p, n=k)
         except NoCollision:
             if k == 0:
                 no_collision = True
@@ -331,7 +326,7 @@ def run(
         if samples_per_arc > 0:
             el = event.pre
             E0 = eccentric_of_state(el, state)
-            E1 = next_wall_crossing(el, E0, p, tol_graze).E_hit
+            E1 = next_wall_crossing(el, E0, p).E_hit
             chunks.append(_arc_samples(el, E0, E1, state.t, p, samples_per_arc))
         events.append(event)
         reports.append(invariant_report(event, p))
@@ -381,11 +376,10 @@ def r_value_on_section(x: float, lam: float, A: float, p: Params) -> float:
     return R_from_R0(R0_from_geometry(r, aM, lam), aM, p)
 
 
-def level_set_R(
-    A: float, R: float, p: Params, n_points: int = 1000
-) -> ConstantRCurve:
+def level_set_R(A: float, R: float, p: Params) -> ConstantRCurve:
     """Trace the level set R(x, lambda) = R inside the section rectangle.
 
+    It is sampled at 1000 interior abscissae of the accessible interval.
     For each x the relation is affine in cos(2*lambda), so the lower-branch
     angle is recovered by a direct arccos and mirrored about pi/2; the two
     branches are returned as one closed polyline.
@@ -398,7 +392,7 @@ def level_set_R(
     if R0_sq < 0.0:
         raise EmptyLevelSet(f"R = {R:g} exceeds the value at R0 = 0")
     x_min, x_max = accessible_interval(A, Params(alpha=p.alpha, g=0.0, h=p.h))
-    xs = np.linspace(x_min, x_max, n_points + 2)[1:-1]
+    xs = np.linspace(x_min, x_max, 1002)[1:-1]
     lower: list[tuple[float, float]] = []
     upper: list[tuple[float, float]] = []
     for x in xs:

@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +44,6 @@ from .kepler import (
 )
 from .svg import Figure
 
-# config tolerances: the ODE integrator's settings plus the exact route's
-# grazing cutoff
-TOLERANCE_KEYS = {f.name for f in fields(perturbed.IntegratorConfig)} | {"tol_graze"}
-
 MODES = ("exact-g0", "perturbed", "gamma", "section", "region", "verify")
 
 
@@ -65,7 +61,6 @@ class RunConfig:
     n_collisions: int = 0
     initial_state: CartesianState | None = None
     initial_elements: tuple[OrbitalElements, float] | None = None
-    tolerances: dict[str, float] = field(default_factory=dict)
     ensemble: EnsembleSpec | None = None
     output_dir: Path = Path("out")
 
@@ -93,22 +88,29 @@ def _expect_int(obj, path: str) -> int:
     return obj
 
 
+def _expect_object(obj, path: str, known: tuple[str, ...]) -> dict:
+    """``obj`` as a JSON object whose keys are all in ``known``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path or 'config root'}: expected a JSON object")
+    for k in obj:
+        if k not in known:
+            raise ConfigError(f"{path + '.' if path else ''}{k}: unknown config field")
+    return obj
+
+
 def _parse_initial(doc, params: Params, path: str):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected an object")
+    doc = _expect_object(doc, path, ("cartesian", "elements", "nu"))
     if "cartesian" in doc:
-        c = doc["cartesian"]
-        if not isinstance(c, dict):
-            raise ConfigError(f"{path}.cartesian: expected an object")
+        if "elements" in doc or "nu" in doc:
+            raise ConfigError(f"{path}: 'cartesian' excludes 'elements' and 'nu'")
+        c = _expect_object(doc["cartesian"], f"{path}.cartesian", ("x", "y", "px", "py", "t"))
         vals = {k: _expect_number(c.get(k, 0.0), f"{path}.cartesian.{k}") for k in ("x", "y", "px", "py", "t")}
         for k in ("x", "y", "px", "py"):
             if k not in c:
                 raise ConfigError(f"{path}.cartesian.{k}: required")
         return CartesianState(**vals), None
     if "elements" in doc:
-        e = doc["elements"]
-        if not isinstance(e, dict):
-            raise ConfigError(f"{path}.elements: expected an object")
+        e = _expect_object(doc["elements"], f"{path}.elements", ("A", "a", "theta0"))
         for k in ("A", "a", "theta0"):
             if k not in e:
                 raise ConfigError(f"{path}.elements.{k}: required")
@@ -127,15 +129,10 @@ def _parse_initial(doc, params: Params, path: str):
 
 
 def parse_config(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root: expected a JSON object")
-    known = {"params", "initial", "n_collisions", "mode", "tolerances", "ensemble", "output_dir"}
-    for k in doc:
-        if k not in known:
-            raise ConfigError(f"{k}: unknown config field")
-    pdoc = doc.get("params", {})
-    if not isinstance(pdoc, dict):
-        raise ConfigError("params: expected an object")
+    doc = _expect_object(
+        doc, "", ("params", "initial", "n_collisions", "mode", "ensemble", "output_dir")
+    )
+    pdoc = _expect_object(doc.get("params", {}), "params", ("alpha", "g", "h"))
     try:
         params = Params(
             alpha=_expect_number(pdoc.get("alpha", 1.0), "params.alpha"),
@@ -150,18 +147,9 @@ def parse_config(doc: dict) -> RunConfig:
     n = _expect_int(doc.get("n_collisions", 0), "n_collisions")
     if n < 0:
         raise ConfigError("n_collisions: must be >= 0")
-    tol = doc.get("tolerances", {})
-    if not isinstance(tol, dict):
-        raise ConfigError("tolerances: expected an object")
-    for k, v in tol.items():
-        if k not in TOLERANCE_KEYS:
-            raise ConfigError(f"tolerances.{k}: unknown tolerance")
-        _expect_number(v, f"tolerances.{k}")
     ensemble = None
     if "ensemble" in doc and doc["ensemble"] is not None:
-        e = doc["ensemble"]
-        if not isinstance(e, dict):
-            raise ConfigError("ensemble: expected an object")
+        e = _expect_object(doc["ensemble"], "ensemble", ("count", "seed", "energy"))
         if "seed" not in e:
             raise ConfigError("ensemble.seed: required for reproducibility")
         ensemble = EnsembleSpec(
@@ -171,14 +159,13 @@ def parse_config(doc: dict) -> RunConfig:
         )
         if ensemble.count < 0:
             raise ConfigError("ensemble.count: must be >= 0")
-    cfg = RunConfig(
-        params=params,
-        mode=mode,
-        n_collisions=n,
-        tolerances={k: float(v) for k, v in tol.items()},
-        ensemble=ensemble,
-        output_dir=Path(doc.get("output_dir", "out")),
-    )
+        if ensemble.seed < 0:
+            raise ConfigError("ensemble.seed: must be >= 0")
+    out = doc.get("output_dir", "out")
+    # a NUL byte would fail only when the directory is made
+    if not isinstance(out, str) or "\0" in out:
+        raise ConfigError(f"output_dir: expected a path string, got {out!r}")
+    cfg = RunConfig(params=params, mode=mode, n_collisions=n, ensemble=ensemble, output_dir=Path(out))
     if "initial" in doc and doc["initial"] is not None:
         cfg.initial_state, cfg.initial_elements = _parse_initial(doc["initial"], params, "initial")
     return cfg
@@ -191,14 +178,6 @@ def resolve_initial(cfg: RunConfig) -> CartesianState:
         el, nu = cfg.initial_elements
         return cartesian_from_elements(el, nu, Params(alpha=cfg.params.alpha, g=0.0, h=cfg.params.h))
     raise ConfigError(f"initial: required for mode '{cfg.mode}'")
-
-
-def integrator_config(cfg: RunConfig) -> perturbed.IntegratorConfig:
-    kw = {k: v for k, v in cfg.tolerances.items() if k != "tol_graze"}
-    try:
-        return perturbed.IntegratorConfig(**kw)
-    except ValueError as exc:
-        raise ConfigError(f"tolerances: {exc}") from exc
 
 
 # ----------------------------------------------------------- serialization ---
@@ -233,7 +212,6 @@ def _config_echo(cfg: RunConfig) -> dict:
         "params": {"alpha": cfg.params.alpha, "g": cfg.params.g, "h": cfg.params.h},
         "mode": cfg.mode,
         "n_collisions": cfg.n_collisions,
-        "tolerances": dict(sorted(cfg.tolerances.items())),
         "output_dir": str(cfg.output_dir),
     }
     if cfg.initial_state is not None:
@@ -399,17 +377,13 @@ def cmd_simulate(cfg: RunConfig) -> OutputBundle:
     if cfg.mode == "exact-g0":
         if cfg.params.g != 0.0:
             raise ConfigError("params.g: exact-g0 mode requires g = 0")
-        res = billiard.run(
-            s0, cfg.n_collisions, cfg.params, samples_per_arc=512,
-            tol_graze=cfg.tolerances.get("tol_graze", billiard.TOL_GRAZE),
-        )
+        res = billiard.run(s0, cfg.n_collisions, cfg.params, samples_per_arc=512)
         events, reports, samples = res.events, res.reports, res.samples
         extra["no_collision"] = res.no_collision
         if res.halted:
             extra["halted"] = res.halted
     else:
-        icfg = integrator_config(cfg)
-        res_p = perturbed.run_perturbed(s0, cfg.n_collisions, cfg.params, icfg, samples_per_arc=512)
+        res_p = perturbed.run_perturbed(s0, cfg.n_collisions, cfg.params, samples_per_arc=512)
         events = res_p.events
         reports = [billiard.invariant_report(ev, Params(alpha=cfg.params.alpha, g=0.0, h=cfg.params.h))
                    for ev in events]
@@ -529,7 +503,6 @@ def cmd_section(cfg: RunConfig) -> OutputBundle:
         raise ConfigError(f"mode: expected section, got {cfg.mode!r}")
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    icfg = integrator_config(cfg)
     if cfg.ensemble is not None:
         seeds = _ensemble_seeds(cfg.ensemble, cfg.params)
         A = cfg.ensemble.energy
@@ -537,7 +510,7 @@ def cmd_section(cfg: RunConfig) -> OutputBundle:
         s0 = resolve_initial(cfg)
         seeds = [s0]
         A = s0.energy_A(cfg.params)
-    outcomes = perturbed.section_ensemble(seeds, cfg.n_collisions, cfg.params, icfg)
+    outcomes = perturbed.section_ensemble(seeds, cfg.n_collisions, cfg.params)
     g0 = Params(alpha=cfg.params.alpha, g=0.0, h=cfg.params.h)
     # the osculating R after each impact, per seed
     R_values = [[billiard.conserved_R(ev.post, g0) for ev in o.events] for o in outcomes]
@@ -612,7 +585,8 @@ def cmd_region(cfg: RunConfig) -> OutputBundle:
 
 # verify checks in report order: name -> (kind, threshold).  A "max" check
 # passes when the measured value stays at or below its threshold, a "min"
-# check when it reaches it.
+# check when it reaches it; either way the reported margin is >= 0 exactly
+# when the check passes.
 VERIFY_CHECKS = {
     "kepler_residual": ("max", 1e-13),
     "roundtrip": ("max", 1e-10),
@@ -711,8 +685,7 @@ def run_verify_checks() -> list[Check]:
     m["conjecture2_spread_even"], m["conjecture2_spread_odd"] = delaunay.spread_by_parity(samples)
 
     # oracle equivalence on the rotation-regime orbit: its first 100 events
-    icfg = perturbed.IntegratorConfig()
-    res_ode = perturbed.run_perturbed(s0, 100, p, icfg)
+    res_ode = perturbed.run_perturbed(s0, 100, p)
     m["oracle_impacts"] = max(
         abs(a.x_impact - b.x_impact) for a, b in zip(res_ode.events, res_g.events[:100])
     )
@@ -720,7 +693,7 @@ def run_verify_checks() -> list[Check]:
     worst = 0.0
     for k in range(30):
         nxt, ev = billiard.step(state, p, n=k)
-        hit, _, _ = perturbed.integrate_to_wall(state, p, icfg)
+        hit, _, _ = perturbed.integrate_to_wall(state, p)
         worst = max(worst, abs(hit.x - ev.x_impact))
         state = nxt
     m["oracle_arc"] = worst
@@ -736,7 +709,7 @@ def run_verify_checks() -> list[Check]:
 
     # perturbation sensitivity at g = 0.05
     pg = reference.reference_params(g=reference.PERTURBATION_G)
-    res_p = perturbed.run_perturbed(reference.conservation_state(), 1000, pg, icfg)
+    res_p = perturbed.run_perturbed(reference.conservation_state(), 1000, pg)
     Rv = np.array([billiard.conserved_R(ev.post, p) for ev in res_p.events])
     m["perturbation_R_drift"] = float(np.ptp(Rv) / abs(Rv[0]))
     m["perturbation_H_arc"] = res_p.max_rel_drift
@@ -765,9 +738,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[OutputBundle, int]:
                 "threshold": c.threshold,
                 "measured": c.measured,
                 "pass": c.passed,
-                "margin": (c.measured / c.threshold if c.kind == "min" else c.threshold - c.measured)
-                if c.threshold != 0.0
-                else -c.measured,
+                "margin": c.measured - c.threshold if c.kind == "min" else c.threshold - c.measured,
             }
             for c in checks
         ],
@@ -840,14 +811,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_flags(doc: dict, args: argparse.Namespace) -> dict:
+    # the flags write into the document before parse_config checks it
+    if not isinstance(doc, dict):
+        raise ConfigError("config root: expected a JSON object")
     if args.mode is not None:
         doc["mode"] = args.mode
     if args.n is not None:
         doc["n_collisions"] = args.n
     if args.g is not None:
-        doc.setdefault("params", {})["g"] = args.g
+        params = doc.setdefault("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError("params: expected a JSON object")
+        params["g"] = args.g
     if args.seed is not None:
-        if "ensemble" not in doc or doc["ensemble"] is None:
+        if not isinstance(doc.get("ensemble"), dict):
             raise ConfigError("--seed: no ensemble in this configuration")
         doc["ensemble"]["seed"] = args.seed
     if args.out is not None:

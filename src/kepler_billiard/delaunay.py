@@ -192,9 +192,7 @@ def dadR_branch(
     return _dadR_raw(s2, R, L, spec.eps, spec.eta, p)
 
 
-def physical_branch_path(
-    theta0: float, eta: int = 1
-) -> list[tuple[tuple[float, float], BranchSpec]]:
+def physical_branch_path(theta0: float) -> list[tuple[tuple[float, float], BranchSpec]]:
     """Path over [0, theta0] following the Eq.-2.4-valid root everywhere.
 
     The valid eps label is -1 where sin(psi) > 0 and +1 where sin(psi) < 0
@@ -202,7 +200,8 @@ def physical_branch_path(
     half-revolution.  Along this path a(psi)^2 is the smooth momentum profile
     of the invariant level set; holding eps fixed instead integrates the
     e < 0 continuation on half of each revolution, which breaks the constancy
-    of the two-collision increments by order one.
+    of the two-collision increments by order one.  Every piece has eta = +1
+    (a > 0).
     """
     if theta0 < 0.0:
         raise ValueError("theta0 must be non-negative")
@@ -212,11 +211,11 @@ def physical_branch_path(
     while lo < theta0 - 1e-15:
         hi = min((k + 1) * math.pi, theta0)
         eps = -1 if k % 2 == 0 else 1
-        pieces.append(((lo, hi), BranchSpec(eps=eps, eta=eta)))
+        pieces.append(((lo, hi), BranchSpec(eps=eps, eta=1)))
         lo = hi
         k += 1
     if not pieces:
-        pieces = [((0.0, theta0), BranchSpec(eps=-1, eta=eta))]
+        pieces = [((0.0, theta0), BranchSpec(eps=-1, eta=1))]
     return pieces
 
 
@@ -408,20 +407,19 @@ def initial_state_on_level(
     R: float,
     p: Params,
     theta0: float = 1.5 * math.pi,
-    sign_a: int = 1,
 ) -> CartesianState:
     """A wall-reaching state on the invariant level (L, R).
 
     Builds the ellipse with aphelion at ``theta0`` and the valid branch
-    momentum there, then starts the particle at whichever apse lies below
-    the wall.
+    momentum there (a > 0), then starts the particle at whichever apse lies
+    below the wall.
     """
     A = -p.alpha * p.alpha / (4.0 * L * L)
     s = math.sin(theta0)
     a = None
     for eps in ((1, -1) if s <= 0.0 else (-1, 1)):
         try:
-            a = a_branch(theta0, R, L, BranchSpec(eps=eps, eta=sign_a), p)
+            a = a_branch(theta0, R, L, BranchSpec(eps=eps, eta=1), p)
             break
         except BranchUnavailable:
             continue

@@ -4,18 +4,21 @@ Serves two purposes: an independent oracle for the event-driven g = 0
 propagation, and the exploration tool for the perturbed system (Poincare
 sections in the (x, lambda) rectangle, drift of the osculating R).
 
-Integration uses an adaptive 8th-order Runge-Kutta pair (DOP853) with dense
-output; the wall crossing y = h is located on the dense interpolant to
-machine precision in time, keeping only crossings that approach the wall
-(dy/dt > 0).  The osculating R at an impact is computed from the g = 0
-element formulas applied to the instantaneous state; for g > 0 it is a
-drift diagnostic, not an invariant.
+Integration uses an adaptive 8th-order Runge-Kutta pair (DOP853) at fixed
+tolerances ``REL_TOL`` and ``ABS_TOL`` with dense output; scipy's event
+search locates the wall crossing y = h on the dense interpolant, keeping only
+crossings that approach the wall (dy/dt > 0).  An arc is abandoned after
+``MAX_ARC_TIME`` or beyond ``ESCAPE_RADIUS``.  Each impact goes through
+:func:`billiard.reflect` with ten times the exact route's ``TOL_EVENT``.
+The osculating R at an impact is computed from the g = 0 element formulas
+applied to the instantaneous state; for g > 0 it is a drift diagnostic, not
+an invariant.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -25,23 +28,10 @@ from .errors import BilliardError, EscapeDetected, NoCollision, StepFailure
 from .kepler import CartesianState, Params, elements_from_cartesian
 
 R_SINGULARITY_GUARD = 1e-6
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Error control and event-location settings for the ODE route."""
-
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-12
-    max_step: float = math.inf
-    event_tol: float = 1e-12
-    max_arc_time: float = 1e4
-    escape_radius: float = 1e3
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if not getattr(self, f.name) > 0.0:
-                raise ValueError(f"{f.name} must be positive")
+REL_TOL = 1e-12
+ABS_TOL = 1e-12
+MAX_ARC_TIME = 1e4
+ESCAPE_RADIUS = 1e3
 
 
 @dataclass(frozen=True)
@@ -80,7 +70,7 @@ def _rhs(p: Params):
     return f
 
 
-def integrate_to_wall(s: CartesianState, p: Params, cfg: IntegratorConfig):
+def integrate_to_wall(s: CartesianState, p: Params):
     """Integrate Hamilton's equations until the next upward wall crossing.
 
     Returns ``(state, elapsed, sol)``: the state at the crossing as
@@ -91,9 +81,9 @@ def integrate_to_wall(s: CartesianState, p: Params, cfg: IntegratorConfig):
     Raises:
         EscapeDetected: for non-negative energy or leaving the bounding radius.
         StepFailure: integrator breakdown or the r -> 0 singularity guard.
-        NoCollision: no crossing within ``cfg.max_arc_time``.
+        NoCollision: no crossing within ``MAX_ARC_TIME``.
     """
-    if abs(s.y - p.h) < cfg.event_tol and s.py > 0.0:
+    if abs(s.y - p.h) < billiard.TOL_EVENT and s.py > 0.0:
         return s, 0.0, None
     if s.hamiltonian(p) >= 0.0:
         raise EscapeDetected(f"H = {s.hamiltonian(p):g} >= 0")
@@ -105,7 +95,7 @@ def integrate_to_wall(s: CartesianState, p: Params, cfg: IntegratorConfig):
     wall.direction = 1.0
 
     def escape(_t, y):
-        return math.hypot(y[0], y[1]) - cfg.escape_radius
+        return math.hypot(y[0], y[1]) - ESCAPE_RADIUS
 
     escape.terminal = True
     escape.direction = 1.0
@@ -118,23 +108,22 @@ def integrate_to_wall(s: CartesianState, p: Params, cfg: IntegratorConfig):
 
     sol = solve_ivp(
         _rhs(p),
-        (0.0, cfg.max_arc_time),
+        (0.0, MAX_ARC_TIME),
         [s.x, s.y, s.px, s.py],
         method="DOP853",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_step,
+        rtol=REL_TOL,
+        atol=ABS_TOL,
         events=[wall, escape, center],
         dense_output=True,
     )
     if sol.status == -1:
         raise StepFailure(f"integrator failed: {sol.message}")
     if len(sol.t_events[1]):
-        raise EscapeDetected(f"left bounding radius {cfg.escape_radius:g}")
+        raise EscapeDetected(f"left bounding radius {ESCAPE_RADIUS:g}")
     if len(sol.t_events[2]):
         raise StepFailure(f"approached the center within {R_SINGULARITY_GUARD:g}")
     if not len(sol.t_events[0]):
-        raise NoCollision(f"no wall crossing within t = {cfg.max_arc_time:g}")
+        raise NoCollision(f"no wall crossing within t = {MAX_ARC_TIME:g}")
     t_hit = float(sol.t_events[0][0])
     y_hit = sol.y_events[0][0]
     out = CartesianState(
@@ -155,7 +144,6 @@ def run_perturbed(
     s0: CartesianState,
     n: int,
     p: Params,
-    cfg: IntegratorConfig | None = None,
     samples_per_arc: int = 0,
 ) -> PerturbedRun:
     """n wall collisions by direct integration, with per-arc energy audit.
@@ -166,7 +154,6 @@ def run_perturbed(
     event's ``post`` elements is exactly the quantity whose drift measures
     the perturbation.
     """
-    cfg = cfg or IntegratorConfig()
     g0 = Params(alpha=p.alpha, g=0.0, h=p.h)
     events: list[billiard.CollisionEvent] = []
     drifts: list[float] = []
@@ -174,11 +161,11 @@ def run_perturbed(
     H0 = s0.hamiltonian(p)
     state = s0
     for k in range(n):
-        hit, elapsed, sol = integrate_to_wall(state, p, cfg)
+        hit, elapsed, sol = integrate_to_wall(state, p)
         if samples_per_arc > 0 and sol is not None:
             chunks.append(_dense_arc(sol.sol, 0.0, elapsed, state.t, samples_per_arc))
         drifts.append(abs(hit.hamiltonian(p) - state.hamiltonian(p)))
-        out = billiard.reflect(hit, p, tol_event=10.0 * cfg.event_tol)
+        out = billiard.reflect(hit, p, tol_event=10.0 * billiard.TOL_EVENT)
         # the incoming state pinned onto the wall, as reflect pinned it
         pinned = CartesianState(x=out.x, y=out.y, px=out.px, py=hit.py, t=out.t)
         events.append(
@@ -201,12 +188,7 @@ def run_perturbed(
     return PerturbedRun(events=events, samples=samples, H0=H0, max_rel_drift=max_rel)
 
 
-def section_ensemble(
-    seeds: list[CartesianState],
-    n: int,
-    p: Params,
-    cfg: IntegratorConfig | None = None,
-) -> list[SeedOutcome]:
+def section_ensemble(seeds: list[CartesianState], n: int, p: Params) -> list[SeedOutcome]:
     """Section clouds for several seeds sharing one energy surface.
 
     A seed's domain failure (a :class:`BilliardError`) is recorded in its
@@ -216,7 +198,6 @@ def section_ensemble(
     Raises:
         ValueError: if the seeds do not share the same energy A.
     """
-    cfg = cfg or IntegratorConfig()
     if seeds:
         A0 = seeds[0].energy_A(p)
         for i, s in enumerate(seeds[1:], start=1):
@@ -225,7 +206,7 @@ def section_ensemble(
     outcomes: list[SeedOutcome] = []
     for i, seed in enumerate(seeds):
         try:
-            res = run_perturbed(seed, n, p, cfg)
+            res = run_perturbed(seed, n, p)
             outcomes.append(SeedOutcome(seed_index=i, events=res.events))
         except BilliardError as exc:
             outcomes.append(

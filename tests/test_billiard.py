@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kepler_billiard import billiard
 from kepler_billiard.billiard import (
     TOL_EVENT,
     ConstantRCurve,
@@ -169,9 +170,10 @@ class TestCrossing:
         res = run(s, 3, params)
         assert res.no_collision and not res.events
 
-    def test_grazing_via_tolerance(self, params, reference_elements):
-        with pytest.raises(GrazingContact):
-            next_wall_crossing(reference_elements, 0.0, params, tol_graze=10.0)
+    def test_grazing_via_tolerance(self, params, reference_elements, monkeypatch):
+        monkeypatch.setattr(billiard, "TOL_GRAZE", 10.0)
+        with pytest.raises(GrazingContact, match="below tol 10"):
+            next_wall_crossing(reference_elements, 0.0, params)
 
     def test_against_sampling_oracle(self, params):
         rng = np.random.default_rng(17)
@@ -332,10 +334,11 @@ class TestRun:
         assert res.no_collision and not res.events
         assert res.samples.shape[0] > 1  # one sampled revolution
 
-    def test_grazing_halts_with_partial_output(self, params, reference_state):
+    def test_grazing_halts_with_partial_output(self, params, reference_state, monkeypatch):
         # normal velocities on this orbit range over ~[0.41, 0.62]; a cutoff
         # inside that range forces the diagnostic halt after a few events
-        res = run(reference_state, 50, params, tol_graze=0.425)
+        monkeypatch.setattr(billiard, "TOL_GRAZE", 0.425)
+        res = run(reference_state, 50, params)
         assert res.halted is not None and "grazing" in res.halted
         assert 0 < len(res.events) < 50
 

@@ -1,11 +1,14 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from kepler_billiard import cli
+from kepler_billiard import cli, perturbed
 from kepler_billiard.errors import ConfigError
 from kepler_billiard.kepler import Params
 
@@ -33,22 +36,39 @@ def read_csv(path):
 
 
 class TestConfigParsing:
-    def test_unknown_field_path(self):
+    def test_unknown_field_path(self, tmp_path):
         with pytest.raises(ConfigError, match="bogus"):
             cli.parse_config({"bogus": 1})
+        # a misspelt key at any depth is an error, not a silent default
+        cartesian = {"x": 0.0, "y": -1.0, "px": 0.5, "py": 0.0}
+        for doc, path in [
+            ({"params": {"gg": 0.3}}, "params.gg"),
+            ({"ensemble": {"seed": 1, "energie": -0.9}}, "ensemble.energie"),
+            ({"initial": {"cartesian": cartesian, "nuu": 0.0}}, "initial.nuu"),
+            ({"initial": {"cartesian": {**cartesian, "z": 1.0}}}, "initial.cartesian.z"),
+            ({"initial": {"elements": {"A": -0.5, "a": 0.5, "theta0": 1.0, "e": 0.1}}},
+             "initial.elements.e"),
+        ]:
+            with pytest.raises(ConfigError, match=f"^{path}: unknown config field"):
+                cli.parse_config(base_doc(tmp_path, **doc))
 
     def test_unknown_tolerance_path(self, tmp_path, capsys):
-        with pytest.raises(ConfigError, match="tolerances.nope"):
-            cli.parse_config({"tolerances": {"nope": 1.0}})
-        # verify's thresholds are fixed: a check name is not a tolerance
-        for name in cli.VERIFY_CHECKS:
-            with pytest.raises(ConfigError, match=f"tolerances.{name}: unknown"):
-                cli.parse_config({"mode": "verify", "tolerances": {name: 1.0}})
-        f = tmp_path / "v.json"
-        f.write_text(json.dumps({"mode": "verify", "tolerances": {"theorem1_R_drift": 1.0}}))
-        assert cli.main(["verify", "--config", str(f), "--out", str(tmp_path / "v")]) == 2
-        assert "configuration error" in capsys.readouterr().err
-        assert not (tmp_path / "v").exists()
+        # the numerical settings are module constants: any tolerances
+        # document, a verify check name included, is an unknown field
+        for tol in ({}, {"rel_tol": 1e-12}, {"tol_graze": 1e-10}, {"theorem1_R_drift": 1.0}):
+            with pytest.raises(ConfigError, match="tolerances: unknown config field"):
+                cli.parse_config({"mode": "verify", "tolerances": tol})
+            f = tmp_path / "v.json"
+            f.write_text(json.dumps({"mode": "verify", "tolerances": tol}))
+            assert cli.main(["verify", "--config", str(f), "--out", str(tmp_path / "v")]) == 2
+            assert "configuration error" in capsys.readouterr().err
+            assert not (tmp_path / "v").exists()
+
+    def test_committed_configs_parse(self):
+        configs = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+        assert configs
+        for path in configs:
+            assert isinstance(cli.parse_config(json.loads(path.read_text())), cli.RunConfig)
 
     def test_bad_mode(self):
         with pytest.raises(ConfigError, match="mode"):
@@ -65,6 +85,12 @@ class TestConfigParsing:
     def test_initial_requires_fields(self):
         with pytest.raises(ConfigError, match="initial.cartesian.px"):
             cli.parse_config({"initial": {"cartesian": {"x": 1.0, "y": 0.0, "py": 1.0}}})
+        cartesian = {"x": 0.0, "y": -1.0, "px": 0.5, "py": 0.0}
+        elements = {"A": -0.5, "a": 0.5, "theta0": 1.0}
+        for initial in ({"cartesian": cartesian, "elements": elements},
+                        {"cartesian": cartesian, "nu": 2.0}):
+            with pytest.raises(ConfigError, match="'cartesian' excludes"):
+                cli.parse_config({"initial": initial})
 
     def test_missing_initial_reported(self, tmp_path):
         doc = base_doc(tmp_path)
@@ -76,6 +102,65 @@ class TestConfigParsing:
     def test_negative_n(self):
         with pytest.raises(ConfigError, match="n_collisions"):
             cli.parse_config({"n_collisions": -1})
+
+
+# JSON values as json.loads returns them: NaN, +-Infinity and integers beyond
+# the float range included
+JSON_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([10**400, -(10**400)]),
+    st.floats(), st.text(max_size=6),
+)
+JSON_ANY = st.recursive(
+    JSON_LEAF,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def mostly(good, *bad):
+    """``good`` nine times in ten, else one of ``bad``."""
+    return st.integers(0, 9).flatmap(lambda i: good if i < 9 else st.one_of(*bad))
+
+
+NUMBER = mostly(st.floats(-3.0, 3.0) | st.integers(-3, 3), JSON_ANY)
+
+
+def json_object(fields):
+    """Objects over the known ``fields``, mostly well formed: a value is
+    usually from its field's strategy, else any JSON value; an object
+    sometimes carries a junk key or is not an object at all."""
+    known = st.fixed_dictionaries({}, optional={k: mostly(v, JSON_ANY) for k, v in fields.items()})
+    junk = st.dictionaries(st.text(max_size=6), JSON_ANY, min_size=1, max_size=1)
+    with_junk = st.tuples(known, junk).map(lambda kj: {**kj[1], **kj[0]})
+    return mostly(known, with_junk, JSON_ANY)
+
+
+CONFIG_DOCS = json_object({
+    "params": json_object({"alpha": NUMBER, "g": NUMBER, "h": NUMBER}),
+    "mode": st.sampled_from(cli.MODES),
+    "n_collisions": st.integers(-2, 5),
+    "initial": json_object({
+        "cartesian": json_object({k: NUMBER for k in ("x", "y", "px", "py", "t")}),
+        "elements": json_object({"A": NUMBER, "a": NUMBER, "theta0": NUMBER}),
+        "nu": NUMBER,
+    }),
+    "ensemble": json_object({
+        "count": st.integers(-2, 5), "seed": st.integers(-2, 2**64), "energy": NUMBER,
+    }),
+    "output_dir": st.text(max_size=8),
+})
+
+
+class TestConfigFuzz:
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=CONFIG_DOCS)
+    def test_parse_config_returns_or_raises_config_error(self, doc):
+        try:
+            cfg = cli.parse_config(doc)
+        except ConfigError:
+            return
+        assert isinstance(cfg, cli.RunConfig)
 
 
 class TestSimulate:
@@ -222,20 +307,20 @@ class TestSection:
             scatters.append(manifest["r_value_scatter"])
         assert scatters[0] < scatters[1] < scatters[2]
 
-    def test_failed_seeds_on_stdout(self, tmp_path, capsys):
+    def test_failed_seeds_on_stdout(self, tmp_path, capsys, monkeypatch):
         # this ellipse stays below the wall, so its one seed fails
         doc = {
             "mode": "section",
             "n_collisions": 3,
             "initial": {"elements": {"A": -1.0, "a": math.sqrt(0.2), "theta0": 0.1}, "nu": 0.0},
-            "tolerances": {"max_arc_time": 50.0},
         }
+        monkeypatch.setattr(perturbed, "MAX_ARC_TIME", 50.0)
         f = tmp_path / "s.json"
         f.write_text(json.dumps(doc))
         assert cli.main(["section", "--config", str(f), "--out", str(tmp_path / "s")]) == 0
         assert "section: 1 of 1 seeds failed" in capsys.readouterr().out
         manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
-        assert "NoCollision" in manifest["failed_seeds"][0]["error"]
+        assert "NoCollision: no wall crossing within t = 50" in manifest["failed_seeds"][0]["error"]
 
     def test_empty_ensemble(self, tmp_path):
         doc = {
@@ -309,18 +394,45 @@ class TestMainExitCodes:
         "edit, flags",
         [
             ({"mode": "perturbed", "params": {"g": math.nan}}, []),
-            ({"mode": "perturbed", "tolerances": {"rel_tol": math.inf}}, []),
+            ({"ensemble": {"count": 2, "seed": 1, "energy": math.inf}}, []),
             ({"initial": {"elements": {"A": -0.5, "a": 0.5657, "theta0": math.nan}}}, []),
             ({"initial": {"elements": {"A": 0.5, "a": 0.5657, "theta0": 1.2}}}, []),
             ({}, ["--g", "nan"]),
+            ({"ensemble": {"count": 2, "seed": -1, "energy": -0.5}}, []),
+            ({"output_dir": 5}, []),
+            ({"output_dir": None}, []),
+            ({"output_dir": ["out"]}, []),
+            ({"output_dir": "out\0x"}, []),
         ],
-        ids=["g-nan", "rel_tol-inf", "theta0-nan", "A-positive", "flag-g-nan"],
+        ids=["g-nan", "energy-inf", "theta0-nan", "A-positive", "flag-g-nan",
+             "seed-negative", "output_dir-int", "output_dir-null", "output_dir-list",
+             "output_dir-nul"],
     )
-    def test_bad_numbers_exit_2(self, tmp_path, capsys, edit, flags):
+    def test_bad_numbers_exit_2(self, tmp_path, capsys, monkeypatch, edit, flags):
+        monkeypatch.chdir(tmp_path)  # nothing may be written, not even here
         f = tmp_path / "c.json"
         f.write_text(json.dumps(base_doc(tmp_path, **edit)))  # writes NaN / Infinity
         assert cli.main(["simulate", "--config", str(f), *flags]) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize(
+        "doc, flags",
+        [
+            ([1, 2], ["--n", "3"]),
+            ({"params": [1.0], "mode": "exact-g0"}, ["--g", "0.1"]),
+            ({"params": None, "mode": "exact-g0"}, ["--g", "0.1"]),
+            ({"mode": "section", "ensemble": [1]}, ["--seed", "3"]),
+        ],
+        ids=["root-list", "params-list", "params-null", "ensemble-list"],
+    )
+    def test_flags_on_malformed_config_exit_2(self, tmp_path, capsys, doc, flags):
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(f), "--out", str(out), *flags]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file_exit_2(self, tmp_path):
         assert cli.main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
@@ -355,10 +467,13 @@ class TestMainExitCodes:
 
 class TestVerifyFaultInjection:
     def test_failing_check_exits_1(self, tmp_path, capsys, monkeypatch):
-        # every check at its threshold passes, except one measured at twice it
+        # every check at its threshold passes, except a max check measured
+        # at twice it and a min check at half it
+        failing = {"theorem1_R_drift": 2.0, "anisochrony_ratio": 0.5}
+
         def checks():
             return [
-                cli._check(name, 2.0 * thr if name == "theorem1_R_drift" else thr)
+                cli._check(name, failing.get(name, 1.0) * thr)
                 for name, (_, thr) in cli.VERIFY_CHECKS.items()
             ]
 
@@ -367,12 +482,12 @@ class TestVerifyFaultInjection:
         assert "verify: FAIL" in capsys.readouterr().out
         report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
         assert report["all_passed"] is False
-        by_name = {c["name"]: c for c in report["checks"]}
-        assert by_name["theorem1_R_drift"]["pass"] is False
-        assert sum(0 if c["pass"] else 1 for c in report["checks"]) == 1
-        # every check reports its measured margin
+        assert {c["name"] for c in report["checks"] if not c["pass"]} == set(failing)
+        # every check reports its measured value and a margin that is
+        # non-negative exactly when it passes
         assert len(report["checks"]) == len(cli.VERIFY_CHECKS)
-        assert all("margin" in c and "measured" in c for c in report["checks"])
+        assert all("measured" in c for c in report["checks"])
+        assert all((c["margin"] >= 0) == c["pass"] for c in report["checks"])
 
     def test_check_min_max(self):
         assert cli._check("theorem1_R_drift", 1e-9).passed

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from kepler_billiard import perturbed
-from kepler_billiard.billiard import conserved_R, run, step
+from kepler_billiard.billiard import TOL_EVENT, conserved_R, run, step
 from kepler_billiard.delaunay import initial_state_on_level
 from kepler_billiard.errors import EscapeDetected, NoCollision
 from kepler_billiard.kepler import (
@@ -16,7 +16,6 @@ from kepler_billiard.kepler import (
     cartesian_from_elements,
 )
 from kepler_billiard.perturbed import (
-    IntegratorConfig,
     integrate_to_wall,
     run_perturbed,
     section_ensemble,
@@ -28,53 +27,36 @@ R_REF = 1.2
 
 
 @pytest.fixture(scope="module")
-def cfg():
-    return IntegratorConfig()
-
-
-@pytest.fixture(scope="module")
 def rotation_state():
     return initial_state_on_level(L_REF, R_REF, Params())
 
 
-class TestConfig:
-    def test_defaults(self, cfg):
-        assert cfg.rel_tol == 1e-12 and cfg.abs_tol == 1e-12
-        assert cfg.event_tol == 1e-12
-
-    def test_positivity(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(event_tol=-1e-9)
-
-
 class TestIntegrateToWall:
-    def test_zero_length_arc(self, cfg):
+    def test_zero_length_arc(self):
         p = Params()
         s = CartesianState(x=0.2, y=1.0, px=0.1, py=0.5)
-        out, elapsed, sol = integrate_to_wall(s, p, cfg)
+        out, elapsed, sol = integrate_to_wall(s, p)
         assert elapsed == 0.0 and out == s and sol is None
 
-    def test_single_arc_matches_closed_form(self, cfg, rotation_state):
+    def test_single_arc_matches_closed_form(self, rotation_state):
         p = Params()
-        hit, _, _ = integrate_to_wall(rotation_state, p, cfg)
+        hit, _, _ = integrate_to_wall(rotation_state, p)
         _, ev = step(rotation_state, p)
         assert abs(hit.x - ev.x_impact) < 1e-8
         assert abs(hit.t - ev.t) < 1e-8
-        assert abs(hit.y - p.h) < cfg.event_tol * 10
+        assert abs(hit.y - p.h) < TOL_EVENT * 10
 
-    def test_energy_conserved_with_g(self, cfg, rotation_state):
+    def test_energy_conserved_with_g(self, rotation_state):
         p = Params(alpha=1.0, g=0.1, h=1.0)
         s = rotation_state
         H0 = s.hamiltonian(p)
         assert H0 < 0.0
-        hit, _, _ = integrate_to_wall(s, p, cfg)
+        hit, _, _ = integrate_to_wall(s, p)
         assert abs(hit.hamiltonian(p) - H0) / abs(H0) < 1e-10
 
-    def test_time_reversal(self, cfg, rotation_state):
+    def test_time_reversal(self, rotation_state):
         p = Params()
-        hit, elapsed, _ = integrate_to_wall(rotation_state, p, cfg)
+        hit, elapsed, _ = integrate_to_wall(rotation_state, p)
         back = replace(hit, px=-hit.px, py=-hit.py)
         sol = solve_ivp(
             _rhs(p), (0.0, elapsed), [back.x, back.y, back.px, back.py],
@@ -86,70 +68,71 @@ class TestIntegrateToWall:
         assert abs(px + rotation_state.px) < 1e-8
         assert abs(py + rotation_state.py) < 1e-8
 
-    def test_escape_detected(self, cfg):
+    def test_escape_detected(self):
         p = Params()
         with pytest.raises(EscapeDetected):
-            integrate_to_wall(CartesianState(1.0, 0.0, 0.0, 2.0), p, cfg)
+            integrate_to_wall(CartesianState(1.0, 0.0, 0.0, 2.0), p)
 
-    def test_no_collision_timeout(self):
+    def test_no_collision_timeout(self, monkeypatch):
         p = Params()
         el = OrbitalElements(A=-1.0, a=math.sqrt(0.2), theta0=0.1, alpha=1.0)
         s = cartesian_from_elements(el, 0.0, p)
-        with pytest.raises(NoCollision):
-            integrate_to_wall(s, p, IntegratorConfig(max_arc_time=50.0))
+        monkeypatch.setattr(perturbed, "MAX_ARC_TIME", 50.0)
+        with pytest.raises(NoCollision, match="t = 50"):
+            integrate_to_wall(s, p)
 
 
 class TestRunPerturbed:
-    def test_matches_event_driven_g0(self, cfg, rotation_state):
+    def test_matches_event_driven_g0(self, rotation_state):
         p = Params()
-        res_ode = run_perturbed(rotation_state, 40, p, cfg)
+        res_ode = run_perturbed(rotation_state, 40, p)
         res_ev = run(rotation_state, 40, p)
         for a, b in zip(res_ode.events, res_ev.events):
             assert abs(a.x_impact - b.x_impact) < 1e-6
             assert abs(a.lam - b.lam) < 1e-6
 
-    def test_R_value_constant_g0(self, cfg, rotation_state):
+    def test_R_value_constant_g0(self, rotation_state):
         p = Params()
-        res = run_perturbed(rotation_state, 40, p, cfg)
+        res = run_perturbed(rotation_state, 40, p)
         Rv = np.array([conserved_R(ev.post, p) for ev in res.events])
         assert np.ptp(Rv) / abs(Rv[0]) < 1e-8
         assert res.max_rel_drift < 1e-10
 
-    def test_R_drifts_under_perturbation(self, cfg):
+    def test_R_drifts_under_perturbation(self):
         p = Params(alpha=1.0, g=0.05, h=1.0)
         el = OrbitalElements(A=-0.5, a=math.sqrt(0.32), theta0=1.2, alpha=1.0)
         s = cartesian_from_elements(el, 0.0, Params())
-        res = run_perturbed(s, 120, p, cfg)
+        res = run_perturbed(s, 120, p)
         Rv = np.array([conserved_R(ev.post, Params()) for ev in res.events])
         assert np.ptp(Rv) / abs(Rv[0]) > 1e-4
         assert res.max_rel_drift < 1e-10
 
-    def test_g_sweep_monotone_scatter(self, cfg):
+    def test_g_sweep_monotone_scatter(self):
         el = OrbitalElements(A=-0.5, a=math.sqrt(0.32), theta0=1.2, alpha=1.0)
         s = cartesian_from_elements(el, 0.0, Params())
         spreads = []
         for g in (0.0, 1e-3, 1e-2):
-            res = run_perturbed(s, 60, Params(alpha=1.0, g=g, h=1.0), cfg)
+            res = run_perturbed(s, 60, Params(alpha=1.0, g=g, h=1.0))
             Rv = np.array([conserved_R(ev.post, Params()) for ev in res.events])
             spreads.append(float(np.ptp(Rv) / abs(Rv[0])))
         assert spreads[0] < spreads[1] < spreads[2]
 
-    def test_samples_collected(self, cfg, rotation_state):
-        res = run_perturbed(rotation_state, 3, Params(), cfg, samples_per_arc=32)
+    def test_samples_collected(self, rotation_state):
+        res = run_perturbed(rotation_state, 3, Params(), samples_per_arc=32)
         assert res.samples.shape == (3 * 32, 5)
 
-    def test_section_lambda_range(self, cfg, rotation_state):
-        res = run_perturbed(rotation_state, 20, Params(), cfg)
+    def test_section_lambda_range(self, rotation_state):
+        res = run_perturbed(rotation_state, 20, Params())
         for ev in res.events:
             assert 0.0 < ev.lam < math.pi
 
 
 class TestSectionEnsemble:
-    def test_empty_points_for_zero_collisions(self, cfg, rotation_state):
-        out = section_ensemble([rotation_state], 0, Params(), cfg)
+    def test_empty_points_for_zero_collisions(self, rotation_state):
+        out = section_ensemble([rotation_state], 0, Params())
         assert len(out) == 1 and out[0].events == [] and out[0].error is None
 
-    def test_failed_seed_isolated(self, cfg):
+    def test_failed_seed_isolated(self, monkeypatch):
         p = Params()
         A = -0.5
         good = cartesian_from_elements(
@@ -162,21 +145,22 @@ class TestSectionEnsemble:
             OrbitalElements(A=A, a=math.sqrt(a2), theta0=1.5 * math.pi, alpha=1.0),
             0.0, p,
         )
-        quick = IntegratorConfig(max_arc_time=100.0)
-        out = section_ensemble([bad, good], 5, p, quick)
+        monkeypatch.setattr(perturbed, "MAX_ARC_TIME", 100.0)
+        out = section_ensemble([bad, good], 5, p)
         assert out[0].error is not None and "NoCollision" in out[0].error
+        assert "t = 100" in out[0].error
         assert out[1].error is None and len(out[1].events) == 5
 
-    def test_fault_propagates(self, cfg, rotation_state, monkeypatch):
+    def test_fault_propagates(self, rotation_state, monkeypatch):
         # only domain errors are a seed's failure; any other error is a fault
         def broken(*args):
             raise ZeroDivisionError("not a domain error")
 
         monkeypatch.setattr(perturbed, "run_perturbed", broken)
         with pytest.raises(ZeroDivisionError):
-            section_ensemble([rotation_state], 3, Params(), cfg)
+            section_ensemble([rotation_state], 3, Params())
 
-    def test_mismatched_energy_rejected(self, cfg):
+    def test_mismatched_energy_rejected(self):
         p = Params()
         s1 = cartesian_from_elements(
             OrbitalElements(A=-0.5, a=math.sqrt(0.32), theta0=1.2, alpha=1.0), 0.0, p
@@ -185,4 +169,4 @@ class TestSectionEnsemble:
             OrbitalElements(A=-0.4, a=math.sqrt(0.32), theta0=1.2, alpha=1.0), 0.0, p
         )
         with pytest.raises(ValueError):
-            section_ensemble([s1, s2], 3, p, cfg)
+            section_ensemble([s1, s2], 3, p)
