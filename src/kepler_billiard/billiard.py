@@ -111,7 +111,6 @@ class BilliardRun:
     samples: np.ndarray  # shape (N, 5): columns t, x, y, px, py
     no_collision: bool = False
     halted: str | None = None
-    final_state: CartesianState | None = None
 
 
 def conserved_R(el: OrbitalElements, p: Params) -> float:
@@ -341,7 +340,6 @@ def run(
         samples=samples,
         no_collision=no_collision,
         halted=halted,
-        final_state=state,
     )
 
 

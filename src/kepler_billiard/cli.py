@@ -370,13 +370,13 @@ def cmd_simulate(cfg: RunConfig) -> OutputBundle:
     t0 = time.monotonic()
     if cfg.mode not in ("exact-g0", "perturbed"):
         raise ConfigError(f"mode: simulate expects exact-g0 or perturbed, got {cfg.mode!r}")
+    if cfg.mode == "exact-g0" and cfg.params.g != 0.0:
+        raise ConfigError("params.g: exact-g0 mode requires g = 0")
     s0 = resolve_initial(cfg)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     extra: dict = {}
     if cfg.mode == "exact-g0":
-        if cfg.params.g != 0.0:
-            raise ConfigError("params.g: exact-g0 mode requires g = 0")
         res = billiard.run(s0, cfg.n_collisions, cfg.params, samples_per_arc=512)
         events, reports, samples = res.events, res.reports, res.samples
         extra["no_collision"] = res.no_collision
@@ -501,8 +501,6 @@ def cmd_section(cfg: RunConfig) -> OutputBundle:
     t0 = time.monotonic()
     if cfg.mode != "section":
         raise ConfigError(f"mode: expected section, got {cfg.mode!r}")
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     if cfg.ensemble is not None:
         seeds = _ensemble_seeds(cfg.ensemble, cfg.params)
         A = cfg.ensemble.energy
@@ -510,6 +508,10 @@ def cmd_section(cfg: RunConfig) -> OutputBundle:
         s0 = resolve_initial(cfg)
         seeds = [s0]
         A = s0.energy_A(cfg.params)
+        if A >= 0.0:
+            raise ConfigError(f"section: requires A < 0, got A = {A:g}")
+    out = cfg.output_dir
+    out.mkdir(parents=True, exist_ok=True)
     outcomes = perturbed.section_ensemble(seeds, cfg.n_collisions, cfg.params)
     g0 = Params(alpha=cfg.params.alpha, g=0.0, h=cfg.params.h)
     # the osculating R after each impact, per seed

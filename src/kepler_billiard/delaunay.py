@@ -11,12 +11,13 @@ whose square is a quadratic in a^2 with roots
     disc = (h*alpha*sin(theta0))^4 / (4L^4)
          + (h*alpha*sin(theta0))^2 * (1 - R/L^2),
 
-labelled by eps = +-1, with a = eta*sqrt(a^2), eta = +-1.  Only one eps root
-satisfies the implicit relation with the non-negative square root (the other
-is its e -> -e continuation): the valid one has sign(a^2 - R) = -sign(sin).
-The public branch operations enforce that membership; the gamma quadrature
-deliberately integrates the eps-labelled quadratic root as a formula, since a
-fixed-eps path crosses regions where that root is the continuation branch.
+labelled by eps = +-1, with a = sqrt(a^2) > 0.  Only one eps root satisfies
+the implicit relation with the non-negative square root (the other is its
+e -> -e continuation): the valid one has sign(a^2 - R) = -sign(sin), that is
+eps = -1 where sin(theta0) > 0 and eps = +1 where sin(theta0) < 0.
+:func:`a_branch` enforces that membership.  The gamma quadrature follows the
+valid root by construction: it integrates the eps-labelled quadratic root as
+a formula on each half-turn, with eps alternating from -1 on (0, pi).
 
 The conjectured angle gamma is the R-derivative of the generating integral
 ``int_0^theta0 a(L, R, psi) dpsi``; its two-collision increments are the
@@ -50,18 +51,7 @@ from .kepler import (
 )
 
 TOL_QUAD = 1e-11
-
-
-@dataclass(frozen=True)
-class BranchSpec:
-    """Sign pair (eps, eta) selecting one of the four momentum branches."""
-
-    eps: int
-    eta: int
-
-    def __post_init__(self) -> None:
-        if self.eps not in (-1, 1) or self.eta not in (-1, 1):
-            raise ValueError("eps and eta must be exactly +-1")
+N_RERUN = 300  # collisions per anisochrony rerun in conjecture_report
 
 
 @dataclass(frozen=True)
@@ -107,8 +97,8 @@ def _a_sq_raw(s2: float, R: float, L: float, eps: int, p: Params) -> float:
     return t1 + eps * math.sqrt(max(disc, 0.0))
 
 
-def _dadR_raw(s2: float, R: float, L: float, eps: int, eta: int, p: Params) -> float:
-    """d a / d R of the eps-labelled root (eta selects the sign of a)."""
+def _dadR_raw(s2: float, R: float, L: float, eps: int, p: Params) -> float:
+    """d a / d R of the eps-labelled root (a > 0)."""
     t1, disc, m = _coeffs(s2, R, L, p)
     if disc < 0.0:
         raise BranchUnavailable(f"discriminant {disc:g} < 0")
@@ -123,16 +113,14 @@ def _dadR_raw(s2: float, R: float, L: float, eps: int, eta: int, p: Params) -> f
         u = t1 + eps * sd
     if u <= 0.0:
         raise SingularDerivative(f"a^2 = {u:g} <= 0 on branch")
-    return eta * du / (2.0 * math.sqrt(u))
+    return du / (2.0 * math.sqrt(u))
 
 
-def a_branch(
-    theta0: float, R: float, L: float, spec: BranchSpec, p: Params
-) -> float:
-    """Angular momentum on branch (eps, eta) at aphelion angle theta0.
+def a_branch(theta0: float, R: float, L: float, eps: int, p: Params) -> float:
+    """Angular momentum a > 0 on the eps root at aphelion angle theta0.
 
-    Returns ``eta * sqrt(a^2)`` where a^2 is the eps root of the squared
-    implicit relation, validated to be a genuine solution (not the e < 0
+    Returns ``sqrt(a^2)`` where a^2 is the eps root of the squared implicit
+    relation, validated to be a genuine solution (not the e < 0
     continuation) and to lie in [0, L^2].
 
     Raises:
@@ -147,17 +135,17 @@ def a_branch(
     if disc < -1e-13 * scale:
         raise BranchUnavailable(f"discriminant {disc:g} < 0 at theta0 = {theta0:g}")
     sd = math.sqrt(max(disc, 0.0))
-    a2 = t1 + spec.eps * sd
+    a2 = t1 + eps * sd
     L2 = L * L
     if a2 < -1e-12 * scale or a2 > L2 * (1.0 + 1e-12):
         raise BranchUnavailable(f"a^2 = {a2:g} outside [0, L^2]")
     a2 = min(max(a2, 0.0), L2)
     # Eq.-membership: a^2 - R = -h*alpha*sin * e with e >= 0, i.e.
     # sign(eps*sd - m/2) must oppose sign(sin) (zero is fine: merged roots).
-    drift = spec.eps * sd - 0.5 * m
+    drift = eps * sd - 0.5 * m
     if s * drift > 1e-13 * scale:
         raise BranchUnavailable(
-            f"eps = {spec.eps:+d} root at theta0 = {theta0:g} is the e < 0 continuation"
+            f"eps = {eps:+d} root at theta0 = {theta0:g} is the e < 0 continuation"
         )
     # one guarded Newton polish of the implicit relation to kill cancellation
     hb = p.h * p.alpha
@@ -169,127 +157,62 @@ def a_branch(
             da2 = f / fp
             if abs(da2) < 1e-6 * scale:
                 a2 = min(max(a2 - da2, 0.0), L2)
-    return spec.eta * math.sqrt(a2)
+    return math.sqrt(a2)
 
 
-def dadR_branch(
-    theta0: float, R: float, L: float, spec: BranchSpec, p: Params
-) -> float:
-    """Partial derivative of :func:`a_branch` with respect to R.
+def _half_turns(theta0: float):
+    """Yield (lo, hi, eps) for each half-turn of [0, theta0].
 
-    Raises:
-        SingularDerivative: at branch points (discriminant -> 0 away from
-            sin theta0 = 0) and where a = 0.
-    """
-    a = a_branch(theta0, R, L, spec, p)  # validates the branch
-    s = math.sin(theta0)
-    s2 = s * s
-    _, disc, m = _coeffs(s2, R, L, p)
-    if s2 > 1e-30 and disc <= (1e-9 * max(1.0, m)) ** 2:
-        raise SingularDerivative(f"branch point near theta0 = {theta0:g}")
-    if a == 0.0:
-        raise SingularDerivative("a = 0: derivative of sqrt diverges")
-    return _dadR_raw(s2, R, L, spec.eps, spec.eta, p)
-
-
-def physical_branch_path(theta0: float) -> list[tuple[tuple[float, float], BranchSpec]]:
-    """Path over [0, theta0] following the Eq.-2.4-valid root everywhere.
-
-    The valid eps label is -1 where sin(psi) > 0 and +1 where sin(psi) < 0
-    (the roots merge at multiples of pi), so the path alternates eps per
-    half-revolution.  Along this path a(psi)^2 is the smooth momentum profile
-    of the invariant level set; holding eps fixed instead integrates the
-    e < 0 continuation on half of each revolution, which breaks the constancy
-    of the two-collision increments by order one.  Every piece has eta = +1
-    (a > 0).
+    The valid root is eps = -1 where sin(psi) > 0 and eps = +1 where
+    sin(psi) < 0, and the two roots merge at multiples of pi, so eps
+    alternates per half-turn and a(psi)^2 is the smooth momentum profile of
+    the level set (a fixed eps would integrate the e < 0 continuation on half
+    of each turn).  The first piece is always yielded: theta0 = 0 gives the
+    empty piece (0, 0).
     """
     if theta0 < 0.0:
         raise ValueError("theta0 must be non-negative")
-    pieces: list[tuple[tuple[float, float], BranchSpec]] = []
     k = 0
     lo = 0.0
-    while lo < theta0 - 1e-15:
+    while k == 0 or lo < theta0 - 1e-15:
         hi = min((k + 1) * math.pi, theta0)
-        eps = -1 if k % 2 == 0 else 1
-        pieces.append(((lo, hi), BranchSpec(eps=eps, eta=1)))
+        yield lo, hi, (-1 if k % 2 == 0 else 1)
         lo = hi
         k += 1
-    if not pieces:
-        pieces = [((0.0, theta0), BranchSpec(eps=-1, eta=1))]
-    return pieces
-
-
-def _validate_path(theta0, branch_path):
-    if not branch_path:
-        raise ValueError("branch_path must not be empty")
-    lo0 = branch_path[0][0][0]
-    hi_last = branch_path[-1][0][1]
-    if abs(lo0) > 1e-12 or abs(hi_last - theta0) > 1e-12:
-        raise ValueError("branch_path must cover [0, theta0]")
-    prev_hi = lo0
-    for (lo, hi), _spec in branch_path:
-        if abs(lo - prev_hi) > 1e-12:
-            raise ValueError("branch_path has a gap")
-        prev_hi = hi
 
 
 def _quad_piece(f, lo: float, hi: float) -> float:
-    """Adaptive quadrature over [lo, hi] with breaks at multiples of pi."""
+    """Adaptive quadrature over one half-turn [lo, hi] (sin keeps its sign)."""
     if lo == hi:
         return 0.0
-    sgn = 1.0
-    if hi < lo:
-        lo, hi = hi, lo
-        sgn = -1.0
-    k_lo = math.ceil(lo / math.pi)
-    k_hi = math.floor(hi / math.pi)
-    pts = [k * math.pi for k in range(k_lo, k_hi + 1) if lo < k * math.pi < hi]
-    val, err = quad(f, lo, hi, points=pts or None, epsabs=TOL_QUAD, epsrel=1e-12, limit=200)
+    val, err = quad(f, lo, hi, epsabs=TOL_QUAD, epsrel=1e-12, limit=200)
     if err > 1e3 * TOL_QUAD + 1e-12 * abs(val):
         raise QuadratureFailure(f"quadrature error estimate {err:g} too large")
-    return sgn * val
+    return val
 
 
-def gamma_of(
-    theta0: float,
-    R: float,
-    L: float,
-    branch_path: list[tuple[tuple[float, float], BranchSpec]],
-    p: Params,
-) -> float:
+def gamma_of(theta0: float, R: float, L: float, p: Params) -> float:
     """gamma = d/dR of the generating integral int_0^theta0 a dpsi.
 
-    ``branch_path`` assigns a branch to each sub-interval of [0, theta0];
-    within a piece the eps-labelled quadratic root is integrated as a formula
-    (see module docstring), with quadrature break points wherever sin(psi)
-    changes sign.
+    Integrates da/dR of the valid root, a > 0, one quadrature per half-turn.
     """
-    _validate_path(theta0, branch_path)
     total = 0.0
-    for (lo, hi), spec in branch_path:
-        def f(psi, _e=spec.eps, _h=spec.eta):
+    for lo, hi, eps in _half_turns(theta0):
+        def f(psi, _e=eps):
             s = math.sin(psi)
-            return _dadR_raw(s * s, R, L, _e, _h, p)
+            return _dadR_raw(s * s, R, L, _e, p)
 
         total += _quad_piece(f, lo, hi)
     return total
 
 
-def generating_integral(
-    theta0: float,
-    R: float,
-    L: float,
-    branch_path: list[tuple[tuple[float, float], BranchSpec]],
-    p: Params,
-) -> float:
+def generating_integral(theta0: float, R: float, L: float, p: Params) -> float:
     """The integral int_0^theta0 a(L, R, psi) dpsi itself (for oracles)."""
-    _validate_path(theta0, branch_path)
     total = 0.0
-    for (lo, hi), spec in branch_path:
-        def f(psi, _e=spec.eps, _h=spec.eta):
+    for lo, hi, eps in _half_turns(theta0):
+        def f(psi, _e=eps):
             s = math.sin(psi)
-            a2 = _a_sq_raw(s * s, R, L, _e, p)
-            return _h * math.sqrt(max(a2, 0.0))
+            return math.sqrt(max(_a_sq_raw(s * s, R, L, _e, p), 0.0))
 
         total += _quad_piece(f, lo, hi)
     return total
@@ -307,7 +230,7 @@ def gamma_series(
     Conventions:
 
     * each sample uses the post-collision ellipse (the arc the collision
-      creates) and the physically valid branch path with eta = +;
+      creates) and the valid root with a > 0;
     * two consecutive collisions of the same parity sit on the same momentum
       loop, so their gamma increment is well defined modulo the full-loop
       integral Gamma; increments are reduced mod Gamma and re-centered at
@@ -330,7 +253,7 @@ def gamma_series(
     n_ev = len(events)
 
     try:
-        gamma_full = gamma_of(TWO_PI, R, L, physical_branch_path(TWO_PI), p)
+        gamma_full = gamma_of(TWO_PI, R, L, p)
     except (BranchUnavailable, SingularDerivative, QuadratureFailure):
         gamma_full = math.nan
 
@@ -339,7 +262,7 @@ def gamma_series(
     eps_obs: list[int] = []
     for idx, ev in enumerate(events):
         try:
-            g = gamma_of(theta[idx], R, L, physical_branch_path(theta[idx]), p)
+            g = gamma_of(theta[idx], R, L, p)
         except (BranchUnavailable, SingularDerivative, QuadratureFailure):
             g = math.nan
         gamma_principal.append(g)
@@ -402,24 +325,20 @@ def spread_by_parity(samples: list[GammaSample]) -> tuple[float, float]:
     return _relative_spread(even), _relative_spread(odd)
 
 
-def initial_state_on_level(
-    L: float,
-    R: float,
-    p: Params,
-    theta0: float = 1.5 * math.pi,
-) -> CartesianState:
+def initial_state_on_level(L: float, R: float, p: Params) -> CartesianState:
     """A wall-reaching state on the invariant level (L, R).
 
-    Builds the ellipse with aphelion at ``theta0`` and the valid branch
+    Builds the ellipse with aphelion at theta0 = 3*pi/2 and the valid branch
     momentum there (a > 0), then starts the particle at whichever apse lies
     below the wall.
     """
+    theta0 = 1.5 * math.pi
     A = -p.alpha * p.alpha / (4.0 * L * L)
-    s = math.sin(theta0)
     a = None
-    for eps in ((1, -1) if s <= 0.0 else (-1, 1)):
+    # sin(theta0) = -1: the valid root is eps = +1; -1 only where they merge
+    for eps in (1, -1):
         try:
-            a = a_branch(theta0, R, L, BranchSpec(eps=eps, eta=1), p)
+            a = a_branch(theta0, R, L, eps, p)
             break
         except BranchUnavailable:
             continue
@@ -461,10 +380,11 @@ def _omega_of_level(L: float, R: float, p: Params, n_events: int) -> tuple[float
 
 
 def conjecture_report(
-    samples: list[GammaSample], L: float, R: float, p: Params,
-    n_rerun: int = 300,
+    samples: list[GammaSample], L: float, R: float, p: Params
 ) -> ConjectureReport:
     """Summarize a gamma series and probe anisochrony by rerunning at R +- dR.
+
+    Each rerun is a fresh orbit of ``N_RERUN`` collisions on the shifted level.
 
     Raises:
         InsufficientData: with fewer than 100 samples.
@@ -474,8 +394,8 @@ def conjecture_report(
     spread_even, spread_odd = spread_by_parity(samples)
     omega, stderr = omega_estimate_of(samples)
     dR = 1e-4 * abs(R)
-    om_hi, _ = _omega_of_level(L, R + dR, p, n_rerun)
-    om_lo, _ = _omega_of_level(L, R - dR, p, n_rerun)
+    om_hi, _ = _omega_of_level(L, R + dR, p, N_RERUN)
+    om_lo, _ = _omega_of_level(L, R - dR, p, N_RERUN)
     return ConjectureReport(
         R=R,
         L=L,

@@ -286,9 +286,7 @@ def eccentric_of_state(el: OrbitalElements, s: CartesianState) -> float:
     return wrap_angle(eccentric_from_true(nu, el.e))
 
 
-def solve_kepler(
-    M: float, e: float, tol: float = TOL_KEPLER, max_iter: int = MAX_KEPLER_ITER
-) -> float:
+def solve_kepler(M: float, e: float) -> float:
     """Solve Kepler's equation E - e*sin(E) = M for the eccentric anomaly.
 
     Newton iteration started at ``M + e*sin(M)`` inside the bracket
@@ -296,8 +294,8 @@ def solve_kepler(
     bisection.  The returned anomaly keeps M's revolution offset.
 
     Raises:
-        NoConvergence: if the residual is still above ``tol`` after
-            ``max_iter`` iterations.
+        NoConvergence: if the residual is still above ``TOL_KEPLER`` after
+            ``MAX_KEPLER_ITER`` iterations.
     """
     if not 0.0 <= e < 1.0:
         raise ValueError(f"eccentricity {e:g} outside [0, 1)")
@@ -308,8 +306,8 @@ def solve_kepler(
     lo, hi = Mr - e, Mr + e
     E = Mr + e * math.sin(Mr)
     f = E - e * math.sin(E) - Mr
-    for _ in range(max_iter):
-        if abs(f) < tol:
+    for _ in range(MAX_KEPLER_ITER):
+        if abs(f) < TOL_KEPLER:
             return E + TWO_PI * k
         if f > 0.0:
             hi = E
@@ -321,7 +319,7 @@ def solve_kepler(
             En = 0.5 * (lo + hi)
         E = En
         f = E - e * math.sin(E) - Mr
-    if abs(f) < tol:
+    if abs(f) < TOL_KEPLER:
         return E + TWO_PI * k
     raise NoConvergence(f"Kepler solver stalled at |f| = {abs(f):g} (e = {e:g})")
 

@@ -39,7 +39,6 @@ CONSERVATION_THETA0 = 1.2
 
 GAMMA_A = -1.0 / 6.0
 GAMMA_R = 1.2
-GAMMA_THETA0 = 1.5 * math.pi
 
 PERTURBATION_G = 0.05
 
@@ -71,4 +70,4 @@ def gamma_level() -> tuple[float, float]:
 
 def gamma_state() -> CartesianState:
     L, R = gamma_level()
-    return initial_state_on_level(L, R, reference_params(), theta0=GAMMA_THETA0)
+    return initial_state_on_level(L, R, reference_params())

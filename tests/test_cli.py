@@ -403,10 +403,11 @@ class TestMainExitCodes:
             ({"output_dir": None}, []),
             ({"output_dir": ["out"]}, []),
             ({"output_dir": "out\0x"}, []),
+            ({}, ["--g", "0.1"]),
         ],
         ids=["g-nan", "energy-inf", "theta0-nan", "A-positive", "flag-g-nan",
              "seed-negative", "output_dir-int", "output_dir-null", "output_dir-list",
-             "output_dir-nul"],
+             "output_dir-nul", "exact-g0-with-g"],
     )
     def test_bad_numbers_exit_2(self, tmp_path, capsys, monkeypatch, edit, flags):
         monkeypatch.chdir(tmp_path)  # nothing may be written, not even here
@@ -433,6 +434,24 @@ class TestMainExitCodes:
         assert cli.main(["simulate", "--config", str(f), "--out", str(out), *flags]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            {"initial": {"cartesian": {"x": 0.0, "y": 0.5, "px": 2.0, "py": 0.5}}},
+            {"ensemble": {"count": 2, "seed": 1, "energy": 0.5}},
+        ],
+        ids=["initial-A-positive", "ensemble-energy-positive"],
+    )
+    def test_section_unbound_exit_2(self, tmp_path, capsys, source):
+        # A >= 0 has no accessible interval on the wall: rejected before mkdir
+        doc = {"mode": "section", "n_collisions": 2, "output_dir": str(tmp_path / "o"), **source}
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps(doc))
+        assert cli.main(["section", "--config", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_file_exit_2(self, tmp_path):
         assert cli.main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2

@@ -5,24 +5,20 @@ import pytest
 
 from kepler_billiard.billiard import conserved_R, run
 from kepler_billiard.delaunay import (
-    BranchSpec,
     ConjectureReport,
     GammaSample,
     a_branch,
     conjecture_report,
-    dadR_branch,
     gamma_of,
     gamma_series,
     generating_integral,
     initial_state_on_level,
     omega_estimate_of,
-    physical_branch_path,
     spread_by_parity,
 )
 from kepler_billiard.errors import (
     BranchUnavailable,
     InsufficientData,
-    SingularDerivative,
 )
 from kepler_billiard.kepler import Params
 
@@ -39,31 +35,16 @@ def gamma_run():
     return p, res, gamma_series(res.events, p)
 
 
-class TestBranchSpec:
-    def test_validation(self):
-        BranchSpec(eps=1, eta=-1)
-        with pytest.raises(ValueError):
-            BranchSpec(eps=0, eta=1)
-        with pytest.raises(ValueError):
-            BranchSpec(eps=1, eta=2)
-
-
 class TestABranch:
     def test_theta0_zero_both_eps(self, params):
         for eps in (1, -1):
-            a = a_branch(0.0, R_REF, L_REF, BranchSpec(eps, 1), params)
+            a = a_branch(0.0, R_REF, L_REF, eps, params)
             assert abs(a - math.sqrt(R_REF)) < 1e-14
 
     def test_theta0_pi(self, params):
         for eps in (1, -1):
-            a = a_branch(math.pi, R_REF, L_REF, BranchSpec(eps, 1), params)
+            a = a_branch(math.pi, R_REF, L_REF, eps, params)
             assert abs(a - math.sqrt(R_REF)) < 1e-13
-
-    def test_eta_sign(self, params):
-        a_plus = a_branch(0.4, R_REF, L_REF, BranchSpec(-1, 1), params)
-        a_minus = a_branch(0.4, R_REF, L_REF, BranchSpec(-1, -1), params)
-        assert a_plus > 0.0 > a_minus
-        assert abs(a_plus + a_minus) < 1e-15
 
     def test_implicit_residual(self, params):
         # oracle: substitute back into a^2 = R - h*alpha*sin(theta0)*e(a)
@@ -74,7 +55,7 @@ class TestABranch:
             R = rng.uniform(0.3, 1.45)
             eps = 1 if rng.uniform() < 0.5 else -1
             try:
-                a = a_branch(th, R, L_REF, BranchSpec(eps, 1), params)
+                a = a_branch(th, R, L_REF, eps, params)
             except BranchUnavailable:
                 continue
             e = math.sqrt(max(1.0 - a * a / (L_REF * L_REF), 0.0))
@@ -85,97 +66,33 @@ class TestABranch:
     def test_continuation_root_rejected(self, params):
         # at sin > 0 the eps = +1 quadratic root solves the e < 0 mirror only
         with pytest.raises(BranchUnavailable):
-            a_branch(math.pi / 2, R_REF, L_REF, BranchSpec(1, 1), params)
+            a_branch(math.pi / 2, R_REF, L_REF, 1, params)
         with pytest.raises(BranchUnavailable):
-            a_branch(1.5 * math.pi, R_REF, L_REF, BranchSpec(-1, 1), params)
+            a_branch(1.5 * math.pi, R_REF, L_REF, -1, params)
 
     def test_requires_negative_L(self, params):
         with pytest.raises(ValueError):
-            a_branch(0.3, R_REF, abs(L_REF), BranchSpec(1, 1), params)
+            a_branch(0.3, R_REF, abs(L_REF), 1, params)
 
     def test_negative_discriminant(self, params):
         # R > L^2 kills the discriminant near sin(theta0) = 0
         R = 1.6
         with pytest.raises(BranchUnavailable):
-            a_branch(0.05, R, L_REF, BranchSpec(-1, 1), params)
-
-
-class TestDadR:
-    def test_theta0_zero_value(self, params):
-        for eta in (1, -1):
-            d = dadR_branch(0.0, R_REF, L_REF, BranchSpec(1, eta), params)
-            assert abs(d - eta / (2.0 * math.sqrt(R_REF))) < 1e-14
-
-    def test_finite_difference_oracle(self, params):
-        rng = np.random.default_rng(29)
-        checked = 0
-        while checked < 150:
-            th = rng.uniform(0.0, TWO_PI)
-            R = rng.uniform(0.5, 1.4)
-            eps = 1 if rng.uniform() < 0.5 else -1
-            try:
-                d = dadR_branch(th, R, L_REF, BranchSpec(eps, 1), params)
-                hs = 1e-6 * max(1.0, abs(R))
-                ap = a_branch(th, R + hs, L_REF, BranchSpec(eps, 1), params)
-                am = a_branch(th, R - hs, L_REF, BranchSpec(eps, 1), params)
-            except (BranchUnavailable, SingularDerivative):
-                continue
-            fd = (ap - am) / (2.0 * hs)
-            assert abs(d - fd) <= 1e-6 * max(1.0, abs(fd))
-            checked += 1
-
-    def test_singular_at_branch_point(self, params):
-        # for R > L^2 the discriminant vanishes at sin^2 = 4 L^2 (R - L^2)
-        R = 1.6
-        L2 = L_REF * L_REF
-        s2 = 4.0 * L2 * (R - L2) / (params.h * params.alpha) ** 2
-        th = math.asin(math.sqrt(s2))
-        with pytest.raises((SingularDerivative, BranchUnavailable)):
-            dadR_branch(th, R, L_REF, BranchSpec(-1, 1), params)
+            a_branch(0.05, R, L_REF, -1, params)
 
 
 class TestGammaOf:
     def test_zero_angle(self, params):
-        assert gamma_of(0.0, R_REF, L_REF, physical_branch_path(0.0), params) == 0.0
-
-    def test_additivity(self, params):
-        # splitting the path at an interior point must not change the value,
-        # so gamma(b) = gamma(c) + (contribution of [c, b])
-        b, c = 4.0, 0.9
-        g_b = gamma_of(b, R_REF, L_REF, physical_branch_path(b), params)
-        g_c = gamma_of(c, R_REF, L_REF, physical_branch_path(c), params)
-        g_split = gamma_of(
-            b, R_REF, L_REF,
-            [((0.0, c), BranchSpec(-1, 1)), ((c, math.pi), BranchSpec(-1, 1)),
-             ((math.pi, b), BranchSpec(1, 1))],
-            params,
-        )
-        assert abs(g_b - g_split) < 1e-11
-        seg = g_split - g_c
-        assert abs((g_b - g_c) - seg) < 1e-11
+        assert gamma_of(0.0, R_REF, L_REF, params) == 0.0
 
     def test_finite_difference_of_generating_integral(self, params):
-        th = 2.6
-        path = physical_branch_path(th)
-        g = gamma_of(th, R_REF, L_REF, path, params)
+        # inside each half-turn, on a multiple of pi, and at the full loop 2*pi
         hs = 1e-6 * R_REF
-        ip = generating_integral(th, R_REF + hs, L_REF, path, params)
-        im = generating_integral(th, R_REF - hs, L_REF, path, params)
-        assert abs(g - (ip - im) / (2.0 * hs)) < 1e-6
-
-    def test_path_must_cover(self, params):
-        with pytest.raises(ValueError):
-            gamma_of(1.0, R_REF, L_REF, [((0.0, 0.5), BranchSpec(-1, 1))], params)
-        with pytest.raises(ValueError):
-            gamma_of(1.0, R_REF, L_REF,
-                     [((0.0, 0.3), BranchSpec(-1, 1)), ((0.5, 1.0), BranchSpec(-1, 1))],
-                     params)
-
-    def test_fixed_eps_path_also_integrates(self, params):
-        # the continuation branch is integrable as a formula
-        th = 5.0
-        val = gamma_of(th, R_REF, L_REF, [((0.0, th), BranchSpec(1, 1))], params)
-        assert math.isfinite(val)
+        for th in (0.9, 2.6, math.pi, 4.0, 5.5, TWO_PI):
+            g = gamma_of(th, R_REF, L_REF, params)
+            ip = generating_integral(th, R_REF + hs, L_REF, params)
+            im = generating_integral(th, R_REF - hs, L_REF, params)
+            assert abs(g - (ip - im) / (2.0 * hs)) < 1e-6, th
 
 
 class TestGammaSeries:
@@ -237,7 +154,7 @@ class TestConjectureReport:
 
     def test_report_fields(self, gamma_run):
         p, _, samples = gamma_run
-        rep = conjecture_report(samples, L_REF, R_REF, p, n_rerun=200)
+        rep = conjecture_report(samples, L_REF, R_REF, p)
         assert isinstance(rep, ConjectureReport)
         assert rep.sign_alternation_ok
         assert rep.spread_even >= 0.0 and rep.spread_odd >= 0.0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kepler_billiard.errors import Degenerate, Unbound
 from kepler_billiard.kepler import (
@@ -80,11 +82,13 @@ class TestSolveKepler:
         with pytest.raises(ValueError):
             solve_kepler(1.0, 1.0)
 
-    def test_no_convergence_surfaces(self):
+    def test_no_convergence_surfaces(self, monkeypatch):
+        from kepler_billiard import kepler
         from kepler_billiard.errors import NoConvergence
 
+        monkeypatch.setattr(kepler, "TOL_KEPLER", 0.0)
         with pytest.raises(NoConvergence):
-            solve_kepler(1.0, 0.9, tol=0.0)
+            solve_kepler(1.0, 0.9)
 
 
 class TestElementsFromCartesian:
@@ -159,20 +163,23 @@ class TestCartesianFromElements:
             assert abs(s.px**2 + s.py**2 - params.alpha / r - el.A) < 1e-12
             assert abs(s.x * s.py - s.y * s.px - el.a) < 1e-12
 
-    def test_roundtrip_property(self, params):
-        rng = np.random.default_rng(20250810)
-        worst = 0.0
-        for _ in range(10_000):
-            el = random_elements(rng)
-            nu = rng.uniform(0.0, TWO_PI)
-            s = cartesian_from_elements(el, nu, params)
-            el2 = elements_from_cartesian(s, params)
-            s2 = cartesian_from_elements(el2, nu, params)
-            worst = max(
-                worst,
-                abs(s2.x - s.x), abs(s2.y - s.y),
-                abs(s2.px - s.px), abs(s2.py - s.py),
-            )
+    # a fixed example sequence, so every run checks the same states
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(
+        A=st.floats(-2.0, -0.1),
+        e=st.floats(0.01, 0.95),
+        theta0=st.floats(0.0, TWO_PI),
+        prograde=st.booleans(),
+        nu=st.floats(0.0, TWO_PI),
+    )
+    def test_roundtrip_property(self, A, e, theta0, prograde, nu):
+        p = Params()
+        aM = -p.alpha / (2.0 * A)
+        a = math.sqrt(0.5 * p.alpha * aM * (1.0 - e * e))
+        el = OrbitalElements(A=A, a=a if prograde else -a, theta0=theta0, alpha=p.alpha)
+        s = cartesian_from_elements(el, nu, p)
+        s2 = cartesian_from_elements(elements_from_cartesian(s, p), nu, p)
+        worst = max(abs(s2.x - s.x), abs(s2.y - s.y), abs(s2.px - s.px), abs(s2.py - s.py))
         assert worst < 1e-10
 
     def test_matches_eccentric_parametrization(self, params, reference_elements):
