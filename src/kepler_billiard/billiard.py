@@ -1,8 +1,11 @@
 """Event-driven dynamics against the wall y = h, with invariant certification.
 
-Between collisions the particle follows its Kepler ellipse exactly; the wall
-crossing is located in closed form because the height along the orbit is a
-pure sinusoid of the eccentric anomaly,
+Between collisions the particle follows its free orbit exactly, and ``step``
+picks the route by ``p.g`` alone.
+
+At g = 0 the orbit is a Kepler ellipse, and the wall crossing is located in
+closed form because the height along the orbit is a pure sinusoid of the
+eccentric anomaly,
 
     y(E) = Cy + aM*uy*cos(E) + b*vy*sin(E) = Cy + rho*cos(E - E*),
 
@@ -18,6 +21,14 @@ Q = (0, h) to the ellipse center.  Each collision is certified through an
 :class:`InvariantReport` that cross-checks the two routes to R0 and R and the
 box bounds on both.
 
+At g > 0 the orbit is Newton's revolving ellipse (:class:`RevolvingOrbit`),
+and :func:`next_revolving_crossing` finds the first upward root of the wall
+function in its true anomaly by a certified scan and a Brent polish.  Its
+events carry the osculating g = 0 elements at the impact, so the same report
+measures how far R drifts.  An arc that would take longer than
+``MAX_ARC_TIME`` counts as never reaching the wall, here and on the ODE route
+of :mod:`perturbed`.
+
 The tangent-wall angle ``lambda`` recorded on events is the direction of the
 incoming velocity reduced modulo pi into (0, pi); since reflections send
 lambda to pi - lambda and the R0 formula depends on cos(2*lambda) only, this
@@ -27,9 +38,10 @@ convention is insensitive to the sense of parametrization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import (
     Degenerate,
@@ -45,15 +57,20 @@ from .kepler import (
     CartesianState,
     OrbitalElements,
     Params,
+    RevolvingOrbit,
+    eccentric_from_true,
     eccentric_of_state,
     elements_from_cartesian,
     mean_from_eccentric,
+    revolving_orbit,
     state_at_eccentric,
     time_to_anomaly,
 )
 
 TOL_EVENT = 1e-12
 TOL_GRAZE = 1e-10
+MAX_ARC_TIME = 1e4  # the longest free flight, on every route
+MAX_SCAN_STEPS = 100_000  # certified steps per g > 0 arc before it counts as grazing
 
 
 @dataclass(frozen=True)
@@ -67,6 +84,9 @@ class CollisionEvent:
     lam: float
     pre: OrbitalElements
     post: OrbitalElements
+    # eccentric anomaly of the impact on the arc's orbit (the radial orbit's
+    # at g > 0); NaN on the ODE route
+    E_hit: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -109,7 +129,7 @@ class BilliardRun:
     events: list[CollisionEvent]
     reports: list[InvariantReport]
     samples: np.ndarray  # shape (N, 5): columns t, x, y, px, py
-    no_collision: bool = False
+    no_collision: str | None = None  # why the orbit never reaches the wall
     halted: str | None = None
 
 
@@ -198,6 +218,80 @@ def next_wall_crossing(el: OrbitalElements, E_now: float, p: Params) -> WallCros
     return WallCrossing(E_hit=E_hit, t_hit=t_hit, x_impact=x_impact, r=r, lam=lam)
 
 
+def next_revolving_crossing(
+    orb: RevolvingOrbit, p: Params, t0: float = 0.0
+) -> tuple[float, CartesianState]:
+    """The revolving orbit's first forward crossing of y = h going up.
+
+    In the true anomaly ``nu`` the wall function
+    ``f(nu) = (l_eff^2/mu)*sin(phi(nu)) - h*(1 + e*cos nu)`` has the sign of
+    ``y - h``, with ``|f'| <= B1 = (l_eff^2/mu)*|k| + h*e`` and
+    ``|f''| <= B2 = (l_eff^2/mu)*k^2 + h*e``.  Below the wall the scan steps as
+    far as either bound proves ``f < 0``; the second-order step also leaves
+    the wall at the arc's start, where ``f`` is about 0.  Once ``f' > 0`` and
+    ``f'^2 > 2*B2*|f|``, f rises monotonically through exactly one root within
+    twice the Newton step, and Brent's method polishes that root on ``y - h``
+    itself.  Returns the radial orbit's eccentric anomaly at the root and the
+    state there (at time ``t0`` plus the flight time), before reflection.
+
+    Raises:
+        NoCollision: if the apocentre lies below the wall, or the crossing
+            comes later than ``MAX_ARC_TIME``.
+        GrazingContact: if the scan stalls or exceeds ``MAX_SCAN_STEPS`` near
+            a tangency, or the normal velocity at the contact is below
+            ``TOL_GRAZE``.
+    """
+    ell, e, k, h = orb.semi_latus, orb.e, orb.k, p.h
+    if ell < h * (1.0 - e):
+        raise NoCollision(f"apocentre {ell / (1.0 - e):g} below wall y = {h:g}")
+    B1 = ell * abs(k) + h * e
+    B2 = ell * k * k + h * e
+    # in MAX_ARC_TIME the radial motion completes at most n*T/(2*pi) + 1 turns
+    nu_max = orb.nu0 + orb.mean_motion() * MAX_ARC_TIME + TWO_PI
+    no_crossing = NoCollision(f"no wall crossing within t = {MAX_ARC_TIME:g}")
+    if B2 == 0.0:  # at rest at r = g/mu (k = e = 0)
+        raise no_crossing
+
+    def gap(nu: float) -> float:
+        return ell * math.sin(orb.phi0 + k * (nu - orb.nu0)) / (1.0 + e * math.cos(nu)) - h
+
+    nu = orb.nu0
+    for _ in range(MAX_SCAN_STEPS):
+        if nu > nu_max:
+            raise no_crossing
+        f = gap(nu) * (1.0 + e * math.cos(nu))  # the sign of y - h, exactly
+        df = ell * k * math.cos(orb.phi0 + k * (nu - orb.nu0)) + h * e * math.sin(nu)
+        if f >= 0.0 and df > 0.0:  # on the wall going up, to round-off
+            nu_hit = nu
+            break
+        if df > 0.0 and df * df > 2.0 * B2 * -f:
+            hi = nu - 2.0 * f / df
+            if gap(hi) >= 0.0:
+                # an unconverged estimate is caught by reflect's TOL_EVENT check
+                nu_hit = brentq(gap, nu, hi, xtol=1e-15, disp=False)
+                break
+        disc = df * df - 2.0 * B2 * f
+        if disc < 0.0:
+            raise GrazingContact(f"cannot leave the wall at nu = {nu:g}")
+        root = math.sqrt(disc)
+        d2 = (root - df) / B2 if df <= 0.0 else -2.0 * f / (df + root)
+        nu_next = nu + max(-f / B1, d2)
+        if not nu_next > nu:
+            raise GrazingContact(f"wall scan stalled at nu = {nu:g}")
+        nu = nu_next
+    else:
+        raise GrazingContact(f"wall scan took more than {MAX_SCAN_STEPS} certified steps")
+    elapsed = orb.time_to(nu_hit)
+    if elapsed > MAX_ARC_TIME:
+        raise no_crossing
+    hit = orb.state_at(nu_hit, t=t0 + elapsed)
+    if hit.py <= TOL_GRAZE:
+        raise GrazingContact(
+            f"normal velocity {hit.py:g} at contact below tol {TOL_GRAZE:g}"
+        )
+    return eccentric_from_true(nu_hit, e), hit
+
+
 def reflect(s: CartesianState, p: Params, tol_event: float = TOL_EVENT) -> CartesianState:
     """Elastic impact on the wall: pin the contact onto y = h and negate py.
 
@@ -210,16 +304,43 @@ def reflect(s: CartesianState, p: Params, tol_event: float = TOL_EVENT) -> Carte
     return CartesianState(x=s.x, y=p.h, px=s.px, py=-s.py, t=s.t)
 
 
+def impact_event(
+    hit: CartesianState, p: Params, n: int, tol_event: float = TOL_EVENT, E_hit: float = math.nan
+) -> tuple[CartesianState, CollisionEvent]:
+    """Reflect a state that the flow carried onto the wall, and record the impact.
+
+    The event carries the osculating g = 0 elements of the incoming state
+    pinned onto the wall and of the outgoing one, so ``conserved_R`` of its
+    ``post`` elements is exactly the quantity whose drift measures the
+    perturbation.
+    """
+    g0 = replace(p, g=0.0)
+    out = reflect(hit, p, tol_event=tol_event)
+    # the incoming state pinned onto the wall, as reflect pinned it
+    pinned = CartesianState(x=out.x, y=out.y, px=out.px, py=hit.py, t=out.t)
+    event = CollisionEvent(
+        n=n, t=out.t, x_impact=out.x, r=pinned.r,
+        lam=math.atan2(hit.py, hit.px) % math.pi,
+        pre=elements_from_cartesian(pinned, g0),
+        post=elements_from_cartesian(out, g0),
+        E_hit=E_hit,
+    )
+    return out, event
+
+
 def step(s: CartesianState, p: Params, n: int = 0) -> tuple[CartesianState, CollisionEvent]:
     """Propagate to the next wall impact and reflect.
 
     Returns the post-reflection state (on the wall, moving away) and the
-    fully populated collision event.
+    fully populated collision event.  At g = 0 the arc is the Kepler
+    ellipse; at g > 0 it is the revolving orbit, and the event carries the
+    osculating g = 0 elements (:func:`impact_event`).
     """
-    if p.g != 0.0:
-        raise ValueError("event-driven stepping requires g = 0")
     if s.y > p.h + TOL_EVENT:
         raise NotOnWall(f"state starts above the wall (y = {s.y:g})")
+    if p.g > 0.0:
+        E_hit, hit = next_revolving_crossing(revolving_orbit(s, p), p, t0=s.t)
+        return impact_event(hit, p, n, E_hit=E_hit)
     el_pre = elements_from_cartesian(s, p)
     E0 = eccentric_of_state(el_pre, s)
     cr = next_wall_crossing(el_pre, E0, p)
@@ -233,6 +354,7 @@ def step(s: CartesianState, p: Params, n: int = 0) -> tuple[CartesianState, Coll
         lam=cr.lam,
         pre=el_pre,
         post=el_post,
+        E_hit=cr.E_hit,
     )
     return out, event
 
@@ -265,10 +387,23 @@ def invariant_report(event: CollisionEvent, p: Params) -> InvariantReport:
     )
 
 
-def _arc_samples(
-    el: OrbitalElements, E0: float, E1: float, t0: float, p: Params, m: int
-) -> np.ndarray:
-    """Sample an orbital arc at m points (excluding the final anomaly)."""
+def _orbit_samples(s: CartesianState, E1: float | None, p: Params, m: int) -> np.ndarray:
+    """m states from ``s`` along its free orbit, uniform in E up to (excluding) E1.
+
+    At g > 0, E is the eccentric anomaly of the radial motion.  ``E1 = None``
+    samples one full (radial) revolution.
+    """
+    if p.g > 0.0:
+        orb = revolving_orbit(s, p)
+        E0 = eccentric_from_true(orb.nu0, orb.e)
+        return _revolving_samples(orb, E0, E0 + TWO_PI if E1 is None else E1, s.t, m)
+    el = elements_from_cartesian(s, p)
+    E0 = eccentric_of_state(el, s)
+    return _arc_samples(el, E0, E0 + TWO_PI if E1 is None else E1, s.t, m)
+
+
+def _arc_samples(el: OrbitalElements, E0: float, E1: float, t0: float, m: int) -> np.ndarray:
+    """Sample an elliptic arc at m points (excluding the final anomaly)."""
     aM, b, e = el.aM, el.semi_minor, el.e
     cx, cy = el.center
     ux, uy, vx, vy = el.frame()
@@ -284,6 +419,24 @@ def _arc_samples(
     return np.column_stack([t, x, y, px, py])
 
 
+def _revolving_samples(
+    orb: RevolvingOrbit, E0: float, E1: float, t0: float, m: int
+) -> np.ndarray:
+    """Sample a revolving arc at m points, uniform in the radial eccentric anomaly."""
+    e = orb.e
+    E = np.linspace(E0, E1, m, endpoint=False)
+    cE, sE = np.cos(E), np.sin(E)
+    beta = e / (1.0 + math.sqrt(1.0 - e * e))
+    nu = E + 2.0 * np.arctan2(beta * sE, 1.0 - beta * cE)
+    r = orb.aM * (1.0 - e * cE)
+    phi = orb.phi0 + orb.k * (nu - orb.nu0)
+    pr = orb.mu / orb.l_eff * e * np.sin(nu)
+    pt = orb.l / r
+    cphi, sphi = np.cos(phi), np.sin(phi)
+    t = t0 + ((E - e * sE) - mean_from_eccentric(E0, e)) / orb.mean_motion()
+    return np.column_stack([t, r * cphi, r * sphi, pr * cphi - pt * sphi, pr * sphi + pt * cphi])
+
+
 def run(
     s0: CartesianState,
     n: int,
@@ -292,27 +445,29 @@ def run(
 ) -> BilliardRun:
     """Run ``n`` collisions from ``s0``, certifying every event.
 
-    Orbits that never reach the wall are legal: the run returns one sampled
-    revolution of the untouched Kepler orbit with ``no_collision`` set.
-    A grazing contact or a near-radial (degenerate) ellipse halts the run
-    early with the events certified so far and a diagnostic in ``halted``.
+    Every g >= 0 takes this loop; each report certifies the event's g = 0
+    (osculating, when g > 0) elements.  With ``samples_per_arc > 0`` each arc
+    is sampled up to the crossing its step found.  Orbits that never reach
+    the wall are legal: the run returns one sampled (radial) revolution of
+    the untouched orbit with the reason in ``no_collision``.  A grazing
+    contact or a near-radial (degenerate) ellipse halts the run early with
+    the events certified so far and a diagnostic in ``halted``.
     """
+    g0 = replace(p, g=0.0) if p.g != 0.0 else p
     events: list[CollisionEvent] = []
     reports: list[InvariantReport] = []
     chunks: list[np.ndarray] = []
     state = s0
     halted = None
-    no_collision = False
+    no_collision = None
     for k in range(n):
         try:
             nxt, event = step(state, p, n=k)
-        except NoCollision:
+        except NoCollision as exc:
             if k == 0:
-                no_collision = True
-                el = elements_from_cartesian(state, p)
-                E0 = eccentric_of_state(el, state)
+                no_collision = str(exc)
                 m = samples_per_arc if samples_per_arc > 0 else 256
-                chunks.append(_arc_samples(el, E0, E0 + TWO_PI, state.t, p, m))
+                chunks.append(_orbit_samples(state, None, p, m))
             else:  # pragma: no cover - reflected orbits keep hitting the wall
                 halted = f"no further collision after event {k - 1}"
             break
@@ -323,12 +478,9 @@ def run(
             halted = f"degenerate orbit at event {k}: {exc}"
             break
         if samples_per_arc > 0:
-            el = event.pre
-            E0 = eccentric_of_state(el, state)
-            E1 = next_wall_crossing(el, E0, p).E_hit
-            chunks.append(_arc_samples(el, E0, E1, state.t, p, samples_per_arc))
+            chunks.append(_orbit_samples(state, event.E_hit, p, samples_per_arc))
         events.append(event)
-        reports.append(invariant_report(event, p))
+        reports.append(invariant_report(event, g0))
         state = nxt
     if chunks:
         samples = np.vstack(chunks)

@@ -1,4 +1,4 @@
-"""Closed-form planar two-body motion (the unperturbed, g = 0 case).
+"""Closed-form planar two-body motion: Kepler ellipses, and at g > 0 revolving orbits.
 
 The attracting center sits at the origin with potential -alpha/(2r), so the
 effective gravitational parameter is mu = alpha/2.  Bound orbits are ellipses
@@ -173,6 +173,84 @@ class OrbitalElements:
         """Largest y reached on the full ellipse."""
         ux, uy, vx, vy = self.frame()
         return self.center[1] + math.hypot(self.aM * uy, self.semi_minor * vy)
+
+
+@dataclass(frozen=True)
+class RevolvingOrbit:
+    """Bound orbit of the full Hamiltonian at g > 0: Newton's revolving ellipse.
+
+    The centrifugal term ``g/(2r^2)`` adds to the angular one, so the radius
+    moves exactly as on the Kepler ellipse of angular momentum
+    ``l_eff = sqrt(l^2 + g)``: ``r = (l_eff^2/mu)/(1 + e*cos(nu))`` with
+    ``e^2 = 1 + 2*H*l_eff^2/mu^2`` and semi-major axis ``aM = -mu/(2H)``.
+    The polar angle turns only ``k = l/l_eff`` times as fast as that orbit's
+    true anomaly, ``phi = phi0 + k*(nu - nu0)`` (Newton, Principia I,
+    Props. 43-45).  ``nu`` increases with time whatever the sense of
+    rotation, and ``l_eff^2 >= g`` keeps ``e`` below 1.
+    """
+
+    l: float
+    l_eff: float
+    e: float
+    aM: float
+    mu: float
+    phi0: float
+    nu0: float
+
+    @property
+    def k(self) -> float:
+        return self.l / self.l_eff
+
+    @property
+    def semi_latus(self) -> float:
+        return self.l_eff * self.l_eff / self.mu
+
+    def mean_motion(self) -> float:
+        """Mean-anomaly rate of the radial motion, sqrt(mu/aM^3)."""
+        return math.sqrt(self.mu / self.aM**3)
+
+    def state_at(self, nu: float, t: float = 0.0) -> CartesianState:
+        """State at true anomaly ``nu``, from r, phi, p_r and p_phi = l/r."""
+        r = self.semi_latus / (1.0 + self.e * math.cos(nu))
+        phi = self.phi0 + self.k * (nu - self.nu0)
+        pr = self.mu / self.l_eff * self.e * math.sin(nu)
+        pt = self.l / r
+        c, s = math.cos(phi), math.sin(phi)
+        return CartesianState(x=r * c, y=r * s, px=pr * c - pt * s, py=pr * s + pt * c, t=t)
+
+    def time_to(self, nu: float) -> float:
+        """Time from ``nu0`` to ``nu``, by Kepler's equation of the radial orbit."""
+        e = self.e
+        M0 = mean_from_eccentric(eccentric_from_true(self.nu0, e), e)
+        return (mean_from_eccentric(eccentric_from_true(nu, e), e) - M0) / self.mean_motion()
+
+
+def revolving_orbit(s: CartesianState, p: Params) -> RevolvingOrbit:
+    """The revolving orbit through ``s`` under the full Hamiltonian, g > 0.
+
+    Raises:
+        Unbound: if the energy is non-negative.
+        Degenerate: if r is (numerically) zero.
+    """
+    if not p.g > 0.0:
+        raise ValueError("revolving orbits require g > 0")
+    r = s.r
+    if r <= TOL_GEOM:
+        raise Degenerate(f"state at r = {r:g} is too close to the center")
+    H = s.hamiltonian(p)
+    if H >= 0.0:
+        raise Unbound(f"H = {H:g} >= 0: not a bound orbit")
+    mu = p.mu
+    l = s.angular_momentum
+    l_eff = math.sqrt(l * l + p.g)
+    e2 = 1.0 + 2.0 * H * l_eff * l_eff / (mu * mu)
+    pr = (s.x * s.px + s.y * s.py) / r
+    # (e*cos(nu0), e*sin(nu0)) from r = (l_eff^2/mu)/(1 + e*cos nu) and p_r
+    nu0 = math.atan2(pr * l_eff / mu, l_eff * l_eff / (mu * r) - 1.0)
+    return RevolvingOrbit(
+        l=l, l_eff=l_eff, e=math.sqrt(e2) if e2 > 0.0 else 0.0, aM=-mu / (2.0 * H),
+        mu=mu, phi0=math.atan2(s.y, s.x), nu0=nu0,
+    )
 
 
 def _check_params(el: OrbitalElements, p: Params) -> None:

@@ -1,18 +1,23 @@
-"""Direct numerical integration of the full Hamiltonian, g >= 0.
+"""Direct numerical integration of the full Hamiltonian, g >= 0, and section ensembles.
 
-Serves two purposes: an independent oracle for the event-driven g = 0
-propagation, and the exploration tool for the perturbed system (Poincare
-sections in the (x, lambda) rectangle, drift of the osculating R).
+The DOP853 route is the independent oracle of the closed-form flow in
+:mod:`billiard`: ``verify`` checks the exact g = 0 impacts against it and
+measures the drift of the osculating R (and the per-arc energy error) on its
+1000-arc g = 0.05 run, and the tests check the g > 0 arcs against it.  No
+other subcommand propagates with it.
 
 Integration uses an adaptive 8th-order Runge-Kutta pair (DOP853) at fixed
 tolerances ``REL_TOL`` and ``ABS_TOL`` with dense output; scipy's event
 search locates the wall crossing y = h on the dense interpolant, keeping only
 crossings that approach the wall (dy/dt > 0).  An arc is abandoned after
-``MAX_ARC_TIME`` or beyond ``ESCAPE_RADIUS``.  Each impact goes through
-:func:`billiard.reflect` with ten times the exact route's ``TOL_EVENT``.
-The osculating R at an impact is computed from the g = 0 element formulas
-applied to the instantaneous state; for g > 0 it is a drift diagnostic, not
-an invariant.
+``billiard.MAX_ARC_TIME`` or beyond ``ESCAPE_RADIUS``.  Each impact goes
+through :func:`billiard.impact_event` with ten times the exact route's
+``TOL_EVENT``.  The osculating R at an impact is computed from the g = 0
+element formulas applied to the instantaneous state; for g > 0 it is a drift
+diagnostic, not an invariant.
+
+:func:`section_ensemble` runs the section seeds through :func:`billiard.run`,
+the closed-form route, for every g.
 """
 
 from __future__ import annotations
@@ -25,12 +30,13 @@ from scipy.integrate import solve_ivp
 
 from . import billiard
 from .errors import BilliardError, EscapeDetected, NoCollision, StepFailure
-from .kepler import CartesianState, Params, elements_from_cartesian
+# elements_from_cartesian is used through billiard.impact_event; perfbench's
+# tracer wraps it under this module's name
+from .kepler import CartesianState, Params, elements_from_cartesian  # noqa: F401
 
 R_SINGULARITY_GUARD = 1e-6
 REL_TOL = 1e-12
 ABS_TOL = 1e-12
-MAX_ARC_TIME = 1e4
 ESCAPE_RADIUS = 1e3
 
 
@@ -81,7 +87,7 @@ def integrate_to_wall(s: CartesianState, p: Params):
     Raises:
         EscapeDetected: for non-negative energy or leaving the bounding radius.
         StepFailure: integrator breakdown or the r -> 0 singularity guard.
-        NoCollision: no crossing within ``MAX_ARC_TIME``.
+        NoCollision: no crossing within ``billiard.MAX_ARC_TIME``.
     """
     if abs(s.y - p.h) < billiard.TOL_EVENT and s.py > 0.0:
         return s, 0.0, None
@@ -108,7 +114,7 @@ def integrate_to_wall(s: CartesianState, p: Params):
 
     sol = solve_ivp(
         _rhs(p),
-        (0.0, MAX_ARC_TIME),
+        (0.0, billiard.MAX_ARC_TIME),
         [s.x, s.y, s.px, s.py],
         method="DOP853",
         rtol=REL_TOL,
@@ -123,7 +129,7 @@ def integrate_to_wall(s: CartesianState, p: Params):
     if len(sol.t_events[2]):
         raise StepFailure(f"approached the center within {R_SINGULARITY_GUARD:g}")
     if not len(sol.t_events[0]):
-        raise NoCollision(f"no wall crossing within t = {MAX_ARC_TIME:g}")
+        raise NoCollision(f"no wall crossing within t = {billiard.MAX_ARC_TIME:g}")
     t_hit = float(sol.t_events[0][0])
     y_hit = sol.y_events[0][0]
     out = CartesianState(
@@ -148,13 +154,9 @@ def run_perturbed(
 ) -> PerturbedRun:
     """n wall collisions by direct integration, with per-arc energy audit.
 
-    Each impact goes through the event-driven module's elastic law,
-    :func:`billiard.reflect`.  The osculating elements at each impact use the
-    g = 0 formulas on the instantaneous state, so ``conserved_R`` of an
-    event's ``post`` elements is exactly the quantity whose drift measures
-    the perturbation.
+    Each impact goes through the event-driven module's impact record,
+    :func:`billiard.impact_event`, as the closed-form g > 0 route's do.
     """
-    g0 = Params(alpha=p.alpha, g=0.0, h=p.h)
     events: list[billiard.CollisionEvent] = []
     drifts: list[float] = []
     chunks: list[np.ndarray] = []
@@ -165,18 +167,8 @@ def run_perturbed(
         if samples_per_arc > 0 and sol is not None:
             chunks.append(_dense_arc(sol.sol, 0.0, elapsed, state.t, samples_per_arc))
         drifts.append(abs(hit.hamiltonian(p) - state.hamiltonian(p)))
-        out = billiard.reflect(hit, p, tol_event=10.0 * billiard.TOL_EVENT)
-        # the incoming state pinned onto the wall, as reflect pinned it
-        pinned = CartesianState(x=out.x, y=out.y, px=out.px, py=hit.py, t=out.t)
-        events.append(
-            billiard.CollisionEvent(
-                n=k, t=out.t, x_impact=out.x, r=pinned.r,
-                lam=math.atan2(hit.py, hit.px) % math.pi,
-                pre=elements_from_cartesian(pinned, g0),
-                post=elements_from_cartesian(out, g0),
-            )
-        )
-        state = out
+        state, event = billiard.impact_event(hit, p, k, tol_event=10.0 * billiard.TOL_EVENT)
+        events.append(event)
     scale = abs(H0) if H0 != 0.0 else 1.0
     # np.max, so that a NaN drift is reported rather than skipped
     max_rel = float(np.max(drifts)) / scale if drifts else 0.0
@@ -191,9 +183,10 @@ def run_perturbed(
 def section_ensemble(seeds: list[CartesianState], n: int, p: Params) -> list[SeedOutcome]:
     """Section clouds for several seeds sharing one energy surface.
 
-    A seed's domain failure (a :class:`BilliardError`) is recorded in its
-    outcome and does not disturb the other seeds; any other exception is a
-    fault and propagates.
+    Each seed runs through :func:`billiard.run`.  A seed that never reaches
+    the wall, halts, or raises a domain failure (a :class:`BilliardError`)
+    is a failed seed: its outcome records the reason and no events, and the
+    other seeds go on.  Any other exception is a fault and propagates.
 
     Raises:
         ValueError: if the seeds do not share the same energy A.
@@ -206,10 +199,10 @@ def section_ensemble(seeds: list[CartesianState], n: int, p: Params) -> list[See
     outcomes: list[SeedOutcome] = []
     for i, seed in enumerate(seeds):
         try:
-            res = run_perturbed(seed, n, p)
-            outcomes.append(SeedOutcome(seed_index=i, events=res.events))
+            res = billiard.run(seed, n, p)
         except BilliardError as exc:
-            outcomes.append(
-                SeedOutcome(seed_index=i, events=[], error=f"{type(exc).__name__}: {exc}")
-            )
+            error = f"{type(exc).__name__}: {exc}"
+        else:
+            error = f"NoCollision: {res.no_collision}" if res.no_collision else res.halted
+        outcomes.append(SeedOutcome(seed_index=i, events=[] if error else res.events, error=error))
     return outcomes

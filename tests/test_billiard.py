@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kepler_billiard import billiard
+from kepler_billiard import billiard, reference
 from kepler_billiard.billiard import (
     TOL_EVENT,
     ConstantRCurve,
@@ -16,6 +16,7 @@ from kepler_billiard.billiard import (
     conserved_R,
     invariant_report,
     level_set_R,
+    next_revolving_crossing,
     next_wall_crossing,
     r_value_on_section,
     reflect,
@@ -30,6 +31,7 @@ from kepler_billiard.errors import (
     GrazingContact,
     NoCollision,
     NotOnWall,
+    Unbound,
 )
 from kepler_billiard.kepler import (
     CartesianState,
@@ -37,8 +39,11 @@ from kepler_billiard.kepler import (
     Params,
     cartesian_from_elements,
     eccentric_of_state,
+    revolving_orbit,
     state_at_eccentric,
+    true_from_eccentric,
 )
+from kepler_billiard.perturbed import integrate_to_wall
 
 TWO_PI = 2.0 * math.pi
 
@@ -361,6 +366,133 @@ class TestRun:
         res = run(reference_state, 5, params, samples_per_arc=64)
         assert res.samples.shape == (5 * 64, 5)
         assert np.all(res.samples[:, 2] <= params.h + 1e-9)
+
+    def test_samples_reuse_each_steps_crossing(self, params, reference_state, monkeypatch):
+        # one crossing search per impact, sampled or not
+        calls = []
+        search = billiard.next_wall_crossing
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(billiard, "next_wall_crossing", counted)
+        res = run(reference_state, 12, params, samples_per_arc=16)
+        assert len(res.events) == 12 and len(calls) == 12
+
+
+class TestRevolvingFlow:
+    """The closed-form g > 0 arc, against DOP853 and on random orbits."""
+
+    PG = reference.reference_params(g=reference.PERTURBATION_G)
+
+    def test_per_arc_against_dop853(self):
+        # verify's g = 0.05 orbit, each arc from the same start on both routes
+        state = reference.conservation_state()
+        for k in range(100):
+            nxt, ev = step(state, self.PG, n=k)
+            hit, _, _ = integrate_to_wall(state, self.PG)
+            assert abs(hit.x - ev.x_impact) <= 1e-8
+            assert abs(hit.t - ev.t) <= 1e-8
+            state = nxt
+
+    def test_energy_over_chained_arcs(self):
+        state = reference.conservation_state()
+        H0 = state.hamiltonian(self.PG)
+        for k in range(1000):
+            state, _ = step(state, self.PG, n=k)
+            assert abs(state.hamiltonian(self.PG) - H0) <= 1e-12 * abs(H0)
+
+    @PROPERTY
+    @given(
+        g=st.floats(1e-3, 0.2),
+        A=st.floats(-0.45, -0.1),
+        e=st.floats(0.05, 0.9),
+        theta0=st.floats(0.0, TWO_PI),
+        prograde=st.booleans(),
+        nu=st.floats(0.0, TWO_PI),
+    )
+    def test_random_orbits_hit_the_wall_first_time(self, g, A, e, theta0, prograde, nu):
+        # a g = 0 ellipse state, its momentum rescaled onto the g > 0 surface A
+        p = Params(alpha=1.0, g=g, h=1.0)
+        aM = -p.alpha / (2.0 * A)
+        a = math.sqrt(0.5 * p.alpha * aM * (1.0 - e * e))
+        el = OrbitalElements(A=A, a=a if prograde else -a, theta0=theta0, alpha=p.alpha)
+        s = cartesian_from_elements(el, nu, Params())
+        p_sq = A + p.alpha / s.r - g / (s.r * s.r)
+        assume(s.y < p.h and p_sq > 0.0)
+        scale = math.sqrt(p_sq / s.speed_sq)
+        s = CartesianState(x=s.x, y=s.y, px=s.px * scale, py=s.py * scale)
+        orb = revolving_orbit(s, p)
+        assume(orb.semi_latus / (1.0 - orb.e) > p.h + 1e-3)  # the apocentre clears the wall
+        E_hit, hit = next_revolving_crossing(orb, p)
+        assert abs(hit.y - p.h) < TOL_EVENT and hit.py > 0.0
+        H = s.hamiltonian(p)
+        assert abs(hit.hamiltonian(p) - H) <= 1e-12 * abs(H)
+        assert abs(hit.angular_momentum - orb.l) <= 1e-12 * orb.l_eff
+        # no upward crossing before the hit, on a dense grid of the arc
+        nus = np.linspace(orb.nu0, true_from_eccentric(E_hit, orb.e), 2000)[:-1]
+        ys = np.array([orb.state_at(float(v)).y for v in nus]) - p.h
+        assert not np.any((ys[:-1] < 0.0) & (ys[1:] >= 0.0))
+
+    def test_apocentre_below_wall(self):
+        s = CartesianState(x=0.0, y=-0.5, px=1.0, py=0.0)
+        with pytest.raises(NoCollision, match="apocentre 0.75 below"):
+            step(s, self.PG)
+
+    def test_time_cap(self, monkeypatch):
+        # the first impact of verify's g = 0.05 orbit comes at t = 3.9
+        monkeypatch.setattr(billiard, "MAX_ARC_TIME", 3.0)
+        with pytest.raises(NoCollision, match="t = 3$"):
+            step(reference.conservation_state(), self.PG)
+        monkeypatch.setattr(billiard, "MAX_ARC_TIME", 3.95)
+        assert step(reference.conservation_state(), self.PG)[1].t < 3.95
+
+    def test_no_crossing_ever_ends_at_time_cap(self):
+        # a radial orbit (l = 0) along a ray that never reaches the wall: its
+        # apocentre clears y = h, so the scan runs on to the time cap
+        s = CartesianState(x=0.5, y=-0.2, px=1.0, py=-0.4)
+        assert s.angular_momentum == 0.0
+        with pytest.raises(NoCollision, match="t = 10000"):
+            step(s, self.PG)
+
+    def test_grazing(self, monkeypatch):
+        monkeypatch.setattr(billiard, "TOL_GRAZE", 10.0)
+        with pytest.raises(GrazingContact, match="below tol 10"):
+            step(reference.conservation_state(), self.PG)
+
+    def test_scan_cap(self, monkeypatch):
+        monkeypatch.setattr(billiard, "MAX_SCAN_STEPS", 1)
+        with pytest.raises(GrazingContact, match="more than 1 certified steps"):
+            step(reference.conservation_state(), self.PG)
+
+    def test_unbound(self):
+        with pytest.raises(Unbound):
+            step(CartesianState(1.0, 0.0, 0.0, 2.0), self.PG)
+
+    def test_events_carry_osculating_g0_elements(self):
+        s = reference.conservation_state()
+        out, ev = step(s, self.PG)
+        assert out.y == self.PG.h and out.py < 0.0 and out.t == ev.t
+        p0 = Params()
+        for el, py in ((ev.pre, -out.py), (ev.post, out.py)):
+            state = CartesianState(x=out.x, y=out.y, px=out.px, py=py)
+            assert el.A == state.speed_sq - p0.alpha / state.r
+            assert el.a == state.angular_momentum
+        assert ev.lam == math.atan2(-out.py, out.px) % math.pi
+
+    def test_run_samples_each_arc_from_its_step(self):
+        s = reference.conservation_state()
+        res = run(s, 3, self.PG, samples_per_arc=32)
+        assert res.samples.shape == (3 * 32, 5)
+        t, x, y, px, py = res.samples.T
+        assert list(res.samples[0]) == pytest.approx([s.t, s.x, s.y, s.px, s.py], abs=1e-14)
+        H = 0.5 * (px * px + py * py) - 0.5 / np.hypot(x, y) + 0.5 * self.PG.g / (x * x + y * y)
+        assert np.max(np.abs(H - s.hamiltonian(self.PG))) <= 1e-13
+        assert np.all(y <= self.PG.h + 1e-12) and np.all(np.diff(t) > 0.0)
+        # each arc after the first leaves from the impact that ended the one before
+        assert list(t[32::32]) == pytest.approx([ev.t for ev in res.events[:2]], abs=1e-12)
+        assert t[-1] < res.events[2].t
 
 
 class TestAccessibleInterval:

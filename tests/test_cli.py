@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kepler_billiard import cli, perturbed
+from kepler_billiard import cli
 from kepler_billiard.errors import ConfigError
 from kepler_billiard.kepler import Params
 
@@ -197,6 +197,22 @@ class TestSimulate:
         for r1, r2 in zip(rows1, rows2):
             assert abs(float(r1[2]) - float(r2[2])) < 1e-6
 
+    def test_perturbed_cumulative_energy_drift(self, tmp_path):
+        doc = base_doc(tmp_path, n_collisions=20, mode="perturbed")
+        doc["params"]["g"] = 0.05
+        cfg = cli.parse_config(doc)
+        bundle = cli.cmd_simulate(cfg)
+        drift = bundle.manifest["energy_drift"]
+        assert set(drift) == {"H0", "max_rel_cumulative"}
+        assert drift["max_rel_cumulative"] <= 1e-12
+        _, rows = read_csv(cfg.output_dir / "events.csv")
+        _, samples = read_csv(cfg.output_dir / "trajectory.csv")
+        assert len(rows) == 20 and len(samples) == 20 * 512
+        # the samples start at the initial state and stay below the wall
+        s0 = cli.resolve_initial(cfg)
+        assert [float(v) for v in samples[0]] == pytest.approx([0.0, s0.x, s0.y, s0.px, s0.py], abs=1e-14)
+        assert max(float(r[2]) for r in samples) <= 1.0 + 1e-12
+
     def test_manifest_checksums(self, tmp_path):
         cfg = cli.parse_config(base_doc(tmp_path, n_collisions=5))
         bundle = cli.cmd_simulate(cfg)
@@ -307,20 +323,32 @@ class TestSection:
             scatters.append(manifest["r_value_scatter"])
         assert scatters[0] < scatters[1] < scatters[2]
 
-    def test_failed_seeds_on_stdout(self, tmp_path, capsys, monkeypatch):
+    def test_failed_seeds_on_stdout(self, tmp_path, capsys):
         # this ellipse stays below the wall, so its one seed fails
         doc = {
             "mode": "section",
             "n_collisions": 3,
             "initial": {"elements": {"A": -1.0, "a": math.sqrt(0.2), "theta0": 0.1}, "nu": 0.0},
         }
-        monkeypatch.setattr(perturbed, "MAX_ARC_TIME", 50.0)
         f = tmp_path / "s.json"
         f.write_text(json.dumps(doc))
         assert cli.main(["section", "--config", str(f), "--out", str(tmp_path / "s")]) == 0
         assert "section: 1 of 1 seeds failed" in capsys.readouterr().out
         manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
-        assert "NoCollision: no wall crossing within t = 50" in manifest["failed_seeds"][0]["error"]
+        assert "NoCollision: max y = " in manifest["failed_seeds"][0]["error"]
+        _, rows = read_csv(tmp_path / "s" / "section.csv")
+        assert rows == []
+
+    def test_builtin_section_loses_no_seed(self, tmp_path):
+        # seed 5 passes within 1e-6 of the center; the exact g = 0 route
+        # takes it through all 150 collisions
+        doc = cli.default_config("section")
+        doc["output_dir"] = str(tmp_path / "sd")
+        cli.cmd_section(cli.parse_config(doc))
+        manifest = json.loads((tmp_path / "sd" / "manifest.json").read_text())
+        assert manifest["failed_seeds"] == []
+        _, rows = read_csv(tmp_path / "sd" / "section.csv")
+        assert [(int(r[0]), int(r[1])) for r in rows] == [(i, n) for i in range(6) for n in range(150)]
 
     def test_empty_ensemble(self, tmp_path):
         doc = {

@@ -15,6 +15,7 @@ from kepler_billiard.kepler import (
     eccentric_of_state,
     elements_from_cartesian,
     mean_from_eccentric,
+    revolving_orbit,
     solve_kepler,
     state_at_eccentric,
     time_to_anomaly,
@@ -283,3 +284,56 @@ class TestParams:
     def test_elements_validation(self):
         with pytest.raises(ValueError):
             OrbitalElements(A=0.1, a=0.5, theta0=0.0, alpha=1.0)
+
+
+class TestRevolvingOrbit:
+    G = Params(alpha=1.0, g=0.05, h=1.0)
+
+    def states(self):
+        rng = np.random.default_rng(5)
+        out = []
+        while len(out) < 50:
+            s = CartesianState(*rng.uniform(-2.0, 2.0, 2), *rng.uniform(-1.0, 1.0, 2))
+            if s.r > 0.1 and s.hamiltonian(self.G) < 0.0:
+                out.append(s)
+        return out
+
+    def test_state_at_start_reproduces_state(self):
+        for s in self.states():
+            orb = revolving_orbit(s, self.G)
+            back = orb.state_at(orb.nu0)
+            for a, b in zip((back.x, back.y, back.px, back.py), (s.x, s.y, s.px, s.py)):
+                assert abs(a - b) <= 1e-13 * max(1.0, s.r, math.sqrt(s.speed_sq))
+
+    def test_energy_and_angular_momentum_along_orbit(self):
+        for s in self.states():
+            orb = revolving_orbit(s, self.G)
+            H, l = s.hamiltonian(self.G), s.angular_momentum
+            for nu in orb.nu0 + np.linspace(0.0, 20.0, 41):
+                st = orb.state_at(float(nu))
+                assert abs(st.hamiltonian(self.G) - H) <= 1e-13 * abs(H) / min(1.0, st.r)
+                assert abs(st.angular_momentum - l) <= 1e-13 * max(1.0, st.r)
+
+    def test_radial_period(self):
+        for s in self.states()[:10]:
+            orb = revolving_orbit(s, self.G)
+            period = TWO_PI / orb.mean_motion()
+            assert orb.time_to(orb.nu0) == 0.0
+            assert abs(orb.time_to(orb.nu0 + TWO_PI) - period) <= 1e-12 * period
+            assert abs(orb.time_to(orb.nu0 + 3.0 * TWO_PI) - 3.0 * period) <= 1e-12 * period
+
+    def test_eccentricity_below_one(self):
+        # l_eff^2 >= g bounds e^2 by 1 - 2|H|g/mu^2, even for radial motion
+        s = CartesianState(x=0.0, y=0.5, px=0.0, py=0.3)
+        orb = revolving_orbit(s, self.G)
+        H = s.hamiltonian(self.G)
+        assert orb.l == 0.0 and orb.k == 0.0
+        assert orb.e**2 <= 1.0 - 2.0 * abs(H) * self.G.g / self.G.mu**2 + 1e-15
+
+    def test_failures(self):
+        with pytest.raises(Unbound):
+            revolving_orbit(CartesianState(1.0, 0.0, 0.0, 2.0), self.G)
+        with pytest.raises(Degenerate):
+            revolving_orbit(CartesianState(0.0, 0.0, 0.1, 0.0), self.G)
+        with pytest.raises(ValueError):
+            revolving_orbit(CartesianState(1.0, 0.0, 0.0, 0.5), Params())

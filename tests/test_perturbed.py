@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from kepler_billiard import perturbed
+from kepler_billiard import billiard
 from kepler_billiard.billiard import TOL_EVENT, conserved_R, run, step
 from kepler_billiard.delaunay import initial_state_on_level
 from kepler_billiard.errors import EscapeDetected, NoCollision
@@ -77,7 +77,7 @@ class TestIntegrateToWall:
         p = Params()
         el = OrbitalElements(A=-1.0, a=math.sqrt(0.2), theta0=0.1, alpha=1.0)
         s = cartesian_from_elements(el, 0.0, p)
-        monkeypatch.setattr(perturbed, "MAX_ARC_TIME", 50.0)
+        monkeypatch.setattr(billiard, "MAX_ARC_TIME", 50.0)
         with pytest.raises(NoCollision, match="t = 50"):
             integrate_to_wall(s, p)
 
@@ -108,11 +108,13 @@ class TestRunPerturbed:
         assert res.max_rel_drift < 1e-10
 
     def test_g_sweep_monotone_scatter(self):
+        # the physics claim, on the production route (billiard.run, every g)
         el = OrbitalElements(A=-0.5, a=math.sqrt(0.32), theta0=1.2, alpha=1.0)
         s = cartesian_from_elements(el, 0.0, Params())
         spreads = []
         for g in (0.0, 1e-3, 1e-2):
-            res = run_perturbed(s, 60, Params(alpha=1.0, g=g, h=1.0))
+            res = run(s, 60, Params(alpha=1.0, g=g, h=1.0))
+            assert len(res.events) == 60
             Rv = np.array([conserved_R(ev.post, Params()) for ev in res.events])
             spreads.append(float(np.ptp(Rv) / abs(Rv[0])))
         assert spreads[0] < spreads[1] < spreads[2]
@@ -132,7 +134,7 @@ class TestSectionEnsemble:
         out = section_ensemble([rotation_state], 0, Params())
         assert len(out) == 1 and out[0].events == [] and out[0].error is None
 
-    def test_failed_seed_isolated(self, monkeypatch):
+    def test_failed_seed_isolated(self):
         p = Params()
         A = -0.5
         good = cartesian_from_elements(
@@ -145,18 +147,31 @@ class TestSectionEnsemble:
             OrbitalElements(A=A, a=math.sqrt(a2), theta0=1.5 * math.pi, alpha=1.0),
             0.0, p,
         )
-        monkeypatch.setattr(perturbed, "MAX_ARC_TIME", 100.0)
         out = section_ensemble([bad, good], 5, p)
-        assert out[0].error is not None and "NoCollision" in out[0].error
-        assert "t = 100" in out[0].error
+        assert out[0].error is not None and out[0].error.startswith("NoCollision: max y = ")
+        assert out[0].events == []
         assert out[1].error is None and len(out[1].events) == 5
+
+    def test_no_collision_within_time_cap_fails_seed(self, reference_state, monkeypatch):
+        # this orbit's first g = 0.05 impact comes at t = 3.9
+        monkeypatch.setattr(billiard, "MAX_ARC_TIME", 1.0)
+        (out,) = section_ensemble([reference_state], 3, Params(alpha=1.0, g=0.05, h=1.0))
+        assert out.error == "NoCollision: no wall crossing within t = 1" and out.events == []
+
+    def test_halted_seed_fails(self, reference_state, monkeypatch):
+        # a grazing cutoff inside the orbit's range of normal velocities
+        # halts the run after a few events (see test_billiard)
+        monkeypatch.setattr(billiard, "TOL_GRAZE", 0.425)
+        (out,) = section_ensemble([reference_state], 50, Params())
+        assert out.error is not None and out.error.startswith("grazing contact at event ")
+        assert out.events == []
 
     def test_fault_propagates(self, rotation_state, monkeypatch):
         # only domain errors are a seed's failure; any other error is a fault
         def broken(*args):
             raise ZeroDivisionError("not a domain error")
 
-        monkeypatch.setattr(perturbed, "run_perturbed", broken)
+        monkeypatch.setattr(billiard, "run", broken)
         with pytest.raises(ZeroDivisionError):
             section_ensemble([rotation_state], 3, Params())
 
