@@ -38,10 +38,10 @@ convention is insensitive to the sense of parametrization.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     Degenerate,
@@ -218,6 +218,57 @@ def next_wall_crossing(el: OrbitalElements, E_now: float, p: Params) -> WallCros
     return WallCrossing(E_hit=E_hit, t_hit=t_hit, x_impact=x_impact, r=r, lam=lam)
 
 
+def _brentq(f, xa: float, xb: float) -> float:
+    """A root of f in [xa, xb], given ``f(xa) < 0 <= f(xb)``, by Brent's method.
+
+    A float-for-float port of scipy's ``brentq`` (``Zeros/brentq.c``) at
+    ``xtol=1e-15``, its default ``rtol`` of 4 eps and 100 iterations, and
+    ``disp=False``: an unconverged search returns its last iterate.  It keeps
+    ``scipy.optimize`` off the import path of :mod:`billiard`.
+    (R. P. Brent, *Algorithms for Minimization Without Derivatives*, 1973,
+    ch. 4.)
+    """
+    xtol, rtol = 1e-15, 4.0 * sys.float_info.epsilon
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fcur == 0.0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # C's x/0 is inf or NaN, and either one fails the test below
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den != 0.0 else math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    return xcur
+
+
 def next_revolving_crossing(
     orb: RevolvingOrbit, p: Params, t0: float = 0.0
 ) -> tuple[float, CartesianState]:
@@ -268,7 +319,7 @@ def next_revolving_crossing(
             hi = nu - 2.0 * f / df
             if gap(hi) >= 0.0:
                 # an unconverged estimate is caught by reflect's TOL_EVENT check
-                nu_hit = brentq(gap, nu, hi, xtol=1e-15, disp=False)
+                nu_hit = _brentq(gap, nu, hi)
                 break
         disc = df * df - 2.0 * B2 * f
         if disc < 0.0:

@@ -702,7 +702,7 @@ def run_verify_checks() -> list[Check]:
     worst = 0.0
     for k in range(30):
         nxt, ev = billiard.step(state, p, n=k)
-        hit, _, _ = perturbed.integrate_to_wall(state, p)
+        hit, _ = perturbed.integrate_to_wall(state, p)
         worst = max(worst, abs(hit.x - ev.x_impact))
         state = nxt
     m["oracle_arc"] = worst

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from statistics import median
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import billiard
 from .errors import (
@@ -179,6 +178,17 @@ def _half_turns(theta0: float):
         yield lo, hi, (-1 if k % 2 == 0 else 1)
         lo = hi
         k += 1
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, with scipy.integrate imported on the first call.
+
+    Only ``gamma`` and ``verify`` integrate, so the other subcommands never
+    pay for loading it.
+    """
+    import scipy.integrate
+
+    return scipy.integrate.quad(*args, **kwargs)
 
 
 def _quad_piece(f, lo: float, hi: float) -> float:

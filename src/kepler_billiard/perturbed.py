@@ -7,9 +7,11 @@ measures the drift of the osculating R (and the per-arc energy error) on its
 other subcommand propagates with it.
 
 Integration uses an adaptive 8th-order Runge-Kutta pair (DOP853) at fixed
-tolerances ``REL_TOL`` and ``ABS_TOL`` with dense output; scipy's event
-search locates the wall crossing y = h on the dense interpolant, keeping only
-crossings that approach the wall (dy/dt > 0).  An arc is abandoned after
+tolerances ``REL_TOL`` and ``ABS_TOL``; scipy's event search locates the wall
+crossing y = h on the interpolant of the step that brackets it, keeping only
+crossings that approach the wall (dy/dt > 0).  ``scipy.integrate`` is
+imported on the first integration, so the closed-form subcommands never load
+it.  An arc is abandoned after
 ``billiard.MAX_ARC_TIME`` or beyond ``ESCAPE_RADIUS``.  Each impact goes
 through :func:`billiard.impact_event` with ten times the exact route's
 ``TOL_EVENT``.  The osculating R at an impact is computed from the g = 0
@@ -26,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import billiard
 from .errors import BilliardError, EscapeDetected, NoCollision, StepFailure
@@ -48,7 +49,6 @@ class PerturbedRun:
     """
 
     events: list[billiard.CollisionEvent]
-    samples: np.ndarray  # (N, 5): t, x, y, px, py
     H0: float
     max_rel_drift: float
 
@@ -76,13 +76,19 @@ def _rhs(p: Params):
     return f
 
 
-def integrate_to_wall(s: CartesianState, p: Params):
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, with scipy.integrate imported on the first call."""
+    import scipy.integrate
+
+    return scipy.integrate.solve_ivp(*args, **kwargs)
+
+
+def integrate_to_wall(s: CartesianState, p: Params) -> tuple[CartesianState, float]:
     """Integrate Hamilton's equations until the next upward wall crossing.
 
-    Returns ``(state, elapsed, sol)``: the state at the crossing as
-    propagated (approaching the wall), the elapsed time, and the solver
-    result with dense output so callers can sample the arc.  A state already
-    on the wall and approaching it returns itself, 0.0 and ``sol = None``.
+    Returns ``(state, elapsed)``: the state at the crossing as propagated
+    (approaching the wall) and the elapsed time.  A state already on the wall
+    and approaching it returns itself and 0.0.
 
     Raises:
         EscapeDetected: for non-negative energy or leaving the bounding radius.
@@ -90,7 +96,7 @@ def integrate_to_wall(s: CartesianState, p: Params):
         NoCollision: no crossing within ``billiard.MAX_ARC_TIME``.
     """
     if abs(s.y - p.h) < billiard.TOL_EVENT and s.py > 0.0:
-        return s, 0.0, None
+        return s, 0.0
     if s.hamiltonian(p) >= 0.0:
         raise EscapeDetected(f"H = {s.hamiltonian(p):g} >= 0")
 
@@ -120,7 +126,6 @@ def integrate_to_wall(s: CartesianState, p: Params):
         rtol=REL_TOL,
         atol=ABS_TOL,
         events=[wall, escape, center],
-        dense_output=True,
     )
     if sol.status == -1:
         raise StepFailure(f"integrator failed: {sol.message}")
@@ -137,21 +142,10 @@ def integrate_to_wall(s: CartesianState, p: Params):
         px=float(y_hit[2]), py=float(y_hit[3]),
         t=s.t + t_hit,
     )
-    return out, t_hit, sol
+    return out, t_hit
 
 
-def _dense_arc(sol_dense, t0: float, t1: float, t_offset: float, m: int) -> np.ndarray:
-    ts = np.linspace(t0, t1, m, endpoint=False)
-    ys = sol_dense(ts)
-    return np.column_stack([ts + t_offset, ys.T])
-
-
-def run_perturbed(
-    s0: CartesianState,
-    n: int,
-    p: Params,
-    samples_per_arc: int = 0,
-) -> PerturbedRun:
+def run_perturbed(s0: CartesianState, n: int, p: Params) -> PerturbedRun:
     """n wall collisions by direct integration, with per-arc energy audit.
 
     Each impact goes through the event-driven module's impact record,
@@ -159,25 +153,17 @@ def run_perturbed(
     """
     events: list[billiard.CollisionEvent] = []
     drifts: list[float] = []
-    chunks: list[np.ndarray] = []
     H0 = s0.hamiltonian(p)
     state = s0
     for k in range(n):
-        hit, elapsed, sol = integrate_to_wall(state, p)
-        if samples_per_arc > 0 and sol is not None:
-            chunks.append(_dense_arc(sol.sol, 0.0, elapsed, state.t, samples_per_arc))
+        hit, _ = integrate_to_wall(state, p)
         drifts.append(abs(hit.hamiltonian(p) - state.hamiltonian(p)))
         state, event = billiard.impact_event(hit, p, k, tol_event=10.0 * billiard.TOL_EVENT)
         events.append(event)
     scale = abs(H0) if H0 != 0.0 else 1.0
     # np.max, so that a NaN drift is reported rather than skipped
     max_rel = float(np.max(drifts)) / scale if drifts else 0.0
-    samples = (
-        np.vstack(chunks)
-        if chunks
-        else np.array([[s0.t, s0.x, s0.y, s0.px, s0.py]])
-    )
-    return PerturbedRun(events=events, samples=samples, H0=H0, max_rel_drift=max_rel)
+    return PerturbedRun(events=events, H0=H0, max_rel_drift=max_rel)
 
 
 def section_ensemble(seeds: list[CartesianState], n: int, p: Params) -> list[SeedOutcome]:

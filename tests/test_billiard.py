@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from kepler_billiard import billiard, reference
 from kepler_billiard.billiard import (
@@ -37,6 +38,7 @@ from kepler_billiard.kepler import (
     CartesianState,
     OrbitalElements,
     Params,
+    RevolvingOrbit,
     cartesian_from_elements,
     eccentric_of_state,
     revolving_orbit,
@@ -391,7 +393,7 @@ class TestRevolvingFlow:
         state = reference.conservation_state()
         for k in range(100):
             nxt, ev = step(state, self.PG, n=k)
-            hit, _, _ = integrate_to_wall(state, self.PG)
+            hit, _ = integrate_to_wall(state, self.PG)
             assert abs(hit.x - ev.x_impact) <= 1e-8
             assert abs(hit.t - ev.t) <= 1e-8
             state = nxt
@@ -493,6 +495,54 @@ class TestRevolvingFlow:
         # each arc after the first leaves from the impact that ended the one before
         assert list(t[32::32]) == pytest.approx([ev.t for ev in res.events[:2]], abs=1e-12)
         assert t[-1] < res.events[2].t
+
+
+def revolving_gap(orb: RevolvingOrbit, h: float):
+    """The function whose root ``next_revolving_crossing`` polishes: y(nu) - h."""
+
+    def gap(nu: float) -> float:
+        return orb.semi_latus * math.sin(orb.phi0 + orb.k * (nu - orb.nu0)) / (
+            1.0 + orb.e * math.cos(nu)) - h
+
+    return gap
+
+
+class TestBrent:
+    """The private Brent port against scipy's brentq, the independent oracle."""
+
+    @PROPERTY
+    @given(
+        l_eff=st.floats(0.3, 2.0),
+        k=st.floats(-1.0, 1.0),
+        e=st.floats(0.0, 0.95),
+        phi0=st.floats(0.0, TWO_PI),
+        nu0=st.floats(0.0, TWO_PI),
+        level=st.floats(0.01, 0.99),
+        lo=st.integers(0, 399),
+        hi=st.integers(0, 399),
+    )
+    def test_matches_scipy_bit_for_bit(self, l_eff, k, e, phi0, nu0, level, lo, hi):
+        orb = RevolvingOrbit(l=k * l_eff, l_eff=l_eff, e=e, aM=1.0, mu=0.5, phi0=phi0, nu0=nu0)
+        # a wall between the lowest and the highest y on a grid over two turns
+        nus = [float(v) for v in np.linspace(nu0, nu0 + 2.0 * TWO_PI, 400)]
+        ys = [revolving_gap(orb, 0.0)(v) for v in nus]
+        gap = revolving_gap(orb, min(ys) + level * (max(ys) - min(ys)))
+        # a bracket gap(a) < 0 <= gap(b) with a < b, as the scan hands over
+        below = [v for v in nus if gap(v) < 0.0]
+        assume(below)
+        a = below[lo % len(below)]
+        above = [v for v in nus if v > a and gap(v) >= 0.0]
+        assume(above)
+        b = above[hi % len(above)]
+        assert billiard._brentq(gap, a, b) == brentq(gap, a, b, xtol=1e-15, disp=False)
+
+    def test_root_at_upper_end(self):
+        # gap(0) = 2*sin(pi/2) - 2 = 0 exactly
+        orb = RevolvingOrbit(l=1.0, l_eff=1.0, e=0.0, aM=1.0, mu=0.5, phi0=math.pi / 2, nu0=0.0)
+        gap = revolving_gap(orb, 2.0)
+        assert gap(0.0) == 0.0 and gap(-0.5) < 0.0
+        assert billiard._brentq(gap, -0.5, 0.0) == 0.0
+        assert brentq(gap, -0.5, 0.0, xtol=1e-15, disp=False) == 0.0
 
 
 class TestAccessibleInterval:

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -408,6 +411,50 @@ class TestRegion:
         doc = {"mode": "region", "output_dir": str(tmp_path / "rx")}
         with pytest.raises(ConfigError, match="region"):
             cli.cmd_region(cli.parse_config(doc))
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports the package from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+class TestStartup:
+    """Only gamma and verify load scipy.integrate, and nothing loads scipy.optimize."""
+
+    SLOW = ("scipy.optimize", "scipy.integrate")
+
+    def test_import_leaves_slow_scipy_modules_out(self):
+        out = run_python(
+            "import sys\n"
+            "import kepler_billiard.cli\n"
+            f"print([m for m in {self.SLOW!r} if m in sys.modules])\n"
+        )
+        assert out == "[]"
+
+    def test_closed_form_commands_run_without_them(self, tmp_path):
+        runs = [
+            ["simulate"],
+            ["simulate", "--config", str(ROOT / "configs" / "perturbed_g005.json")],
+            ["section"],
+            ["region"],
+        ]
+        argvs = [argv + ["--out", str(tmp_path / f"run{i}")] for i, argv in enumerate(runs)]
+        out = run_python(
+            "import sys\n"
+            f"for name in {self.SLOW!r}:\n"
+            "    sys.modules[name] = None  # any import of it raises ImportError\n"
+            "from kepler_billiard import cli\n"
+            f"print([cli.main(argv) for argv in {argvs!r}])\n"
+        )
+        assert out.splitlines()[-1] == "[0, 0, 0, 0]"
 
 
 class TestMainExitCodes:

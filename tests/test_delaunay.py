@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kepler_billiard import delaunay
 from kepler_billiard.billiard import conserved_R, run
 from kepler_billiard.delaunay import (
     ConjectureReport,
@@ -93,6 +94,21 @@ class TestGammaOf:
             ip = generating_integral(th, R_REF + hs, L_REF, params)
             im = generating_integral(th, R_REF - hs, L_REF, params)
             assert abs(g - (ip - im) / (2.0 * hs)) < 1e-6, th
+
+    def test_quadratures_go_through_module_quad(self, params, monkeypatch):
+        # the seam a tracer wraps to count quadratures and integrand calls
+        pieces = []
+        real = delaunay.quad
+
+        def spy(f, lo, hi, **kwargs):
+            pieces.append((lo, hi))
+            return real(f, lo, hi, **kwargs)
+
+        monkeypatch.setattr(delaunay, "quad", spy)
+        g = gamma_of(4.0, R_REF, L_REF, params)
+        assert pieces == [(0.0, math.pi), (math.pi, 4.0)]  # one per half-turn
+        monkeypatch.undo()
+        assert g == gamma_of(4.0, R_REF, L_REF, params)
 
 
 class TestGammaSeries:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from kepler_billiard import billiard
+from kepler_billiard import billiard, perturbed
 from kepler_billiard.billiard import TOL_EVENT, conserved_R, run, step
 from kepler_billiard.delaunay import initial_state_on_level
 from kepler_billiard.errors import EscapeDetected, NoCollision
@@ -35,12 +35,12 @@ class TestIntegrateToWall:
     def test_zero_length_arc(self):
         p = Params()
         s = CartesianState(x=0.2, y=1.0, px=0.1, py=0.5)
-        out, elapsed, sol = integrate_to_wall(s, p)
-        assert elapsed == 0.0 and out == s and sol is None
+        out, elapsed = integrate_to_wall(s, p)
+        assert elapsed == 0.0 and out == s
 
     def test_single_arc_matches_closed_form(self, rotation_state):
         p = Params()
-        hit, _, _ = integrate_to_wall(rotation_state, p)
+        hit, _ = integrate_to_wall(rotation_state, p)
         _, ev = step(rotation_state, p)
         assert abs(hit.x - ev.x_impact) < 1e-8
         assert abs(hit.t - ev.t) < 1e-8
@@ -51,12 +51,12 @@ class TestIntegrateToWall:
         s = rotation_state
         H0 = s.hamiltonian(p)
         assert H0 < 0.0
-        hit, _, _ = integrate_to_wall(s, p)
+        hit, _ = integrate_to_wall(s, p)
         assert abs(hit.hamiltonian(p) - H0) / abs(H0) < 1e-10
 
     def test_time_reversal(self, rotation_state):
         p = Params()
-        hit, elapsed, _ = integrate_to_wall(rotation_state, p)
+        hit, elapsed = integrate_to_wall(rotation_state, p)
         back = replace(hit, px=-hit.px, py=-hit.py)
         sol = solve_ivp(
             _rhs(p), (0.0, elapsed), [back.x, back.y, back.px, back.py],
@@ -67,6 +67,20 @@ class TestIntegrateToWall:
         assert abs(y - rotation_state.y) < 1e-8
         assert abs(px + rotation_state.px) < 1e-8
         assert abs(py + rotation_state.py) < 1e-8
+
+    def test_integration_goes_through_module_solve_ivp(self, rotation_state, monkeypatch):
+        # the seam a tracer wraps to count RHS evaluations and steps per arc
+        sols = []
+        real = perturbed.solve_ivp
+
+        def spy(*args, **kwargs):
+            sols.append(real(*args, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(perturbed, "solve_ivp", spy)
+        hit, elapsed = integrate_to_wall(rotation_state, Params())
+        assert len(sols) == 1 and sols[0].t_events[0][0] == elapsed
+        assert sols[0].sol is None  # no dense output: events use the step interpolant
 
     def test_escape_detected(self):
         p = Params()
@@ -118,10 +132,6 @@ class TestRunPerturbed:
             Rv = np.array([conserved_R(ev.post, Params()) for ev in res.events])
             spreads.append(float(np.ptp(Rv) / abs(Rv[0])))
         assert spreads[0] < spreads[1] < spreads[2]
-
-    def test_samples_collected(self, rotation_state):
-        res = run_perturbed(rotation_state, 3, Params(), samples_per_arc=32)
-        assert res.samples.shape == (3 * 32, 5)
 
     def test_section_lambda_range(self, rotation_state):
         res = run_perturbed(rotation_state, 20, Params())
