@@ -11,12 +11,11 @@ tolerances ``REL_TOL`` and ``ABS_TOL``; scipy's event search locates the wall
 crossing y = h on the interpolant of the step that brackets it, keeping only
 crossings that approach the wall (dy/dt > 0).  ``scipy.integrate`` is
 imported on the first integration, so the closed-form subcommands never load
-it.  An arc is abandoned after
-``billiard.MAX_ARC_TIME`` or beyond ``ESCAPE_RADIUS``.  Each impact goes
-through :func:`billiard.impact_event` with ten times the exact route's
-``TOL_EVENT``.  The osculating R at an impact is computed from the g = 0
-element formulas applied to the instantaneous state; for g > 0 it is a drift
-diagnostic, not an invariant.
+it.  An arc is abandoned after ``billiard.MAX_ARC_TIME`` or beyond
+``ESCAPE_RADIUS``.  Each impact goes through :func:`billiard.impact_event`
+with ten times the exact route's ``TOL_EVENT``.  The osculating R at an
+impact is computed from the g = 0 element formulas applied to the
+instantaneous state; for g > 0 it is a drift diagnostic, not an invariant.
 
 :func:`section_ensemble` runs the section seeds through :func:`billiard.run`,
 the closed-form route, for every g.

@@ -536,6 +536,16 @@ class TestBrent:
         b = above[hi % len(above)]
         assert billiard._brentq(gap, a, b) == brentq(gap, a, b, xtol=1e-15, disp=False)
 
+    def test_interpolation_step_bound(self):
+        # a bracket (one in 20 000 random draws) where an interpolated step is
+        # taken or refused by the "- delta" of its bound 3*|sbis| - delta
+        orb = RevolvingOrbit(l=0.030133574435911914, l_eff=1.8619897444389109,
+                             e=0.5794299019337391, aM=1.0, mu=0.5,
+                             phi0=6.192579044736169, nu0=5.178908130117778)
+        gap = revolving_gap(orb, -0.43192011401310987)
+        a, b = 5.21040279331166, 5.462360098862721
+        assert billiard._brentq(gap, a, b) == brentq(gap, a, b, xtol=1e-15, disp=False)
+
     def test_root_at_upper_end(self):
         # gap(0) = 2*sin(pi/2) - 2 = 0 exactly
         orb = RevolvingOrbit(l=1.0, l_eff=1.0, e=0.0, aM=1.0, mu=0.5, phi0=math.pi / 2, nu0=0.0)
