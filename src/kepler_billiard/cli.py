@@ -1,9 +1,9 @@
 """Command-line front end: run orchestration and CSV/JSON/SVG serialization.
 
-Subcommands: ``simulate`` (exact-g0 or perturbed), ``gamma``, ``section``,
-``region``, ``verify``.  A single JSON document configures a run; every flag
-(--config, --out, --mode, --n, --g, --seed) overrides the corresponding
-config field.  Each run writes its data files plus a manifest listing every
+Subcommands: ``simulate``, ``gamma``, ``section``, ``region``, ``verify``;
+the subcommand is the run's mode.  A single JSON document configures a run;
+every flag (--out, --n, --g, --seed) overrides the corresponding config
+field.  Each run writes its data files plus a manifest listing every
 emitted file with a sha256 checksum; floats are serialized with 17
 significant digits so repeated runs are byte-identical.
 
@@ -44,9 +44,6 @@ from .kepler import (
 )
 from .svg import Figure
 
-MODES = ("exact-g0", "perturbed", "gamma", "section", "region", "verify")
-
-
 @dataclass
 class EnsembleSpec:
     count: int
@@ -57,7 +54,7 @@ class EnsembleSpec:
 @dataclass
 class RunConfig:
     params: Params
-    mode: str
+    command: str
     n_collisions: int = 0
     initial_state: CartesianState | None = None
     initial_elements: tuple[OrbitalElements, float] | None = None
@@ -128,10 +125,19 @@ def _parse_initial(doc, params: Params, path: str):
     raise ConfigError(f"{path}: need either 'cartesian' or 'elements'")
 
 
-def parse_config(doc: dict) -> RunConfig:
-    doc = _expect_object(
-        doc, "", ("params", "initial", "n_collisions", "mode", "ensemble", "output_dir")
-    )
+def parse_config(doc: dict, command: str) -> RunConfig:
+    """The configuration of a ``command`` run from its JSON document.
+
+    The optional ``mode`` key must name ``command``, so a config written for
+    one subcommand cannot run under another.  ``verify`` runs its built-in
+    references, so its document holds nothing but ``mode`` and ``output_dir``.
+    """
+    if isinstance(doc, dict) and doc.get("mode", command) != command:
+        raise ConfigError(f"mode: this config is for {doc['mode']!r}, not {command!r}")
+    fields = ("mode", "output_dir")
+    if command != "verify":
+        fields += ("params", "initial", "n_collisions", "ensemble")
+    doc = _expect_object(doc, "", fields)
     pdoc = _expect_object(doc.get("params", {}), "params", ("alpha", "g", "h"))
     try:
         params = Params(
@@ -141,9 +147,6 @@ def parse_config(doc: dict) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"params: {exc}") from exc
-    mode = doc.get("mode", "exact-g0")
-    if mode not in MODES:
-        raise ConfigError(f"mode: must be one of {MODES}, got {mode!r}")
     n = _expect_int(doc.get("n_collisions", 0), "n_collisions")
     if n < 0:
         raise ConfigError("n_collisions: must be >= 0")
@@ -165,7 +168,7 @@ def parse_config(doc: dict) -> RunConfig:
     # a NUL byte would fail only when the directory is made
     if not isinstance(out, str) or "\0" in out:
         raise ConfigError(f"output_dir: expected a path string, got {out!r}")
-    cfg = RunConfig(params=params, mode=mode, n_collisions=n, ensemble=ensemble, output_dir=Path(out))
+    cfg = RunConfig(params=params, command=command, n_collisions=n, ensemble=ensemble, output_dir=Path(out))
     if "initial" in doc and doc["initial"] is not None:
         cfg.initial_state, cfg.initial_elements = _parse_initial(doc["initial"], params, "initial")
     return cfg
@@ -177,7 +180,7 @@ def resolve_initial(cfg: RunConfig) -> CartesianState:
     if cfg.initial_elements is not None:
         el, nu = cfg.initial_elements
         return cartesian_from_elements(el, nu, Params(alpha=cfg.params.alpha, g=0.0, h=cfg.params.h))
-    raise ConfigError(f"initial: required for mode '{cfg.mode}'")
+    raise ConfigError(f"initial: required for {cfg.command}")
 
 
 # ----------------------------------------------------------- serialization ---
@@ -208,12 +211,11 @@ def _sha256(path: Path) -> str:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    doc: dict = {
-        "params": {"alpha": cfg.params.alpha, "g": cfg.params.g, "h": cfg.params.h},
-        "mode": cfg.mode,
-        "n_collisions": cfg.n_collisions,
-        "output_dir": str(cfg.output_dir),
-    }
+    doc: dict = {"mode": cfg.command, "output_dir": str(cfg.output_dir)}
+    if cfg.command == "verify":
+        return doc
+    doc["params"] = {"alpha": cfg.params.alpha, "g": cfg.params.g, "h": cfg.params.h}
+    doc["n_collisions"] = cfg.n_collisions
     if cfg.initial_state is not None:
         s = cfg.initial_state
         doc["initial"] = {"cartesian": {"x": s.x, "y": s.y, "px": s.px, "py": s.py, "t": s.t}}
@@ -382,20 +384,17 @@ def _energy_drift(s0: CartesianState, res: billiard.BilliardRun, p: Params) -> d
 
 def cmd_simulate(cfg: RunConfig) -> OutputBundle:
     t0 = time.monotonic()
-    if cfg.mode not in ("exact-g0", "perturbed"):
-        raise ConfigError(f"mode: simulate expects exact-g0 or perturbed, got {cfg.mode!r}")
-    if cfg.mode == "exact-g0" and cfg.params.g != 0.0:
-        raise ConfigError("params.g: exact-g0 mode requires g = 0")
     s0 = resolve_initial(cfg)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     res = billiard.run(s0, cfg.n_collisions, cfg.params, samples_per_arc=512)
     events, reports, samples = res.events, res.reports, res.samples
-    extra: dict = {"no_collision": res.no_collision}
+    extra: dict = {
+        "no_collision": res.no_collision,
+        "energy_drift": _energy_drift(s0, res, cfg.params),
+    }
     if res.halted:
         extra["halted"] = res.halted
-    if cfg.mode == "perturbed":
-        extra["energy_drift"] = _energy_drift(s0, res, cfg.params)
     files = []
     ev_path = out / "events.csv"
     write_csv(ev_path, EVENT_HEADER, _event_rows(events, reports))
@@ -414,10 +413,8 @@ def cmd_simulate(cfg: RunConfig) -> OutputBundle:
 
 def cmd_gamma(cfg: RunConfig) -> OutputBundle:
     t0 = time.monotonic()
-    if cfg.mode != "gamma":
-        raise ConfigError(f"mode: expected gamma, got {cfg.mode!r}")
     if cfg.params.g != 0.0:
-        raise ConfigError("params.g: gamma mode requires g = 0")
+        raise ConfigError("params.g: gamma requires g = 0")
     s0 = resolve_initial(cfg)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -506,8 +503,6 @@ def _ensemble_seeds(spec: EnsembleSpec, p: Params) -> list[CartesianState]:
 
 def cmd_section(cfg: RunConfig) -> OutputBundle:
     t0 = time.monotonic()
-    if cfg.mode != "section":
-        raise ConfigError(f"mode: expected section, got {cfg.mode!r}")
     if cfg.ensemble is not None:
         seeds = _ensemble_seeds(cfg.ensemble, cfg.params)
         A = cfg.ensemble.energy
@@ -556,17 +551,13 @@ def cmd_section(cfg: RunConfig) -> OutputBundle:
 
 def cmd_region(cfg: RunConfig) -> OutputBundle:
     t0 = time.monotonic()
-    if cfg.mode != "region":
-        raise ConfigError(f"mode: expected region, got {cfg.mode!r}")
     if cfg.initial_state is not None or cfg.initial_elements is not None:
-        if cfg.initial_state is not None:
-            A = cfg.initial_state.energy_A(cfg.params)
-        else:
-            A = cfg.initial_elements[0].A
+        # the twice-energy of the state simulate starts from, g/r^2 included
+        A = resolve_initial(cfg).energy_A(cfg.params)
     elif cfg.ensemble is not None:
         A = cfg.ensemble.energy
     else:
-        raise ConfigError("initial or ensemble.energy: required to fix A for mode 'region'")
+        raise ConfigError("initial or ensemble.energy: required to fix A for region")
     if A >= 0.0:
         raise ConfigError(f"region: requires A < 0, got A = {A:g}")
     x_min, x_max = billiard.accessible_interval(A, cfg.params)
@@ -768,7 +759,6 @@ def default_config(command: str) -> dict:
         el = reference.conservation_elements()
         return {
             "params": {"alpha": 1.0, "g": 0.0, "h": 1.0},
-            "mode": "exact-g0",
             "n_collisions": 12,
             "initial": {"elements": {"A": el.A, "a": el.a, "theta0": el.theta0}, "nu": 0.0},
         }
@@ -776,24 +766,21 @@ def default_config(command: str) -> dict:
         s = reference.gamma_state()
         return {
             "params": {"alpha": 1.0, "g": 0.0, "h": 1.0},
-            "mode": "gamma",
             "n_collisions": 1100,
             "initial": {"cartesian": {"x": s.x, "y": s.y, "px": s.px, "py": s.py, "t": 0.0}},
         }
     if command == "section":
         return {
             "params": {"alpha": 1.0, "g": 0.0, "h": 1.0},
-            "mode": "section",
             "n_collisions": 150,
             "ensemble": {"count": 6, "seed": 20250810, "energy": reference.GAMMA_A},
         }
     if command == "region":
         return {
             "params": {"alpha": 1.0, "g": 0.0, "h": 1.0},
-            "mode": "region",
             "ensemble": {"count": 0, "seed": 0, "energy": reference.CONSERVATION_A},
         }
-    return {"params": {"alpha": 1.0, "g": 0.0, "h": 1.0}, "mode": "verify"}
+    return {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -803,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, hlp in (
-        ("simulate", "propagate a trajectory (exact-g0 or perturbed) and emit events"),
+        ("simulate", "propagate a trajectory and emit events"),
         ("gamma", "per-collision gamma series and conjecture statistics"),
         ("section", "wall-section clouds for an ensemble of seeds"),
         ("region", "accessible-region boundary on the wall"),
@@ -812,7 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=hlp)
         sp.add_argument("--config", type=Path, help="JSON config file")
         sp.add_argument("--out", type=Path, help="output directory")
-        sp.add_argument("--mode", choices=MODES, help="override run mode")
         sp.add_argument("--n", type=int, help="override n_collisions")
         sp.add_argument("--g", type=float, help="override centrifugal coefficient g")
         sp.add_argument("--seed", type=int, help="override ensemble seed")
@@ -823,8 +809,6 @@ def _apply_flags(doc: dict, args: argparse.Namespace) -> dict:
     # the flags write into the document before parse_config checks it
     if not isinstance(doc, dict):
         raise ConfigError("config root: expected a JSON object")
-    if args.mode is not None:
-        doc["mode"] = args.mode
     if args.n is not None:
         doc["n_collisions"] = args.n
     if args.g is not None:
@@ -854,7 +838,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             doc = default_config(args.command)
         doc = _apply_flags(doc, args)
-        cfg = parse_config(doc)
+        cfg = parse_config(doc, args.command)
         if args.command == "verify":
             bundle, code = cmd_verify(cfg)
             status = "PASS" if code == 0 else "FAIL"
@@ -878,7 +862,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except BilliardError as exc:
+    except (BilliardError, ArithmeticError) as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

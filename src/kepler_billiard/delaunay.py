@@ -33,13 +33,7 @@ from statistics import median
 import numpy as np
 
 from . import billiard
-from .errors import (
-    BranchUnavailable,
-    InsufficientData,
-    NoCollision,
-    QuadratureFailure,
-    SingularDerivative,
-)
+from .errors import GammaUndefined, InsufficientData, NoCollision
 from .kepler import (
     TWO_PI,
     CartesianState,
@@ -92,7 +86,7 @@ def _a_sq_raw(s2: float, R: float, L: float, eps: int, p: Params) -> float:
     """eps-labelled quadratic root for a^2 (no Eq.-membership validation)."""
     t1, disc, _ = _coeffs(s2, R, L, p)
     if disc < -1e-13 * max(1.0, abs(R)):
-        raise BranchUnavailable(f"discriminant {disc:g} < 0")
+        raise GammaUndefined(f"discriminant {disc:g} < 0")
     return t1 + eps * math.sqrt(max(disc, 0.0))
 
 
@@ -100,18 +94,18 @@ def _dadR_raw(s2: float, R: float, L: float, eps: int, p: Params) -> float:
     """d a / d R of the eps-labelled root (a > 0)."""
     t1, disc, m = _coeffs(s2, R, L, p)
     if disc < 0.0:
-        raise BranchUnavailable(f"discriminant {disc:g} < 0")
+        raise GammaUndefined(f"discriminant {disc:g} < 0")
     if s2 < 1e-30:
         du = 1.0
         u = R
     else:
         sd = math.sqrt(disc)
         if sd == 0.0:
-            raise SingularDerivative("branch point: discriminant vanished")
+            raise GammaUndefined("branch point: discriminant vanished")
         du = 1.0 - eps * 0.5 * m / sd
         u = t1 + eps * sd
     if u <= 0.0:
-        raise SingularDerivative(f"a^2 = {u:g} <= 0 on branch")
+        raise GammaUndefined(f"a^2 = {u:g} <= 0 on branch")
     return du / (2.0 * math.sqrt(u))
 
 
@@ -123,7 +117,7 @@ def a_branch(theta0: float, R: float, L: float, eps: int, p: Params) -> float:
     continuation) and to lie in [0, L^2].
 
     Raises:
-        BranchUnavailable: if the discriminant is negative, a^2 leaves
+        GammaUndefined: if the discriminant is negative, a^2 leaves
             [0, L^2], or the root fails the implicit relation.
     """
     if L >= 0.0:
@@ -132,18 +126,18 @@ def a_branch(theta0: float, R: float, L: float, eps: int, p: Params) -> float:
     t1, disc, m = _coeffs(s * s, R, L, p)
     scale = max(1.0, abs(R))
     if disc < -1e-13 * scale:
-        raise BranchUnavailable(f"discriminant {disc:g} < 0 at theta0 = {theta0:g}")
+        raise GammaUndefined(f"discriminant {disc:g} < 0 at theta0 = {theta0:g}")
     sd = math.sqrt(max(disc, 0.0))
     a2 = t1 + eps * sd
     L2 = L * L
     if a2 < -1e-12 * scale or a2 > L2 * (1.0 + 1e-12):
-        raise BranchUnavailable(f"a^2 = {a2:g} outside [0, L^2]")
+        raise GammaUndefined(f"a^2 = {a2:g} outside [0, L^2]")
     a2 = min(max(a2, 0.0), L2)
     # Eq.-membership: a^2 - R = -h*alpha*sin * e with e >= 0, i.e.
     # sign(eps*sd - m/2) must oppose sign(sin) (zero is fine: merged roots).
     drift = eps * sd - 0.5 * m
     if s * drift > 1e-13 * scale:
-        raise BranchUnavailable(
+        raise GammaUndefined(
             f"eps = {eps:+d} root at theta0 = {theta0:g} is the e < 0 continuation"
         )
     # one guarded Newton polish of the implicit relation to kill cancellation
@@ -197,7 +191,7 @@ def _quad_piece(f, lo: float, hi: float) -> float:
         return 0.0
     val, err = quad(f, lo, hi, epsabs=TOL_QUAD, epsrel=1e-12, limit=200)
     if err > 1e3 * TOL_QUAD + 1e-12 * abs(val):
-        raise QuadratureFailure(f"quadrature error estimate {err:g} too large")
+        raise GammaUndefined(f"quadrature error estimate {err:g} too large")
     return val
 
 
@@ -264,7 +258,7 @@ def gamma_series(
 
     try:
         gamma_full = gamma_of(TWO_PI, R, L, p)
-    except (BranchUnavailable, SingularDerivative, QuadratureFailure):
+    except GammaUndefined:
         gamma_full = math.nan
 
     gamma_principal: list[float] = []
@@ -273,7 +267,7 @@ def gamma_series(
     for idx, ev in enumerate(events):
         try:
             g = gamma_of(theta[idx], R, L, p)
-        except (BranchUnavailable, SingularDerivative, QuadratureFailure):
+        except GammaUndefined:
             g = math.nan
         gamma_principal.append(g)
         a_n = ev.post.a
@@ -350,10 +344,10 @@ def initial_state_on_level(L: float, R: float, p: Params) -> CartesianState:
         try:
             a = a_branch(theta0, R, L, eps, p)
             break
-        except BranchUnavailable:
+        except GammaUndefined:
             continue
     if a is None:
-        raise BranchUnavailable(f"no valid branch at theta0 = {theta0:g}")
+        raise GammaUndefined(f"no valid branch at theta0 = {theta0:g}")
     el = OrbitalElements(A=A, a=a, theta0=wrap_angle(theta0), alpha=p.alpha)
     if el.max_y() < p.h:
         raise NoCollision("level-set ellipse does not reach the wall")

@@ -49,25 +49,15 @@ class EmptyLevelSet(BilliardError):
     """No point of the (x, lambda) rectangle carries the requested level."""
 
 
-class BranchUnavailable(BilliardError):
-    """The requested angular-momentum branch does not exist at this angle."""
-
-
-class SingularDerivative(BilliardError):
-    """Implicit derivative undefined (branch point or a = 0)."""
-
-
-class QuadratureFailure(BilliardError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+class GammaUndefined(BilliardError):
+    """gamma has no value here: the angular-momentum branch does not exist,
+    its R-derivative is singular (branch point or a = 0), or the quadrature
+    missed its tolerance."""
 
 
 class InsufficientData(BilliardError):
     """Not enough samples to compute the requested statistic."""
 
 
-class EscapeDetected(BilliardError):
-    """Trajectory is unbound or left the configured bounding radius."""
-
-
 class StepFailure(BilliardError):
-    """The ODE integrator failed (step rejection, singularity guard, ...)."""
+    """The ODE integrator failed (step rejection, singularity guard, escape)."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import billiard
-from .errors import BilliardError, EscapeDetected, NoCollision, StepFailure
+from .errors import BilliardError, NoCollision, StepFailure, Unbound
 # elements_from_cartesian is used through billiard.impact_event; perfbench's
 # tracer wraps it under this module's name
 from .kepler import CartesianState, Params, elements_from_cartesian  # noqa: F401
@@ -90,14 +90,15 @@ def integrate_to_wall(s: CartesianState, p: Params) -> tuple[CartesianState, flo
     and approaching it returns itself and 0.0.
 
     Raises:
-        EscapeDetected: for non-negative energy or leaving the bounding radius.
-        StepFailure: integrator breakdown or the r -> 0 singularity guard.
+        Unbound: for non-negative energy.
+        StepFailure: integrator breakdown, leaving the bounding radius or the
+            r -> 0 singularity guard.
         NoCollision: no crossing within ``billiard.MAX_ARC_TIME``.
     """
     if abs(s.y - p.h) < billiard.TOL_EVENT and s.py > 0.0:
         return s, 0.0
     if s.hamiltonian(p) >= 0.0:
-        raise EscapeDetected(f"H = {s.hamiltonian(p):g} >= 0")
+        raise Unbound(f"H = {s.hamiltonian(p):g} >= 0")
 
     def wall(_t, y):
         return y[1] - p.h
@@ -129,7 +130,7 @@ def integrate_to_wall(s: CartesianState, p: Params) -> tuple[CartesianState, flo
     if sol.status == -1:
         raise StepFailure(f"integrator failed: {sol.message}")
     if len(sol.t_events[1]):
-        raise EscapeDetected(f"left bounding radius {ESCAPE_RADIUS:g}")
+        raise StepFailure(f"left bounding radius {ESCAPE_RADIUS:g}")
     if len(sol.t_events[2]):
         raise StepFailure(f"approached the center within {R_SINGULARITY_GUARD:g}")
     if not len(sol.t_events[0]):

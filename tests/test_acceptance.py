@@ -54,7 +54,7 @@ def verify_twice(tmp_path_factory):
     outs = []
     for tag in ("a", "b"):
         out = tmp_path_factory.mktemp(f"verify_{tag}")
-        cfg = cli.parse_config({"mode": "verify", "output_dir": str(out)})
+        cfg = cli.parse_config({"mode": "verify", "output_dir": str(out)}, "verify")
         bundle, code = cli.cmd_verify(cfg)
         outs.append((out, code))
     return outs

@@ -8,18 +8,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kepler_billiard import cli
 from kepler_billiard.errors import ConfigError
 from kepler_billiard.kepler import Params
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def base_doc(tmp_path, **extra):
     doc = {
         "params": {"alpha": 1.0, "g": 0.0, "h": 1.0},
-        "mode": "exact-g0",
+        "mode": "simulate",
         "n_collisions": 20,
         "initial": {
             "elements": {"A": -0.5, "a": math.sqrt(0.32), "theta0": 1.2},
@@ -41,7 +43,7 @@ def read_csv(path):
 class TestConfigParsing:
     def test_unknown_field_path(self, tmp_path):
         with pytest.raises(ConfigError, match="bogus"):
-            cli.parse_config({"bogus": 1})
+            cli.parse_config({"bogus": 1}, "simulate")
         # a misspelt key at any depth is an error, not a silent default
         cartesian = {"x": 0.0, "y": -1.0, "px": 0.5, "py": 0.0}
         for doc, path in [
@@ -53,14 +55,14 @@ class TestConfigParsing:
              "initial.elements.e"),
         ]:
             with pytest.raises(ConfigError, match=f"^{path}: unknown config field"):
-                cli.parse_config(base_doc(tmp_path, **doc))
+                cli.parse_config(base_doc(tmp_path, **doc), "simulate")
 
     def test_unknown_tolerance_path(self, tmp_path, capsys):
         # the numerical settings are module constants: any tolerances
         # document, a verify check name included, is an unknown field
         for tol in ({}, {"rel_tol": 1e-12}, {"tol_graze": 1e-10}, {"theorem1_R_drift": 1.0}):
             with pytest.raises(ConfigError, match="tolerances: unknown config field"):
-                cli.parse_config({"mode": "verify", "tolerances": tol})
+                cli.parse_config({"mode": "verify", "tolerances": tol}, "verify")
             f = tmp_path / "v.json"
             f.write_text(json.dumps({"mode": "verify", "tolerances": tol}))
             assert cli.main(["verify", "--config", str(f), "--out", str(tmp_path / "v")]) == 2
@@ -68,43 +70,52 @@ class TestConfigParsing:
             assert not (tmp_path / "v").exists()
 
     def test_committed_configs_parse(self):
-        configs = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+        configs = sorted((ROOT / "configs").glob("*.json"))
         assert configs
         for path in configs:
-            assert isinstance(cli.parse_config(json.loads(path.read_text())), cli.RunConfig)
+            doc = json.loads(path.read_text())
+            assert cli.parse_config(doc, doc["mode"]).command == doc["mode"]
 
-    def test_bad_mode(self):
-        with pytest.raises(ConfigError, match="mode"):
-            cli.parse_config({"mode": "warp"})
+    def test_bad_mode(self, tmp_path, capsys):
+        # the optional mode key must name the subcommand that reads the config
+        for mode in ("warp", "exact-g0", "perturbed", "gamma"):
+            with pytest.raises(ConfigError, match="^mode: "):
+                cli.parse_config({"mode": mode}, "simulate")
+        for command, config in (("verify", "gamma_rotation.json"), ("simulate", "section_sweep.json"),
+                                ("gamma", "reference_g0.json"), ("region", "perturbed_g005.json")):
+            out = tmp_path / command
+            assert cli.main([command, "--config", str(ROOT / "configs" / config), "--out", str(out)]) == 2
+            assert "configuration error: mode: " in capsys.readouterr().err
+            assert not out.exists()
 
     def test_bad_param_value(self):
         with pytest.raises(ConfigError, match="params"):
-            cli.parse_config({"params": {"alpha": -1.0}})
+            cli.parse_config({"params": {"alpha": -1.0}}, "simulate")
 
     def test_ensemble_requires_seed(self):
         with pytest.raises(ConfigError, match="ensemble.seed"):
-            cli.parse_config({"ensemble": {"count": 3, "energy": -0.5}})
+            cli.parse_config({"ensemble": {"count": 3, "energy": -0.5}}, "section")
 
     def test_initial_requires_fields(self):
         with pytest.raises(ConfigError, match="initial.cartesian.px"):
-            cli.parse_config({"initial": {"cartesian": {"x": 1.0, "y": 0.0, "py": 1.0}}})
+            cli.parse_config({"initial": {"cartesian": {"x": 1.0, "y": 0.0, "py": 1.0}}}, "simulate")
         cartesian = {"x": 0.0, "y": -1.0, "px": 0.5, "py": 0.0}
         elements = {"A": -0.5, "a": 0.5, "theta0": 1.0}
         for initial in ({"cartesian": cartesian, "elements": elements},
                         {"cartesian": cartesian, "nu": 2.0}):
             with pytest.raises(ConfigError, match="'cartesian' excludes"):
-                cli.parse_config({"initial": initial})
+                cli.parse_config({"initial": initial}, "simulate")
 
     def test_missing_initial_reported(self, tmp_path):
         doc = base_doc(tmp_path)
         del doc["initial"]
-        cfg = cli.parse_config(doc)
+        cfg = cli.parse_config(doc, "simulate")
         with pytest.raises(ConfigError, match="initial"):
             cli.resolve_initial(cfg)
 
     def test_negative_n(self):
         with pytest.raises(ConfigError, match="n_collisions"):
-            cli.parse_config({"n_collisions": -1})
+            cli.parse_config({"n_collisions": -1}, "simulate")
 
 
 # JSON values as json.loads returns them: NaN, +-Infinity and integers beyond
@@ -125,6 +136,7 @@ def mostly(good, *bad):
     return st.integers(0, 9).flatmap(lambda i: good if i < 9 else st.one_of(*bad))
 
 
+COMMANDS = ("simulate", "gamma", "section", "region", "verify")
 NUMBER = mostly(st.floats(-3.0, 3.0) | st.integers(-3, 3), JSON_ANY)
 
 
@@ -140,7 +152,7 @@ def json_object(fields):
 
 CONFIG_DOCS = json_object({
     "params": json_object({"alpha": NUMBER, "g": NUMBER, "h": NUMBER}),
-    "mode": st.sampled_from(cli.MODES),
+    "mode": st.sampled_from(COMMANDS),
     "n_collisions": st.integers(-2, 5),
     "initial": json_object({
         "cartesian": json_object({k: NUMBER for k in ("x", "y", "px", "py", "t")}),
@@ -157,10 +169,10 @@ CONFIG_DOCS = json_object({
 class TestConfigFuzz:
     @settings(max_examples=500, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(doc=CONFIG_DOCS)
-    def test_parse_config_returns_or_raises_config_error(self, doc):
+    @given(doc=CONFIG_DOCS, command=st.sampled_from(COMMANDS))
+    def test_parse_config_returns_or_raises_config_error(self, doc, command):
         try:
-            cfg = cli.parse_config(doc)
+            cfg = cli.parse_config(doc, command)
         except ConfigError:
             return
         assert isinstance(cfg, cli.RunConfig)
@@ -168,7 +180,7 @@ class TestConfigFuzz:
 
 class TestSimulate:
     def test_zero_collisions_headers_and_initial_row(self, tmp_path):
-        cfg = cli.parse_config(base_doc(tmp_path, n_collisions=0))
+        cfg = cli.parse_config(base_doc(tmp_path, n_collisions=0), "simulate")
         cli.cmd_simulate(cfg)
         header, rows = read_csv(cfg.output_dir / "events.csv")
         assert header == cli.EVENT_HEADER
@@ -178,7 +190,7 @@ class TestSimulate:
         assert len(t_rows) == 1
 
     def test_events_schema_and_R_column(self, tmp_path):
-        cfg = cli.parse_config(base_doc(tmp_path, n_collisions=100))
+        cfg = cli.parse_config(base_doc(tmp_path, n_collisions=100), "simulate")
         cli.cmd_simulate(cfg)
         header, rows = read_csv(cfg.output_dir / "events.csv")
         assert header == cli.EVENT_HEADER
@@ -187,22 +199,10 @@ class TestSimulate:
         assert np.ptp(R) / abs(R[0]) < 1e-9
         assert all(r[header.index("bounds_ok")] == "true" for r in rows)
 
-    def test_perturbed_matches_exact(self, tmp_path):
-        # params.g alone picks the flow: at g = 0 both modes write the same data
-        doc = base_doc(tmp_path, n_collisions=25)
-        cfg_exact = cli.parse_config(doc)
-        cli.cmd_simulate(cfg_exact)
-        doc2 = base_doc(tmp_path, n_collisions=25, mode="perturbed")
-        doc2["output_dir"] = str(tmp_path / "out2")
-        cfg_pert = cli.parse_config(doc2)
-        cli.cmd_simulate(cfg_pert)
-        for name in ("events.csv", "trajectory.csv"):
-            assert (cfg_exact.output_dir / name).read_bytes() == (cfg_pert.output_dir / name).read_bytes()
-
     def test_perturbed_cumulative_energy_drift(self, tmp_path):
-        doc = base_doc(tmp_path, n_collisions=20, mode="perturbed")
+        doc = base_doc(tmp_path, n_collisions=20)
         doc["params"]["g"] = 0.05
-        cfg = cli.parse_config(doc)
+        cfg = cli.parse_config(doc, "simulate")
         bundle = cli.cmd_simulate(cfg)
         drift = bundle.manifest["energy_drift"]
         assert set(drift) == {"H0", "max_rel_cumulative"}
@@ -216,7 +216,7 @@ class TestSimulate:
         assert max(float(r[2]) for r in samples) <= 1.0 + 1e-12
 
     def test_manifest_checksums(self, tmp_path):
-        cfg = cli.parse_config(base_doc(tmp_path, n_collisions=5))
+        cfg = cli.parse_config(base_doc(tmp_path, n_collisions=5), "simulate")
         bundle = cli.cmd_simulate(cfg)
         manifest = json.loads((cfg.output_dir / "manifest.json").read_text())
         assert bundle.manifest["files"]
@@ -226,22 +226,20 @@ class TestSimulate:
             assert len(data) == entry["bytes"]
         names = {e["name"] for e in manifest["files"]}
         assert names == {"events.csv", "trajectory.csv", "trajectory.svg"}
+        assert manifest["config"]["mode"] == "simulate"
+        # the energy audit comes at every g, the exact g = 0 route included
+        assert manifest["energy_drift"]["H0"] == pytest.approx(-0.25, abs=1e-15)
+        assert manifest["energy_drift"]["max_rel_cumulative"] <= 1e-10
 
     def test_byte_identical_reruns(self, tmp_path):
         doc1 = base_doc(tmp_path, n_collisions=30)
         doc1["output_dir"] = str(tmp_path / "a")
         doc2 = base_doc(tmp_path, n_collisions=30)
         doc2["output_dir"] = str(tmp_path / "b")
-        cli.cmd_simulate(cli.parse_config(doc1))
-        cli.cmd_simulate(cli.parse_config(doc2))
+        cli.cmd_simulate(cli.parse_config(doc1, "simulate"))
+        cli.cmd_simulate(cli.parse_config(doc2, "simulate"))
         for name in ("events.csv", "trajectory.csv", "trajectory.svg"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-    def test_exact_mode_rejects_g(self, tmp_path):
-        doc = base_doc(tmp_path)
-        doc["params"]["g"] = 0.1
-        with pytest.raises(ConfigError, match="params.g"):
-            cli.cmd_simulate(cli.parse_config(doc))
 
 
 class TestGamma:
@@ -249,7 +247,7 @@ class TestGamma:
         doc = cli.default_config("gamma")
         doc["n_collisions"] = 140
         doc["output_dir"] = str(tmp_path / "g")
-        cfg = cli.parse_config(doc)
+        cfg = cli.parse_config(doc, "gamma")
         cli.cmd_gamma(cfg)
         header, rows = read_csv(cfg.output_dir / "gamma.csv")
         assert header == ["n", "gamma", "delta2_gamma", "eps_observed", "parity"]
@@ -265,7 +263,7 @@ class TestGamma:
         doc = cli.default_config("gamma")
         doc["n_collisions"] = 2
         doc["output_dir"] = str(tmp_path / "g2")
-        cfg = cli.parse_config(doc)
+        cfg = cli.parse_config(doc, "gamma")
         cli.cmd_gamma(cfg)
         _, rows = read_csv(cfg.output_dir / "gamma.csv")
         assert len(rows) == 2
@@ -279,7 +277,7 @@ class TestGamma:
                  "px": 1.1602352984510336, "py": -0.05772422135138795}
         doc = {"mode": "gamma", "n_collisions": 500, "initial": {"cartesian": state},
                "output_dir": str(tmp_path / "g4")}
-        cli.cmd_gamma(cli.parse_config(doc))
+        cli.cmd_gamma(cli.parse_config(doc, "gamma"))
         _, rows = read_csv(tmp_path / "g4" / "gamma.csv")
         assert len(rows) == 452
         manifest = json.loads((tmp_path / "g4" / "manifest.json").read_text())
@@ -290,7 +288,7 @@ class TestGamma:
         doc["params"]["g"] = 0.01
         doc["output_dir"] = str(tmp_path / "g3")
         with pytest.raises(ConfigError, match="params.g"):
-            cli.cmd_gamma(cli.parse_config(doc))
+            cli.cmd_gamma(cli.parse_config(doc, "gamma"))
 
 
 class TestSection:
@@ -301,7 +299,7 @@ class TestSection:
             "ensemble": {"count": 3, "seed": 11, "energy": -1.0 / 6.0},
             "output_dir": str(tmp_path / "s"),
         }
-        cfg = cli.parse_config(doc)
+        cfg = cli.parse_config(doc, "section")
         cli.cmd_section(cfg)
         header, rows = read_csv(cfg.output_dir / "section.csv")
         assert header == ["seed_id", "n", "x", "lambda", "R_value"]
@@ -320,7 +318,7 @@ class TestSection:
                 "ensemble": {"count": 2, "seed": 7, "energy": -1.0 / 6.0},
                 "output_dir": str(tmp_path / f"sw{i}"),
             }
-            cli.cmd_section(cli.parse_config(doc))
+            cli.cmd_section(cli.parse_config(doc, "section"))
             manifest = json.loads((tmp_path / f"sw{i}" / "manifest.json").read_text())
             scatters.append(manifest["r_value_scatter"])
         assert scatters[0] < scatters[1] < scatters[2]
@@ -346,7 +344,7 @@ class TestSection:
         # takes it through all 150 collisions
         doc = cli.default_config("section")
         doc["output_dir"] = str(tmp_path / "sd")
-        cli.cmd_section(cli.parse_config(doc))
+        cli.cmd_section(cli.parse_config(doc, "section"))
         manifest = json.loads((tmp_path / "sd" / "manifest.json").read_text())
         assert manifest["failed_seeds"] == []
         _, rows = read_csv(tmp_path / "sd" / "section.csv")
@@ -359,7 +357,7 @@ class TestSection:
             "ensemble": {"count": 0, "seed": 3, "energy": -0.5},
             "output_dir": str(tmp_path / "s0"),
         }
-        cfg = cli.parse_config(doc)
+        cfg = cli.parse_config(doc, "section")
         cli.cmd_section(cfg)
         _, rows = read_csv(cfg.output_dir / "section.csv")
         assert rows == []
@@ -373,7 +371,7 @@ class TestRegion:
             "ensemble": {"count": 0, "seed": 0, "energy": -0.5},
             "output_dir": str(tmp_path / "r"),
         }
-        cfg = cli.parse_config(doc)
+        cfg = cli.parse_config(doc, "region")
         cli.cmd_region(cfg)
         header, rows = read_csv(cfg.output_dir / "region.csv")
         assert header == ["x", "p_plus", "p_minus"]
@@ -392,7 +390,7 @@ class TestRegion:
             "ensemble": {"count": 0, "seed": 0, "energy": -0.5},
             "output_dir": str(tmp_path / "rg"),
         }
-        cfg = cli.parse_config(doc)
+        cfg = cli.parse_config(doc, "region")
         cli.cmd_region(cfg)
         _, rows = read_csv(cfg.output_dir / "region.csv")
         x_max = float(rows[-1][0])
@@ -407,13 +405,26 @@ class TestRegion:
             r = math.hypot(x, p.h)
             assert abs(b**2 - max(-0.5 - p.g / r**2 + p.alpha / r, 0.0)) < 1e-12
 
+    def test_initial_energy_includes_g(self, tmp_path):
+        # region takes A from the state simulate starts from, g/r^2 included,
+        # so its interval holds every impact of that run
+        doc = json.loads((ROOT / "configs" / "perturbed_g005.json").read_text())
+        del doc["mode"]
+        doc["n_collisions"] = 10
+        doc["output_dir"] = str(tmp_path / "s")
+        cli.cmd_simulate(cli.parse_config(doc, "simulate"))
+        doc["output_dir"] = str(tmp_path / "r")
+        region = cli.cmd_region(cli.parse_config(doc, "region")).manifest
+        assert region["A"] == pytest.approx(-0.1875, abs=1e-12)
+        header, rows = read_csv(tmp_path / "s" / "events.csv")
+        xs = [float(r[header.index("x_impact")]) for r in rows]
+        assert len(xs) == 10
+        assert region["x_min"] <= min(xs) and max(xs) <= region["x_max"]
+
     def test_region_requires_energy(self, tmp_path):
         doc = {"mode": "region", "output_dir": str(tmp_path / "rx")}
         with pytest.raises(ConfigError, match="region"):
-            cli.cmd_region(cli.parse_config(doc))
-
-
-ROOT = Path(__file__).resolve().parent.parent
+            cli.cmd_region(cli.parse_config(doc, "region"))
 
 
 def run_python(code: str) -> str:
@@ -467,7 +478,7 @@ class TestMainExitCodes:
     @pytest.mark.parametrize(
         "edit, flags",
         [
-            ({"mode": "perturbed", "params": {"g": math.nan}}, []),
+            ({"params": {"g": math.nan}}, []),
             ({"ensemble": {"count": 2, "seed": 1, "energy": math.inf}}, []),
             ({"initial": {"elements": {"A": -0.5, "a": 0.5657, "theta0": math.nan}}}, []),
             ({"initial": {"elements": {"A": 0.5, "a": 0.5657, "theta0": 1.2}}}, []),
@@ -477,11 +488,11 @@ class TestMainExitCodes:
             ({"output_dir": None}, []),
             ({"output_dir": ["out"]}, []),
             ({"output_dir": "out\0x"}, []),
-            ({}, ["--g", "0.1"]),
+            ({}, ["--n", "-1"]),
         ],
         ids=["g-nan", "energy-inf", "theta0-nan", "A-positive", "flag-g-nan",
              "seed-negative", "output_dir-int", "output_dir-null", "output_dir-list",
-             "output_dir-nul", "exact-g0-with-g"],
+             "output_dir-nul", "flag-n-negative"],
     )
     def test_bad_numbers_exit_2(self, tmp_path, capsys, monkeypatch, edit, flags):
         monkeypatch.chdir(tmp_path)  # nothing may be written, not even here
@@ -495,9 +506,9 @@ class TestMainExitCodes:
         "doc, flags",
         [
             ([1, 2], ["--n", "3"]),
-            ({"params": [1.0], "mode": "exact-g0"}, ["--g", "0.1"]),
-            ({"params": None, "mode": "exact-g0"}, ["--g", "0.1"]),
-            ({"mode": "section", "ensemble": [1]}, ["--seed", "3"]),
+            ({"params": [1.0]}, ["--g", "0.1"]),
+            ({"params": None}, ["--g", "0.1"]),
+            ({"ensemble": [1]}, ["--seed", "3"]),
         ],
         ids=["root-list", "params-list", "params-null", "ensemble-list"],
     )
@@ -532,7 +543,7 @@ class TestMainExitCodes:
 
     def test_runtime_error_exit_3(self, tmp_path, capsys):
         doc = {
-            "mode": "exact-g0",
+            "mode": "simulate",
             "n_collisions": 5,
             "initial": {"cartesian": {"x": 1.0, "y": 0.0, "px": 0.0, "py": 2.0}},
             "output_dir": str(tmp_path / "u"),
@@ -551,11 +562,83 @@ class TestMainExitCodes:
         _, rows = read_csv(out / "events.csv")
         assert len(rows) == 3
 
+    @pytest.mark.parametrize(
+        "doc, flags",
+        [
+            ({"params": {"g": 0.3}}, []),
+            ({"n_collisions": 5}, []),
+            ({"initial": {"cartesian": {"x": 0.0, "y": -1.0, "px": 0.5, "py": 0.0}}}, []),
+            ({"ensemble": {"count": 2, "seed": 1, "energy": -0.5}}, []),
+            (None, ["--g", "0.3"]),
+            (None, ["--n", "5"]),
+            (None, ["--seed", "5"]),
+        ],
+        ids=["params", "n_collisions", "initial", "ensemble", "flag-g", "flag-n", "flag-seed"],
+    )
+    def test_verify_rejects_run_inputs(self, tmp_path, capsys, monkeypatch, doc, flags):
+        # verify runs its built-in references: an input it would ignore is an error
+        monkeypatch.setattr(cli, "run_verify_checks", lambda: pytest.fail("verify ran"))
+        out = tmp_path / "v"
+        argv = ["verify", "--out", str(out), *flags]
+        if doc is not None:
+            f = tmp_path / "c.json"
+            f.write_text(json.dumps({"mode": "verify", **doc}))
+            argv += ["--config", str(f)]
+        assert cli.main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_flag_without_ensemble_exit_2(self, tmp_path):
         doc = cli.default_config("simulate")
         f = tmp_path / "c.json"
         f.write_text(json.dumps(doc))
         assert cli.main(["simulate", "--config", str(f), "--seed", "5"]) == 2
+
+
+# finite numbers, mostly moderate, with the extremes that overflow or
+# underflow on the way: +-1e-300 and +-1e300
+EXTREME = st.sampled_from([1e-300, -1e-300, 1e300, -1e300])
+FINITE = st.one_of(st.floats(-3.0, 3.0), st.integers(-3, 3), EXTREME)
+# parameters are mostly valid, so that most runs get past the config check
+PARAM = st.one_of(st.floats(0.0, 3.0), EXTREME)
+MAIN_DOCS = st.fixed_dictionaries({}, optional={
+    "params": st.fixed_dictionaries({}, optional={k: PARAM for k in ("alpha", "g", "h")}),
+    "n_collisions": st.integers(0, 5),
+    "initial": st.one_of(
+        st.fixed_dictionaries({"cartesian": st.fixed_dictionaries(
+            {k: FINITE for k in ("x", "y", "px", "py")})}),
+        st.fixed_dictionaries({"elements": st.fixed_dictionaries(
+            {k: FINITE for k in ("A", "a", "theta0")}), "nu": FINITE}),
+    ),
+    "ensemble": st.fixed_dictionaries(
+        {"count": st.integers(0, 3), "seed": st.integers(0, 2**32), "energy": FINITE}),
+})
+
+
+ELEMENTS = {"elements": {"A": -0.5, "a": 0.5, "theta0": 1.2}, "nu": 0.0}
+
+
+class TestMainFuzz:
+    # each of these let an ArithmeticError escape main as a traceback
+    @example("simulate", {"params": {"h": 1e-300}, "n_collisions": 1, "initial": ELEMENTS}, False)
+    @example("simulate", {"params": {"alpha": 1e-300}, "n_collisions": 1, "initial": ELEMENTS}, False)
+    @example("simulate", {"initial": {"cartesian": {"x": 1e300, "y": 0.0, "px": 0.0, "py": 0.0}}},
+             False)
+    @example("section", {"n_collisions": 1, "ensemble": {"count": 1, "seed": 0, "energy": -1e-300}},
+             True)
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(("simulate", "gamma", "section", "region")),
+           doc=MAIN_DOCS, name_mode=st.booleans())
+    def test_main_exits_0_2_or_3(self, tmp_path, capsys, command, doc, name_mode):
+        # no traceback escapes main: a run succeeds, rejects its config or
+        # reports a runtime error (verify, at about 10 s a call, is left out)
+        if name_mode:
+            doc = {**doc, "mode": command}
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps(doc))
+        assert cli.main([command, "--config", str(f), "--out", str(tmp_path / "o")]) in (0, 2, 3)
+        capsys.readouterr()
 
 
 class TestVerifyFaultInjection:
@@ -575,6 +658,9 @@ class TestVerifyFaultInjection:
         assert "verify: FAIL" in capsys.readouterr().out
         report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
         assert report["all_passed"] is False
+        # the echo holds the whole verify config: the suite takes no run inputs
+        manifest = json.loads((tmp_path / "v" / "manifest.json").read_text())
+        assert manifest["config"] == {"mode": "verify", "output_dir": str(tmp_path / "v")}
         assert {c["name"] for c in report["checks"] if not c["pass"]} == set(failing)
         # every check reports its measured value and a margin that is
         # non-negative exactly when it passes

@@ -18,7 +18,7 @@ from kepler_billiard.delaunay import (
     spread_by_parity,
 )
 from kepler_billiard.errors import (
-    BranchUnavailable,
+    GammaUndefined,
     InsufficientData,
 )
 from kepler_billiard.kepler import Params
@@ -57,7 +57,7 @@ class TestABranch:
             eps = 1 if rng.uniform() < 0.5 else -1
             try:
                 a = a_branch(th, R, L_REF, eps, params)
-            except BranchUnavailable:
+            except GammaUndefined:
                 continue
             e = math.sqrt(max(1.0 - a * a / (L_REF * L_REF), 0.0))
             resid = abs(a * a - R + params.h * params.alpha * math.sin(th) * e)
@@ -66,9 +66,9 @@ class TestABranch:
 
     def test_continuation_root_rejected(self, params):
         # at sin > 0 the eps = +1 quadratic root solves the e < 0 mirror only
-        with pytest.raises(BranchUnavailable):
+        with pytest.raises(GammaUndefined):
             a_branch(math.pi / 2, R_REF, L_REF, 1, params)
-        with pytest.raises(BranchUnavailable):
+        with pytest.raises(GammaUndefined):
             a_branch(1.5 * math.pi, R_REF, L_REF, -1, params)
 
     def test_requires_negative_L(self, params):
@@ -78,7 +78,7 @@ class TestABranch:
     def test_negative_discriminant(self, params):
         # R > L^2 kills the discriminant near sin(theta0) = 0
         R = 1.6
-        with pytest.raises(BranchUnavailable):
+        with pytest.raises(GammaUndefined):
             a_branch(0.05, R, L_REF, -1, params)
 
 

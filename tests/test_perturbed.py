@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 from kepler_billiard import billiard, perturbed
 from kepler_billiard.billiard import TOL_EVENT, conserved_R, run, step
 from kepler_billiard.delaunay import initial_state_on_level
-from kepler_billiard.errors import EscapeDetected, NoCollision
+from kepler_billiard.errors import NoCollision, StepFailure, Unbound
 from kepler_billiard.kepler import (
     CartesianState,
     OrbitalElements,
@@ -84,8 +84,16 @@ class TestIntegrateToWall:
 
     def test_escape_detected(self):
         p = Params()
-        with pytest.raises(EscapeDetected):
+        with pytest.raises(Unbound):
             integrate_to_wall(CartesianState(1.0, 0.0, 0.0, 2.0), p)
+
+    def test_escape_radius_is_step_failure(self):
+        # a bound orbit whose apoapsis lies far beyond ESCAPE_RADIUS, heading out
+        p = Params(alpha=100.0)
+        s = CartesianState(0.0, -0.5, 0.0, -math.sqrt(200.0 * (1.0 - 1e-5)))
+        assert s.hamiltonian(p) < 0.0
+        with pytest.raises(StepFailure, match="left bounding radius"):
+            integrate_to_wall(s, p)
 
     def test_no_collision_timeout(self, monkeypatch):
         p = Params()
