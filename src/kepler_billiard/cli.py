@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from . import __version__, billiard, delaunay, perturbed, reference
 from .errors import (
     BilliardError,
     ConfigError,
+    Degenerate,
     EmptyLevelSet,
     EmptyRegion,
     InsufficientData,
@@ -56,8 +57,7 @@ class RunConfig:
     params: Params
     command: str
     n_collisions: int = 0
-    initial_state: CartesianState | None = None
-    initial_elements: tuple[OrbitalElements, float] | None = None
+    initial: CartesianState | None = None
     ensemble: EnsembleSpec | None = None
     output_dir: Path = Path("out")
 
@@ -69,6 +69,16 @@ class OutputBundle:
 
 
 # ---------------------------------------------------------------- config ---
+
+# the run inputs each subcommand reads, besides "mode" and "output_dir"; a
+# document that sets any other field is a configuration error
+FIELDS = {
+    "simulate": ("params", "initial", "n_collisions"),
+    "gamma": ("params", "initial", "n_collisions"),
+    "section": ("params", "initial", "n_collisions", "ensemble"),
+    "region": ("params", "initial", "ensemble"),
+    "verify": (),
+}
 
 
 def _expect_number(obj, path: str) -> float:
@@ -95,7 +105,8 @@ def _expect_object(obj, path: str, known: tuple[str, ...]) -> dict:
     return obj
 
 
-def _parse_initial(doc, params: Params, path: str):
+def _parse_initial(doc, params: Params, path: str) -> CartesianState:
+    """The start state of ``doc``, on or below the wall."""
     doc = _expect_object(doc, path, ("cartesian", "elements", "nu"))
     if "cartesian" in doc:
         if "elements" in doc or "nu" in doc:
@@ -105,8 +116,8 @@ def _parse_initial(doc, params: Params, path: str):
         for k in ("x", "y", "px", "py"):
             if k not in c:
                 raise ConfigError(f"{path}.cartesian.{k}: required")
-        return CartesianState(**vals), None
-    if "elements" in doc:
+        s = CartesianState(**vals)
+    elif "elements" in doc:
         e = _expect_object(doc["elements"], f"{path}.elements", ("A", "a", "theta0"))
         for k in ("A", "a", "theta0"):
             if k not in e:
@@ -121,23 +132,30 @@ def _parse_initial(doc, params: Params, path: str):
         except ValueError as exc:
             raise ConfigError(f"{path}.elements: {exc}") from exc
         nu = _expect_number(doc.get("nu", 0.0), f"{path}.nu")
-        return None, (el, nu)
-    raise ConfigError(f"{path}: need either 'cartesian' or 'elements'")
+        try:
+            s = cartesian_from_elements(el, nu, params)
+        except (Degenerate, ArithmeticError) as exc:
+            raise ConfigError(f"{path}.elements: {type(exc).__name__}: {exc}") from exc
+    else:
+        raise ConfigError(f"{path}: need either 'cartesian' or 'elements'")
+    # the rule billiard.step applies to the state it starts from
+    if s.y > params.h + billiard.TOL_EVENT:
+        raise ConfigError(f"{path}: the start lies above the wall (y = {s.y!r} > h = {params.h!r})")
+    return s
 
 
 def parse_config(doc: dict, command: str) -> RunConfig:
     """The configuration of a ``command`` run from its JSON document.
 
     The optional ``mode`` key must name ``command``, so a config written for
-    one subcommand cannot run under another.  ``verify`` runs its built-in
-    references, so its document holds nothing but ``mode`` and ``output_dir``.
+    one subcommand cannot run under another.  The document may set only the
+    fields ``FIELDS[command]`` lists, and a run gets exactly one start: an
+    ``initial`` state, or for ``section`` and ``region`` an ``ensemble``.
     """
     if isinstance(doc, dict) and doc.get("mode", command) != command:
         raise ConfigError(f"mode: this config is for {doc['mode']!r}, not {command!r}")
-    fields = ("mode", "output_dir")
-    if command != "verify":
-        fields += ("params", "initial", "n_collisions", "ensemble")
-    doc = _expect_object(doc, "", fields)
+    fields = FIELDS[command]
+    doc = _expect_object(doc, "", ("mode", "output_dir") + fields)
     pdoc = _expect_object(doc.get("params", {}), "params", ("alpha", "g", "h"))
     try:
         params = Params(
@@ -151,7 +169,7 @@ def parse_config(doc: dict, command: str) -> RunConfig:
     if n < 0:
         raise ConfigError("n_collisions: must be >= 0")
     ensemble = None
-    if "ensemble" in doc and doc["ensemble"] is not None:
+    if doc.get("ensemble") is not None:
         e = _expect_object(doc["ensemble"], "ensemble", ("count", "seed", "energy"))
         if "seed" not in e:
             raise ConfigError("ensemble.seed: required for reproducibility")
@@ -168,19 +186,14 @@ def parse_config(doc: dict, command: str) -> RunConfig:
     # a NUL byte would fail only when the directory is made
     if not isinstance(out, str) or "\0" in out:
         raise ConfigError(f"output_dir: expected a path string, got {out!r}")
-    cfg = RunConfig(params=params, command=command, n_collisions=n, ensemble=ensemble, output_dir=Path(out))
-    if "initial" in doc and doc["initial"] is not None:
-        cfg.initial_state, cfg.initial_elements = _parse_initial(doc["initial"], params, "initial")
-    return cfg
-
-
-def resolve_initial(cfg: RunConfig) -> CartesianState:
-    if cfg.initial_state is not None:
-        return cfg.initial_state
-    if cfg.initial_elements is not None:
-        el, nu = cfg.initial_elements
-        return cartesian_from_elements(el, nu, Params(alpha=cfg.params.alpha, g=0.0, h=cfg.params.h))
-    raise ConfigError(f"initial: required for {cfg.command}")
+    initial = None
+    if doc.get("initial") is not None:
+        initial = _parse_initial(doc["initial"], params, "initial")
+    if "initial" in fields and (initial is None) == (ensemble is None):
+        starts = " or ".join(k for k in ("initial", "ensemble") if k in fields)
+        raise ConfigError(f"{starts}: {command} needs exactly one start")
+    return RunConfig(params=params, command=command, n_collisions=n, initial=initial,
+                     ensemble=ensemble, output_dir=Path(out))
 
 
 # ----------------------------------------------------------- serialization ---
@@ -211,23 +224,16 @@ def _sha256(path: Path) -> str:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    doc: dict = {"mode": cfg.command, "output_dir": str(cfg.output_dir)}
-    if cfg.command == "verify":
-        return doc
-    doc["params"] = {"alpha": cfg.params.alpha, "g": cfg.params.g, "h": cfg.params.h}
-    doc["n_collisions"] = cfg.n_collisions
-    if cfg.initial_state is not None:
-        s = cfg.initial_state
-        doc["initial"] = {"cartesian": {"x": s.x, "y": s.y, "px": s.px, "py": s.py, "t": s.t}}
-    elif cfg.initial_elements is not None:
-        el, nu = cfg.initial_elements
-        doc["initial"] = {"elements": {"A": el.A, "a": el.a, "theta0": el.theta0}, "nu": nu}
-    if cfg.ensemble is not None:
-        doc["ensemble"] = {
-            "count": cfg.ensemble.count,
-            "seed": cfg.ensemble.seed,
-            "energy": cfg.ensemble.energy,
-        }
+    """The run's config as a document that reproduces it: the fields its
+    subcommand reads, the start as the Cartesian state it resolved to."""
+    values = {
+        "params": asdict(cfg.params),
+        "n_collisions": cfg.n_collisions,
+        "initial": None if cfg.initial is None else {"cartesian": asdict(cfg.initial)},
+        "ensemble": None if cfg.ensemble is None else asdict(cfg.ensemble),
+    }
+    doc = {"mode": cfg.command, "output_dir": str(cfg.output_dir)}
+    doc.update((k, values[k]) for k in FIELDS[cfg.command] if values[k] is not None)
     return doc
 
 
@@ -369,29 +375,31 @@ EVENT_HEADER = [
 
 
 def _energy_drift(s0: CartesianState, res: billiard.BilliardRun, p: Params) -> dict:
-    """H0 and the largest |H - H0|/|H0| over the samples and the impact states."""
+    """H0 and the largest |H - H0| over the samples and the impact states,
+    each relative to the sum of the magnitudes of H's three terms there
+    (near a pericentre |H0| is far below the round-off of that sum)."""
     H0 = s0.hamiltonian(p)
     _, x, y, px, py = res.samples.T
-    r2 = x * x + y * y
-    H_samples = 0.5 * (px * px + py * py) - 0.5 * p.alpha / np.sqrt(r2) + 0.5 * p.g / r2
-    # an impact state's twice-energy is its post elements' (g = 0) A plus g/r^2
-    H_impacts = [0.5 * (ev.post.A + p.g / (ev.r * ev.r)) for ev in res.events]
-    drift = np.abs(np.concatenate([H_samples, H_impacts]) - H0)
-    scale = abs(H0) if H0 != 0.0 else 1.0
+    r_imp = np.array([ev.r for ev in res.events])
+    A_imp = np.array([ev.post.A for ev in res.events])
+    r = np.concatenate([np.hypot(x, y), r_imp])
+    # an impact state's p^2 is its post elements' (g = 0) A plus alpha/r
+    kinetic = 0.5 * np.concatenate([px * px + py * py, A_imp + p.alpha / r_imp])
+    kepler, centrifugal = 0.5 * p.alpha / r, 0.5 * p.g / (r * r)
+    drift = np.abs(kinetic - kepler + centrifugal - H0) / (kinetic + kepler + centrifugal)
     # np.max, so that a NaN is reported rather than skipped
-    return {"H0": H0, "max_rel_cumulative": float(np.max(drift)) / scale}
+    return {"H0": H0, "max_rel_cumulative": float(np.max(drift))}
 
 
 def cmd_simulate(cfg: RunConfig) -> OutputBundle:
     t0 = time.monotonic()
-    s0 = resolve_initial(cfg)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    res = billiard.run(s0, cfg.n_collisions, cfg.params, samples_per_arc=512)
+    res = billiard.run(cfg.initial, cfg.n_collisions, cfg.params, samples_per_arc=512)
     events, reports, samples = res.events, res.reports, res.samples
     extra: dict = {
         "no_collision": res.no_collision,
-        "energy_drift": _energy_drift(s0, res, cfg.params),
+        "energy_drift": _energy_drift(cfg.initial, res, cfg.params),
     }
     if res.halted:
         extra["halted"] = res.halted
@@ -415,10 +423,9 @@ def cmd_gamma(cfg: RunConfig) -> OutputBundle:
     t0 = time.monotonic()
     if cfg.params.g != 0.0:
         raise ConfigError("params.g: gamma requires g = 0")
-    s0 = resolve_initial(cfg)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    res = billiard.run(s0, cfg.n_collisions, cfg.params)
+    res = billiard.run(cfg.initial, cfg.n_collisions, cfg.params)
     samples = delaunay.gamma_series(res.events, cfg.params)
     files = []
     g_path = out / "gamma.csv"
@@ -507,9 +514,8 @@ def cmd_section(cfg: RunConfig) -> OutputBundle:
         seeds = _ensemble_seeds(cfg.ensemble, cfg.params)
         A = cfg.ensemble.energy
     else:
-        s0 = resolve_initial(cfg)
-        seeds = [s0]
-        A = s0.energy_A(cfg.params)
+        seeds = [cfg.initial]
+        A = cfg.initial.energy_A(cfg.params)
         if A >= 0.0:
             raise ConfigError(f"section: requires A < 0, got A = {A:g}")
     out = cfg.output_dir
@@ -551,13 +557,8 @@ def cmd_section(cfg: RunConfig) -> OutputBundle:
 
 def cmd_region(cfg: RunConfig) -> OutputBundle:
     t0 = time.monotonic()
-    if cfg.initial_state is not None or cfg.initial_elements is not None:
-        # the twice-energy of the state simulate starts from, g/r^2 included
-        A = resolve_initial(cfg).energy_A(cfg.params)
-    elif cfg.ensemble is not None:
-        A = cfg.ensemble.energy
-    else:
-        raise ConfigError("initial or ensemble.energy: required to fix A for region")
+    # the twice-energy of the state simulate starts from, g/r^2 included
+    A = cfg.ensemble.energy if cfg.initial is None else cfg.initial.energy_A(cfg.params)
     if A >= 0.0:
         raise ConfigError(f"region: requires A < 0, got A = {A:g}")
     x_min, x_max = billiard.accessible_interval(A, cfg.params)
@@ -701,9 +702,7 @@ def run_verify_checks() -> list[Check]:
     # anisochrony: omega at R vs R*(1+1e-3)
     L, R_lvl = reference.gamma_level()
     om1, e1 = delaunay.omega_estimate_of(samples)
-    s1 = delaunay.initial_state_on_level(L, R_lvl * (1.0 + 1e-3), p)
-    samples2 = delaunay.gamma_series(billiard.run(s1, 600, p).events, p)
-    om2, e2 = delaunay.omega_estimate_of(samples2)
+    om2, e2 = delaunay.omega_of_level(L, R_lvl * (1.0 + 1e-3), p, 600)
     noise = math.hypot(e1, e2)
     m["anisochrony_ratio"] = abs(om2 - om1) / noise if noise > 0.0 else math.inf
 

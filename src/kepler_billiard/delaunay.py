@@ -376,7 +376,7 @@ def omega_estimate_of(samples: list[GammaSample]) -> tuple[float, float]:
     return float(np.mean(d)), float(np.std(d) / math.sqrt(d.size))
 
 
-def _omega_of_level(L: float, R: float, p: Params, n_events: int) -> tuple[float, float]:
+def omega_of_level(L: float, R: float, p: Params, n_events: int) -> tuple[float, float]:
     """(mean, stderr) of delta2_gamma for a fresh orbit on the level (L, R)."""
     s0 = initial_state_on_level(L, R, p)
     res = billiard.run(s0, n_events, p)
@@ -398,8 +398,8 @@ def conjecture_report(
     spread_even, spread_odd = spread_by_parity(samples)
     omega, stderr = omega_estimate_of(samples)
     dR = 1e-4 * abs(R)
-    om_hi, _ = _omega_of_level(L, R + dR, p, N_RERUN)
-    om_lo, _ = _omega_of_level(L, R - dR, p, N_RERUN)
+    om_hi, _ = omega_of_level(L, R + dR, p, N_RERUN)
+    om_lo, _ = omega_of_level(L, R - dR, p, N_RERUN)
     return ConjectureReport(
         R=R,
         L=L,

@@ -48,7 +48,6 @@ class PerturbedRun:
     """
 
     events: list[billiard.CollisionEvent]
-    H0: float
     max_rel_drift: float
 
 
@@ -163,7 +162,7 @@ def run_perturbed(s0: CartesianState, n: int, p: Params) -> PerturbedRun:
     scale = abs(H0) if H0 != 0.0 else 1.0
     # np.max, so that a NaN drift is reported rather than skipped
     max_rel = float(np.max(drifts)) / scale if drifts else 0.0
-    return PerturbedRun(events=events, H0=H0, max_rel_drift=max_rel)
+    return PerturbedRun(events=events, max_rel_drift=max_rel)
 
 
 def section_ensemble(seeds: list[CartesianState], n: int, p: Params) -> list[SeedOutcome]:

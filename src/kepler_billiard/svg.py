@@ -15,22 +15,25 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+# canvas size and plot-area margin in pixels: module constants, as _px and _py
+# run per plotted point and Python 3.11 reads class attributes slowly there
+WIDTH, HEIGHT, MARGIN = 720, 540, 56
+TICKS = 5  # per axis
+MARKER_SIZE = 3.0  # half-width of the plus and cross markers, in pixels
+
+
 class Figure:
+    width, height, margin = WIDTH, HEIGHT, MARGIN
+
     def __init__(
         self,
         xlim: tuple[float, float],
         ylim: tuple[float, float],
-        width: int = 720,
-        height: int = 540,
-        margin: int = 56,
         title: str = "",
         xlabel: str = "",
         ylabel: str = "",
         equal_aspect: bool = False,
     ):
-        self.width = width
-        self.height = height
-        self.margin = margin
         x0, x1 = xlim
         y0, y1 = ylim
         if x1 <= x0:
@@ -39,8 +42,8 @@ class Figure:
             y1 = y0 + 1.0
         if equal_aspect:
             # widen the shorter data span so units map to equal pixel lengths
-            avail_w = width - 2 * margin
-            avail_h = height - 2 * margin
+            avail_w = WIDTH - 2 * MARGIN
+            avail_h = HEIGHT - 2 * MARGIN
             sx = avail_w / (x1 - x0)
             sy = avail_h / (y1 - y0)
             if sx < sy:
@@ -60,13 +63,11 @@ class Figure:
 
     def _px(self, x: float) -> float:
         x0, x1 = self.xlim
-        return self.margin + (x - x0) / (x1 - x0) * (self.width - 2 * self.margin)
+        return MARGIN + (x - x0) / (x1 - x0) * (WIDTH - 2 * MARGIN)
 
     def _py(self, y: float) -> float:
         y0, y1 = self.ylim
-        return self.height - self.margin - (y - y0) / (y1 - y0) * (
-            self.height - 2 * self.margin
-        )
+        return HEIGHT - MARGIN - (y - y0) / (y1 - y0) * (HEIGHT - 2 * MARGIN)
 
     def polyline(
         self,
@@ -91,12 +92,11 @@ class Figure:
             f"{dash}{op} points=\"{pts}\"/>"
         )
 
-    def line(self, x0, y0, x1, y1, stroke="#000000", width=1.0, dashed=False) -> None:
-        dash = ' stroke-dasharray="6 4"' if dashed else ""
+    def line(self, x0, y0, x1, y1, stroke="#000000", width=1.0) -> None:
         self._body.append(
             f'<line x1="{_fmt(self._px(x0))}" y1="{_fmt(self._py(y0))}" '
             f'x2="{_fmt(self._px(x1))}" y2="{_fmt(self._py(y1))}" '
-            f'stroke="{stroke}" stroke-width="{width:g}"{dash}/>'
+            f'stroke="{stroke}" stroke-width="{width:g}"/>'
         )
 
     def dot(self, x, y, radius=2.0, fill="#000000") -> None:
@@ -105,16 +105,16 @@ class Figure:
             f'r="{radius:g}" fill="{fill}"/>'
         )
 
-    def marker_plus(self, x, y, size=3.0, stroke="#1f77b4") -> None:
-        cx, cy = self._px(x), self._py(y)
+    def marker_plus(self, x, y, stroke="#1f77b4") -> None:
+        cx, cy, size = self._px(x), self._py(y), MARKER_SIZE
         self._body.append(
             f'<path d="M {_fmt(cx - size)} {_fmt(cy)} H {_fmt(cx + size)} '
             f'M {_fmt(cx)} {_fmt(cy - size)} V {_fmt(cy + size)}" '
             f'stroke="{stroke}" stroke-width="1" fill="none"/>'
         )
 
-    def marker_cross(self, x, y, size=3.0, stroke="#d62728") -> None:
-        cx, cy = self._px(x), self._py(y)
+    def marker_cross(self, x, y, stroke="#d62728") -> None:
+        cx, cy, size = self._px(x), self._py(y), MARKER_SIZE
         self._body.append(
             f'<path d="M {_fmt(cx - size)} {_fmt(cy - size)} L {_fmt(cx + size)} {_fmt(cy + size)} '
             f'M {_fmt(cx - size)} {_fmt(cy + size)} L {_fmt(cx + size)} {_fmt(cy - size)}" '
@@ -127,13 +127,12 @@ class Figure:
             f'font-family="monospace" text-anchor="{anchor}">{s}</text>'
         )
 
-    def _ticks(self, lo: float, hi: float, n: int = 5) -> list[float]:
-        return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    def _ticks(self, lo: float, hi: float) -> list[float]:
+        return [lo + (hi - lo) * i / (TICKS - 1) for i in range(TICKS)]
 
     def _axes(self) -> list[str]:
         out: list[str] = []
-        m = self.margin
-        w, h = self.width, self.height
+        m, w, h = MARGIN, WIDTH, HEIGHT
         out.append(
             f'<rect x="{m}" y="{m}" width="{w - 2 * m}" height="{h - 2 * m}" '
             'fill="none" stroke="#444444" stroke-width="1"/>'
@@ -178,8 +177,8 @@ class Figure:
     def to_svg(self) -> str:
         head = (
             '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {self.width} {self.height}" '
-            f'width="{self.width}" height="{self.height}">\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}" '
+            f'width="{WIDTH}" height="{HEIGHT}">\n'
             '<rect width="100%" height="100%" fill="#ffffff"/>\n'
         )
         return head + "\n".join(self._axes() + self._body) + "\n</svg>\n"

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from kepler_billiard import cli
 from kepler_billiard.errors import ConfigError
-from kepler_billiard.kepler import Params
+from kepler_billiard.kepler import OrbitalElements, Params, cartesian_from_elements
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,6 +34,12 @@ def base_doc(tmp_path, **extra):
     return doc
 
 
+# the reference ellipse of base_doc, a start above the wall and an ensemble
+ELEMENTS_REF = {"elements": {"A": -0.5, "a": math.sqrt(0.32), "theta0": 1.2}, "nu": 0.0}
+ABOVE_WALL = {"cartesian": {"x": 2.56, "y": 2.44, "px": -0.3, "py": -0.3}}
+ENSEMBLE = {"count": 1, "seed": 0, "energy": -0.3}
+
+
 def read_csv(path):
     lines = path.read_text().strip().split("\n")
     header = lines[0].split(",")
@@ -48,7 +55,6 @@ class TestConfigParsing:
         cartesian = {"x": 0.0, "y": -1.0, "px": 0.5, "py": 0.0}
         for doc, path in [
             ({"params": {"gg": 0.3}}, "params.gg"),
-            ({"ensemble": {"seed": 1, "energie": -0.9}}, "ensemble.energie"),
             ({"initial": {"cartesian": cartesian, "nuu": 0.0}}, "initial.nuu"),
             ({"initial": {"cartesian": {**cartesian, "z": 1.0}}}, "initial.cartesian.z"),
             ({"initial": {"elements": {"A": -0.5, "a": 0.5, "theta0": 1.0, "e": 0.1}}},
@@ -56,6 +62,8 @@ class TestConfigParsing:
         ]:
             with pytest.raises(ConfigError, match=f"^{path}: unknown config field"):
                 cli.parse_config(base_doc(tmp_path, **doc), "simulate")
+        with pytest.raises(ConfigError, match="^ensemble.energie: unknown config field"):
+            cli.parse_config({"ensemble": {"seed": 1, "energie": -0.9}}, "section")
 
     def test_unknown_tolerance_path(self, tmp_path, capsys):
         # the numerical settings are module constants: any tolerances
@@ -109,9 +117,38 @@ class TestConfigParsing:
     def test_missing_initial_reported(self, tmp_path):
         doc = base_doc(tmp_path)
         del doc["initial"]
+        with pytest.raises(ConfigError, match="^initial: simulate needs exactly one start"):
+            cli.parse_config(doc, "simulate")
+
+    def test_bad_ensemble_numbers(self):
+        for ensemble, path in (({"seed": 1, "energy": math.inf}, "ensemble.energy"),
+                               ({"seed": -1, "energy": -0.5}, "ensemble.seed"),
+                               ({"seed": 1, "count": -1}, "ensemble.count")):
+            with pytest.raises(ConfigError, match=f"^{path}: "):
+                cli.parse_config({"ensemble": ensemble}, "section")
+
+    def test_start_on_or_below_the_wall(self):
+        # the wall tolerance billiard.step allows a start, and nothing more
+        for y, ok in ((1.0 + 1e-12, True), (1.0 + 2e-12, False)):
+            doc = {"initial": {"cartesian": {"x": 0.5, "y": y, "px": 0.1, "py": -0.5}}}
+            if ok:
+                assert cli.parse_config(doc, "simulate").initial.y == y
+            else:
+                with pytest.raises(ConfigError, match="^initial: the start lies above the wall"):
+                    cli.parse_config(doc, "simulate")
+
+    def test_start_resolved_once(self, tmp_path):
+        # both forms of initial resolve to one Cartesian state, whatever g
+        doc = base_doc(tmp_path, params={"alpha": 1.0, "g": 0.05, "h": 1.0})
         cfg = cli.parse_config(doc, "simulate")
-        with pytest.raises(ConfigError, match="initial"):
-            cli.resolve_initial(cfg)
+        el = doc["initial"]["elements"]
+        expected = cartesian_from_elements(
+            OrbitalElements(A=el["A"], a=el["a"], theta0=el["theta0"]), 0.0, Params())
+        assert cfg.initial == expected
+        # a near-radial ellipse cannot carry a start
+        doc["initial"]["elements"]["a"] = 1e-9
+        with pytest.raises(ConfigError, match="^initial.elements: Degenerate: "):
+            cli.parse_config(doc, "simulate")
 
     def test_negative_n(self):
         with pytest.raises(ConfigError, match="n_collisions"):
@@ -211,9 +248,16 @@ class TestSimulate:
         _, samples = read_csv(cfg.output_dir / "trajectory.csv")
         assert len(rows) == 20 and len(samples) == 20 * 512
         # the samples start at the initial state and stay below the wall
-        s0 = cli.resolve_initial(cfg)
+        s0 = cfg.initial
         assert [float(v) for v in samples[0]] == pytest.approx([0.0, s0.x, s0.y, s0.px, s0.py], abs=1e-14)
         assert max(float(r[2]) for r in samples) <= 1.0 + 1e-12
+
+    def test_g0_energy_drift_is_not_round_off(self, tmp_path):
+        # the arc after impact 17 has e = 0.99993: at its pericentre the terms
+        # of H are about 6e3 and cancel to H0 = -0.25, so |H - H0|/|H0|
+        # read 5.2e-8 there; relative to the terms the exact flow is exact
+        cfg = cli.parse_config(base_doc(tmp_path, n_collisions=20), "simulate")
+        assert cli.cmd_simulate(cfg).manifest["energy_drift"]["max_rel_cumulative"] <= 1e-11
 
     def test_manifest_checksums(self, tmp_path):
         cfg = cli.parse_config(base_doc(tmp_path, n_collisions=5), "simulate")
@@ -413,6 +457,7 @@ class TestRegion:
         doc["n_collisions"] = 10
         doc["output_dir"] = str(tmp_path / "s")
         cli.cmd_simulate(cli.parse_config(doc, "simulate"))
+        del doc["n_collisions"]
         doc["output_dir"] = str(tmp_path / "r")
         region = cli.cmd_region(cli.parse_config(doc, "region")).manifest
         assert region["A"] == pytest.approx(-0.1875, abs=1e-12)
@@ -538,6 +583,38 @@ class TestMainExitCodes:
         assert "configuration error" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command, doc, flags, message",
+        [
+            *((command, {"initial": start}, [], "initial: the start lies above the wall")
+              for command in ("simulate", "gamma", "section", "region")
+              for start in (ABOVE_WALL, {**ELEMENTS_REF, "nu": 3.14159})),
+            ("simulate", {"initial": ELEMENTS_REF, "ensemble": ENSEMBLE}, [],
+             "ensemble: unknown config field"),
+            ("gamma", {"initial": ELEMENTS_REF, "ensemble": ENSEMBLE}, [],
+             "ensemble: unknown config field"),
+            ("region", {"ensemble": ENSEMBLE, "n_collisions": 50}, [],
+             "n_collisions: unknown config field"),
+            ("region", {"ensemble": ENSEMBLE}, ["--n", "50"], "n_collisions: unknown config field"),
+            ("section", {"initial": ELEMENTS_REF, "ensemble": ENSEMBLE}, [],
+             "initial or ensemble: section needs exactly one start"),
+            ("region", {"initial": ELEMENTS_REF, "ensemble": ENSEMBLE}, [],
+             "initial or ensemble: region needs exactly one start"),
+        ],
+        ids=[f"{c}-above-wall-{form}" for c in ("simulate", "gamma", "section", "region")
+             for form in ("cartesian", "elements")]
+        + ["simulate-ensemble", "gamma-ensemble", "region-n_collisions", "region-flag-n",
+           "section-both-starts", "region-both-starts"],
+    )
+    def test_config_boundary_exit_2(self, tmp_path, capsys, command, doc, flags, message):
+        # each run input is decided once, before anything is written
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({"mode": command, **doc}))
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(f), "--out", str(out), *flags]) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file_exit_2(self, tmp_path):
         assert cli.main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -618,6 +695,32 @@ MAIN_DOCS = st.fixed_dictionaries({}, optional={
 ELEMENTS = {"elements": {"A": -0.5, "a": 0.5, "theta0": 1.2}, "nu": 0.0}
 
 
+# the four built-in configs and the committed ones
+REFERENCE_RUNS = [[command] for command in ("simulate", "gamma", "section", "region")] + [
+    [json.loads(path.read_text())["mode"], "--config", str(path)]
+    for path in sorted((ROOT / "configs").glob("*.json"))
+]
+
+
+class TestConfigEcho:
+    @pytest.mark.parametrize("argv", REFERENCE_RUNS, ids=lambda argv: Path(argv[-1]).stem)
+    def test_echo_replays_the_run(self, tmp_path, argv):
+        # a manifest's config, the start written as the Cartesian state it
+        # resolved to, reruns to byte-identical data files
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert cli.main(argv + ["--out", str(first)]) == 0
+        echo = json.loads((first / "manifest.json").read_text())["config"]
+        assert "elements" not in echo.get("initial", {})
+        f = tmp_path / "echo.json"
+        f.write_text(json.dumps(echo))
+        assert cli.main([argv[0], "--config", str(f), "--out", str(second)]) == 0
+        manifests = [json.loads((d / "manifest.json").read_text()) for d in (first, second)]
+        assert manifests[1]["config"] == {**echo, "output_dir": str(second)}
+        assert [e["name"] for e in manifests[0]["files"]] == [e["name"] for e in manifests[1]["files"]]
+        for entry in manifests[0]["files"]:
+            assert (first / entry["name"]).read_bytes() == (second / entry["name"]).read_bytes()
+
+
 class TestMainFuzz:
     # each of these let an ArithmeticError escape main as a traceback
     @example("simulate", {"params": {"h": 1e-300}, "n_collisions": 1, "initial": ELEMENTS}, False)
@@ -626,18 +729,26 @@ class TestMainFuzz:
              False)
     @example("section", {"n_collisions": 1, "ensemble": {"count": 1, "seed": 0, "energy": -1e-300}},
              True)
+    # these ran, or failed only after the output directory was made
+    @example("simulate", {"initial": ABOVE_WALL, "n_collisions": 4}, False)
+    @example("section", {"initial": ELEMENTS, "n_collisions": 2, "ensemble": ENSEMBLE}, True)
     @settings(max_examples=200, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
     @given(command=st.sampled_from(("simulate", "gamma", "section", "region")),
            doc=MAIN_DOCS, name_mode=st.booleans())
     def test_main_exits_0_2_or_3(self, tmp_path, capsys, command, doc, name_mode):
-        # no traceback escapes main: a run succeeds, rejects its config or
-        # reports a runtime error (verify, at about 10 s a call, is left out)
+        # no traceback escapes main: a run succeeds, rejects its config
+        # without writing anything, or reports a runtime error (verify, at
+        # about 10 s a call, is left out)
         if name_mode:
             doc = {**doc, "mode": command}
         f = tmp_path / "c.json"
         f.write_text(json.dumps(doc))
-        assert cli.main([command, "--config", str(f), "--out", str(tmp_path / "o")]) in (0, 2, 3)
+        out = Path(tempfile.mkdtemp(dir=tmp_path)) / "o"
+        code = cli.main([command, "--config", str(f), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert not out.exists()
         capsys.readouterr()
 
 
