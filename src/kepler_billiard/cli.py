@@ -106,7 +106,7 @@ def _expect_object(obj, path: str, known: tuple[str, ...]) -> dict:
 
 
 def _parse_initial(doc, params: Params, path: str) -> CartesianState:
-    """The start state of ``doc``, on or below the wall."""
+    """The start state of ``doc``, on or below the wall and off the centre."""
     doc = _expect_object(doc, path, ("cartesian", "elements", "nu"))
     if "cartesian" in doc:
         if "elements" in doc or "nu" in doc:
@@ -141,6 +141,9 @@ def _parse_initial(doc, params: Params, path: str) -> CartesianState:
     # the rule billiard.step applies to the state it starts from
     if s.y > params.h + billiard.TOL_EVENT:
         raise ConfigError(f"{path}: the start lies above the wall (y = {s.y!r} > h = {params.h!r})")
+    # r = 0 is the singular point of the potential
+    if s.x == 0.0 and s.y == 0.0:
+        raise ConfigError(f"{path}: the start lies at the attraction centre (x = y = 0)")
     return s
 
 

@@ -90,23 +90,19 @@ def _a_sq_raw(s2: float, R: float, L: float, eps: int, p: Params) -> float:
     return t1 + eps * math.sqrt(max(disc, 0.0))
 
 
-def _dadR_raw(s2: float, R: float, L: float, eps: int, p: Params) -> float:
-    """d a / d R of the eps-labelled root (a > 0)."""
+def _dadR(s2: np.ndarray, R: float, L: float, eps: np.ndarray, p: Params) -> np.ndarray:
+    """d a / d R of the eps-labelled root (a > 0), nan where it is undefined.
+
+    Undefined means a negative discriminant, a branch point (vanishing
+    discriminant off the axis sin = 0) or a^2 <= 0 on the branch.
+    """
     t1, disc, m = _coeffs(s2, R, L, p)
-    if disc < 0.0:
-        raise GammaUndefined(f"discriminant {disc:g} < 0")
-    if s2 < 1e-30:
-        du = 1.0
-        u = R
-    else:
-        sd = math.sqrt(disc)
-        if sd == 0.0:
-            raise GammaUndefined("branch point: discriminant vanished")
-        du = 1.0 - eps * 0.5 * m / sd
-        u = t1 + eps * sd
-    if u <= 0.0:
-        raise GammaUndefined(f"a^2 = {u:g} <= 0 on branch")
-    return du / (2.0 * math.sqrt(u))
+    sd = np.sqrt(np.maximum(disc, 0.0))
+    axis = s2 < 1e-30
+    du = np.where(axis, 1.0, 1.0 - eps * 0.5 * m / np.where(sd > 0.0, sd, 1.0))
+    u = np.where(axis, R, t1 + eps * sd)
+    bad = (disc < 0.0) | (~axis & (sd == 0.0)) | (u <= 0.0)
+    return np.where(bad, np.nan, du / (2.0 * np.sqrt(np.where(bad, 1.0, u))))
 
 
 def a_branch(theta0: float, R: float, L: float, eps: int, p: Params) -> float:
@@ -177,8 +173,8 @@ def _half_turns(theta0: float):
 def quad(*args, **kwargs):
     """``scipy.integrate.quad``, with scipy.integrate imported on the first call.
 
-    Only ``gamma`` and ``verify`` integrate, so the other subcommands never
-    pay for loading it.
+    Only the oracle :func:`generating_integral` calls it; gamma itself runs
+    on numpy alone, so no subcommand pays for loading scipy.integrate here.
     """
     import scipy.integrate
 
@@ -195,19 +191,159 @@ def _quad_piece(f, lo: float, hi: float) -> float:
     return val
 
 
+# The 21-point Gauss-Kronrod pair of QUADPACK's qk21: the Kronrod nodes in
+# [0, 1] (the rule is symmetric) and their weights, and the weights of the
+# embedded 10-point Gauss rule, whose nodes are the Kronrod nodes 1, 3, ..., 9.
+_XK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_WK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+_NODES = np.array(_XK + tuple(-x for x in _XK[-2::-1]))
+_W_KRONROD = np.array(_WK + _WK[-2::-1])
+_W_GAUSS = np.zeros(21)
+_W_GAUSS[1:10:2] = _WG
+_W_GAUSS[11:20:2] = _WG[::-1]
+QUAD_LIMIT = 200  # panels per piece, as QUADPACK's limit in _quad_piece
+_EPS50 = 50.0 * np.finfo(float).eps
+
+
+def _gk21(f, a: np.ndarray, b: np.ndarray, k: np.ndarray):
+    """(value, error estimate) of the 21-point rule on each panel [a, b] of piece k.
+
+    The error estimate is QUADPACK's: the Kronrod-Gauss difference, scaled
+    against the integrand's variation on the panel and floored at 50 ulp of
+    the integral of |f|.
+    """
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fx = f(c[:, None] + h[:, None] * _NODES, k)
+    resk = (fx * _W_KRONROD).sum(axis=1)
+    resg = (fx * _W_GAUSS).sum(axis=1)
+    ah = np.abs(h)
+    resasc = ah * (np.abs(fx - 0.5 * resk[:, None]) * _W_KRONROD).sum(axis=1)
+    resabs = ah * (np.abs(fx) * _W_KRONROD).sum(axis=1)
+    err = np.abs((resk - resg) * h)
+    ratio = 200.0 * err / np.where(resasc > 0.0, resasc, 1.0)
+    err = np.where(resasc > 0.0, resasc * np.minimum(1.0, ratio * np.sqrt(ratio)), err)
+    return resk * h, np.maximum(err, _EPS50 * resabs)
+
+
+def _integrate(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The integral of f over each piece [lo, hi], nan where it fails.
+
+    ``f(x, k)`` evaluates piece k's integrand at the rows of x, with nan
+    where it is undefined.  Every round applies the 21-point rule to all open
+    panels at once and bisects the panels above their share (by length) of
+    QUADPACK's request in ``_quad_piece`` (absolute ``TOL_QUAD``, relative
+    1e-12).  Halves whose summed estimate is no better than their parent's
+    and already within ``_quad_piece``'s acceptance bound are not bisected
+    again: near a sharp momentum peak the integrand's own rounding sets the
+    estimate there.  A piece ends once its summed estimate meets the request
+    or no panel of it is bisected, and is accepted only within that bound.
+    It is nan when any node gives nan, when the bound fails, or when it
+    would need more than ``QUAD_LIMIT`` panels.  A piece's value depends
+    only on its own panels, summed in the same order whatever else is in
+    the batch.
+    """
+    n = lo.size
+    out = np.where(lo == hi, 0.0, np.nan)
+    kept_val = np.zeros(n)
+    kept_err = np.zeros(n)
+    panels = np.ones(n, dtype=np.int64)
+    k = np.flatnonzero(lo != hi)
+    a, b = lo[k], hi[k]
+    parent_err = np.zeros(0)
+    while k.size:
+        val, err = _gk21(f, a, b, k)
+        est = kept_val + np.bincount(k, val, n)
+        tot = kept_err + np.bincount(k, err, n)
+        tol = np.maximum(TOL_QUAD, 1e-12 * np.abs(est))
+        bound = 1e3 * TOL_QUAD + 1e-12 * np.abs(est)
+        split = err > tol[k] * (b - a) / (hi - lo)[k]
+        if parent_err.size:  # the panels are halves: the left ones, then the right ones
+            err2 = err[:parent_err.size] + err[parent_err.size:]
+            stalled = (err2 >= 0.99 * parent_err) & (err2 <= bound[k[:parent_err.size]])
+            split &= ~np.concatenate((stalled, stalled))
+        # a nan node makes est and tot nan for good: the piece ends nan, in
+        # this round or once its other panels stop splitting
+        done = (tot <= tol) | (np.bincount(k[split], minlength=n) == 0)
+        end = k[done[k]]
+        out[end] = np.where(tot[end] <= bound[end], est[end], np.nan)
+        go = ~done[k]
+        keep, split = go & ~split, go & split
+        kept_val += np.bincount(k[keep], val[keep], n)
+        kept_err += np.bincount(k[keep], err[keep], n)
+        panels += np.bincount(k[split], minlength=n)
+        split &= panels[k] <= QUAD_LIMIT
+        k, a, b = k[split], a[split], b[split]
+        parent_err = err[split]
+        mid = 0.5 * (a + b)
+        k, a, b = np.concatenate((k, k)), np.concatenate((a, mid)), np.concatenate((mid, b))
+    return out
+
+
+def _gammas(theta: np.ndarray, R: float, L: float, p: Params) -> np.ndarray:
+    """gamma at each theta >= 0 in one quadrature pass, nan where it fails.
+
+    The pieces are the half-turns of :func:`_half_turns`, each distinct
+    piece integrated once: a full half-turn is shared by every theta that
+    covers it.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if np.any(theta < 0.0):
+        raise ValueError("theta0 must be non-negative")
+    lo, hi, eps, use = [], [], [], []  # use: (thetas on half-turn t, their pieces)
+    for t in range(max(1, math.ceil(float(theta.max(initial=0.0)) / math.pi))):
+        on = theta - 1e-15 > t * math.pi if t else np.ones(theta.shape, dtype=bool)
+        ends, idx = np.unique(np.minimum((t + 1) * math.pi, theta[on]), return_inverse=True)
+        use.append((on, len(lo) + idx))
+        lo += [t * math.pi] * ends.size
+        hi += ends.tolist()
+        eps += [-1.0 if t % 2 == 0 else 1.0] * ends.size
+    eps_k = np.array(eps)
+
+    def f(x, k):
+        s = np.sin(x)
+        return _dadR(s * s, R, L, eps_k[k][:, None], p)
+
+    vals = _integrate(f, np.array(lo), np.array(hi))
+    total = np.zeros(theta.shape)
+    for on, idx in use:
+        total[on] += vals[idx]
+    return total
+
+
 def gamma_of(theta0: float, R: float, L: float, p: Params) -> float:
     """gamma = d/dR of the generating integral int_0^theta0 a dpsi.
 
-    Integrates da/dR of the valid root, a > 0, one quadrature per half-turn.
-    """
-    total = 0.0
-    for lo, hi, eps in _half_turns(theta0):
-        def f(psi, _e=eps):
-            s = math.sin(psi)
-            return _dadR_raw(s * s, R, L, _e, p)
+    Integrates da/dR of the valid root, a > 0, over each half-turn; one lane
+    of the quadrature that :func:`gamma_series` runs over a whole series.
 
-        total += _quad_piece(f, lo, hi)
-    return total
+    Raises:
+        GammaUndefined: where da/dR is undefined on the path or the
+            quadrature does not converge.
+    """
+    g = float(_gammas(np.array([theta0]), R, L, p)[0])
+    if math.isnan(g):
+        raise GammaUndefined(f"gamma quadrature failed at theta0 = {theta0:g}")
+    return g
 
 
 def generating_integral(theta0: float, R: float, L: float, p: Params) -> float:
@@ -253,27 +389,16 @@ def gamma_series(
     L = el0.L
     R = billiard.conserved_R(el0, p)
     s0 = _sign(el0.a)
-    theta = [ev.post.theta0 for ev in events]
     n_ev = len(events)
-
-    try:
-        gamma_full = gamma_of(TWO_PI, R, L, p)
-    except GammaUndefined:
-        gamma_full = math.nan
-
-    gamma_principal: list[float] = []
-    mism: list[bool] = []
-    eps_obs: list[int] = []
-    for idx, ev in enumerate(events):
-        try:
-            g = gamma_of(theta[idx], R, L, p)
-        except GammaUndefined:
-            g = math.nan
-        gamma_principal.append(g)
-        a_n = ev.post.a
-        bad_sign = _sign(a_n) != s0 * (1 if idx % 2 == 0 else -1)
-        mism.append(bad_sign or math.isnan(g))
-        eps_obs.append(_sign(a_n))
+    # every collision's gamma and, last, the full-loop integral Gamma
+    gammas = _gammas(np.array([ev.post.theta0 for ev in events] + [TWO_PI]), R, L, p)
+    gamma_principal = gammas[:-1].tolist()
+    gamma_full = float(gammas[-1])
+    eps_obs = [_sign(ev.post.a) for ev in events]
+    mism = [
+        e != s0 * (1 if idx % 2 == 0 else -1) or math.isnan(g)
+        for idx, (e, g) in enumerate(zip(eps_obs, gamma_principal))
+    ]
 
     # per-parity increments, reduced mod Gamma and re-centered at the median
     gamma_unwrapped = [math.nan] * n_ev

@@ -37,6 +37,7 @@ def base_doc(tmp_path, **extra):
 # the reference ellipse of base_doc, a start above the wall and an ensemble
 ELEMENTS_REF = {"elements": {"A": -0.5, "a": math.sqrt(0.32), "theta0": 1.2}, "nu": 0.0}
 ABOVE_WALL = {"cartesian": {"x": 2.56, "y": 2.44, "px": -0.3, "py": -0.3}}
+AT_CENTRE = {"cartesian": {"x": 0.0, "y": 0.0, "px": 0.3, "py": 0.1}}
 ENSEMBLE = {"count": 1, "seed": 0, "energy": -0.3}
 
 
@@ -483,7 +484,7 @@ def run_python(code: str) -> str:
 
 
 class TestStartup:
-    """Only gamma and verify load scipy.integrate, and nothing loads scipy.optimize."""
+    """Only verify loads scipy.integrate (and with it scipy.optimize), for its DOP853 oracle."""
 
     SLOW = ("scipy.optimize", "scipy.integrate")
 
@@ -501,6 +502,8 @@ class TestStartup:
             ["simulate", "--config", str(ROOT / "configs" / "perturbed_g005.json")],
             ["section"],
             ["region"],
+            ["gamma"],
+            ["gamma", "--config", str(ROOT / "configs" / "gamma_rotation.json")],
         ]
         argvs = [argv + ["--out", str(tmp_path / f"run{i}")] for i, argv in enumerate(runs)]
         out = run_python(
@@ -510,7 +513,7 @@ class TestStartup:
             "from kepler_billiard import cli\n"
             f"print([cli.main(argv) for argv in {argvs!r}])\n"
         )
-        assert out.splitlines()[-1] == "[0, 0, 0, 0]"
+        assert out.splitlines()[-1] == "[0, 0, 0, 0, 0, 0]"
 
 
 class TestMainExitCodes:
@@ -589,6 +592,8 @@ class TestMainExitCodes:
             *((command, {"initial": start}, [], "initial: the start lies above the wall")
               for command in ("simulate", "gamma", "section", "region")
               for start in (ABOVE_WALL, {**ELEMENTS_REF, "nu": 3.14159})),
+            *((command, {"initial": AT_CENTRE}, [], "initial: the start lies at the attraction centre")
+              for command in ("simulate", "gamma", "section", "region")),
             ("simulate", {"initial": ELEMENTS_REF, "ensemble": ENSEMBLE}, [],
              "ensemble: unknown config field"),
             ("gamma", {"initial": ELEMENTS_REF, "ensemble": ENSEMBLE}, [],
@@ -603,6 +608,7 @@ class TestMainExitCodes:
         ],
         ids=[f"{c}-above-wall-{form}" for c in ("simulate", "gamma", "section", "region")
              for form in ("cartesian", "elements")]
+        + [f"{c}-at-centre" for c in ("simulate", "gamma", "section", "region")]
         + ["simulate-ensemble", "gamma-ensemble", "region-n_collisions", "region-flag-n",
            "section-both-starts", "region-both-starts"],
     )

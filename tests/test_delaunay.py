@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kepler_billiard import delaunay
 from kepler_billiard.billiard import conserved_R, run
@@ -95,20 +98,126 @@ class TestGammaOf:
             im = generating_integral(th, R_REF - hs, L_REF, params)
             assert abs(g - (ip - im) / (2.0 * hs)) < 1e-6, th
 
-    def test_quadratures_go_through_module_quad(self, params, monkeypatch):
-        # the seam a tracer wraps to count quadratures and integrand calls
-        pieces = []
-        real = delaunay.quad
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        A=st.floats(-0.24, -0.01),
+        frac=st.floats(1e-3, 1.0 - 1e-3),
+        theta0=st.floats(0.0, TWO_PI),
+    )
+    def test_against_quadpack_oracle(self, A, frac, theta0):
+        # any level h*alpha < R < L^2 of an ellipse with energy A
+        params = Params()
+        L = -params.alpha / (2.0 * math.sqrt(-A))
+        hb = params.h * params.alpha
+        R = hb + frac * (L * L - hb)
+        g = gamma_of(theta0, R, L, params)
+        assert abs(g - quadpack_gamma(theta0, R, L, params)) <= 1e-12 * max(1.0, abs(g))
 
-        def spy(f, lo, hi, **kwargs):
-            pieces.append((lo, hi))
-            return real(f, lo, hi, **kwargs)
+    def test_near_edge_level_against_quadpack(self, params):
+        # R just above h*alpha: a narrow momentum peak near sin(theta0) = 1
+        for th in (0.9, math.pi / 2, 2.6, math.pi, 4.0, 5.5, TWO_PI):
+            g = gamma_of(th, 1.0005, L_REF, params)
+            assert abs(g - quadpack_gamma(th, 1.0005, L_REF, params)) <= 1e-12 * max(1.0, abs(g)), th
 
-        monkeypatch.setattr(delaunay, "quad", spy)
-        g = gamma_of(4.0, R_REF, L_REF, params)
-        assert pieces == [(0.0, math.pi), (math.pi, 4.0)]  # one per half-turn
+    def test_rounding_limited_level(self, params):
+        # R - h*alpha = 3e-8: near the momentum peak the integrand's rounding
+        # sets the error estimate, so halves there stop improving; gamma is
+        # still defined and within _quad_piece's acceptance bound of the
+        # values of the same integral at 40 digits (mpmath, R = 1 + 3e-8 as
+        # a double)
+        for th, exact in ((2.0, 15.243498402975346), (5.0, 16.887739656491264)):
+            g = gamma_of(th, 1.0 + 3e-8, L_REF, params)
+            assert abs(g - exact) <= 1e3 * delaunay.TOL_QUAD + 1e-12 * abs(g), th
+
+    def test_unconverged_quadrature_is_undefined(self, params, monkeypatch):
+        # the near-edge level needs bisection: with one panel per piece allowed
+        # the pieces over the momentum peak stay above their tolerance, and
+        # gamma there is undefined, not accepted
+        s0 = initial_state_on_level(L_REF, 1.0005, params)
+        res = run(s0, 20, params)
+        monkeypatch.setattr(delaunay, "QUAD_LIMIT", 1)
+        with pytest.raises(GammaUndefined):
+            gamma_of(2.0, 1.0005, L_REF, params)
+        assert undefined_rows_flagged(res, gamma_series(res.events, params), params) > 0
         monkeypatch.undo()
-        assert g == gamma_of(4.0, R_REF, L_REF, params)
+        assert math.isfinite(gamma_of(2.0, 1.0005, L_REF, params))
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (np.cos, 0.0, 1.0),  # the estimate is the 50-ulp floor
+        (lambda x: 1.0 / np.sqrt(x + 1e-3), 0.0, 2.0),
+        (lambda x: np.exp(np.sin(5.0 * x)), -1.0, 3.0),
+    ], ids=["cos", "near-singular", "oscillating"])
+    def test_rule_is_quadpack_qk21(self, f, lo, hi):
+        # with limit=1 QUADPACK returns its 21-point rule on the whole interval
+        val, err = delaunay._gk21(lambda x, k: f(x), np.array([lo]), np.array([hi]), np.array([0]))
+        q_val, q_err, *_ = delaunay.quad(lambda x: float(f(np.array(x))), lo, hi, limit=1, full_output=1)
+        assert abs(val[0] - q_val) <= 4e-16 * abs(q_val)
+        assert abs(err[0] - q_err) <= 1e-15 * q_err
+
+    def test_estimate_past_acceptance_bound_is_undefined(self, params, monkeypatch):
+        # forced estimates on the piece [0, pi], by panel width: the halves of
+        # [0, pi/2] and then those of [pi/2, 3pi/4] and [3pi/4, pi] stop
+        # improving inside the bound, but they sum past it (1.62e-8 > 1e-8)
+        real = delaunay._gk21
+
+        def forced(f, a, b, k):
+            val, _ = real(f, a, b, k)
+            eighths = np.rint((b - a) / (math.pi / 8.0))
+            err = np.select([eighths == 8, eighths == 4, (eighths == 2) & (a < 1.5), eighths == 2],
+                            [1e-7, 8e-9, 4.9e-9, 3e-9], 1.6e-9)
+            return val, err
+
+        monkeypatch.setattr(delaunay, "_gk21", forced)
+        with pytest.raises(GammaUndefined):
+            gamma_of(math.pi, R_REF, L_REF, params)
+
+    def test_subdivision_cap(self):
+        # about 1600 oscillations need more than QUAD_LIMIT panels of 21 nodes
+        lo, hi = np.array([0.0, 0.0, 0.5]), np.array([1.0, 1.0, 0.5])
+        freq = np.array([1e4, 1.0, 1e4])
+        vals = delaunay._integrate(lambda x, k: np.cos(freq[k][:, None] * x), lo, hi)
+        assert math.isnan(vals[0])
+        assert abs(vals[1] - math.sin(1.0)) < 1e-15
+        assert vals[2] == 0.0
+
+
+def undefined_rows_flagged(res, samples, p) -> int:
+    """How many rows' gamma_of is undefined; asserts each of them is nan and flagged."""
+    R = conserved_R(res.events[0].post, p)
+    undefined = 0
+    for ev, s in zip(res.events, samples):
+        try:
+            gamma_of(ev.post.theta0, R, ev.post.L, p)
+        except GammaUndefined:
+            undefined += 1
+            assert s.branch_mismatch and math.isnan(s.gamma), s.n
+    return undefined
+
+
+def quadpack_gamma(theta0: float, R: float, L: float, p) -> float:
+    """gamma from QUADPACK over each half-turn, on da/dR from implicit differentiation.
+
+    With e = sqrt(1 - a^2/L^2), differentiating a^2 = R - h*alpha*sin*e in R
+    gives da/dR = 1 / (a * (2 - h*alpha*sin / (L^2 * e))); a^2 is the root of
+    the squared relation that opposes sin, a > 0.
+    """
+    hb = p.h * p.alpha
+    L2 = L * L
+
+    def dadR(psi):
+        s = math.sin(psi)
+        m = hb * hb * s * s / L2
+        a2 = R - 0.5 * m - math.copysign(math.sqrt(0.25 * m * m + hb * hb * s * s - R * m), s)
+        e = math.sqrt(1.0 - a2 / L2)
+        return 1.0 / (math.sqrt(a2) * (2.0 - hb * s / (L2 * e)))
+
+    total, k = 0.0, 0
+    while k * math.pi < theta0:
+        val, _ = delaunay.quad(dadR, k * math.pi, min((k + 1) * math.pi, theta0),
+                               epsabs=1e-12, epsrel=1e-13, limit=500)
+        total += val
+        k += 1
+    return total
 
 
 class TestGammaSeries:
@@ -160,6 +269,36 @@ class TestGammaSeries:
         res = run(s0, 60, params)
         samples = gamma_series(res.events, params)
         assert len(samples) == len(res.events)
+
+    def test_undefined_rows_flagged_without_warnings(self, params):
+        # R < h*alpha: the momentum loop crosses a = 0, so some lanes of the
+        # quadrature are undefined; they must not warn and their rows are flagged
+        s0 = initial_state_on_level(L_REF, 0.8, params)
+        res = run(s0, 60, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samples = gamma_series(res.events, params)
+        assert undefined_rows_flagged(res, samples, params) > 0
+
+    def test_series_uses_scalar_gamma_bit_for_bit(self, gamma_run, monkeypatch):
+        # the series' one quadrature pass gives every lane the bits of gamma_of
+        p, res, samples = gamma_run
+        passes = []
+        real = delaunay._gammas
+
+        def spy(theta, R, L, p):
+            passes.append((theta, real(theta, R, L, p)))
+            return passes[-1][1]
+
+        monkeypatch.setattr(delaunay, "_gammas", spy)
+        assert gamma_series(res.events, p) == samples
+        (theta, gammas), = passes
+        el0 = res.events[0].post
+        R = conserved_R(el0, p)
+        assert theta[-1] == TWO_PI and theta.size == len(res.events) + 1
+        for th, g in zip(theta, gammas):
+            assert g == gamma_of(float(th), R, el0.L, p)
+        assert samples[0].gamma == gammas[0]
 
 
 class TestConjectureReport:
