@@ -52,7 +52,10 @@ from .errors import (
     NoCollision,
     NotOnWall,
 )
-from .kepler import (
+# state_at_eccentric and time_to_anomaly are the composed route that
+# next_wall_crossing fuses (the tests compare the two bit for bit); perfbench's
+# tracer wraps them under this module's name
+from .kepler import (  # noqa: F401
     TWO_PI,
     CartesianState,
     OrbitalElements,
@@ -113,13 +116,17 @@ class ConstantRCurve:
 
 @dataclass(frozen=True)
 class WallCrossing:
-    """Earliest forward wall crossing of an ellipse, with impact geometry."""
+    """Earliest forward wall crossing of an ellipse: impact geometry, the
+    flight time ``t_hit`` and the incoming state (x_impact, y, px, py)."""
 
     E_hit: float
     t_hit: float
     x_impact: float
     r: float
     lam: float
+    y: float
+    px: float
+    py: float
 
 
 @dataclass(frozen=True)
@@ -180,14 +187,29 @@ def tangent_angle(el: OrbitalElements, E: float) -> float:
 def next_wall_crossing(el: OrbitalElements, E_now: float, p: Params) -> WallCrossing:
     """Earliest forward anomaly at which the ellipse meets y = h going up.
 
+    The ellipse's geometry is formed once, by the expressions of the
+    :class:`OrbitalElements` properties, and the crossing carries the flight
+    time and the state there, as ``time_to_anomaly`` and
+    ``state_at_eccentric`` give them.
+
     Raises:
+        ValueError: if ``el`` was built with another alpha than ``p``.
         NoCollision: if the ellipse stays below (or entirely above) the wall.
         GrazingContact: if the normal velocity at the contact is below
             ``TOL_GRAZE``.
     """
-    aM, b, e = el.aM, el.semi_minor, el.e
-    cx, cy = el.center
-    ux, uy, vx, vy = el.frame()
+    if el.alpha != p.alpha:
+        raise ValueError("elements were built with a different alpha than params")
+    alpha, a, th = el.alpha, el.a, el.theta0
+    aM = -alpha / (2.0 * el.A)
+    e2 = 1.0 + 4.0 * el.A * a * a / (alpha * alpha)
+    e = math.sqrt(e2) if e2 > 0.0 else 0.0
+    b = aM * math.sqrt(max(1.0 - e * e, 0.0))
+    c, ct, st = aM * e, math.cos(th), math.sin(th)
+    cx, cy = c * ct, c * st
+    ux, uy = -ct, -st
+    vx, vy = (-uy, ux) if a >= 0.0 else (uy, -ux)
+    mean_motion = alpha * alpha / (4.0 * math.sqrt(0.5 * alpha * aM) ** 3)
     P = aM * uy
     Q = b * vy
     rho = math.hypot(P, Q)
@@ -201,21 +223,26 @@ def next_wall_crossing(el: OrbitalElements, E_now: float, p: Params) -> WallCros
     E_up = E_star - delta
     dE = (E_up - E_now) % TWO_PI
     E_hit = E_now + dE
+    cE, sE = math.cos(E_hit), math.sin(E_hit)
     # outgoing-normal filter: dy/dt must be positive (approaching the wall)
-    Edot = el.mean_motion() / (1.0 - e * math.cos(E_hit))
+    Edot = mean_motion / (1.0 - e * cE)
     vy_hit = rho * math.sin(delta) * Edot
     if vy_hit <= TOL_GRAZE:
         raise GrazingContact(
             f"normal velocity {vy_hit:g} at contact below tol {TOL_GRAZE:g}"
         )
-    cE, sE = math.cos(E_hit), math.sin(E_hit)
-    x_impact = cx + aM * cE * ux + b * sE * vx
-    r = aM * (1.0 - e * cE)
     tx = -aM * sE * ux + b * cE * vx
     ty = -aM * sE * uy + b * cE * vy
-    lam = math.atan2(ty, tx) % math.pi
-    t_hit = time_to_anomaly(el, E_now, E_hit, p)
-    return WallCrossing(E_hit=E_hit, t_hit=t_hit, x_impact=x_impact, r=r, lam=lam)
+    return WallCrossing(
+        E_hit=E_hit,
+        t_hit=((E_hit - e * sE) - (E_now - e * math.sin(E_now))) / mean_motion,
+        x_impact=cx + aM * cE * ux + b * sE * vx,
+        r=aM * (1.0 - e * cE),
+        lam=math.atan2(ty, tx) % math.pi,
+        y=cy + aM * cE * uy + b * sE * vy,
+        px=tx * Edot,
+        py=ty * Edot,
+    )
 
 
 def _brentq(f, xa: float, xb: float) -> float:
@@ -379,52 +406,62 @@ def impact_event(
     return out, event
 
 
-def step(s: CartesianState, p: Params, n: int = 0) -> tuple[CartesianState, CollisionEvent]:
+def step(
+    s: CartesianState, p: Params, n: int = 0, el: OrbitalElements | None = None
+) -> tuple[CartesianState, CollisionEvent]:
     """Propagate to the next wall impact and reflect.
 
     Returns the post-reflection state (on the wall, moving away) and the
     fully populated collision event.  At g = 0 the arc is the Kepler
-    ellipse; at g > 0 it is the revolving orbit, and the event carries the
-    osculating g = 0 elements (:func:`impact_event`).
+    ellipse ``el``, by default ``elements_from_cartesian(s, p)``; a chain of
+    steps passes each event's ``post`` elements on, which are exactly that.
+    At g > 0 the arc is the revolving orbit, ``el`` is not read, and the
+    event carries the osculating g = 0 elements (:func:`impact_event`).
     """
     if s.y > p.h + TOL_EVENT:
         raise NotOnWall(f"state starts above the wall (y = {s.y:g})")
     if p.g > 0.0:
         E_hit, hit = next_revolving_crossing(revolving_orbit(s, p), p, t0=s.t)
         return impact_event(hit, p, n, E_hit=E_hit)
-    el_pre = elements_from_cartesian(s, p)
-    E0 = eccentric_of_state(el_pre, s)
-    cr = next_wall_crossing(el_pre, E0, p)
-    out = reflect(state_at_eccentric(el_pre, cr.E_hit, p, t=s.t + cr.t_hit), p)
-    el_post = elements_from_cartesian(out, p)
+    if el is None:
+        el = elements_from_cartesian(s, p)
+    cr = next_wall_crossing(el, eccentric_of_state(el, s), p)
+    out = reflect(CartesianState(x=cr.x_impact, y=cr.y, px=cr.px, py=cr.py, t=s.t + cr.t_hit), p)
     event = CollisionEvent(
         n=n,
         t=out.t,
         x_impact=out.x,
         r=cr.r,
         lam=cr.lam,
-        pre=el_pre,
-        post=el_post,
+        pre=el,
+        post=elements_from_cartesian(out, p),
         E_hit=cr.E_hit,
     )
     return out, event
 
 
 def invariant_report(event: CollisionEvent, p: Params) -> InvariantReport:
-    """Certify one collision: both routes to R plus the inequality box."""
+    """Certify one collision: both routes to R plus the inequality box.
+
+    R_eq16, R0 and R_eq17 are ``conserved_R``, ``R0_from_geometry`` and
+    ``R_from_R0`` of the event, from one evaluation of aM and e.
+    """
+    if p.g != 0.0:
+        raise ValueError("R is only conserved at g = 0")
     el = event.post
-    aM = el.aM
-    R16 = conserved_R(el, p)
-    R0 = R0_from_geometry(event.r, aM, event.lam)
-    R17 = R_from_R0(R0, aM, p)
-    residual = abs(R16 - R17)
+    aM, e, r = el.aM, el.e, event.r
+    R16 = el.a * el.a + p.h * p.alpha * e * math.sin(el.theta0)
+    if not 0.0 < r < 2.0 * aM:
+        raise DomainError(f"need 0 < r < 2*aM, got r = {r:g}, aM = {aM:g}")
+    q = 2.0 * aM - r
+    R0 = math.sqrt(max(0.25 * r * r + 0.25 * q * q + 0.5 * r * q * math.cos(2.0 * event.lam), 0.0))
+    R17 = p.alpha / (2.0 * aM) * (p.h * p.h + aM * aM - R0 * R0)
     lower = p.alpha * p.h * p.h / (2.0 * aM)
     upper = (
-        1.0 + (aM / p.h) ** 2 - ((aM - event.r) / p.h) ** 2
+        1.0 + (aM / p.h) ** 2 - ((aM - r) / p.h) ** 2
     ) * lower
     bounds_ok = (
-        event.r < 2.0 * aM
-        and (aM - event.r) ** 2 < R0 * R0 < aM * aM
+        (aM - r) ** 2 < R0 * R0 < aM * aM
         and lower < R16 < upper
     )
     return InvariantReport(
@@ -433,7 +470,7 @@ def invariant_report(event: CollisionEvent, p: Params) -> InvariantReport:
         R_eq16=R16,
         R0=R0,
         R_eq17=R17,
-        residual_identity=residual,
+        residual_identity=abs(R16 - R17),
         bounds_ok=bounds_ok,
     )
 
@@ -501,19 +538,21 @@ def run(
     is sampled up to the crossing its step found.  Orbits that never reach
     the wall are legal: the run returns one sampled (radial) revolution of
     the untouched orbit with the reason in ``no_collision``.  A grazing
-    contact or a near-radial (degenerate) ellipse halts the run early with
-    the events certified so far and a diagnostic in ``halted``.
+    contact, a near-radial (degenerate) ellipse or a hit state off the wall
+    halts the run early with the events certified so far and a diagnostic
+    in ``halted``.  At g = 0 each step reuses the previous event's ``post``
+    elements, so every ellipse is formed once.
     """
     g0 = replace(p, g=0.0) if p.g != 0.0 else p
     events: list[CollisionEvent] = []
     reports: list[InvariantReport] = []
     chunks: list[np.ndarray] = []
-    state = s0
+    state, el = s0, None
     halted = None
     no_collision = None
     for k in range(n):
         try:
-            nxt, event = step(state, p, n=k)
+            nxt, event = step(state, p, n=k, el=el)
         except NoCollision as exc:
             if k == 0:
                 no_collision = str(exc)
@@ -528,11 +567,14 @@ def run(
         except Degenerate as exc:
             halted = f"degenerate orbit at event {k}: {exc}"
             break
+        except NotOnWall as exc:
+            halted = f"off the wall at event {k}: {exc}"
+            break
         if samples_per_arc > 0:
             chunks.append(_orbit_samples(state, event.E_hit, p, samples_per_arc))
         events.append(event)
         reports.append(invariant_report(event, g0))
-        state = nxt
+        state, el = nxt, event.post
     if chunks:
         samples = np.vstack(chunks)
     else:

@@ -47,9 +47,9 @@ from .svg import Figure
 
 @dataclass
 class EnsembleSpec:
-    count: int
-    seed: int
     energy: float
+    count: int | None = None  # read by section only, as is seed
+    seed: int | None = None
 
 
 @dataclass
@@ -70,15 +70,22 @@ class OutputBundle:
 
 # ---------------------------------------------------------------- config ---
 
-# the run inputs each subcommand reads, besides "mode" and "output_dir"; a
-# document that sets any other field is a configuration error
+# the run inputs each subcommand reads, besides "mode" and "output_dir",
+# with the ensemble keys it reads; a document that sets any other field is a
+# configuration error
 FIELDS = {
     "simulate": ("params", "initial", "n_collisions"),
     "gamma": ("params", "initial", "n_collisions"),
-    "section": ("params", "initial", "n_collisions", "ensemble"),
-    "region": ("params", "initial", "ensemble"),
+    "section": ("params", "initial", "n_collisions",
+                "ensemble.count", "ensemble.seed", "ensemble.energy"),
+    "region": ("params", "initial", "ensemble.energy"),
     "verify": (),
 }
+
+
+def _top_fields(command: str) -> tuple[str, ...]:
+    """The top-level keys of ``FIELDS[command]``, in order."""
+    return tuple(dict.fromkeys(f.partition(".")[0] for f in FIELDS[command]))
 
 
 def _expect_number(obj, path: str) -> float:
@@ -147,6 +154,26 @@ def _parse_initial(doc, params: Params, path: str) -> CartesianState:
     return s
 
 
+def _check_energy(A: float, params: Params, command: str, path: str) -> None:
+    """The rules on the twice-energy ``A`` of a run's start.
+
+    ``section`` and ``region`` work on the energy surface, so it must be
+    bound; for every command a bound surface must meet the wall in a finite
+    interval (for |A| below about 1e-154*alpha the turning radius squared
+    overflows).
+    """
+    if A >= 0.0:
+        if command in ("section", "region"):
+            raise ConfigError(f"{path}: {command} requires A < 0, got A = {A:g}")
+        return  # an unbound start is the run's domain error
+    try:
+        _, x_max = billiard.accessible_interval(A, params)
+    except EmptyRegion:
+        return  # the wall is out of reach: a run without collisions
+    if not math.isfinite(x_max):
+        raise ConfigError(f"{path}: the accessible interval of A = {A:g} on the wall is not finite")
+
+
 def parse_config(doc: dict, command: str) -> RunConfig:
     """The configuration of a ``command`` run from its JSON document.
 
@@ -157,7 +184,7 @@ def parse_config(doc: dict, command: str) -> RunConfig:
     """
     if isinstance(doc, dict) and doc.get("mode", command) != command:
         raise ConfigError(f"mode: this config is for {doc['mode']!r}, not {command!r}")
-    fields = FIELDS[command]
+    fields = _top_fields(command)
     doc = _expect_object(doc, "", ("mode", "output_dir") + fields)
     pdoc = _expect_object(doc.get("params", {}), "params", ("alpha", "g", "h"))
     try:
@@ -173,18 +200,18 @@ def parse_config(doc: dict, command: str) -> RunConfig:
         raise ConfigError("n_collisions: must be >= 0")
     ensemble = None
     if doc.get("ensemble") is not None:
-        e = _expect_object(doc["ensemble"], "ensemble", ("count", "seed", "energy"))
-        if "seed" not in e:
-            raise ConfigError("ensemble.seed: required for reproducibility")
-        ensemble = EnsembleSpec(
-            count=_expect_int(e.get("count", 4), "ensemble.count"),
-            seed=_expect_int(e["seed"], "ensemble.seed"),
-            energy=_expect_number(e.get("energy", -0.5), "ensemble.energy"),
-        )
-        if ensemble.count < 0:
-            raise ConfigError("ensemble.count: must be >= 0")
-        if ensemble.seed < 0:
-            raise ConfigError("ensemble.seed: must be >= 0")
+        keys = tuple(f[len("ensemble."):] for f in FIELDS[command] if f.startswith("ensemble."))
+        e = _expect_object(doc["ensemble"], "ensemble", keys)
+        ensemble = EnsembleSpec(energy=_expect_number(e.get("energy", -0.5), "ensemble.energy"))
+        if "seed" in keys:
+            if "seed" not in e:
+                raise ConfigError("ensemble.seed: required for reproducibility")
+            ensemble.count = _expect_int(e.get("count", 4), "ensemble.count")
+            ensemble.seed = _expect_int(e["seed"], "ensemble.seed")
+            if ensemble.count < 0:
+                raise ConfigError("ensemble.count: must be >= 0")
+            if ensemble.seed < 0:
+                raise ConfigError("ensemble.seed: must be >= 0")
     out = doc.get("output_dir", "out")
     # a NUL byte would fail only when the directory is made
     if not isinstance(out, str) or "\0" in out:
@@ -195,6 +222,10 @@ def parse_config(doc: dict, command: str) -> RunConfig:
     if "initial" in fields and (initial is None) == (ensemble is None):
         starts = " or ".join(k for k in ("initial", "ensemble") if k in fields)
         raise ConfigError(f"{starts}: {command} needs exactly one start")
+    if ensemble is not None:
+        _check_energy(ensemble.energy, params, command, "ensemble.energy")
+    elif initial is not None:
+        _check_energy(initial.energy_A(params), params, command, "initial")
     return RunConfig(params=params, command=command, n_collisions=n, initial=initial,
                      ensemble=ensemble, output_dir=Path(out))
 
@@ -233,10 +264,11 @@ def _config_echo(cfg: RunConfig) -> dict:
         "params": asdict(cfg.params),
         "n_collisions": cfg.n_collisions,
         "initial": None if cfg.initial is None else {"cartesian": asdict(cfg.initial)},
-        "ensemble": None if cfg.ensemble is None else asdict(cfg.ensemble),
+        "ensemble": None if cfg.ensemble is None
+        else {k: v for k, v in asdict(cfg.ensemble).items() if v is not None},
     }
     doc = {"mode": cfg.command, "output_dir": str(cfg.output_dir)}
-    doc.update((k, values[k]) for k in FIELDS[cfg.command] if values[k] is not None)
+    doc.update((k, values[k]) for k in _top_fields(cfg.command) if values[k] is not None)
     return doc
 
 
@@ -477,8 +509,6 @@ def _ensemble_seeds(spec: EnsembleSpec, p: Params) -> list[CartesianState]:
     magnitude is then rescaled in place so A = p^2 - alpha/r + g/r^2 matches
     exactly on the configured surface.
     """
-    if spec.energy >= 0.0:
-        raise ConfigError("ensemble.energy: must be negative (bound orbits)")
     rng = np.random.default_rng(spec.seed)
     g0 = Params(alpha=p.alpha, g=0.0, h=p.h)
     aM = -p.alpha / (2.0 * spec.energy)
@@ -519,8 +549,6 @@ def cmd_section(cfg: RunConfig) -> OutputBundle:
     else:
         seeds = [cfg.initial]
         A = cfg.initial.energy_A(cfg.params)
-        if A >= 0.0:
-            raise ConfigError(f"section: requires A < 0, got A = {A:g}")
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     outcomes = perturbed.section_ensemble(seeds, cfg.n_collisions, cfg.params)
@@ -562,8 +590,6 @@ def cmd_region(cfg: RunConfig) -> OutputBundle:
     t0 = time.monotonic()
     # the twice-energy of the state simulate starts from, g/r^2 included
     A = cfg.ensemble.energy if cfg.initial is None else cfg.initial.energy_A(cfg.params)
-    if A >= 0.0:
-        raise ConfigError(f"region: requires A < 0, got A = {A:g}")
     x_min, x_max = billiard.accessible_interval(A, cfg.params)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -780,7 +806,7 @@ def default_config(command: str) -> dict:
     if command == "region":
         return {
             "params": {"alpha": 1.0, "g": 0.0, "h": 1.0},
-            "ensemble": {"count": 0, "seed": 0, "energy": reference.CONSERVATION_A},
+            "ensemble": {"energy": reference.CONSERVATION_A},
         }
     return {}
 

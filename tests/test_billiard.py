@@ -9,7 +9,9 @@ from scipy.optimize import brentq
 from kepler_billiard import billiard, reference
 from kepler_billiard.billiard import (
     TOL_EVENT,
+    CollisionEvent,
     ConstantRCurve,
+    InvariantReport,
     R0_from_center,
     R0_from_geometry,
     R_from_R0,
@@ -26,6 +28,7 @@ from kepler_billiard.billiard import (
     tangent_angle,
 )
 from kepler_billiard.errors import (
+    Degenerate,
     DomainError,
     EmptyLevelSet,
     EmptyRegion,
@@ -41,8 +44,10 @@ from kepler_billiard.kepler import (
     RevolvingOrbit,
     cartesian_from_elements,
     eccentric_of_state,
+    elements_from_cartesian,
     revolving_orbit,
     state_at_eccentric,
+    time_to_anomaly,
     true_from_eccentric,
 )
 from kepler_billiard.perturbed import integrate_to_wall
@@ -73,6 +78,43 @@ def sampling_crossing_oracle(el, E_now, p, n_grid=10_000, iters=100):
                     hi = mid
             return 0.5 * (lo + hi)
     raise AssertionError("oracle found no upward crossing")
+
+
+def composed_collision(s, p, n):
+    """One g = 0 collision composed from kepler's functions: the oracle of
+    ``step`` and ``invariant_report``.  Every derived quantity of the ellipse
+    comes from the ``OrbitalElements`` properties, the hit state from
+    ``state_at_eccentric`` and ``time_to_anomaly``, and R from the public
+    ``conserved_R``, ``R0_from_geometry`` and ``R_from_R0``."""
+    el = elements_from_cartesian(s, p)
+    E0 = eccentric_of_state(el, s)
+    aM, b, e = el.aM, el.semi_minor, el.e
+    _, cy = el.center
+    _, uy, _, vy = el.frame()
+    P, Q = aM * uy, b * vy
+    delta = math.acos(max(-1.0, min(1.0, (p.h - cy) / math.hypot(P, Q))))
+    E_hit = E0 + (math.atan2(Q, P) - delta - E0) % TWO_PI
+    out = reflect(state_at_eccentric(el, E_hit, p, t=s.t + time_to_anomaly(el, E0, E_hit, p)), p)
+    r = aM * (1.0 - e * math.cos(E_hit))
+    lam = tangent_angle(el, E_hit)
+    post = elements_from_cartesian(out, p)
+    event = CollisionEvent(n=n, t=out.t, x_impact=out.x, r=r, lam=lam, pre=el, post=post, E_hit=E_hit)
+    R16 = conserved_R(post, p)
+    R0 = R0_from_geometry(r, post.aM, lam)
+    R17 = R_from_R0(R0, post.aM, p)
+    lower = p.alpha * p.h * p.h / (2.0 * post.aM)
+    upper = (1.0 + (post.aM / p.h) ** 2 - ((post.aM - r) / p.h) ** 2) * lower
+    bounds_ok = (r < 2.0 * post.aM and (post.aM - r) ** 2 < R0 * R0 < post.aM * post.aM
+                 and lower < R16 < upper)
+    report = InvariantReport(n=n, A=post.A, R_eq16=R16, R0=R0, R_eq17=R17,
+                             residual_identity=abs(R16 - R17), bounds_ok=bounds_ok)
+    return out, event, report
+
+
+def assert_same(got, want):
+    """Equal field by field, and bit for bit (repr tells -0.0 from 0.0)."""
+    assert got == want
+    assert repr(got) == repr(want)
 
 
 class TestR0:
@@ -381,6 +423,77 @@ class TestRun:
         monkeypatch.setattr(billiard, "next_wall_crossing", counted)
         res = run(reference_state, 12, params, samples_per_arc=16)
         assert len(res.events) == 12 and len(calls) == 12
+
+
+class TestOnePassCollision:
+    """``step`` forms each ellipse once and ``run`` carries the post-impact
+    elements on; both give, bit for bit, what the composed route gives."""
+
+    NEAR_RADIAL = CartesianState(x=-0.027001534563404105, y=-0.542720763994399,
+                                 px=1.1602352984510336, py=-0.05772422135138795)
+
+    @PROPERTY
+    @given(
+        A=st.floats(-0.45, -0.1),
+        e=st.floats(0.0, 0.99),
+        theta0=st.floats(0.0, TWO_PI),
+        prograde=st.booleans(),
+        nu=st.floats(0.0, TWO_PI),
+    )
+    def test_step_matches_composed_route_bit_for_bit(self, A, e, theta0, prograde, nu):
+        p = Params()
+        aM = -p.alpha / (2.0 * A)
+        a = math.sqrt(0.5 * p.alpha * aM * (1.0 - e * e))
+        el = OrbitalElements(A=A, a=a if prograde else -a, theta0=theta0, alpha=p.alpha)
+        assume(el.max_y() > p.h + 1e-3)  # reaches the wall, not grazing
+        s = cartesian_from_elements(el, nu, p)
+        assume(s.y < p.h)
+        out, ev = step(s, p, n=0)
+        want_out, want_ev, want_rep = composed_collision(s, p, 0)
+        assert_same(out, want_out)
+        assert_same(ev, want_ev)
+        assert_same(invariant_report(ev, p), want_rep)
+        # the next collision from the carried elements, from fresh ones, composed
+        want_out, want_ev, want_rep = composed_collision(out, p, 1)
+        for got_out, got_ev in (step(out, p, n=1, el=ev.post), step(out, p, n=1)):
+            assert_same(got_out, want_out)
+            assert_same(got_ev, want_ev)
+            assert_same(invariant_report(got_ev, p), want_rep)
+
+    @pytest.mark.parametrize("start, n", [("reference", 300), ("near_radial", 500)])
+    def test_run_is_a_chain_of_plain_steps(self, params, reference_state, start, n):
+        s0 = reference_state if start == "reference" else self.NEAR_RADIAL
+        res = run(s0, n, params)
+        state = s0
+        for k, (ev, rep) in enumerate(zip(res.events, res.reports)):
+            state, want = step(state, params, n=k)
+            assert_same(ev, want)
+            assert_same(rep, invariant_report(want, params))
+        if res.halted:  # the near-radial orbit's collision 452
+            assert len(res.events) == 452
+            with pytest.raises(Degenerate):
+                step(state, params, n=452)
+        else:
+            assert len(res.events) == n
+
+    @pytest.mark.parametrize("g", [0.0, 0.05])
+    def test_off_wall_halts_with_partial_output(self, reference_state, monkeypatch, g):
+        # the eighth hit state comes back off the wall: the run keeps the
+        # seven certified events and says why it stopped
+        p = Params(alpha=1.0, g=g, h=1.0)
+        want = run(reference_state, 7, p)
+        real, hits = billiard.reflect, []
+
+        def reflect(s, p, tol_event=TOL_EVENT):
+            hits.append(s)
+            if len(hits) == 8:
+                raise NotOnWall(f"|y - h| = 1.6e-11 >= {tol_event:g}")
+            return real(s, p, tol_event)
+
+        monkeypatch.setattr(billiard, "reflect", reflect)
+        res = run(reference_state, 20, p)
+        assert res.halted == "off the wall at event 7: |y - h| = 1.6e-11 >= 1e-12"
+        assert res.events == want.events and res.reports == want.reports
 
 
 class TestRevolvingFlow:

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from kepler_billiard import cli
-from kepler_billiard.errors import ConfigError
+from kepler_billiard import billiard, cli
+from kepler_billiard.errors import ConfigError, NotOnWall
 from kepler_billiard.kepler import OrbitalElements, Params, cartesian_from_elements
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +39,7 @@ ELEMENTS_REF = {"elements": {"A": -0.5, "a": math.sqrt(0.32), "theta0": 1.2}, "n
 ABOVE_WALL = {"cartesian": {"x": 2.56, "y": 2.44, "px": -0.3, "py": -0.3}}
 AT_CENTRE = {"cartesian": {"x": 0.0, "y": 0.0, "px": 0.3, "py": 0.1}}
 ENSEMBLE = {"count": 1, "seed": 0, "energy": -0.3}
+REGION_ENSEMBLE = {"energy": -0.3}  # region reads only the energy
 
 
 def read_csv(path):
@@ -276,6 +277,26 @@ class TestSimulate:
         assert manifest["energy_drift"]["H0"] == pytest.approx(-0.25, abs=1e-15)
         assert manifest["energy_drift"]["max_rel_cumulative"] <= 1e-10
 
+    def test_off_wall_halt_keeps_the_events(self, tmp_path, monkeypatch):
+        # a hit state off the wall halts the run: simulate writes the events
+        # before it and the reason, and exits 0
+        real, hits = billiard.reflect, []
+
+        def reflect(s, p, tol_event=billiard.TOL_EVENT):
+            hits.append(s)
+            if len(hits) == 6:
+                raise NotOnWall(f"|y - h| = 1.6e-11 >= {tol_event:g}")
+            return real(s, p, tol_event)
+
+        monkeypatch.setattr(billiard, "reflect", reflect)
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps(base_doc(tmp_path)))
+        assert cli.main(["simulate", "--config", str(f)]) == 0
+        _, rows = read_csv(tmp_path / "out" / "events.csv")
+        assert [int(r[0]) for r in rows] == list(range(5))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["halted"] == "off the wall at event 5: |y - h| = 1.6e-11 >= 1e-12"
+
     def test_byte_identical_reruns(self, tmp_path):
         doc1 = base_doc(tmp_path, n_collisions=30)
         doc1["output_dir"] = str(tmp_path / "a")
@@ -413,7 +434,7 @@ class TestRegion:
     def test_boundary_vanishes_at_roots(self, tmp_path):
         doc = {
             "mode": "region",
-            "ensemble": {"count": 0, "seed": 0, "energy": -0.5},
+            "ensemble": {"energy": -0.5},
             "output_dir": str(tmp_path / "r"),
         }
         cfg = cli.parse_config(doc, "region")
@@ -432,7 +453,7 @@ class TestRegion:
         doc = {
             "mode": "region",
             "params": {"alpha": 1.0, "g": 0.1, "h": 1.0},
-            "ensemble": {"count": 0, "seed": 0, "energy": -0.5},
+            "ensemble": {"energy": -0.5},
             "output_dir": str(tmp_path / "rg"),
         }
         cfg = cli.parse_config(doc, "region")
@@ -598,19 +619,32 @@ class TestMainExitCodes:
              "ensemble: unknown config field"),
             ("gamma", {"initial": ELEMENTS_REF, "ensemble": ENSEMBLE}, [],
              "ensemble: unknown config field"),
-            ("region", {"ensemble": ENSEMBLE, "n_collisions": 50}, [],
+            ("region", {"ensemble": REGION_ENSEMBLE, "n_collisions": 50}, [],
              "n_collisions: unknown config field"),
-            ("region", {"ensemble": ENSEMBLE}, ["--n", "50"], "n_collisions: unknown config field"),
+            ("region", {"ensemble": REGION_ENSEMBLE}, ["--n", "50"],
+             "n_collisions: unknown config field"),
+            ("region", {"ensemble": ENSEMBLE}, [], "ensemble.count: unknown config field"),
+            ("region", {"ensemble": {"seed": 0, "energy": -0.3}}, [],
+             "ensemble.seed: unknown config field"),
+            ("region", {"ensemble": REGION_ENSEMBLE}, ["--seed", "5"],
+             "ensemble.seed: unknown config field"),
             ("section", {"initial": ELEMENTS_REF, "ensemble": ENSEMBLE}, [],
              "initial or ensemble: section needs exactly one start"),
-            ("region", {"initial": ELEMENTS_REF, "ensemble": ENSEMBLE}, [],
+            ("region", {"initial": ELEMENTS_REF, "ensemble": REGION_ENSEMBLE}, [],
              "initial or ensemble: region needs exactly one start"),
+            # |A| = 1e-300 puts the turning radius at 1e300, whose square overflows
+            ("region", {"ensemble": {"energy": -1e-300}}, [],
+             "ensemble.energy: the accessible interval of A = -1e-300 on the wall is not finite"),
+            ("simulate", {"initial": {"cartesian": {"x": 1e300, "y": 0.0, "px": 0.0, "py": 0.0}}},
+             [], "initial: the accessible interval of A = -1e-300 on the wall is not finite"),
         ],
         ids=[f"{c}-above-wall-{form}" for c in ("simulate", "gamma", "section", "region")
              for form in ("cartesian", "elements")]
         + [f"{c}-at-centre" for c in ("simulate", "gamma", "section", "region")]
         + ["simulate-ensemble", "gamma-ensemble", "region-n_collisions", "region-flag-n",
-           "section-both-starts", "region-both-starts"],
+           "region-count", "region-seed", "region-flag-seed",
+           "section-both-starts", "region-both-starts",
+           "region-interval-not-finite", "simulate-interval-not-finite"],
     )
     def test_config_boundary_exit_2(self, tmp_path, capsys, command, doc, flags, message):
         # each run input is decided once, before anything is written
