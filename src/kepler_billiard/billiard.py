@@ -106,30 +106,6 @@ class InvariantReport:
 
 
 @dataclass(frozen=True)
-class ConstantRCurve:
-    """Level set of R in the (x, lambda) rectangle, as a closed polyline."""
-
-    A: float
-    R: float
-    points: np.ndarray  # shape (N, 2): columns x, lambda
-
-
-@dataclass(frozen=True)
-class WallCrossing:
-    """Earliest forward wall crossing of an ellipse: impact geometry, the
-    flight time ``t_hit`` and the incoming state (x_impact, y, px, py)."""
-
-    E_hit: float
-    t_hit: float
-    x_impact: float
-    r: float
-    lam: float
-    y: float
-    px: float
-    py: float
-
-
-@dataclass(frozen=True)
 class BilliardRun:
     """Output of :func:`run`: events, reports, and optional dense samples."""
 
@@ -184,13 +160,16 @@ def tangent_angle(el: OrbitalElements, E: float) -> float:
     return lam
 
 
-def next_wall_crossing(el: OrbitalElements, E_now: float, p: Params) -> WallCrossing:
+def next_wall_crossing(
+    el: OrbitalElements, E_now: float, p: Params, t0: float = 0.0
+) -> tuple[float, float, float, CartesianState]:
     """Earliest forward anomaly at which the ellipse meets y = h going up.
 
-    The ellipse's geometry is formed once, by the expressions of the
-    :class:`OrbitalElements` properties, and the crossing carries the flight
-    time and the state there, as ``time_to_anomaly`` and
-    ``state_at_eccentric`` give them.
+    Returns ``(E_hit, r, lam)`` of the impact and the state there (at time
+    ``t0`` plus the flight time), before reflection.  The ellipse's geometry
+    is formed once, by the expressions of the :class:`OrbitalElements`
+    properties, and the state comes out as ``state_at_eccentric`` and
+    ``time_to_anomaly`` give it.
 
     Raises:
         ValueError: if ``el`` was built with another alpha than ``p``.
@@ -233,16 +212,14 @@ def next_wall_crossing(el: OrbitalElements, E_now: float, p: Params) -> WallCros
         )
     tx = -aM * sE * ux + b * cE * vx
     ty = -aM * sE * uy + b * cE * vy
-    return WallCrossing(
-        E_hit=E_hit,
-        t_hit=((E_hit - e * sE) - (E_now - e * math.sin(E_now))) / mean_motion,
-        x_impact=cx + aM * cE * ux + b * sE * vx,
-        r=aM * (1.0 - e * cE),
-        lam=math.atan2(ty, tx) % math.pi,
+    hit = CartesianState(
+        x=cx + aM * cE * ux + b * sE * vx,
         y=cy + aM * cE * uy + b * sE * vy,
         px=tx * Edot,
         py=ty * Edot,
+        t=t0 + ((E_hit - e * sE) - (E_now - e * math.sin(E_now))) / mean_motion,
     )
+    return E_hit, aM * (1.0 - e * cE), math.atan2(ty, tx) % math.pi, hit
 
 
 def _brentq(f, xa: float, xb: float) -> float:
@@ -425,17 +402,11 @@ def step(
         return impact_event(hit, p, n, E_hit=E_hit)
     if el is None:
         el = elements_from_cartesian(s, p)
-    cr = next_wall_crossing(el, eccentric_of_state(el, s), p)
-    out = reflect(CartesianState(x=cr.x_impact, y=cr.y, px=cr.px, py=cr.py, t=s.t + cr.t_hit), p)
+    E_hit, r, lam, hit = next_wall_crossing(el, eccentric_of_state(el, s), p, s.t)
+    out = reflect(hit, p)
     event = CollisionEvent(
-        n=n,
-        t=out.t,
-        x_impact=out.x,
-        r=cr.r,
-        lam=cr.lam,
-        pre=el,
-        post=elements_from_cartesian(out, p),
-        E_hit=cr.E_hit,
+        n=n, t=out.t, x_impact=out.x, r=r, lam=lam,
+        pre=el, post=elements_from_cartesian(out, p), E_hit=E_hit,
     )
     return out, event
 
@@ -619,13 +590,14 @@ def r_value_on_section(x: float, lam: float, A: float, p: Params) -> float:
     return R_from_R0(R0_from_geometry(r, aM, lam), aM, p)
 
 
-def level_set_R(A: float, R: float, p: Params) -> ConstantRCurve:
+def level_set_R(A: float, R: float, p: Params) -> np.ndarray:
     """Trace the level set R(x, lambda) = R inside the section rectangle.
 
     It is sampled at 1000 interior abscissae of the accessible interval.
     For each x the relation is affine in cos(2*lambda), so the lower-branch
     angle is recovered by a direct arccos and mirrored about pi/2; the two
-    branches are returned as one closed polyline.
+    branches are returned as one closed polyline, an (N, 2) array of
+    (x, lambda).
 
     Raises:
         EmptyLevelSet: if no interior point of the rectangle carries R.
@@ -654,5 +626,4 @@ def level_set_R(A: float, R: float, p: Params) -> ConstantRCurve:
             upper.append((x, math.pi - lam))
     if not lower:
         raise EmptyLevelSet(f"level R = {R:g} does not intersect the rectangle")
-    pts = lower + upper[::-1]
-    return ConstantRCurve(A=A, R=R, points=np.array(pts))
+    return np.array(lower + upper[::-1])

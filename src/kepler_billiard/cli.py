@@ -158,18 +158,23 @@ def _check_energy(A: float, params: Params, command: str, path: str) -> None:
     """The rules on the twice-energy ``A`` of a run's start.
 
     ``section`` and ``region`` work on the energy surface, so it must be
-    bound; for every command a bound surface must meet the wall in a finite
-    interval (for |A| below about 1e-154*alpha the turning radius squared
-    overflows).
+    bound and reach the wall; ``simulate`` and ``gamma`` run a start that
+    never reaches it as an orbit without collisions.  For every command a
+    surface that reaches the wall must meet it in a finite interval (for |A|
+    below about 1e-154*alpha the turning radius squared overflows).
     """
+    on_surface = command in ("section", "region")
     if A >= 0.0:
-        if command in ("section", "region"):
+        if on_surface:
             raise ConfigError(f"{path}: {command} requires A < 0, got A = {A:g}")
         return  # an unbound start is the run's domain error
     try:
         _, x_max = billiard.accessible_interval(A, params)
-    except EmptyRegion:
-        return  # the wall is out of reach: a run without collisions
+    except EmptyRegion as exc:
+        if on_surface:
+            raise ConfigError(f"{path}: the energy surface of A = {A:g} does not reach "
+                              f"the wall ({exc})") from exc
+        return
     if not math.isfinite(x_max):
         raise ConfigError(f"{path}: the accessible interval of A = {A:g} on the wall is not finite")
 
@@ -270,6 +275,16 @@ def _config_echo(cfg: RunConfig) -> dict:
     doc = {"mode": cfg.command, "output_dir": str(cfg.output_dir)}
     doc.update((k, values[k]) for k in _top_fields(cfg.command) if values[k] is not None)
     return doc
+
+
+def _output_dir(cfg: RunConfig) -> Path:
+    """The run's output directory, made on first use.  A path that cannot be
+    one (an existing file, or a path below one) is a configuration error."""
+    try:
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir: {exc}") from exc
+    return cfg.output_dir
 
 
 def finalize_bundle(
@@ -381,8 +396,7 @@ def _section_figure(
         R_mean = float(np.mean(Rv))
         try:
             curve = billiard.level_set_R(A, R_mean, g0)
-            fig.polyline(curve.points[:, 0], curve.points[:, 1], stroke=color,
-                         width=0.8, opacity=0.6)
+            fig.polyline(curve[:, 0], curve[:, 1], stroke=color, width=0.8, opacity=0.6)
         except EmptyLevelSet:
             pass
         for ev in out.events:
@@ -428,8 +442,7 @@ def _energy_drift(s0: CartesianState, res: billiard.BilliardRun, p: Params) -> d
 
 def cmd_simulate(cfg: RunConfig) -> OutputBundle:
     t0 = time.monotonic()
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg)
     res = billiard.run(cfg.initial, cfg.n_collisions, cfg.params, samples_per_arc=512)
     events, reports, samples = res.events, res.reports, res.samples
     extra: dict = {
@@ -458,8 +471,7 @@ def cmd_gamma(cfg: RunConfig) -> OutputBundle:
     t0 = time.monotonic()
     if cfg.params.g != 0.0:
         raise ConfigError("params.g: gamma requires g = 0")
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg)
     res = billiard.run(cfg.initial, cfg.n_collisions, cfg.params)
     samples = delaunay.gamma_series(res.events, cfg.params)
     files = []
@@ -549,8 +561,7 @@ def cmd_section(cfg: RunConfig) -> OutputBundle:
     else:
         seeds = [cfg.initial]
         A = cfg.initial.energy_A(cfg.params)
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg)
     outcomes = perturbed.section_ensemble(seeds, cfg.n_collisions, cfg.params)
     g0 = Params(alpha=cfg.params.alpha, g=0.0, h=cfg.params.h)
     # the osculating R after each impact, per seed
@@ -591,8 +602,7 @@ def cmd_region(cfg: RunConfig) -> OutputBundle:
     # the twice-energy of the state simulate starts from, g/r^2 included
     A = cfg.ensemble.energy if cfg.initial is None else cfg.initial.energy_A(cfg.params)
     x_min, x_max = billiard.accessible_interval(A, cfg.params)
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg)
     xs = np.linspace(x_min, x_max, 1001)
     rows = []
     for x in xs:
@@ -637,23 +647,14 @@ VERIFY_CHECKS = {
 }
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    kind: str  # "max" or "min"
-    threshold: float
-    measured: float
-    passed: bool
+def _passes(kind: str, threshold: float, measured: float) -> bool:
+    """The verdict of one check (NaN fails either kind)."""
+    return bool(measured >= threshold if kind == "min" else measured <= threshold)
 
 
-def _check(name: str, measured: float) -> Check:
-    kind, thr = VERIFY_CHECKS[name]
-    ok = measured >= thr if kind == "min" else measured <= thr
-    return Check(name=name, kind=kind, threshold=thr, measured=measured, passed=bool(ok))
-
-
-def run_verify_checks() -> list[Check]:
-    """The built-in invariant suite over the reference configurations."""
+def run_verify_checks() -> dict[str, float]:
+    """The built-in invariant suite over the reference configurations:
+    the measured value of each check in ``VERIFY_CHECKS``."""
     m: dict[str, float] = {}
     p = reference.reference_params()
 
@@ -715,9 +716,9 @@ def run_verify_checks() -> list[Check]:
     m["conjecture2_spread_even"], m["conjecture2_spread_odd"] = delaunay.spread_by_parity(samples)
 
     # oracle equivalence on the rotation-regime orbit: its first 100 events
-    res_ode = perturbed.run_perturbed(s0, 100, p)
+    events_ode, _ = perturbed.run_perturbed(s0, 100, p)
     m["oracle_impacts"] = max(
-        abs(a.x_impact - b.x_impact) for a, b in zip(res_ode.events, res_g.events[:100])
+        abs(a.x_impact - b.x_impact) for a, b in zip(events_ode, res_g.events[:100])
     )
     state = s0
     worst = 0.0
@@ -737,38 +738,38 @@ def run_verify_checks() -> list[Check]:
 
     # perturbation sensitivity at g = 0.05
     pg = reference.reference_params(g=reference.PERTURBATION_G)
-    res_p = perturbed.run_perturbed(reference.conservation_state(), 1000, pg)
-    Rv = np.array([billiard.conserved_R(ev.post, p) for ev in res_p.events])
+    events_p, m["perturbation_H_arc"] = perturbed.run_perturbed(
+        reference.conservation_state(), 1000, pg
+    )
+    Rv = np.array([billiard.conserved_R(ev.post, p) for ev in events_p])
     m["perturbation_R_drift"] = float(np.ptp(Rv) / abs(Rv[0]))
-    m["perturbation_H_arc"] = res_p.max_rel_drift
-    return [_check(name, m[name]) for name in VERIFY_CHECKS]
+    return m
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[OutputBundle, int]:
     t0 = time.monotonic()
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    checks = run_verify_checks()
+    out = _output_dir(cfg)
+    measured = run_verify_checks()
+    rows = [
+        (name, kind, thr, measured[name], _passes(kind, thr, measured[name]))
+        for name, (kind, thr) in VERIFY_CHECKS.items()
+    ]
     files = []
     csv_path = out / "verify_checks.csv"
-    write_csv(
-        csv_path,
-        ["name", "kind", "threshold", "measured", "pass"],
-        ((c.name, c.kind, c.threshold, c.measured, c.passed) for c in checks),
-    )
+    write_csv(csv_path, ["name", "kind", "threshold", "measured", "pass"], rows)
     files.append(csv_path)
     report = {
-        "all_passed": all(c.passed for c in checks),
+        "all_passed": all(ok for *_, ok in rows),
         "checks": [
             {
-                "name": c.name,
-                "kind": c.kind,
-                "threshold": c.threshold,
-                "measured": c.measured,
-                "pass": c.passed,
-                "margin": c.measured - c.threshold if c.kind == "min" else c.threshold - c.measured,
+                "name": name,
+                "kind": kind,
+                "threshold": thr,
+                "measured": m,
+                "pass": ok,
+                "margin": m - thr if kind == "min" else thr - m,
             }
-            for c in checks
+            for name, kind, thr, m, ok in rows
         ],
     }
     rep_path = out / "verify_report.json"
@@ -861,8 +862,12 @@ def main(argv: list[str] | None = None) -> int:
                 doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
             except OSError as exc:
                 raise ConfigError(f"--config: {exc}") from exc
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"--config: not UTF-8 text: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"--config: invalid JSON: {exc}") from exc
+            except RecursionError as exc:
+                raise ConfigError("--config: JSON nested deeper than the recursion limit") from exc
         else:
             doc = default_config(args.command)
         doc = _apply_flags(doc, args)

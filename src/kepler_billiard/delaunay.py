@@ -62,8 +62,6 @@ class GammaSample:
 class ConjectureReport:
     """Numerical verdict data for the rotation conjectures at one (L, R)."""
 
-    R: float
-    L: float
     sign_alternation_ok: bool
     spread_even: float
     spread_odd: float
@@ -526,8 +524,6 @@ def conjecture_report(
     om_hi, _ = omega_of_level(L, R + dR, p, N_RERUN)
     om_lo, _ = omega_of_level(L, R - dR, p, N_RERUN)
     return ConjectureReport(
-        R=R,
-        L=L,
         sign_alternation_ok=not any(s.branch_mismatch for s in samples),
         spread_even=spread_even,
         spread_odd=spread_odd,

@@ -142,10 +142,6 @@ class OrbitalElements:
         return self.aM * math.sqrt(max(1.0 - e * e, 0.0))
 
     @property
-    def is_circular(self) -> bool:
-        return self.e <= TOL_ECC
-
-    @property
     def center(self) -> tuple[float, float]:
         """Center of the ellipse, aM*e*(cos theta0, sin theta0)."""
         c = self.aM * self.e
@@ -263,8 +259,7 @@ def elements_from_cartesian(s: CartesianState, p: Params) -> OrbitalElements:
 
     Uses the eccentricity vector ``(p x a)/mu - r_hat`` (which points at the
     perihelion) and takes the aphelion angle ``theta0`` from its opposite.
-    Circular orbits get ``theta0 = 0`` by convention and are flagged through
-    :attr:`OrbitalElements.is_circular`.
+    Circular orbits (``e <= TOL_ECC``) get ``theta0 = 0`` by convention.
 
     Raises:
         Unbound: if the energy is non-negative.

@@ -41,17 +41,6 @@ ESCAPE_RADIUS = 1e3
 
 
 @dataclass(frozen=True)
-class PerturbedRun:
-    """Impacts of a direct integration, with its Hamiltonian audit.
-
-    ``max_rel_drift`` is the largest per-arc change of H relative to |H0|.
-    """
-
-    events: list[billiard.CollisionEvent]
-    max_rel_drift: float
-
-
-@dataclass(frozen=True)
 class SeedOutcome:
     """Per-seed result of an ensemble run; failures are isolated."""
 
@@ -144,11 +133,15 @@ def integrate_to_wall(s: CartesianState, p: Params) -> tuple[CartesianState, flo
     return out, t_hit
 
 
-def run_perturbed(s0: CartesianState, n: int, p: Params) -> PerturbedRun:
+def run_perturbed(
+    s0: CartesianState, n: int, p: Params
+) -> tuple[list[billiard.CollisionEvent], float]:
     """n wall collisions by direct integration, with per-arc energy audit.
 
-    Each impact goes through the event-driven module's impact record,
-    :func:`billiard.impact_event`, as the closed-form g > 0 route's do.
+    Returns ``(events, max_rel_drift)``: the impacts and the largest per-arc
+    change of H relative to |H0|.  Each impact goes through the event-driven
+    module's impact record, :func:`billiard.impact_event`, as the closed-form
+    g > 0 route's do.
     """
     events: list[billiard.CollisionEvent] = []
     drifts: list[float] = []
@@ -162,7 +155,7 @@ def run_perturbed(s0: CartesianState, n: int, p: Params) -> PerturbedRun:
     scale = abs(H0) if H0 != 0.0 else 1.0
     # np.max, so that a NaN drift is reported rather than skipped
     max_rel = float(np.max(drifts)) / scale if drifts else 0.0
-    return PerturbedRun(events=events, max_rel_drift=max_rel)
+    return events, max_rel
 
 
 def section_ensemble(seeds: list[CartesianState], n: int, p: Params) -> list[SeedOutcome]:

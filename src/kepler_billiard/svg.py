@@ -22,6 +22,14 @@ TICKS = 5  # per axis
 MARKER_SIZE = 3.0  # half-width of the plus and cross markers, in pixels
 
 
+def _span(lo: float, hi: float) -> tuple[float, float]:
+    """``(lo, hi)``, widened when empty: by 1, or past |lo| = 1e9 by 1e-9*|lo|,
+    a step that does not round away as 1 does from about 1e16 on."""
+    if hi <= lo:
+        hi = lo + max(1.0, 1e-9 * abs(lo))
+    return lo, hi
+
+
 class Figure:
     width, height, margin = WIDTH, HEIGHT, MARGIN
 
@@ -34,12 +42,8 @@ class Figure:
         ylabel: str = "",
         equal_aspect: bool = False,
     ):
-        x0, x1 = xlim
-        y0, y1 = ylim
-        if x1 <= x0:
-            x1 = x0 + 1.0
-        if y1 <= y0:
-            y1 = y0 + 1.0
+        x0, x1 = _span(*xlim)
+        y0, y1 = _span(*ylim)
         if equal_aspect:
             # widen the shorter data span so units map to equal pixel lengths
             avail_w = WIDTH - 2 * MARGIN

@@ -6,12 +6,14 @@ check must pass, must carry the kind and threshold pinned in ``BOUNDS``,
 and its measured value must satisfy that pinned bound, so a threshold
 loosened in the CLI fails here.  Criterion 4 also recomputes the inequality
 box on its own run, criterion 9 solves Kepler's equation on its own grid,
-and criterion 10 compares two verify runs byte for byte.
+and criterion 10 compares two verify runs byte for byte.  The byte gate
+pins verify's two data files by their sha256 (see ``test_golden.py``).
 
 Each check prints one `ACCEPTANCE <name>: PASS/FAIL` line with the measured
 value next to its bound (visible with ``pytest -s``, and echoed on failure).
 """
 
+import hashlib
 import json
 import math
 
@@ -162,3 +164,17 @@ def test_10_verify_determinism(verify_twice, verify_checks):
         f"exit codes ({code_a}, {code_b}); data CSVs byte-identical: {csv_a == csv_b}; "
         f"checks as pinned: {pinned}",
     )
+
+
+# verify's data files, as the byte gate pins every reference run's
+VERIFY_FILES = {
+    "verify_checks.csv": "87fb289407533e794e487a2a1f7526d62a34fe61a6fb53cb435abd8f59066bdb",
+    "verify_report.json": "6ae5a4f04bc54422a60fc1fd28ce5983bf013ad76fb21d38b3122cc9de6e59ad",
+}
+
+
+def test_verify_files_pinned(pinned_toolchain, verify_twice):
+    (out, _), _ = verify_twice
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+           for f in sorted(out.iterdir()) if f.name != "manifest.json"}
+    assert got == VERIFY_FILES

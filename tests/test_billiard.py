@@ -10,7 +10,6 @@ from kepler_billiard import billiard, reference
 from kepler_billiard.billiard import (
     TOL_EVENT,
     CollisionEvent,
-    ConstantRCurve,
     InvariantReport,
     R0_from_center,
     R0_from_geometry,
@@ -158,8 +157,8 @@ class TestR0:
 
     def test_center_vs_geometry_at_crossing(self, params, reference_elements):
         el = reference_elements
-        cr = next_wall_crossing(el, 0.0, params)
-        geo = R0_from_geometry(cr.r, el.aM, cr.lam)
+        _, r, lam, _ = next_wall_crossing(el, 0.0, params)
+        geo = R0_from_geometry(r, el.aM, lam)
         assert abs(geo - R0_from_center(el, params)) < 1e-10
 
 
@@ -202,9 +201,9 @@ class TestCrossing:
         for sgn, side in ((1.0, 1.0), (-1.0, -1.0)):
             el = OrbitalElements(A=A, a=sgn * a, theta0=0.0, alpha=1.0)
             s = cartesian_from_elements(el, 2.5, params)
-            cr = next_wall_crossing(el, eccentric_of_state(el, s), params)
-            assert abs(abs(cr.x_impact) - math.sqrt(rho**2 - 1.0)) < 1e-6
-            assert math.copysign(1.0, cr.x_impact) == side
+            _, _, _, hit = next_wall_crossing(el, eccentric_of_state(el, s), params)
+            assert abs(abs(hit.x) - math.sqrt(rho**2 - 1.0)) < 1e-6
+            assert math.copysign(1.0, hit.x) == side
 
     def test_no_collision_below(self, params):
         el = OrbitalElements(A=-1.0, a=math.sqrt(0.2), theta0=0.1, alpha=1.0)
@@ -241,9 +240,9 @@ class TestCrossing:
             E_now = rng.uniform(0.0, TWO_PI)
             if state_at_eccentric(el, E_now, params).y > params.h:
                 continue
-            cr = next_wall_crossing(el, E_now, params)
+            E_hit, _, _, _ = next_wall_crossing(el, E_now, params)
             E_oracle = sampling_crossing_oracle(el, E_now, params)
-            assert abs(cr.E_hit - E_oracle) < 1e-10
+            assert abs(E_hit - E_oracle) < 1e-10
             checked += 1
 
 
@@ -733,9 +732,9 @@ class TestLevelSet:
 
     def test_points_carry_level(self, params):
         curve = level_set_R(-0.5, 0.8, params)
-        assert isinstance(curve, ConstantRCurve)
-        assert len(curve.points) > 100
-        for x, lam in curve.points[::7]:
+        assert curve.ndim == 2 and curve.shape[1] == 2
+        assert len(curve) > 100
+        for x, lam in curve[::7]:
             assert abs(r_value_on_section(float(x), float(lam), -0.5, params) - 0.8) < 1e-10
 
     def test_collision_points_on_level(self, params, reference_state):

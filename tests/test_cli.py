@@ -40,6 +40,8 @@ ABOVE_WALL = {"cartesian": {"x": 2.56, "y": 2.44, "px": -0.3, "py": -0.3}}
 AT_CENTRE = {"cartesian": {"x": 0.0, "y": 0.0, "px": 0.3, "py": 0.1}}
 ENSEMBLE = {"count": 1, "seed": 0, "energy": -0.3}
 REGION_ENSEMBLE = {"energy": -0.3}  # region reads only the energy
+# A = 0.01 - 1/0.3: the turning radius 1/|A| = 0.3009 lies below the wall
+OFF_WALL = {"cartesian": {"x": 0.0, "y": -0.3, "px": 0.1, "py": 0.0}}
 
 
 def read_csv(path):
@@ -296,6 +298,21 @@ class TestSimulate:
         assert [int(r[0]) for r in rows] == list(range(5))
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["halted"] == "off the wall at event 5: |y - h| = 1.6e-11 >= 1e-12"
+
+    def test_far_radial_start_halts_and_draws(self, tmp_path):
+        # at x = 1e20 the figure's padded data span rounds away, and a unit
+        # widening would too: the run keeps its halt and draws a finite figure
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({"n_collisions": 5, "initial": {
+            "cartesian": {"x": 1e20, "y": 0.0, "px": 0.0, "py": 0.0}}}))
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(f), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["halted"].startswith("degenerate orbit at event 0: ")
+        assert [e["name"] for e in manifest["files"]] == ["events.csv", "trajectory.csv",
+                                                          "trajectory.svg"]
+        svg = (out / "trajectory.svg").read_text()
+        assert "nan" not in svg and "inf" not in svg
 
     def test_byte_identical_reruns(self, tmp_path):
         doc1 = base_doc(tmp_path, n_collisions=30)
@@ -637,6 +654,24 @@ class TestMainExitCodes:
              "ensemble.energy: the accessible interval of A = -1e-300 on the wall is not finite"),
             ("simulate", {"initial": {"cartesian": {"x": 1e300, "y": 0.0, "px": 0.0, "py": 0.0}}},
              [], "initial: the accessible interval of A = -1e-300 on the wall is not finite"),
+            # an energy surface that never reaches the wall has no section
+            # and no region; simulate and gamma run it without collisions
+            ("region", {"ensemble": {"energy": -2.0}}, [],
+             "ensemble.energy: the energy surface of A = -2 does not reach the wall "
+             "(turning radius 0.5 below wall height 1)"),
+            ("section", {"ensemble": {"count": 2, "seed": 0, "energy": -2.0}}, [],
+             "ensemble.energy: the energy surface of A = -2 does not reach the wall "
+             "(turning radius 0.5 below wall height 1)"),
+            *((command, {"initial": OFF_WALL}, [],
+               "initial: the energy surface of A = -3.32333 does not reach the wall "
+               "(turning radius 0.300903 below wall height 1)")
+              for command in ("section", "region")),
+            ("section", {"ensemble": ENSEMBLE}, ["--g", "1e300"],
+             "ensemble.energy: the energy surface of A = -0.3 does not reach the wall "
+             "(energy below the minimum of the effective potential)"),
+            ("region", {"ensemble": REGION_ENSEMBLE}, ["--g", "1e300"],
+             "ensemble.energy: the energy surface of A = -0.3 does not reach the wall "
+             "(energy below the minimum of the effective potential)"),
         ],
         ids=[f"{c}-above-wall-{form}" for c in ("simulate", "gamma", "section", "region")
              for form in ("cartesian", "elements")]
@@ -644,7 +679,10 @@ class TestMainExitCodes:
         + ["simulate-ensemble", "gamma-ensemble", "region-n_collisions", "region-flag-n",
            "region-count", "region-seed", "region-flag-seed",
            "section-both-starts", "region-both-starts",
-           "region-interval-not-finite", "simulate-interval-not-finite"],
+           "region-interval-not-finite", "simulate-interval-not-finite",
+           "region-off-wall-ensemble", "section-off-wall-ensemble",
+           "section-off-wall-initial", "region-off-wall-initial",
+           "section-flag-g-1e300", "region-flag-g-1e300"],
     )
     def test_config_boundary_exit_2(self, tmp_path, capsys, command, doc, flags, message):
         # each run input is decided once, before anything is written
@@ -655,8 +693,55 @@ class TestMainExitCodes:
         assert f"configuration error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "gamma"])
+    def test_off_wall_start_runs_without_collisions(self, tmp_path, command):
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({"n_collisions": 3, "initial": OFF_WALL}))
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(f), "--out", str(out)]) == 0
+        _, rows = read_csv(out / ("events.csv" if command == "simulate" else "gamma.csv"))
+        assert rows == []
+
     def test_missing_config_file_exit_2(self, tmp_path):
         assert cli.main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'{"mode": "simulate", "output_dir": "\xff"}', "--config: not UTF-8 text"),
+            (b'{"params": ' * 100_000 + b"{}" + b"}" * 100_000,
+             "--config: JSON nested deeper than the recursion limit"),
+        ],
+        ids=["not-utf8", "nested-too-deep"],
+    )
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, monkeypatch, data, message):
+        monkeypatch.chdir(tmp_path)  # nothing may be written, not even here
+        f = tmp_path / "c.json"
+        f.write_bytes(data)
+        assert cli.main(["simulate", "--config", str(f), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {message}" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize("command", ["simulate", "section", "verify"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_output_path_not_a_directory_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                command, below, via):
+        # the output directory cannot be made: exit 2, and the file is left alone
+        monkeypatch.setattr(cli, "run_verify_checks", lambda: pytest.fail("verify ran"))
+        taken = tmp_path / "taken"
+        taken.write_text("data\n")
+        out = taken / "sub" if below else taken
+        doc = {"output_dir": str(out)} if via == "config" else {}
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({**cli.default_config(command), **doc}))
+        argv = [command, "--config", str(f)] + (["--out", str(out)] if via == "flag" else [])
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: output_dir: " in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "taken"]
+        assert taken.read_text() == "data\n"
 
     def test_runtime_error_exit_3(self, tmp_path, capsys):
         doc = {
@@ -799,10 +884,8 @@ class TestVerifyFaultInjection:
         failing = {"theorem1_R_drift": 2.0, "anisochrony_ratio": 0.5}
 
         def checks():
-            return [
-                cli._check(name, failing.get(name, 1.0) * thr)
-                for name, (_, thr) in cli.VERIFY_CHECKS.items()
-            ]
+            return {name: failing.get(name, 1.0) * thr
+                    for name, (_, thr) in cli.VERIFY_CHECKS.items()}
 
         monkeypatch.setattr(cli, "run_verify_checks", checks)
         assert cli.main(["verify", "--out", str(tmp_path / "v")]) == 1
@@ -820,13 +903,17 @@ class TestVerifyFaultInjection:
         assert all((c["margin"] >= 0) == c["pass"] for c in report["checks"])
 
     def test_check_min_max(self):
-        assert cli._check("theorem1_R_drift", 1e-9).passed
-        assert not cli._check("theorem1_R_drift", 1.01e-9).passed
-        assert cli._check("eq110_box_violations", 0.0).passed
-        assert not cli._check("eq110_box_violations", 1.0).passed
-        assert cli._check("anisochrony_ratio", 10.0).passed
-        assert not cli._check("anisochrony_ratio", 9.99).passed
-        assert not cli._check("anisochrony_ratio", math.nan).passed
-        assert not cli._check("theorem1_R_drift", math.nan).passed
-        c = cli._check("perturbation_R_drift", 2e-4)
-        assert (c.kind, c.threshold, c.measured, c.passed) == ("min", 1e-4, 2e-4, True)
+        def passes(name, measured):
+            return cli._passes(*cli.VERIFY_CHECKS[name], measured)
+
+        assert passes("theorem1_R_drift", 1e-9) is True
+        assert passes("theorem1_R_drift", 1.01e-9) is False
+        assert passes("eq110_box_violations", 0.0) is True
+        assert passes("eq110_box_violations", 1.0) is False
+        assert passes("anisochrony_ratio", 10.0) is True
+        assert passes("anisochrony_ratio", 9.99) is False
+        assert passes("anisochrony_ratio", math.nan) is False
+        assert passes("theorem1_R_drift", math.nan) is False
+        assert passes("perturbation_R_drift", 2e-4) is True
+        # a measured numpy value still gives a Python bool, as the CSV writes it
+        assert passes("kepler_residual", np.float64(1e-14)) is True

@@ -1,0 +1,82 @@
+"""Byte gate: every data file of the reference runs, pinned by its sha256.
+
+The reference runs are the committed ``configs/*.json`` and the built-in
+configs of ``simulate``, ``gamma``, ``section`` and ``region``.  Every file a
+run writes is pinned except ``manifest.json``, which holds the wall clock and
+the versions.  A built-in config that is a committed one (up to its output
+directory) is covered by that config's pins.  ``verify``'s two files are
+pinned in ``test_acceptance.py``, on the acceptance fixture's run.
+"""
+
+import hashlib
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from kepler_billiard import cli
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# run -> {file name: sha256}; a committed config by its stem, a built-in
+# config by its subcommand
+GOLDEN = {
+    "gamma_rotation": {
+        "conjecture_report.json": "8e963ecea3734d21933079fe24a8f08f5bc84861ad22b6962588a1b422493f7d",
+        "delta2_gamma.svg": "a8a03fb540d582423ed855a6e26ffc161f0eb0f3194535f09c257c21c12941e9",
+        "gamma.csv": "108bf112afd5ab8fe1bf13cc5ae2e25128ce3544442a25e9d6eb2a20deddfe4f",
+    },
+    "perturbed_g005": {
+        "events.csv": "290473c5d72159c1d160cf2df29da90b95a1900617aa8808f010d3fadc75369f",
+        "trajectory.csv": "f0fbe31764c02f2550dba3e7503c028a70261037aae61379b6842e4d615a055a",
+        "trajectory.svg": "1bb3d0ac2673a99ea7e221f13db16132cea0fbdc8a4a1422484a9e37e227357b",
+    },
+    "reference_g0": {
+        "events.csv": "095643fe2bebc8f4a466ee7c2e7ba15639953267bbd1589be00cd2894fe9933e",
+        "trajectory.csv": "a7994ea5d664bbf7edbaf07eb1c8fb15aac1843ab65e0fa98aeea56e153c5e03",
+        "trajectory.svg": "d04690301f4f3c50cf3aaad8992a9c99818a7368d45993a4ebafa5226de4a828",
+    },
+    "region_reference": {
+        "region.csv": "a1d3a050add3c8aefc55f11bcff9dc9a65fc9d96180544457b343f0934365eed",
+    },
+    "section_sweep": {
+        "section.csv": "aa6fbc2586262b1a4c556f3271db57e3860b594622a7901a1877732a767d37af",
+        "section.svg": "cdf9e2666da04052b5a9fb64865f0504d838394be71e001675550065088aafad",
+    },
+    "section": {
+        "section.csv": "544fb11c4d0c20d5543e7828064b13252ce909efcb7329e3fcb148621fdc5d8d",
+        "section.svg": "8c0ef9db326ba101b173238dd7342ac4456be75dc972f818e8196f324adae870",
+    },
+}
+
+# the built-in gamma start lies 1.6e-15 from gamma_rotation's, and its run
+# writes the same bytes
+GOLDEN["gamma"] = GOLDEN["gamma_rotation"]
+
+# built-in configs that are a committed config's run
+SAME_RUN = {"simulate": "reference_g0", "region": "region_reference"}
+
+
+def data_hashes(out: Path) -> dict[str, str]:
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(out.iterdir()) if f.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("run", GOLDEN)
+def test_data_files_pinned(pinned_toolchain, tmp_path, run):
+    config = CONFIGS / f"{run}.json"
+    if config.exists():
+        argv = [json.loads(config.read_text())["mode"], "--config", str(config)]
+    else:
+        argv = [run]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    assert data_hashes(tmp_path) == GOLDEN[run]
+
+
+@pytest.mark.parametrize("command", SAME_RUN)
+def test_builtin_config_is_a_pinned_run(command):
+    committed = json.loads((CONFIGS / f"{SAME_RUN[command]}.json").read_text())
+    want = cli.parse_config(committed, command)
+    got = cli.parse_config(cli.default_config(command), command)
+    assert replace(got, output_dir=want.output_dir) == want

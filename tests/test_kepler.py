@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kepler_billiard.errors import Degenerate, Unbound
 from kepler_billiard.kepler import (
+    TOL_ECC,
     CartesianState,
     OrbitalElements,
     Params,
@@ -98,7 +99,7 @@ class TestElementsFromCartesian:
         el = elements_from_cartesian(s, params)
         assert abs(el.A + 0.5) < 1e-15
         assert abs(el.a - math.sqrt(0.5)) < 1e-15
-        assert el.is_circular
+        assert el.e <= TOL_ECC
         assert abs(el.aM - 1.0) < 1e-14
 
     def test_unbound(self, params):
