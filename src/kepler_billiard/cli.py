@@ -8,7 +8,7 @@ emitted file with a sha256 checksum; floats are serialized with 17
 significant digits so repeated runs are byte-identical.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 runtime/numerical error.
+3 runtime/numerical error (a failed write of an output file included).
 """
 
 from __future__ import annotations
@@ -163,6 +163,8 @@ def _check_energy(A: float, params: Params, command: str, path: str) -> None:
     surface that reaches the wall must meet it in a finite interval (for |A|
     below about 1e-154*alpha the turning radius squared overflows).
     """
+    if not math.isfinite(A):
+        raise ConfigError(f"{path}: the twice-energy of the start is not finite (A = {A:g})")
     on_surface = command in ("section", "region")
     if A >= 0.0:
         if on_surface:
@@ -227,6 +229,8 @@ def parse_config(doc: dict, command: str) -> RunConfig:
     if "initial" in fields and (initial is None) == (ensemble is None):
         starts = " or ".join(k for k in ("initial", "ensemble") if k in fields)
         raise ConfigError(f"{starts}: {command} needs exactly one start")
+    if command == "gamma" and params.g != 0.0:
+        raise ConfigError("params.g: gamma requires g = 0")
     if ensemble is not None:
         _check_energy(ensemble.energy, params, command, "ensemble.energy")
     elif initial is not None:
@@ -258,6 +262,10 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -277,19 +285,30 @@ def _config_echo(cfg: RunConfig) -> dict:
     return doc
 
 
-def _output_dir(cfg: RunConfig) -> Path:
-    """The run's output directory, made on first use.  A path that cannot be
-    one (an existing file, or a path below one) is a configuration error."""
+def _output_dir(cfg: RunConfig) -> None:
+    """Make the run's output directory.  A path that cannot be one (an
+    existing file, or a path below one) is a configuration error."""
     try:
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output_dir: {exc}") from exc
-    return cfg.output_dir
 
 
 def finalize_bundle(
-    cfg: RunConfig, files: list[Path], t_start: float, extra: dict | None = None
+    cfg: RunConfig, t_start: float, contents: dict, extra: dict | None = None
 ) -> OutputBundle:
+    """Write the run's files into its output directory, in the order of
+    ``contents`` ({file name: content}), then the manifest.  A content is a
+    CSV as ``(header, rows)``, a JSON document as a dict, or text; None
+    writes no file."""
+    contents = {name: c for name, c in contents.items() if c is not None}
+    files = [cfg.output_dir / name for name in contents]
+    for path, content in zip(files, contents.values()):
+        if isinstance(content, tuple):
+            write_csv(path, *content)
+        else:
+            path.write_text(content if isinstance(content, str) else _json(content),
+                            encoding="utf-8")
     manifest = {
         "config": _config_echo(cfg),
         "versions": {
@@ -307,7 +326,7 @@ def finalize_bundle(
     if extra:
         manifest.update(extra)
     out = cfg.output_dir / "manifest.json"
-    out.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    out.write_text(_json(manifest), encoding="utf-8")
     return OutputBundle(manifest=manifest, files=files + [out])
 
 
@@ -442,7 +461,7 @@ def _energy_drift(s0: CartesianState, res: billiard.BilliardRun, p: Params) -> d
 
 def cmd_simulate(cfg: RunConfig) -> OutputBundle:
     t0 = time.monotonic()
-    out = _output_dir(cfg)
+    _output_dir(cfg)
     res = billiard.run(cfg.initial, cfg.n_collisions, cfg.params, samples_per_arc=512)
     events, reports, samples = res.events, res.reports, res.samples
     extra: dict = {
@@ -451,37 +470,19 @@ def cmd_simulate(cfg: RunConfig) -> OutputBundle:
     }
     if res.halted:
         extra["halted"] = res.halted
-    files = []
-    ev_path = out / "events.csv"
-    write_csv(ev_path, EVENT_HEADER, _event_rows(events, reports))
-    files.append(ev_path)
-    tr_path = out / "trajectory.csv"
-    write_csv(tr_path, ["t", "x", "y", "px", "py"], samples)
-    files.append(tr_path)
-    svg_path = out / "trajectory.svg"
-    svg_path.write_text(
-        _trajectory_figure(samples, events, cfg.params, dashed_ellipses=len(events) <= 64),
-        encoding="utf-8",
-    )
-    files.append(svg_path)
-    return finalize_bundle(cfg, files, t0, extra)
+    return finalize_bundle(cfg, t0, {
+        "events.csv": (EVENT_HEADER, _event_rows(events, reports)),
+        "trajectory.csv": (["t", "x", "y", "px", "py"], samples),
+        "trajectory.svg": _trajectory_figure(samples, events, cfg.params,
+                                             dashed_ellipses=len(events) <= 64),
+    }, extra)
 
 
 def cmd_gamma(cfg: RunConfig) -> OutputBundle:
     t0 = time.monotonic()
-    if cfg.params.g != 0.0:
-        raise ConfigError("params.g: gamma requires g = 0")
-    out = _output_dir(cfg)
+    _output_dir(cfg)
     res = billiard.run(cfg.initial, cfg.n_collisions, cfg.params)
     samples = delaunay.gamma_series(res.events, cfg.params)
-    files = []
-    g_path = out / "gamma.csv"
-    write_csv(
-        g_path,
-        ["n", "gamma", "delta2_gamma", "eps_observed", "parity"],
-        ((s.n, s.gamma, s.delta2_gamma, s.eps_observed, s.n % 2) for s in samples),
-    )
-    files.append(g_path)
     report: dict = {"n_samples": len(samples)}
     if res.events:
         el0 = res.events[0].post
@@ -492,26 +493,15 @@ def cmd_gamma(cfg: RunConfig) -> OutputBundle:
         report["R_above_h_alpha"] = R > cfg.params.h * cfg.params.alpha
         report["branch_mismatch_rows"] = [s.n for s in samples if s.branch_mismatch]
         try:
-            rep = delaunay.conjecture_report(samples, L, R, cfg.params)
-            report["conjectures"] = {
-                "sign_alternation_ok": rep.sign_alternation_ok,
-                "spread_even": rep.spread_even,
-                "spread_odd": rep.spread_odd,
-                "omega_estimate": rep.omega_estimate,
-                "omega_stderr": rep.omega_stderr,
-                "domega_dR": rep.domega_dR,
-            }
+            report["conjectures"] = delaunay.conjecture_report(samples, L, R, cfg.params)
         except (InsufficientData, BilliardError) as exc:
             report["conjectures"] = {"error": f"{type(exc).__name__}: {exc}"}
-    rep_path = out / "conjecture_report.json"
-    rep_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    files.append(rep_path)
-    svg = _delta2_figure(samples)
-    if svg is not None:
-        svg_path = out / "delta2_gamma.svg"
-        svg_path.write_text(svg, encoding="utf-8")
-        files.append(svg_path)
-    return finalize_bundle(cfg, files, t0, {"halted": res.halted} if res.halted else None)
+    return finalize_bundle(cfg, t0, {
+        "gamma.csv": (["n", "gamma", "delta2_gamma", "eps_observed", "parity"],
+                      ((s.n, s.gamma, s.delta2_gamma, s.eps_observed, s.n % 2) for s in samples)),
+        "conjecture_report.json": report,
+        "delta2_gamma.svg": _delta2_figure(samples),
+    }, {"halted": res.halted} if res.halted else None)
 
 
 def _ensemble_seeds(spec: EnsembleSpec, p: Params) -> list[CartesianState]:
@@ -561,23 +551,11 @@ def cmd_section(cfg: RunConfig) -> OutputBundle:
     else:
         seeds = [cfg.initial]
         A = cfg.initial.energy_A(cfg.params)
-    out = _output_dir(cfg)
+    _output_dir(cfg)
     outcomes = perturbed.section_ensemble(seeds, cfg.n_collisions, cfg.params)
     g0 = Params(alpha=cfg.params.alpha, g=0.0, h=cfg.params.h)
     # the osculating R after each impact, per seed
     R_values = [[billiard.conserved_R(ev.post, g0) for ev in o.events] for o in outcomes]
-    files = []
-    sec_path = out / "section.csv"
-    write_csv(
-        sec_path,
-        ["seed_id", "n", "x", "lambda", "R_value"],
-        (
-            (o.seed_index, ev.n, ev.x_impact, ev.lam, R)
-            for o, Rv in zip(outcomes, R_values)
-            for ev, R in zip(o.events, Rv)
-        ),
-    )
-    files.append(sec_path)
     scatter = [
         float(np.ptp(Rv) / max(1e-300, abs(np.mean(Rv))))
         for Rv in R_values
@@ -589,12 +567,17 @@ def cmd_section(cfg: RunConfig) -> OutputBundle:
             {"seed_id": o.seed_index, "error": o.error} for o in outcomes if o.error
         ],
     }
-    svg = _section_figure(outcomes, R_values, A, cfg.params)
-    if svg is not None:
-        svg_path = out / "section.svg"
-        svg_path.write_text(svg, encoding="utf-8")
-        files.append(svg_path)
-    return finalize_bundle(cfg, files, t0, extra)
+    return finalize_bundle(cfg, t0, {
+        "section.csv": (
+            ["seed_id", "n", "x", "lambda", "R_value"],
+            (
+                (o.seed_index, ev.n, ev.x_impact, ev.lam, R)
+                for o, Rv in zip(outcomes, R_values)
+                for ev, R in zip(o.events, Rv)
+            ),
+        ),
+        "section.svg": _section_figure(outcomes, R_values, A, cfg.params),
+    }, extra)
 
 
 def cmd_region(cfg: RunConfig) -> OutputBundle:
@@ -602,7 +585,7 @@ def cmd_region(cfg: RunConfig) -> OutputBundle:
     # the twice-energy of the state simulate starts from, g/r^2 included
     A = cfg.ensemble.energy if cfg.initial is None else cfg.initial.energy_A(cfg.params)
     x_min, x_max = billiard.accessible_interval(A, cfg.params)
-    out = _output_dir(cfg)
+    _output_dir(cfg)
     xs = np.linspace(x_min, x_max, 1001)
     rows = []
     for x in xs:
@@ -614,11 +597,8 @@ def cmd_region(cfg: RunConfig) -> OutputBundle:
             continue
         b = math.sqrt(rad)
         rows.append((x, b, -b))
-    files = []
-    reg_path = out / "region.csv"
-    write_csv(reg_path, ["x", "p_plus", "p_minus"], rows)
-    files.append(reg_path)
-    return finalize_bundle(cfg, files, t0, {"A": A, "x_min": x_min, "x_max": x_max})
+    return finalize_bundle(cfg, t0, {"region.csv": (["x", "p_plus", "p_minus"], rows)},
+                           {"A": A, "x_min": x_min, "x_max": x_max})
 
 
 # ----------------------------------------------------------------- verify ---
@@ -746,18 +726,14 @@ def run_verify_checks() -> dict[str, float]:
     return m
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[OutputBundle, int]:
+def cmd_verify(cfg: RunConfig) -> OutputBundle:
     t0 = time.monotonic()
-    out = _output_dir(cfg)
+    _output_dir(cfg)
     measured = run_verify_checks()
     rows = [
         (name, kind, thr, measured[name], _passes(kind, thr, measured[name]))
         for name, (kind, thr) in VERIFY_CHECKS.items()
     ]
-    files = []
-    csv_path = out / "verify_checks.csv"
-    write_csv(csv_path, ["name", "kind", "threshold", "measured", "pass"], rows)
-    files.append(csv_path)
     report = {
         "all_passed": all(ok for *_, ok in rows),
         "checks": [
@@ -772,11 +748,19 @@ def cmd_verify(cfg: RunConfig) -> tuple[OutputBundle, int]:
             for name, kind, thr, m, ok in rows
         ],
     }
-    rep_path = out / "verify_report.json"
-    rep_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    files.append(rep_path)
-    bundle = finalize_bundle(cfg, files, t0, {"all_passed": report["all_passed"]})
-    return bundle, 0 if report["all_passed"] else 1
+    return finalize_bundle(cfg, t0, {
+        "verify_checks.csv": (["name", "kind", "threshold", "measured", "pass"], rows),
+        "verify_report.json": report,
+    }, {"all_passed": report["all_passed"]})
+
+
+COMMANDS = {
+    "simulate": cmd_simulate,
+    "gamma": cmd_gamma,
+    "section": cmd_section,
+    "region": cmd_region,
+    "verify": cmd_verify,
+}
 
 
 # ------------------------------------------------------------------- main ---
@@ -872,30 +856,25 @@ def main(argv: list[str] | None = None) -> int:
             doc = default_config(args.command)
         doc = _apply_flags(doc, args)
         cfg = parse_config(doc, args.command)
-        if args.command == "verify":
-            bundle, code = cmd_verify(cfg)
-            status = "PASS" if code == 0 else "FAIL"
-            print(f"verify: {status} ({len(bundle.manifest['files'])} files in {cfg.output_dir})")
-            return code
-        if args.command == "simulate":
-            bundle = cmd_simulate(cfg)
-        elif args.command == "gamma":
-            bundle = cmd_gamma(cfg)
-        elif args.command == "section":
-            bundle = cmd_section(cfg)
+        manifest = COMMANDS[args.command](cfg).manifest
+        n_files = len(manifest["files"])
+        if "all_passed" in manifest:
+            status = "PASS" if manifest["all_passed"] else "FAIL"
+            print(f"verify: {status} ({n_files} files in {cfg.output_dir})")
         else:
-            bundle = cmd_region(cfg)
-        print(f"{args.command}: wrote {len(bundle.manifest['files'])} files to {cfg.output_dir}")
-        if args.command == "section":
+            print(f"{args.command}: wrote {n_files} files to {cfg.output_dir}")
+        if "failed_seeds" in manifest:
             seeds = cfg.ensemble.count if cfg.ensemble is not None else 1
-            failed = len(bundle.manifest["failed_seeds"])
+            failed = len(manifest["failed_seeds"])
             print(f"section: {failed} of {seeds} seeds failed"
                   + (" (errors under failed_seeds in manifest.json)" if failed else ""))
-        return 0
+        return 0 if manifest.get("all_passed", True) else 1
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (BilliardError, ArithmeticError) as exc:
+    except (BilliardError, ArithmeticError, OSError) as exc:
+        # an OSError here is a failed write of an output file; the files
+        # written before it stay
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

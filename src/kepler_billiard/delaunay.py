@@ -58,18 +58,6 @@ class GammaSample:
     branch_mismatch: bool = False
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
-    """Numerical verdict data for the rotation conjectures at one (L, R)."""
-
-    sign_alternation_ok: bool
-    spread_even: float
-    spread_odd: float
-    omega_estimate: float
-    domega_dR: float
-    omega_stderr: float = 0.0
-
-
 def _coeffs(s2: float, R: float, L: float, p: Params):
     """Quadratic-in-a^2 pieces at sin^2 = s2: (t1, disc, m) with m = dd/d(-R)."""
     hb = p.h * p.alpha
@@ -508,8 +496,9 @@ def omega_of_level(L: float, R: float, p: Params, n_events: int) -> tuple[float,
 
 def conjecture_report(
     samples: list[GammaSample], L: float, R: float, p: Params
-) -> ConjectureReport:
-    """Summarize a gamma series and probe anisochrony by rerunning at R +- dR.
+) -> dict:
+    """The verdict data for the rotation conjectures at one (L, R): summarize
+    a gamma series and probe anisochrony by rerunning at R +- dR.
 
     Each rerun is a fresh orbit of ``N_RERUN`` collisions on the shifted level.
 
@@ -523,11 +512,11 @@ def conjecture_report(
     dR = 1e-4 * abs(R)
     om_hi, _ = omega_of_level(L, R + dR, p, N_RERUN)
     om_lo, _ = omega_of_level(L, R - dR, p, N_RERUN)
-    return ConjectureReport(
-        sign_alternation_ok=not any(s.branch_mismatch for s in samples),
-        spread_even=spread_even,
-        spread_odd=spread_odd,
-        omega_estimate=omega,
-        domega_dR=(om_hi - om_lo) / (2.0 * dR),
-        omega_stderr=stderr,
-    )
+    return {
+        "sign_alternation_ok": not any(s.branch_mismatch for s in samples),
+        "spread_even": spread_even,
+        "spread_odd": spread_odd,
+        "omega_estimate": omega,
+        "omega_stderr": stderr,
+        "domega_dR": (om_hi - om_lo) / (2.0 * dR),
+    }

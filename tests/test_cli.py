@@ -261,23 +261,33 @@ class TestSimulate:
         # of H are about 6e3 and cancel to H0 = -0.25, so |H - H0|/|H0|
         # read 5.2e-8 there; relative to the terms the exact flow is exact
         cfg = cli.parse_config(base_doc(tmp_path, n_collisions=20), "simulate")
-        assert cli.cmd_simulate(cfg).manifest["energy_drift"]["max_rel_cumulative"] <= 1e-11
+        drift = cli.cmd_simulate(cfg).manifest["energy_drift"]
+        # the energy audit comes at every g, the exact g = 0 route included
+        assert drift["H0"] == pytest.approx(-0.25, abs=1e-15)
+        assert drift["max_rel_cumulative"] <= 1e-11
 
-    def test_manifest_checksums(self, tmp_path):
-        cfg = cli.parse_config(base_doc(tmp_path, n_collisions=5), "simulate")
-        bundle = cli.cmd_simulate(cfg)
-        manifest = json.loads((cfg.output_dir / "manifest.json").read_text())
-        assert bundle.manifest["files"]
+    @pytest.mark.parametrize("command, flags, names", [
+        ("simulate", ["--n", "5"], ["events.csv", "trajectory.csv", "trajectory.svg"]),
+        ("gamma", ["--n", "10"], ["gamma.csv", "conjecture_report.json", "delta2_gamma.svg"]),
+        ("section", ["--n", "2"], ["section.csv", "section.svg"]),
+        ("region", [], ["region.csv"]),
+        ("verify", [], ["verify_checks.csv", "verify_report.json"]),
+    ], ids=["simulate", "gamma", "section", "region", "verify"])
+    def test_manifest_checksums(self, tmp_path, monkeypatch, command, flags, names):
+        # the manifest lists exactly the data files in the directory, in the
+        # order they were written, each with its size and checksum
+        monkeypatch.setattr(cli, "run_verify_checks", lambda: {
+            name: thr for name, (_, thr) in cli.VERIFY_CHECKS.items()})
+        out = tmp_path / "o"
+        assert cli.main([command, "--out", str(out), *flags]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [e["name"] for e in manifest["files"]] == names
+        assert sorted(p.name for p in out.iterdir()) == sorted(names + ["manifest.json"])
         for entry in manifest["files"]:
-            data = (cfg.output_dir / entry["name"]).read_bytes()
+            data = (out / entry["name"]).read_bytes()
             assert hashlib.sha256(data).hexdigest() == entry["sha256"]
             assert len(data) == entry["bytes"]
-        names = {e["name"] for e in manifest["files"]}
-        assert names == {"events.csv", "trajectory.csv", "trajectory.svg"}
-        assert manifest["config"]["mode"] == "simulate"
-        # the energy audit comes at every g, the exact g = 0 route included
-        assert manifest["energy_drift"]["H0"] == pytest.approx(-0.25, abs=1e-15)
-        assert manifest["energy_drift"]["max_rel_cumulative"] <= 1e-10
+        assert manifest["config"]["mode"] == command
 
     def test_off_wall_halt_keeps_the_events(self, tmp_path, monkeypatch):
         # a hit state off the wall halts the run: simulate writes the events
@@ -672,6 +682,11 @@ class TestMainExitCodes:
             ("region", {"ensemble": REGION_ENSEMBLE}, ["--g", "1e300"],
              "ensemble.energy: the energy surface of A = -0.3 does not reach the wall "
              "(energy below the minimum of the effective potential)"),
+            ("gamma", {"initial": ELEMENTS_REF}, ["--g", "0.01"], "params.g: gamma requires g = 0"),
+            # p^2 overflows: the manifest's H0 would be Infinity
+            ("simulate", {"n_collisions": 0, "initial": {"cartesian": {
+                "x": 0.0, "y": 1.0, "px": 1e300, "py": 0.0}}}, [],
+             "initial: the twice-energy of the start is not finite (A = inf)"),
         ],
         ids=[f"{c}-above-wall-{form}" for c in ("simulate", "gamma", "section", "region")
              for form in ("cartesian", "elements")]
@@ -682,7 +697,8 @@ class TestMainExitCodes:
            "region-interval-not-finite", "simulate-interval-not-finite",
            "region-off-wall-ensemble", "section-off-wall-ensemble",
            "section-off-wall-initial", "region-off-wall-initial",
-           "section-flag-g-1e300", "region-flag-g-1e300"],
+           "section-flag-g-1e300", "region-flag-g-1e300", "gamma-flag-g",
+           "simulate-energy-not-finite"],
     )
     def test_config_boundary_exit_2(self, tmp_path, capsys, command, doc, flags, message):
         # each run input is decided once, before anything is written
@@ -742,6 +758,21 @@ class TestMainExitCodes:
         assert "configuration error: output_dir: " in err and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "taken"]
         assert taken.read_text() == "data\n"
+
+    @pytest.mark.parametrize("command, blocked", [("simulate", "events.csv"),
+                                                  ("verify", "verify_checks.csv")])
+    def test_failed_write_exit_3(self, tmp_path, capsys, monkeypatch, command, blocked):
+        # an output file that cannot be written is a runtime error, even
+        # where a failed check would have made verify exit 1
+        monkeypatch.setattr(cli, "run_verify_checks", lambda: {
+            name: 2.0 * thr if kind == "max" else 0.5 * thr
+            for name, (kind, thr) in cli.VERIFY_CHECKS.items()})
+        out = tmp_path / "o"
+        (out / blocked).mkdir(parents=True)
+        assert cli.main([command, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "runtime error: IsADirectoryError: " in err and "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == [blocked]
 
     def test_runtime_error_exit_3(self, tmp_path, capsys):
         doc = {
@@ -819,6 +850,19 @@ MAIN_DOCS = st.fixed_dictionaries({}, optional={
 
 ELEMENTS = {"elements": {"A": -0.5, "a": 0.5, "theta0": 1.2}, "nu": 0.0}
 
+# the flags, each drawn or left out; --g also at the extremes and non-finite.
+# They are drawn on top of the fuzzed documents and of two valid starts, so
+# that most draws reach a run
+FLAGS = st.fixed_dictionaries({}, optional={
+    "--n": st.integers(-2, 5),
+    "--g": st.one_of(FINITE, st.sampled_from([math.nan, math.inf, -math.inf])),
+    "--seed": st.integers(-2, 2**64),
+})
+FLAG_DOCS = st.one_of(MAIN_DOCS, st.sampled_from([
+    {"n_collisions": 3, "initial": ELEMENTS},
+    {"n_collisions": 3, "ensemble": ENSEMBLE},
+]))
+
 
 # the four built-in configs and the committed ones
 REFERENCE_RUNS = [[command] for command in ("simulate", "gamma", "section", "region")] + [
@@ -848,20 +892,21 @@ class TestConfigEcho:
 
 class TestMainFuzz:
     # each of these let an ArithmeticError escape main as a traceback
-    @example("simulate", {"params": {"h": 1e-300}, "n_collisions": 1, "initial": ELEMENTS}, False)
-    @example("simulate", {"params": {"alpha": 1e-300}, "n_collisions": 1, "initial": ELEMENTS}, False)
+    @example("simulate", {"params": {"h": 1e-300}, "n_collisions": 1, "initial": ELEMENTS}, False, {})
+    @example("simulate", {"params": {"alpha": 1e-300}, "n_collisions": 1, "initial": ELEMENTS}, False,
+             {})
     @example("simulate", {"initial": {"cartesian": {"x": 1e300, "y": 0.0, "px": 0.0, "py": 0.0}}},
-             False)
+             False, {})
     @example("section", {"n_collisions": 1, "ensemble": {"count": 1, "seed": 0, "energy": -1e-300}},
-             True)
+             True, {})
     # these ran, or failed only after the output directory was made
-    @example("simulate", {"initial": ABOVE_WALL, "n_collisions": 4}, False)
-    @example("section", {"initial": ELEMENTS, "n_collisions": 2, "ensemble": ENSEMBLE}, True)
+    @example("simulate", {"initial": ABOVE_WALL, "n_collisions": 4}, False, {})
+    @example("section", {"initial": ELEMENTS, "n_collisions": 2, "ensemble": ENSEMBLE}, True, {})
     @settings(max_examples=200, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
     @given(command=st.sampled_from(("simulate", "gamma", "section", "region")),
-           doc=MAIN_DOCS, name_mode=st.booleans())
-    def test_main_exits_0_2_or_3(self, tmp_path, capsys, command, doc, name_mode):
+           doc=FLAG_DOCS, name_mode=st.booleans(), flags=FLAGS)
+    def test_main_exits_0_2_or_3(self, tmp_path, capsys, command, doc, name_mode, flags):
         # no traceback escapes main: a run succeeds, rejects its config
         # without writing anything, or reports a runtime error (verify, at
         # about 10 s a call, is left out)
@@ -870,7 +915,9 @@ class TestMainFuzz:
         f = tmp_path / "c.json"
         f.write_text(json.dumps(doc))
         out = Path(tempfile.mkdtemp(dir=tmp_path)) / "o"
-        code = cli.main([command, "--config", str(f), "--out", str(out)])
+        # "--g=-1e-300": a separate value with a leading minus reads as an option
+        argv = [command, "--config", str(f), "--out", str(out)] + [f"{k}={v}" for k, v in flags.items()]
+        code = cli.main(argv)
         assert code in (0, 2, 3)
         if code == 2:
             assert not out.exists()
