@@ -852,7 +852,7 @@ ELEMENTS = {"elements": {"A": -0.5, "a": 0.5, "theta0": 1.2}, "nu": 0.0}
 
 # the flags, each drawn or left out; --g also at the extremes and non-finite.
 # They are drawn on top of the fuzzed documents and of two valid starts, so
-# that most draws reach a run
+# that some flag draws get past the config check to a run
 FLAGS = st.fixed_dictionaries({}, optional={
     "--n": st.integers(-2, 5),
     "--g": st.one_of(FINITE, st.sampled_from([math.nan, math.inf, -math.inf])),
