@@ -14,26 +14,21 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__, billiard, delaunay, perturbed, reference
-from .errors import (
-    BilliardError,
-    ConfigError,
-    Degenerate,
-    EmptyLevelSet,
-    EmptyRegion,
-    InsufficientData,
-)
+from .errors import BilliardError, ConfigError, Degenerate, EmptyLevelSet, EmptyRegion
 from .kepler import (
     CartesianState,
     OrbitalElements,
@@ -60,6 +55,10 @@ class RunConfig:
     initial: CartesianState | None = None
     ensemble: EnsembleSpec | None = None
     output_dir: Path = Path("out")
+    # the states the run starts from (its initial state, or section's drawn
+    # seeds) and their twice-energy A; None for verify
+    starts: list[CartesianState] = field(default_factory=list)
+    A: float | None = None
 
 
 @dataclass
@@ -68,24 +67,26 @@ class OutputBundle:
     files: list[Path]
 
 
-# ---------------------------------------------------------------- config ---
+@dataclass(frozen=True)
+class Command:
+    """One subcommand.  ``fields`` are the run inputs it reads besides
+    "mode" and "output_dir", with the ensemble keys it reads (a document that
+    sets any other field is a configuration error); ``config`` is its
+    built-in config; ``compute`` maps a run to its ``{file name: content}``
+    and its manifest extras."""
 
-# the run inputs each subcommand reads, besides "mode" and "output_dir",
-# with the ensemble keys it reads; a document that sets any other field is a
-# configuration error
-FIELDS = {
-    "simulate": ("params", "initial", "n_collisions"),
-    "gamma": ("params", "initial", "n_collisions"),
-    "section": ("params", "initial", "n_collisions",
-                "ensemble.count", "ensemble.seed", "ensemble.energy"),
-    "region": ("params", "initial", "ensemble.energy"),
-    "verify": (),
-}
+    help: str
+    fields: tuple[str, ...]
+    config: dict
+    compute: Callable[[RunConfig], tuple[dict, dict | None]]
+
+
+# ---------------------------------------------------------------- config ---
 
 
 def _top_fields(command: str) -> tuple[str, ...]:
-    """The top-level keys of ``FIELDS[command]``, in order."""
-    return tuple(dict.fromkeys(f.partition(".")[0] for f in FIELDS[command]))
+    """The top-level keys of the fields ``command`` reads, in order."""
+    return tuple(dict.fromkeys(f.partition(".")[0] for f in COMMANDS[command].fields))
 
 
 def _expect_number(obj, path: str) -> float:
@@ -148,9 +149,10 @@ def _parse_initial(doc, params: Params, path: str) -> CartesianState:
     # the rule billiard.step applies to the state it starts from
     if s.y > params.h + billiard.TOL_EVENT:
         raise ConfigError(f"{path}: the start lies above the wall (y = {s.y!r} > h = {params.h!r})")
-    # r = 0 is the singular point of the potential
-    if s.x == 0.0 and s.y == 0.0:
-        raise ConfigError(f"{path}: the start lies at the attraction centre (x = y = 0)")
+    # r = 0 is the singular point of the potential; below r of about 1e-162
+    # the g/r^2 term of the energy divides by r^2 = 0
+    if s.r * s.r == 0.0:
+        raise ConfigError(f"{path}: the start lies at the attraction centre (r = {s.r:g}, r^2 = 0)")
     return s
 
 
@@ -181,13 +183,54 @@ def _check_energy(A: float, params: Params, command: str, path: str) -> None:
         raise ConfigError(f"{path}: the accessible interval of A = {A:g} on the wall is not finite")
 
 
+def _ensemble_seeds(spec: EnsembleSpec, p: Params) -> list[CartesianState]:
+    """Deterministic wall-reaching seeds sharing the full energy spec.energy.
+
+    Seeds are drawn as g = 0 ellipses at that energy; for g > 0 the momentum
+    magnitude is then rescaled in place so A = p^2 - alpha/r + g/r^2 matches
+    exactly on the configured surface.
+    """
+    rng = np.random.default_rng(spec.seed)
+    g0 = Params(alpha=p.alpha, g=0.0, h=p.h)
+    aM = -p.alpha / (2.0 * spec.energy)
+    seeds: list[CartesianState] = []
+    guard = 0
+    while len(seeds) < spec.count and guard < 1000 * max(spec.count, 1):
+        guard += 1
+        e = rng.uniform(0.05, 0.9)
+        th = rng.uniform(0.0, 2.0 * math.pi)
+        sign = 1.0 if rng.uniform() < 0.5 else -1.0
+        a = sign * math.sqrt(0.5 * p.alpha * aM * (1.0 - e * e))
+        el = OrbitalElements(A=spec.energy, a=a, theta0=th, alpha=p.alpha)
+        if el.max_y() < p.h * (1.0 + 1e-9):
+            continue
+        for nu in (0.0, math.pi):
+            s = cartesian_from_elements(el, nu, g0)
+            if s.y >= p.h:
+                continue
+            if p.g > 0.0:
+                r = s.r
+                p_sq = spec.energy + p.alpha / r - p.g / (r * r)
+                if p_sq <= 0.0 or s.speed_sq == 0.0:
+                    continue
+                scale = math.sqrt(p_sq / s.speed_sq)
+                s = CartesianState(x=s.x, y=s.y, px=s.px * scale, py=s.py * scale, t=s.t)
+            seeds.append(s)
+            break
+    if len(seeds) < spec.count:
+        raise ConfigError("ensemble: could not draw enough wall-reaching seeds")
+    return seeds
+
+
 def parse_config(doc: dict, command: str) -> RunConfig:
     """The configuration of a ``command`` run from its JSON document.
 
     The optional ``mode`` key must name ``command``, so a config written for
     one subcommand cannot run under another.  The document may set only the
-    fields ``FIELDS[command]`` lists, and a run gets exactly one start: an
+    fields ``COMMANDS[command]`` lists, and a run gets exactly one start: an
     ``initial`` state, or for ``section`` and ``region`` an ``ensemble``.
+    The states the run starts from (``section`` draws its seeds here) and
+    their twice-energy A are decided here too.
     """
     if isinstance(doc, dict) and doc.get("mode", command) != command:
         raise ConfigError(f"mode: this config is for {doc['mode']!r}, not {command!r}")
@@ -207,7 +250,8 @@ def parse_config(doc: dict, command: str) -> RunConfig:
         raise ConfigError("n_collisions: must be >= 0")
     ensemble = None
     if doc.get("ensemble") is not None:
-        keys = tuple(f[len("ensemble."):] for f in FIELDS[command] if f.startswith("ensemble."))
+        keys = tuple(f[len("ensemble."):] for f in COMMANDS[command].fields
+                     if f.startswith("ensemble."))
         e = _expect_object(doc["ensemble"], "ensemble", keys)
         ensemble = EnsembleSpec(energy=_expect_number(e.get("energy", -0.5), "ensemble.energy"))
         if "seed" in keys:
@@ -231,12 +275,17 @@ def parse_config(doc: dict, command: str) -> RunConfig:
         raise ConfigError(f"{starts}: {command} needs exactly one start")
     if command == "gamma" and params.g != 0.0:
         raise ConfigError("params.g: gamma requires g = 0")
+    A, starts = None, []
     if ensemble is not None:
-        _check_energy(ensemble.energy, params, command, "ensemble.energy")
+        A = ensemble.energy
+        _check_energy(A, params, command, "ensemble.energy")
+        if command == "section":
+            starts = _ensemble_seeds(ensemble, params)
     elif initial is not None:
-        _check_energy(initial.energy_A(params), params, command, "initial")
+        A, starts = initial.energy_A(params), [initial]
+        _check_energy(A, params, command, "initial")
     return RunConfig(params=params, command=command, n_collisions=n, initial=initial,
-                     ensemble=ensemble, output_dir=Path(out))
+                     ensemble=ensemble, output_dir=Path(out), starts=starts, A=A)
 
 
 # ----------------------------------------------------------- serialization ---
@@ -283,15 +332,6 @@ def _config_echo(cfg: RunConfig) -> dict:
     doc = {"mode": cfg.command, "output_dir": str(cfg.output_dir)}
     doc.update((k, values[k]) for k in _top_fields(cfg.command) if values[k] is not None)
     return doc
-
-
-def _output_dir(cfg: RunConfig) -> None:
-    """Make the run's output directory.  A path that cannot be one (an
-    existing file, or a path below one) is a configuration error."""
-    try:
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"output_dir: {exc}") from exc
 
 
 def finalize_bundle(
@@ -408,10 +448,10 @@ def _section_figure(
     )
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2",
                "#7f7f7f", "#bcbd22", "#17becf", "#ff7f0e"]
-    for out, Rv in zip(outcomes, R_values):
+    for i, (out, Rv) in enumerate(zip(outcomes, R_values)):
         if not out.events:
             continue
-        color = palette[out.seed_index % len(palette)]
+        color = palette[i % len(palette)]
         R_mean = float(np.mean(Rv))
         try:
             curve = billiard.level_set_R(A, R_mean, g0)
@@ -453,15 +493,14 @@ def _energy_drift(s0: CartesianState, res: billiard.BilliardRun, p: Params) -> d
     r = np.concatenate([np.hypot(x, y), r_imp])
     # an impact state's p^2 is its post elements' (g = 0) A plus alpha/r
     kinetic = 0.5 * np.concatenate([px * px + py * py, A_imp + p.alpha / r_imp])
-    kepler, centrifugal = 0.5 * p.alpha / r, 0.5 * p.g / (r * r)
+    # g/r/r, not g/(r*r): r*r overflows far out
+    kepler, centrifugal = 0.5 * p.alpha / r, 0.5 * p.g / r / r
     drift = np.abs(kinetic - kepler + centrifugal - H0) / (kinetic + kepler + centrifugal)
     # np.max, so that a NaN is reported rather than skipped
     return {"H0": H0, "max_rel_cumulative": float(np.max(drift))}
 
 
-def cmd_simulate(cfg: RunConfig) -> OutputBundle:
-    t0 = time.monotonic()
-    _output_dir(cfg)
+def cmd_simulate(cfg: RunConfig) -> tuple[dict, dict]:
     res = billiard.run(cfg.initial, cfg.n_collisions, cfg.params, samples_per_arc=512)
     events, reports, samples = res.events, res.reports, res.samples
     extra: dict = {
@@ -470,17 +509,15 @@ def cmd_simulate(cfg: RunConfig) -> OutputBundle:
     }
     if res.halted:
         extra["halted"] = res.halted
-    return finalize_bundle(cfg, t0, {
+    return {
         "events.csv": (EVENT_HEADER, _event_rows(events, reports)),
         "trajectory.csv": (["t", "x", "y", "px", "py"], samples),
         "trajectory.svg": _trajectory_figure(samples, events, cfg.params,
                                              dashed_ellipses=len(events) <= 64),
-    }, extra)
+    }, extra
 
 
-def cmd_gamma(cfg: RunConfig) -> OutputBundle:
-    t0 = time.monotonic()
-    _output_dir(cfg)
+def cmd_gamma(cfg: RunConfig) -> tuple[dict, dict | None]:
     res = billiard.run(cfg.initial, cfg.n_collisions, cfg.params)
     samples = delaunay.gamma_series(res.events, cfg.params)
     report: dict = {"n_samples": len(samples)}
@@ -494,65 +531,18 @@ def cmd_gamma(cfg: RunConfig) -> OutputBundle:
         report["branch_mismatch_rows"] = [s.n for s in samples if s.branch_mismatch]
         try:
             report["conjectures"] = delaunay.conjecture_report(samples, L, R, cfg.params)
-        except (InsufficientData, BilliardError) as exc:
+        except BilliardError as exc:
             report["conjectures"] = {"error": f"{type(exc).__name__}: {exc}"}
-    return finalize_bundle(cfg, t0, {
+    return {
         "gamma.csv": (["n", "gamma", "delta2_gamma", "eps_observed", "parity"],
                       ((s.n, s.gamma, s.delta2_gamma, s.eps_observed, s.n % 2) for s in samples)),
         "conjecture_report.json": report,
         "delta2_gamma.svg": _delta2_figure(samples),
-    }, {"halted": res.halted} if res.halted else None)
+    }, {"halted": res.halted} if res.halted else None
 
 
-def _ensemble_seeds(spec: EnsembleSpec, p: Params) -> list[CartesianState]:
-    """Deterministic wall-reaching seeds sharing the full energy spec.energy.
-
-    Seeds are drawn as g = 0 ellipses at that energy; for g > 0 the momentum
-    magnitude is then rescaled in place so A = p^2 - alpha/r + g/r^2 matches
-    exactly on the configured surface.
-    """
-    rng = np.random.default_rng(spec.seed)
-    g0 = Params(alpha=p.alpha, g=0.0, h=p.h)
-    aM = -p.alpha / (2.0 * spec.energy)
-    seeds: list[CartesianState] = []
-    guard = 0
-    while len(seeds) < spec.count and guard < 1000 * max(spec.count, 1):
-        guard += 1
-        e = rng.uniform(0.05, 0.9)
-        th = rng.uniform(0.0, 2.0 * math.pi)
-        sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        a = sign * math.sqrt(0.5 * p.alpha * aM * (1.0 - e * e))
-        el = OrbitalElements(A=spec.energy, a=a, theta0=th, alpha=p.alpha)
-        if el.max_y() < p.h * (1.0 + 1e-9):
-            continue
-        for nu in (0.0, math.pi):
-            s = cartesian_from_elements(el, nu, g0)
-            if s.y >= p.h:
-                continue
-            if p.g > 0.0:
-                r = s.r
-                p_sq = spec.energy + p.alpha / r - p.g / (r * r)
-                if p_sq <= 0.0 or s.speed_sq == 0.0:
-                    continue
-                scale = math.sqrt(p_sq / s.speed_sq)
-                s = CartesianState(x=s.x, y=s.y, px=s.px * scale, py=s.py * scale, t=s.t)
-            seeds.append(s)
-            break
-    if len(seeds) < spec.count:
-        raise ConfigError("ensemble: could not draw enough wall-reaching seeds")
-    return seeds
-
-
-def cmd_section(cfg: RunConfig) -> OutputBundle:
-    t0 = time.monotonic()
-    if cfg.ensemble is not None:
-        seeds = _ensemble_seeds(cfg.ensemble, cfg.params)
-        A = cfg.ensemble.energy
-    else:
-        seeds = [cfg.initial]
-        A = cfg.initial.energy_A(cfg.params)
-    _output_dir(cfg)
-    outcomes = perturbed.section_ensemble(seeds, cfg.n_collisions, cfg.params)
+def cmd_section(cfg: RunConfig) -> tuple[dict, dict]:
+    outcomes = perturbed.section_ensemble(cfg.starts, cfg.n_collisions, cfg.params)
     g0 = Params(alpha=cfg.params.alpha, g=0.0, h=cfg.params.h)
     # the osculating R after each impact, per seed
     R_values = [[billiard.conserved_R(ev.post, g0) for ev in o.events] for o in outcomes]
@@ -564,28 +554,26 @@ def cmd_section(cfg: RunConfig) -> OutputBundle:
     extra = {
         "r_value_scatter": float(np.mean(scatter)) if scatter else 0.0,
         "failed_seeds": [
-            {"seed_id": o.seed_index, "error": o.error} for o in outcomes if o.error
+            {"seed_id": i, "error": o.error} for i, o in enumerate(outcomes) if o.error
         ],
     }
-    return finalize_bundle(cfg, t0, {
+    return {
         "section.csv": (
             ["seed_id", "n", "x", "lambda", "R_value"],
             (
-                (o.seed_index, ev.n, ev.x_impact, ev.lam, R)
-                for o, Rv in zip(outcomes, R_values)
+                (i, ev.n, ev.x_impact, ev.lam, R)
+                for i, (o, Rv) in enumerate(zip(outcomes, R_values))
                 for ev, R in zip(o.events, Rv)
             ),
         ),
-        "section.svg": _section_figure(outcomes, R_values, A, cfg.params),
-    }, extra)
+        "section.svg": _section_figure(outcomes, R_values, cfg.A, cfg.params),
+    }, extra
 
 
-def cmd_region(cfg: RunConfig) -> OutputBundle:
-    t0 = time.monotonic()
-    # the twice-energy of the state simulate starts from, g/r^2 included
-    A = cfg.ensemble.energy if cfg.initial is None else cfg.initial.energy_A(cfg.params)
+def cmd_region(cfg: RunConfig) -> tuple[dict, dict]:
+    # cfg.A is the twice-energy of the state simulate starts from, g/r^2 included
+    A = cfg.A
     x_min, x_max = billiard.accessible_interval(A, cfg.params)
-    _output_dir(cfg)
     xs = np.linspace(x_min, x_max, 1001)
     rows = []
     for x in xs:
@@ -597,8 +585,7 @@ def cmd_region(cfg: RunConfig) -> OutputBundle:
             continue
         b = math.sqrt(rad)
         rows.append((x, b, -b))
-    return finalize_bundle(cfg, t0, {"region.csv": (["x", "p_plus", "p_minus"], rows)},
-                           {"A": A, "x_min": x_min, "x_max": x_max})
+    return {"region.csv": (["x", "p_plus", "p_minus"], rows)}, {"A": A, "x_min": x_min, "x_max": x_max}
 
 
 # ----------------------------------------------------------------- verify ---
@@ -726,9 +713,7 @@ def run_verify_checks() -> dict[str, float]:
     return m
 
 
-def cmd_verify(cfg: RunConfig) -> OutputBundle:
-    t0 = time.monotonic()
-    _output_dir(cfg)
+def cmd_verify(cfg: RunConfig) -> tuple[dict, dict]:
     measured = run_verify_checks()
     rows = [
         (name, kind, thr, measured[name], _passes(kind, thr, measured[name]))
@@ -748,52 +733,63 @@ def cmd_verify(cfg: RunConfig) -> OutputBundle:
             for name, kind, thr, m, ok in rows
         ],
     }
-    return finalize_bundle(cfg, t0, {
+    return {
         "verify_checks.csv": (["name", "kind", "threshold", "measured", "pass"], rows),
         "verify_report.json": report,
-    }, {"all_passed": report["all_passed"]})
+    }, {"all_passed": report["all_passed"]}
 
 
+REFERENCE_PARAMS = asdict(reference.reference_params())
 COMMANDS = {
-    "simulate": cmd_simulate,
-    "gamma": cmd_gamma,
-    "section": cmd_section,
-    "region": cmd_region,
-    "verify": cmd_verify,
+    "simulate": Command(
+        "propagate a trajectory and emit events",
+        ("params", "initial", "n_collisions"),
+        {"params": REFERENCE_PARAMS, "n_collisions": 12,
+         "initial": {"cartesian": asdict(reference.conservation_state())}},
+        cmd_simulate,
+    ),
+    "gamma": Command(
+        "per-collision gamma series and conjecture statistics",
+        ("params", "initial", "n_collisions"),
+        {"params": REFERENCE_PARAMS, "n_collisions": 1100,
+         "initial": {"cartesian": asdict(reference.gamma_state())}},
+        cmd_gamma,
+    ),
+    "section": Command(
+        "wall-section clouds for an ensemble of seeds",
+        ("params", "initial", "n_collisions", "ensemble.count", "ensemble.seed", "ensemble.energy"),
+        {"params": REFERENCE_PARAMS, "n_collisions": 150,
+         "ensemble": {"count": 6, "seed": 20250810, "energy": reference.GAMMA_A}},
+        cmd_section,
+    ),
+    "region": Command(
+        "accessible-region boundary on the wall",
+        ("params", "initial", "ensemble.energy"),
+        {"params": REFERENCE_PARAMS, "ensemble": {"energy": reference.CONSERVATION_A}},
+        cmd_region,
+    ),
+    "verify": Command("run the built-in invariant suite", (), {}, cmd_verify),
 }
+
+
+def run_command(cfg: RunConfig) -> OutputBundle:
+    """Make the run's output directory, compute its subcommand and write the
+    files and the manifest.  An output path that cannot be a directory (an
+    existing file, or a path below one) is a configuration error."""
+    t_start = time.monotonic()
+    try:
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir: {exc}") from exc
+    return finalize_bundle(cfg, t_start, *COMMANDS[cfg.command].compute(cfg))
 
 
 # ------------------------------------------------------------------- main ---
 
 
 def default_config(command: str) -> dict:
-    """Built-in reference configuration for each subcommand."""
-    if command == "simulate":
-        el = reference.conservation_elements()
-        return {
-            "params": {"alpha": 1.0, "g": 0.0, "h": 1.0},
-            "n_collisions": 12,
-            "initial": {"elements": {"A": el.A, "a": el.a, "theta0": el.theta0}, "nu": 0.0},
-        }
-    if command == "gamma":
-        s = reference.gamma_state()
-        return {
-            "params": {"alpha": 1.0, "g": 0.0, "h": 1.0},
-            "n_collisions": 1100,
-            "initial": {"cartesian": {"x": s.x, "y": s.y, "px": s.px, "py": s.py, "t": 0.0}},
-        }
-    if command == "section":
-        return {
-            "params": {"alpha": 1.0, "g": 0.0, "h": 1.0},
-            "n_collisions": 150,
-            "ensemble": {"count": 6, "seed": 20250810, "energy": reference.GAMMA_A},
-        }
-    if command == "region":
-        return {
-            "params": {"alpha": 1.0, "g": 0.0, "h": 1.0},
-            "ensemble": {"energy": reference.CONSERVATION_A},
-        }
-    return {}
+    """A fresh copy of ``command``'s built-in config: the flags write into it."""
+    return copy.deepcopy(COMMANDS[command].config)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -802,14 +798,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kepler billiard against an elastic wall: simulation and verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, hlp in (
-        ("simulate", "propagate a trajectory and emit events"),
-        ("gamma", "per-collision gamma series and conjecture statistics"),
-        ("section", "wall-section clouds for an ensemble of seeds"),
-        ("region", "accessible-region boundary on the wall"),
-        ("verify", "run the built-in invariant suite"),
-    ):
-        sp = sub.add_parser(name, help=hlp)
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
         sp.add_argument("--config", type=Path, help="JSON config file")
         sp.add_argument("--out", type=Path, help="output directory")
         sp.add_argument("--n", type=int, help="override n_collisions")
@@ -856,7 +846,7 @@ def main(argv: list[str] | None = None) -> int:
             doc = default_config(args.command)
         doc = _apply_flags(doc, args)
         cfg = parse_config(doc, args.command)
-        manifest = COMMANDS[args.command](cfg).manifest
+        manifest = run_command(cfg).manifest
         n_files = len(manifest["files"])
         if "all_passed" in manifest:
             status = "PASS" if manifest["all_passed"] else "FAIL"
@@ -864,9 +854,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"{args.command}: wrote {n_files} files to {cfg.output_dir}")
         if "failed_seeds" in manifest:
-            seeds = cfg.ensemble.count if cfg.ensemble is not None else 1
             failed = len(manifest["failed_seeds"])
-            print(f"section: {failed} of {seeds} seeds failed"
+            print(f"section: {failed} of {len(cfg.starts)} seeds failed"
                   + (" (errors under failed_seeds in manifest.json)" if failed else ""))
         return 0 if manifest.get("all_passed", True) else 1
     except ConfigError as exc:

@@ -42,9 +42,8 @@ ESCAPE_RADIUS = 1e3
 
 @dataclass(frozen=True)
 class SeedOutcome:
-    """Per-seed result of an ensemble run; failures are isolated."""
+    """Per-seed result of an ensemble run, in seed order; failures are isolated."""
 
-    seed_index: int
     events: list[billiard.CollisionEvent]
     error: str | None = None
 
@@ -175,12 +174,12 @@ def section_ensemble(seeds: list[CartesianState], n: int, p: Params) -> list[See
             if abs(s.energy_A(p) - A0) > 1e-9 * max(1.0, abs(A0)):
                 raise ValueError(f"seed {i} has A = {s.energy_A(p):g} != {A0:g}")
     outcomes: list[SeedOutcome] = []
-    for i, seed in enumerate(seeds):
+    for seed in seeds:
         try:
             res = billiard.run(seed, n, p)
         except BilliardError as exc:
             error = f"{type(exc).__name__}: {exc}"
         else:
             error = f"NoCollision: {res.no_collision}" if res.no_collision else res.halted
-        outcomes.append(SeedOutcome(seed_index=i, events=[] if error else res.events, error=error))
+        outcomes.append(SeedOutcome(events=[] if error else res.events, error=error))
     return outcomes

@@ -57,7 +57,7 @@ def verify_twice(tmp_path_factory):
     for tag in ("a", "b"):
         out = tmp_path_factory.mktemp(f"verify_{tag}")
         cfg = cli.parse_config({"mode": "verify", "output_dir": str(out)}, "verify")
-        bundle = cli.cmd_verify(cfg)
+        bundle = cli.run_command(cfg)
         outs.append((out, 0 if bundle.manifest["all_passed"] else 1))
     return outs
 

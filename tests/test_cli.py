@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,9 @@ ENSEMBLE = {"count": 1, "seed": 0, "energy": -0.3}
 REGION_ENSEMBLE = {"energy": -0.3}  # region reads only the energy
 # A = 0.01 - 1/0.3: the turning radius 1/|A| = 0.3009 lies below the wall
 OFF_WALL = {"cartesian": {"x": 0.0, "y": -0.3, "px": 0.1, "py": 0.0}}
+# the surface of A = -0.99 reaches the wall at r = 1.0101, but no ellipse with
+# e <= 0.9 that section draws on it does
+UNDRAWABLE = {"count": 2, "seed": 1, "energy": -0.99}
 
 
 def read_csv(path):
@@ -158,6 +163,38 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="n_collisions"):
             cli.parse_config({"n_collisions": -1}, "simulate")
 
+    def test_run_decided_in_parse_config(self, tmp_path):
+        # the starts and their A: section's drawn seeds, or the initial state
+        cfg = cli.parse_config({"ensemble": {"count": 3, "seed": 11, "energy": -0.5}}, "section")
+        assert len(cfg.starts) == 3 and cfg.A == -0.5
+        assert all(s.energy_A(cfg.params) == pytest.approx(-0.5, abs=1e-12) for s in cfg.starts)
+        cfg = cli.parse_config(base_doc(tmp_path), "simulate")
+        assert cfg.starts == [cfg.initial] and cfg.A == cfg.initial.energy_A(cfg.params)
+        cfg = cli.parse_config({"ensemble": {"energy": -0.5}}, "region")
+        assert cfg.starts == [] and cfg.A == -0.5
+        # a seed draw that fails is a configuration error like any other
+        with pytest.raises(ConfigError, match="^ensemble: could not draw enough wall-reaching seeds"):
+            cli.parse_config({"ensemble": UNDRAWABLE}, "section")
+
+
+class TestCommandTable:
+    def test_parser_offers_the_table(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(cli.COMMANDS)
+        assert {a.dest: a.help for a in sub._choices_actions} == {
+            name: c.help for name, c in cli.COMMANDS.items()}
+        for name in cli.COMMANDS:
+            assert cli.parse_config(cli.default_config(name), name).command == name
+
+    def test_builtin_config_is_fresh_per_call(self, tmp_path):
+        # the flags write into the document: one run's --g and --seed must
+        # not reach the next run's built-in config
+        before = {name: cli.default_config(name) for name in cli.COMMANDS}
+        assert cli.main(["section", "--out", str(tmp_path / "s"), "--n", "1", "--g", "0.01",
+                         "--seed", "3"]) == 0
+        assert {name: cli.default_config(name) for name in cli.COMMANDS} == before
+
 
 # JSON values as json.loads returns them: NaN, +-Infinity and integers beyond
 # the float range included
@@ -222,7 +259,7 @@ class TestConfigFuzz:
 class TestSimulate:
     def test_zero_collisions_headers_and_initial_row(self, tmp_path):
         cfg = cli.parse_config(base_doc(tmp_path, n_collisions=0), "simulate")
-        cli.cmd_simulate(cfg)
+        cli.run_command(cfg)
         header, rows = read_csv(cfg.output_dir / "events.csv")
         assert header == cli.EVENT_HEADER
         assert rows == []
@@ -232,7 +269,7 @@ class TestSimulate:
 
     def test_events_schema_and_R_column(self, tmp_path):
         cfg = cli.parse_config(base_doc(tmp_path, n_collisions=100), "simulate")
-        cli.cmd_simulate(cfg)
+        cli.run_command(cfg)
         header, rows = read_csv(cfg.output_dir / "events.csv")
         assert header == cli.EVENT_HEADER
         assert len(rows) == 100
@@ -244,7 +281,7 @@ class TestSimulate:
         doc = base_doc(tmp_path, n_collisions=20)
         doc["params"]["g"] = 0.05
         cfg = cli.parse_config(doc, "simulate")
-        bundle = cli.cmd_simulate(cfg)
+        bundle = cli.run_command(cfg)
         drift = bundle.manifest["energy_drift"]
         assert set(drift) == {"H0", "max_rel_cumulative"}
         assert drift["max_rel_cumulative"] <= 1e-12
@@ -261,7 +298,7 @@ class TestSimulate:
         # of H are about 6e3 and cancel to H0 = -0.25, so |H - H0|/|H0|
         # read 5.2e-8 there; relative to the terms the exact flow is exact
         cfg = cli.parse_config(base_doc(tmp_path, n_collisions=20), "simulate")
-        drift = cli.cmd_simulate(cfg).manifest["energy_drift"]
+        drift = cli.run_command(cfg).manifest["energy_drift"]
         # the energy audit comes at every g, the exact g = 0 route included
         assert drift["H0"] == pytest.approx(-0.25, abs=1e-15)
         assert drift["max_rel_cumulative"] <= 1e-11
@@ -329,8 +366,8 @@ class TestSimulate:
         doc1["output_dir"] = str(tmp_path / "a")
         doc2 = base_doc(tmp_path, n_collisions=30)
         doc2["output_dir"] = str(tmp_path / "b")
-        cli.cmd_simulate(cli.parse_config(doc1, "simulate"))
-        cli.cmd_simulate(cli.parse_config(doc2, "simulate"))
+        cli.run_command(cli.parse_config(doc1, "simulate"))
+        cli.run_command(cli.parse_config(doc2, "simulate"))
         for name in ("events.csv", "trajectory.csv", "trajectory.svg"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -341,7 +378,7 @@ class TestGamma:
         doc["n_collisions"] = 140
         doc["output_dir"] = str(tmp_path / "g")
         cfg = cli.parse_config(doc, "gamma")
-        cli.cmd_gamma(cfg)
+        cli.run_command(cfg)
         header, rows = read_csv(cfg.output_dir / "gamma.csv")
         assert header == ["n", "gamma", "delta2_gamma", "eps_observed", "parity"]
         eps = [int(r[3]) for r in rows]
@@ -357,7 +394,7 @@ class TestGamma:
         doc["n_collisions"] = 2
         doc["output_dir"] = str(tmp_path / "g2")
         cfg = cli.parse_config(doc, "gamma")
-        cli.cmd_gamma(cfg)
+        cli.run_command(cfg)
         _, rows = read_csv(cfg.output_dir / "gamma.csv")
         assert len(rows) == 2
         assert all(r[2] == "" for r in rows)  # delta2 column empty
@@ -370,7 +407,7 @@ class TestGamma:
                  "px": 1.1602352984510336, "py": -0.05772422135138795}
         doc = {"mode": "gamma", "n_collisions": 500, "initial": {"cartesian": state},
                "output_dir": str(tmp_path / "g4")}
-        cli.cmd_gamma(cli.parse_config(doc, "gamma"))
+        cli.run_command(cli.parse_config(doc, "gamma"))
         _, rows = read_csv(tmp_path / "g4" / "gamma.csv")
         assert len(rows) == 452
         manifest = json.loads((tmp_path / "g4" / "manifest.json").read_text())
@@ -381,7 +418,7 @@ class TestGamma:
         doc["params"]["g"] = 0.01
         doc["output_dir"] = str(tmp_path / "g3")
         with pytest.raises(ConfigError, match="params.g"):
-            cli.cmd_gamma(cli.parse_config(doc, "gamma"))
+            cli.run_command(cli.parse_config(doc, "gamma"))
 
 
 class TestSection:
@@ -393,7 +430,7 @@ class TestSection:
             "output_dir": str(tmp_path / "s"),
         }
         cfg = cli.parse_config(doc, "section")
-        cli.cmd_section(cfg)
+        cli.run_command(cfg)
         header, rows = read_csv(cfg.output_dir / "section.csv")
         assert header == ["seed_id", "n", "x", "lambda", "R_value"]
         assert {r[0] for r in rows} == {"0", "1", "2"}
@@ -411,7 +448,7 @@ class TestSection:
                 "ensemble": {"count": 2, "seed": 7, "energy": -1.0 / 6.0},
                 "output_dir": str(tmp_path / f"sw{i}"),
             }
-            cli.cmd_section(cli.parse_config(doc, "section"))
+            cli.run_command(cli.parse_config(doc, "section"))
             manifest = json.loads((tmp_path / f"sw{i}" / "manifest.json").read_text())
             scatters.append(manifest["r_value_scatter"])
         assert scatters[0] < scatters[1] < scatters[2]
@@ -437,7 +474,7 @@ class TestSection:
         # takes it through all 150 collisions
         doc = cli.default_config("section")
         doc["output_dir"] = str(tmp_path / "sd")
-        cli.cmd_section(cli.parse_config(doc, "section"))
+        cli.run_command(cli.parse_config(doc, "section"))
         manifest = json.loads((tmp_path / "sd" / "manifest.json").read_text())
         assert manifest["failed_seeds"] == []
         _, rows = read_csv(tmp_path / "sd" / "section.csv")
@@ -451,7 +488,7 @@ class TestSection:
             "output_dir": str(tmp_path / "s0"),
         }
         cfg = cli.parse_config(doc, "section")
-        cli.cmd_section(cfg)
+        cli.run_command(cfg)
         _, rows = read_csv(cfg.output_dir / "section.csv")
         assert rows == []
         assert (cfg.output_dir / "manifest.json").exists()
@@ -465,7 +502,7 @@ class TestRegion:
             "output_dir": str(tmp_path / "r"),
         }
         cfg = cli.parse_config(doc, "region")
-        cli.cmd_region(cfg)
+        cli.run_command(cfg)
         header, rows = read_csv(cfg.output_dir / "region.csv")
         assert header == ["x", "p_plus", "p_minus"]
         assert abs(float(rows[0][0]) + math.sqrt(3.0)) < 1e-12
@@ -484,7 +521,7 @@ class TestRegion:
             "output_dir": str(tmp_path / "rg"),
         }
         cfg = cli.parse_config(doc, "region")
-        cli.cmd_region(cfg)
+        cli.run_command(cfg)
         _, rows = read_csv(cfg.output_dir / "region.csv")
         x_max = float(rows[-1][0])
         # dense-sampling oracle for the outermost root
@@ -505,10 +542,10 @@ class TestRegion:
         del doc["mode"]
         doc["n_collisions"] = 10
         doc["output_dir"] = str(tmp_path / "s")
-        cli.cmd_simulate(cli.parse_config(doc, "simulate"))
+        cli.run_command(cli.parse_config(doc, "simulate"))
         del doc["n_collisions"]
         doc["output_dir"] = str(tmp_path / "r")
-        region = cli.cmd_region(cli.parse_config(doc, "region")).manifest
+        region = cli.run_command(cli.parse_config(doc, "region")).manifest
         assert region["A"] == pytest.approx(-0.1875, abs=1e-12)
         header, rows = read_csv(tmp_path / "s" / "events.csv")
         xs = [float(r[header.index("x_impact")]) for r in rows]
@@ -518,7 +555,7 @@ class TestRegion:
     def test_region_requires_energy(self, tmp_path):
         doc = {"mode": "region", "output_dir": str(tmp_path / "rx")}
         with pytest.raises(ConfigError, match="region"):
-            cli.cmd_region(cli.parse_config(doc, "region"))
+            cli.run_command(cli.parse_config(doc, "region"))
 
 
 def run_python(code: str) -> str:
@@ -687,6 +724,14 @@ class TestMainExitCodes:
             ("simulate", {"n_collisions": 0, "initial": {"cartesian": {
                 "x": 0.0, "y": 1.0, "px": 1e300, "py": 0.0}}}, [],
              "initial: the twice-energy of the start is not finite (A = inf)"),
+            # r^2 underflows to 0: g/r^2 in the start's energy divides by zero
+            ("simulate", {"initial": {"cartesian": {"x": 1e-200, "y": 0, "px": 0.1, "py": 0.1}}},
+             [], "initial: the start lies at the attraction centre (r = 1e-200, r^2 = 0)"),
+            ("simulate", {"initial": {"elements": {"A": -1e300, "a": 1e-151, "theta0": 1.0},
+                                      "nu": 0}},
+             [], "initial: the start lies at the attraction centre"),
+            ("section", {"ensemble": UNDRAWABLE}, [],
+             "ensemble: could not draw enough wall-reaching seeds"),
         ],
         ids=[f"{c}-above-wall-{form}" for c in ("simulate", "gamma", "section", "region")
              for form in ("cartesian", "elements")]
@@ -698,7 +743,8 @@ class TestMainExitCodes:
            "region-off-wall-ensemble", "section-off-wall-ensemble",
            "section-off-wall-initial", "region-off-wall-initial",
            "section-flag-g-1e300", "region-flag-g-1e300", "gamma-flag-g",
-           "simulate-energy-not-finite"],
+           "simulate-energy-not-finite", "simulate-near-centre-cartesian",
+           "simulate-near-centre-elements", "section-seeds-not-drawn"],
     )
     def test_config_boundary_exit_2(self, tmp_path, capsys, command, doc, flags, message):
         # each run input is decided once, before anything is written
@@ -849,6 +895,7 @@ MAIN_DOCS = st.fixed_dictionaries({}, optional={
 
 
 ELEMENTS = {"elements": {"A": -0.5, "a": 0.5, "theta0": 1.2}, "nu": 0.0}
+FAR_UNBOUND = {"initial": {"cartesian": {"x": 1e300, "y": -3, "px": -1, "py": -3}}, "n_collisions": 0}
 
 # the flags, each drawn or left out; --g also at the extremes and non-finite.
 # They are drawn on top of the fuzzed documents and of two valid starts, so
@@ -899,6 +946,8 @@ class TestMainFuzz:
              False, {})
     @example("section", {"n_collisions": 1, "ensemble": {"count": 1, "seed": 0, "energy": -1e-300}},
              True, {})
+    # r*r overflowed in the energy audit: a RuntimeWarning, a traceback under -W error
+    @example("simulate", FAR_UNBOUND, False, {})
     # these ran, or failed only after the output directory was made
     @example("simulate", {"initial": ABOVE_WALL, "n_collisions": 4}, False, {})
     @example("section", {"initial": ELEMENTS, "n_collisions": 2, "ensemble": ENSEMBLE}, True, {})
@@ -922,6 +971,16 @@ class TestMainFuzz:
         if code == 2:
             assert not out.exists()
         capsys.readouterr()
+
+    def test_far_unbound_start_warns_nothing(self, tmp_path):
+        # the run ends at its start sample, at r = 1e300
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps(FAR_UNBOUND))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate", "--config", str(f), "--out", str(tmp_path / "o")]) == 0
+        drift = json.loads((tmp_path / "o" / "manifest.json").read_text())["energy_drift"]
+        assert drift["max_rel_cumulative"] == 0.0
 
 
 class TestVerifyFaultInjection:
