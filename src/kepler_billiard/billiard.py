@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,9 +117,9 @@ class BilliardRun:
 
 
 def conserved_R(el: OrbitalElements, p: Params) -> float:
-    """The conserved quantity R = a^2 + h*alpha*e*sin(theta0)."""
-    if p.g != 0.0:
-        raise ValueError("R is only conserved at g = 0")
+    """R = a^2 + h*alpha*e*sin(theta0) of the Kepler (osculating) ellipse
+    ``el``, whatever ``p.g`` is: conserved at g = 0, and at g > 0 the value
+    whose drift measures the perturbation."""
     return el.a * el.a + p.h * p.alpha * el.e * math.sin(el.theta0)
 
 
@@ -138,7 +138,6 @@ def R0_from_geometry(r: float, aM: float, lam: float) -> float:
 
 def R0_from_center(el: OrbitalElements, p: Params) -> float:
     """Distance |Q - C| from the wall foot Q = (0, h) to the ellipse center."""
-    _ = p.h  # Q depends on the wall only
     cx, cy = el.center
     return math.hypot(cx, p.h - cy)
 
@@ -171,14 +170,13 @@ def next_wall_crossing(
     properties, and the state comes out as ``state_at_eccentric`` and
     ``time_to_anomaly`` give it.
 
+    ``alpha`` comes from ``el``; ``p`` gives only the wall height.
+
     Raises:
-        ValueError: if ``el`` was built with another alpha than ``p``.
         NoCollision: if the ellipse stays below (or entirely above) the wall.
         GrazingContact: if the normal velocity at the contact is below
             ``TOL_GRAZE``.
     """
-    if el.alpha != p.alpha:
-        raise ValueError("elements were built with a different alpha than params")
     alpha, a, th = el.alpha, el.a, el.theta0
     aM = -alpha / (2.0 * el.A)
     e2 = 1.0 + 4.0 * el.A * a * a / (alpha * alpha)
@@ -364,20 +362,19 @@ def impact_event(
 ) -> tuple[CartesianState, CollisionEvent]:
     """Reflect a state that the flow carried onto the wall, and record the impact.
 
-    The event carries the osculating g = 0 elements of the incoming state
+    The event carries the osculating (Kepler) elements of the incoming state
     pinned onto the wall and of the outgoing one, so ``conserved_R`` of its
     ``post`` elements is exactly the quantity whose drift measures the
     perturbation.
     """
-    g0 = replace(p, g=0.0)
     out = reflect(hit, p, tol_event=tol_event)
     # the incoming state pinned onto the wall, as reflect pinned it
     pinned = CartesianState(x=out.x, y=out.y, px=out.px, py=hit.py, t=out.t)
     event = CollisionEvent(
         n=n, t=out.t, x_impact=out.x, r=pinned.r,
         lam=math.atan2(hit.py, hit.px) % math.pi,
-        pre=elements_from_cartesian(pinned, g0),
-        post=elements_from_cartesian(out, g0),
+        pre=elements_from_cartesian(pinned, p),
+        post=elements_from_cartesian(out, p),
         E_hit=E_hit,
     )
     return out, event
@@ -415,10 +412,10 @@ def invariant_report(event: CollisionEvent, p: Params) -> InvariantReport:
     """Certify one collision: both routes to R plus the inequality box.
 
     R_eq16, R0 and R_eq17 are ``conserved_R``, ``R0_from_geometry`` and
-    ``R_from_R0`` of the event, from one evaluation of aM and e.
+    ``R_from_R0`` of the event, from one evaluation of aM and e.  They are
+    the Kepler (osculating) quantities of its ``post`` elements, whatever
+    ``p.g`` is.
     """
-    if p.g != 0.0:
-        raise ValueError("R is only conserved at g = 0")
     el = event.post
     aM, e, r = el.aM, el.e, event.r
     R16 = el.a * el.a + p.h * p.alpha * e * math.sin(el.theta0)
@@ -504,17 +501,17 @@ def run(
 ) -> BilliardRun:
     """Run ``n`` collisions from ``s0``, certifying every event.
 
-    Every g >= 0 takes this loop; each report certifies the event's g = 0
-    (osculating, when g > 0) elements.  With ``samples_per_arc > 0`` each arc
-    is sampled up to the crossing its step found.  Orbits that never reach
-    the wall are legal: the run returns one sampled (radial) revolution of
-    the untouched orbit with the reason in ``no_collision``.  A grazing
+    Every g >= 0 takes this loop, and ``invariant_report(event, p)``
+    certifies each event's Kepler (osculating, when g > 0) elements.  With
+    ``samples_per_arc > 0`` each arc is sampled up to the crossing its step
+    found.  Orbits that never reach the wall are legal: the run returns one
+    sampled (radial) revolution of the untouched orbit with the reason in
+    ``no_collision``.  A grazing
     contact, a near-radial (degenerate) ellipse or a hit state off the wall
     halts the run early with the events certified so far and a diagnostic
     in ``halted``.  At g = 0 each step reuses the previous event's ``post``
     elements, so every ellipse is formed once.
     """
-    g0 = replace(p, g=0.0) if p.g != 0.0 else p
     events: list[CollisionEvent] = []
     reports: list[InvariantReport] = []
     chunks: list[np.ndarray] = []
@@ -544,7 +541,7 @@ def run(
         if samples_per_arc > 0:
             chunks.append(_orbit_samples(state, event.E_hit, p, samples_per_arc))
         events.append(event)
-        reports.append(invariant_report(event, g0))
+        reports.append(invariant_report(event, p))
         state, el = nxt, event.post
     if chunks:
         samples = np.vstack(chunks)

@@ -141,7 +141,7 @@ def _parse_initial(doc, params: Params, path: str) -> CartesianState:
             raise ConfigError(f"{path}.elements: {exc}") from exc
         nu = _expect_number(doc.get("nu", 0.0), f"{path}.nu")
         try:
-            s = cartesian_from_elements(el, nu, params)
+            s = cartesian_from_elements(el, nu)
         except (Degenerate, ArithmeticError) as exc:
             raise ConfigError(f"{path}.elements: {type(exc).__name__}: {exc}") from exc
     else:
@@ -191,7 +191,6 @@ def _ensemble_seeds(spec: EnsembleSpec, p: Params) -> list[CartesianState]:
     exactly on the configured surface.
     """
     rng = np.random.default_rng(spec.seed)
-    g0 = Params(alpha=p.alpha, g=0.0, h=p.h)
     aM = -p.alpha / (2.0 * spec.energy)
     seeds: list[CartesianState] = []
     guard = 0
@@ -205,7 +204,7 @@ def _ensemble_seeds(spec: EnsembleSpec, p: Params) -> list[CartesianState]:
         if el.max_y() < p.h * (1.0 + 1e-9):
             continue
         for nu in (0.0, math.pi):
-            s = cartesian_from_elements(el, nu, g0)
+            s = cartesian_from_elements(el, nu)
             if s.y >= p.h:
                 continue
             if p.g > 0.0:
@@ -276,14 +275,19 @@ def parse_config(doc: dict, command: str) -> RunConfig:
     if command == "gamma" and params.g != 0.0:
         raise ConfigError("params.g: gamma requires g = 0")
     A, starts = None, []
-    if ensemble is not None:
-        A = ensemble.energy
-        _check_energy(A, params, command, "ensemble.energy")
-        if command == "section":
-            starts = _ensemble_seeds(ensemble, params)
-    elif initial is not None:
-        A, starts = initial.energy_A(params), [initial]
-        _check_energy(A, params, command, "initial")
+    path = "initial" if ensemble is None else "ensemble"
+    try:
+        if ensemble is not None:
+            A = ensemble.energy
+            _check_energy(A, params, command, "ensemble.energy")
+            if command == "section":
+                starts = _ensemble_seeds(ensemble, params)
+        elif initial is not None:
+            A, starts = initial.energy_A(params), [initial]
+            _check_energy(A, params, command, "initial")
+    except ArithmeticError as exc:
+        # params so extreme that the energy surface's geometry divides by zero
+        raise ConfigError(f"{path}: {type(exc).__name__}: {exc}") from exc
     return RunConfig(params=params, command=command, n_collisions=n, initial=initial,
                      ensemble=ensemble, output_dir=Path(out), starts=starts, A=A)
 
@@ -543,9 +547,8 @@ def cmd_gamma(cfg: RunConfig) -> tuple[dict, dict | None]:
 
 def cmd_section(cfg: RunConfig) -> tuple[dict, dict]:
     outcomes = perturbed.section_ensemble(cfg.starts, cfg.n_collisions, cfg.params)
-    g0 = Params(alpha=cfg.params.alpha, g=0.0, h=cfg.params.h)
     # the osculating R after each impact, per seed
-    R_values = [[billiard.conserved_R(ev.post, g0) for ev in o.events] for o in outcomes]
+    R_values = [[billiard.conserved_R(ev.post, cfg.params) for ev in o.events] for o in outcomes]
     scatter = [
         float(np.ptp(Rv) / max(1e-300, abs(np.mean(Rv))))
         for Rv in R_values
@@ -646,9 +649,9 @@ def run_verify_checks() -> dict[str, float]:
             A=A, a=sgn * math.sqrt(0.5 * p.alpha * aM * (1.0 - e * e)), theta0=th, alpha=p.alpha
         )
         nu = rng.uniform(0.0, 2.0 * math.pi)
-        s = cartesian_from_elements(el, nu, p)
+        s = cartesian_from_elements(el, nu)
         el2 = elements_from_cartesian(s, p)
-        s2 = cartesian_from_elements(el2, nu, p)
+        s2 = cartesian_from_elements(el2, nu)
         worst = max(
             worst,
             abs(s2.x - s.x), abs(s2.y - s.y), abs(s2.px - s.px), abs(s2.py - s.py),

@@ -463,7 +463,7 @@ def initial_state_on_level(L: float, R: float, p: Params) -> CartesianState:
     if el.max_y() < p.h:
         raise NoCollision("level-set ellipse does not reach the wall")
     for nu in (math.pi, 0.0, 0.5 * math.pi, 1.5 * math.pi):
-        state = cartesian_from_elements(el, nu, p)
+        state = cartesian_from_elements(el, nu)
         if state.y < p.h:
             return state
     raise NoCollision("could not place the start below the wall")

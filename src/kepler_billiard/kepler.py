@@ -17,6 +17,10 @@ computed from the magnitude ``|alpha^2/(4L^3)|``.
 Anomalies use the standard conventions: true anomaly ``nu`` measured from the
 perihelion in the direction of motion, eccentric anomaly ``E`` with
 ``r = aM*(1 - e*cos E)``, mean anomaly ``M = E - e*sin E``.
+
+Functions of an ellipse alone read alpha from its :class:`OrbitalElements`
+and take no :class:`Params`; the elements of a state are its Kepler
+(osculating) ellipse at any ``g``.
 """
 
 from __future__ import annotations
@@ -105,8 +109,8 @@ class OrbitalElements:
     """Bound Kepler ellipse (A, a, theta0) with the system constant alpha.
 
     ``alpha`` is carried along so the derived quantities (aM, e, L, center)
-    are self-contained; operations that also receive :class:`Params` check
-    the two agree.
+    and every function of the ellipse alone are self-contained: those take
+    no :class:`Params`.
     """
 
     A: float
@@ -249,13 +253,9 @@ def revolving_orbit(s: CartesianState, p: Params) -> RevolvingOrbit:
     )
 
 
-def _check_params(el: OrbitalElements, p: Params) -> None:
-    if el.alpha != p.alpha:
-        raise ValueError("elements were built with a different alpha than params")
-
-
 def elements_from_cartesian(s: CartesianState, p: Params) -> OrbitalElements:
-    """Osculating elements of a state under the g = 0 Hamiltonian.
+    """Kepler (osculating) elements of a state: the g = 0 ellipse through it,
+    whatever ``p.g`` is.
 
     Uses the eccentricity vector ``(p x a)/mu - r_hat`` (which points at the
     perihelion) and takes the aphelion angle ``theta0`` from its opposite.
@@ -265,8 +265,6 @@ def elements_from_cartesian(s: CartesianState, p: Params) -> OrbitalElements:
         Unbound: if the energy is non-negative.
         Degenerate: if r is (numerically) zero or the orbit is near-radial.
     """
-    if p.g != 0.0:
-        raise ValueError("closed-form elements require g = 0")
     r = s.r
     if r <= TOL_GEOM:
         raise Degenerate(f"state at r = {r:g} is too close to the center")
@@ -288,15 +286,12 @@ def elements_from_cartesian(s: CartesianState, p: Params) -> OrbitalElements:
     return OrbitalElements(A=A, a=a, theta0=theta0, alpha=p.alpha)
 
 
-def cartesian_from_elements(
-    el: OrbitalElements, nu: float, p: Params, t: float = 0.0
-) -> CartesianState:
+def cartesian_from_elements(el: OrbitalElements, nu: float, t: float = 0.0) -> CartesianState:
     """State on the ellipse at true anomaly ``nu`` (measured from perihelion).
 
     For retrograde orbits (a < 0) the polar angle runs backwards while ``nu``
     still increases with time.
     """
-    _check_params(el, p)
     e = el.e
     if e >= 1.0 - TOL_ECC:
         raise Degenerate(f"eccentricity {e:g} too close to 1")
@@ -306,9 +301,10 @@ def cartesian_from_elements(
     sigma = 1.0 if el.a >= 0.0 else -1.0
     phi = el.theta0 + math.pi + sigma * nu
     cphi, sphi = math.cos(phi), math.sin(phi)
-    hmom = math.sqrt(p.mu * ell)  # = |a|
-    vr = p.mu / hmom * e * math.sin(nu)
-    vt = p.mu / hmom * (1.0 + e * math.cos(nu))
+    mu = 0.5 * el.alpha
+    hmom = math.sqrt(mu * ell)  # = |a|
+    vr = mu / hmom * e * math.sin(nu)
+    vt = mu / hmom * (1.0 + e * math.cos(nu))
     return CartesianState(
         x=r * cphi,
         y=r * sphi,
@@ -318,11 +314,8 @@ def cartesian_from_elements(
     )
 
 
-def state_at_eccentric(
-    el: OrbitalElements, E: float, p: Params, t: float = 0.0
-) -> CartesianState:
+def state_at_eccentric(el: OrbitalElements, E: float, t: float = 0.0) -> CartesianState:
     """State on the ellipse at eccentric anomaly ``E`` (exact parametrization)."""
-    _check_params(el, p)
     aM, b, e = el.aM, el.semi_minor, el.e
     cx, cy = el.center
     ux, uy, vx, vy = el.frame()
@@ -397,15 +390,12 @@ def solve_kepler(M: float, e: float) -> float:
     raise NoConvergence(f"Kepler solver stalled at |f| = {abs(f):g} (e = {e:g})")
 
 
-def time_to_anomaly(
-    el: OrbitalElements, E_from: float, E_to: float, p: Params
-) -> float:
+def time_to_anomaly(el: OrbitalElements, E_from: float, E_to: float) -> float:
     """Elapsed time along the orbit from ``E_from`` to ``E_to``.
 
     Positive whenever ``E_to >= E_from`` (forward traversal); the paper's
     negative-L convention is absorbed into the magnitude of the mean motion.
     """
-    _check_params(el, p)
     e = el.e
     dM = mean_from_eccentric(E_to, e) - mean_from_eccentric(E_from, e)
     return dM / el.mean_motion()

@@ -57,7 +57,7 @@ def conservation_elements() -> OrbitalElements:
 
 def conservation_state() -> CartesianState:
     """Start at the perihelion of the conservation reference ellipse."""
-    return cartesian_from_elements(conservation_elements(), 0.0, reference_params())
+    return cartesian_from_elements(conservation_elements(), 0.0)
 
 
 def gamma_level() -> tuple[float, float]:

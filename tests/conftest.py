@@ -22,7 +22,7 @@ def reference_elements():
 @pytest.fixture
 def reference_state(reference_elements, params):
     """Start at the perihelion (below the wall)."""
-    return cartesian_from_elements(reference_elements, 0.0, params)
+    return cartesian_from_elements(reference_elements, 0.0)
 
 
 @pytest.fixture

@@ -62,7 +62,7 @@ def sampling_crossing_oracle(el, E_now, p, n_grid=10_000, iters=100):
     """Dense sampling of y(E) - h plus bisection: independent crossing finder."""
 
     def y_of(E):
-        return state_at_eccentric(el, E, p).y
+        return state_at_eccentric(el, E).y
 
     Es = np.linspace(E_now, E_now + TWO_PI, n_grid)
     ys = np.array([y_of(float(E)) for E in Es]) - p.h
@@ -93,7 +93,7 @@ def composed_collision(s, p, n):
     P, Q = aM * uy, b * vy
     delta = math.acos(max(-1.0, min(1.0, (p.h - cy) / math.hypot(P, Q))))
     E_hit = E0 + (math.atan2(Q, P) - delta - E0) % TWO_PI
-    out = reflect(state_at_eccentric(el, E_hit, p, t=s.t + time_to_anomaly(el, E0, E_hit, p)), p)
+    out = reflect(state_at_eccentric(el, E_hit, t=s.t + time_to_anomaly(el, E0, E_hit)), p)
     r = aM * (1.0 - e * math.cos(E_hit))
     lam = tangent_angle(el, E_hit)
     post = elements_from_cartesian(out, p)
@@ -188,9 +188,29 @@ class TestConservedR:
         el = OrbitalElements(A=-0.5, a=math.sqrt(0.32), theta0=0.0, alpha=1.0)
         assert abs(conserved_R(el, params) - 0.32) < 1e-14
 
-    def test_requires_g_zero(self, reference_elements):
-        with pytest.raises(ValueError):
-            conserved_R(reference_elements, Params(g=0.1))
+    @PROPERTY
+    @given(
+        A=st.floats(-0.45, -0.1),
+        e=st.floats(0.0, 0.99),
+        theta0=st.floats(0.0, TWO_PI),
+        prograde=st.booleans(),
+        nu=st.floats(0.0, TWO_PI),
+        g=st.floats(0.0, 1.0),
+    )
+    def test_osculating_quantities_at_any_g(self, A, e, theta0, prograde, nu, g):
+        # the elements, R and the report are those of the Kepler ellipse:
+        # at g > 0 the osculating values, bit for bit the g = 0 ones
+        p0, pg = Params(), Params(g=g)
+        aM = -p0.alpha / (2.0 * A)
+        a = math.sqrt(0.5 * p0.alpha * aM * (1.0 - e * e))
+        el = OrbitalElements(A=A, a=a if prograde else -a, theta0=theta0, alpha=p0.alpha)
+        assume(el.max_y() > p0.h + 1e-3)
+        s = cartesian_from_elements(el, nu)
+        assume(s.y < p0.h)
+        _, ev = step(s, p0)
+        assert_same(elements_from_cartesian(s, pg), elements_from_cartesian(s, p0))
+        assert_same(conserved_R(ev.post, pg), conserved_R(ev.post, p0))
+        assert_same(invariant_report(ev, pg), invariant_report(ev, p0))
 
 
 class TestCrossing:
@@ -200,7 +220,7 @@ class TestCrossing:
         a = math.sqrt(params.mu * rho)
         for sgn, side in ((1.0, 1.0), (-1.0, -1.0)):
             el = OrbitalElements(A=A, a=sgn * a, theta0=0.0, alpha=1.0)
-            s = cartesian_from_elements(el, 2.5, params)
+            s = cartesian_from_elements(el, 2.5)
             _, _, _, hit = next_wall_crossing(el, eccentric_of_state(el, s), params)
             assert abs(abs(hit.x) - math.sqrt(rho**2 - 1.0)) < 1e-6
             assert math.copysign(1.0, hit.x) == side
@@ -214,7 +234,7 @@ class TestCrossing:
     def test_tangent_circle_is_no_collision(self, params):
         # wall exactly tangent to the bounding circle: degenerate path
         el = OrbitalElements(A=-0.5, a=math.sqrt(0.5), theta0=0.0, alpha=1.0)
-        s = cartesian_from_elements(el, 1.0, params)
+        s = cartesian_from_elements(el, 1.0)
         res = run(s, 3, params)
         assert res.no_collision and not res.events
 
@@ -238,7 +258,7 @@ class TestCrossing:
             if el.max_y() < params.h + 0.05:
                 continue
             E_now = rng.uniform(0.0, TWO_PI)
-            if state_at_eccentric(el, E_now, params).y > params.h:
+            if state_at_eccentric(el, E_now).y > params.h:
                 continue
             E_hit, _, _, _ = next_wall_crossing(el, E_now, params)
             E_oracle = sampling_crossing_oracle(el, E_now, params)
@@ -340,7 +360,7 @@ class TestStep:
         a = math.sqrt(0.5 * p.alpha * aM * (1.0 - e * e))
         el = OrbitalElements(A=A, a=a if prograde else -a, theta0=theta0, alpha=p.alpha)
         assume(el.max_y() > p.h + 1e-3)  # reaches the wall, not grazing
-        s = cartesian_from_elements(el, nu, p)
+        s = cartesian_from_elements(el, nu)
         assume(s.y < p.h)
         out, ev = step(s, p)
         assert out.y == p.h and out.py < 0.0  # on the wall, moving away
@@ -377,7 +397,7 @@ class TestRun:
 
     def test_no_collision_flagged(self, params):
         el = OrbitalElements(A=-1.0, a=math.sqrt(0.2), theta0=0.1, alpha=1.0)
-        s = cartesian_from_elements(el, 0.0, params)
+        s = cartesian_from_elements(el, 0.0)
         res = run(s, 10, params)
         assert res.no_collision and not res.events
         assert res.samples.shape[0] > 1  # one sampled revolution
@@ -445,7 +465,7 @@ class TestOnePassCollision:
         a = math.sqrt(0.5 * p.alpha * aM * (1.0 - e * e))
         el = OrbitalElements(A=A, a=a if prograde else -a, theta0=theta0, alpha=p.alpha)
         assume(el.max_y() > p.h + 1e-3)  # reaches the wall, not grazing
-        s = cartesian_from_elements(el, nu, p)
+        s = cartesian_from_elements(el, nu)
         assume(s.y < p.h)
         out, ev = step(s, p, n=0)
         want_out, want_ev, want_rep = composed_collision(s, p, 0)
@@ -532,7 +552,7 @@ class TestRevolvingFlow:
         aM = -p.alpha / (2.0 * A)
         a = math.sqrt(0.5 * p.alpha * aM * (1.0 - e * e))
         el = OrbitalElements(A=A, a=a if prograde else -a, theta0=theta0, alpha=p.alpha)
-        s = cartesian_from_elements(el, nu, Params())
+        s = cartesian_from_elements(el, nu)
         p_sq = A + p.alpha / s.r - g / (s.r * s.r)
         assume(s.y < p.h and p_sq > 0.0)
         scale = math.sqrt(p_sq / s.speed_sq)

@@ -152,7 +152,7 @@ class TestConfigParsing:
         cfg = cli.parse_config(doc, "simulate")
         el = doc["initial"]["elements"]
         expected = cartesian_from_elements(
-            OrbitalElements(A=el["A"], a=el["a"], theta0=el["theta0"]), 0.0, Params())
+            OrbitalElements(A=el["A"], a=el["a"], theta0=el["theta0"]), 0.0)
         assert cfg.initial == expected
         # a near-radial ellipse cannot carry a start
         doc["initial"]["elements"]["a"] = 1e-9
@@ -215,7 +215,11 @@ def mostly(good, *bad):
 
 
 COMMANDS = ("simulate", "gamma", "section", "region", "verify")
-NUMBER = mostly(st.floats(-3.0, 3.0) | st.integers(-3, 3), JSON_ANY)
+# besides moderate numbers, the magnitudes at which the geometry of the
+# energy surface (alpha^2, 1/|A|, r^2) overflows or underflows
+MAGNITUDES = st.sampled_from([float(f"{sign}1e{k}") for sign in ("", "-")
+                              for k in (147, 154, 200, 300, -147, -154, -200, -300)])
+NUMBER = mostly(st.floats(-3.0, 3.0) | st.integers(-3, 3) | MAGNITUDES, JSON_ANY)
 
 
 def json_object(fields):
@@ -243,8 +247,23 @@ CONFIG_DOCS = json_object({
     "output_dir": st.text(max_size=8),
 })
 
+# parse_config let a ZeroDivisionError out of the energy check or the seed draw
+DIVIDES_BY_ZERO = {
+    "region": {"params": {"alpha": 1e300}, "ensemble": {"energy": -1e147}},
+    "section": {"params": {"alpha": 1e-300, "h": 1e-300}, "n_collisions": 1,
+                "ensemble": {"count": 2, "seed": 1, "energy": -0.5}},
+    "simulate": {"params": {"alpha": 1e300, "g": 1.0, "h": 1.0}, "n_collisions": 1,
+                 "initial": {"cartesian": {"x": 3.0, "y": -0.5, "px": -1e-147, "py": 1e10}}},
+    "gamma": {"params": {"alpha": 1e200, "g": 0.0, "h": 1.0}, "n_collisions": 1,
+              "initial": {"elements": {"A": -1e300, "a": -1e10, "theta0": 4.0}, "nu": 3.0}},
+}
+
 
 class TestConfigFuzz:
+    @example(doc=DIVIDES_BY_ZERO["region"], command="region")
+    @example(doc=DIVIDES_BY_ZERO["section"], command="section")
+    @example(doc=DIVIDES_BY_ZERO["simulate"], command="simulate")
+    @example(doc=DIVIDES_BY_ZERO["gamma"], command="gamma")
     @settings(max_examples=500, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(doc=CONFIG_DOCS, command=st.sampled_from(COMMANDS))
@@ -732,6 +751,10 @@ class TestMainExitCodes:
              [], "initial: the start lies at the attraction centre"),
             ("section", {"ensemble": UNDRAWABLE}, [],
              "ensemble: could not draw enough wall-reaching seeds"),
+            # params so extreme that the energy surface's geometry divides by zero
+            *((command, DIVIDES_BY_ZERO[command], [], f"{start}: ZeroDivisionError: float division by zero")
+              for command, start in (("region", "ensemble"), ("section", "ensemble"),
+                                     ("simulate", "initial"), ("gamma", "initial"))),
         ],
         ids=[f"{c}-above-wall-{form}" for c in ("simulate", "gamma", "section", "region")
              for form in ("cartesian", "elements")]
@@ -744,7 +767,8 @@ class TestMainExitCodes:
            "section-off-wall-initial", "region-off-wall-initial",
            "section-flag-g-1e300", "region-flag-g-1e300", "gamma-flag-g",
            "simulate-energy-not-finite", "simulate-near-centre-cartesian",
-           "simulate-near-centre-elements", "section-seeds-not-drawn"],
+           "simulate-near-centre-elements", "section-seeds-not-drawn"]
+        + [f"{c}-divides-by-zero" for c in ("region", "section", "simulate", "gamma")],
     )
     def test_config_boundary_exit_2(self, tmp_path, capsys, command, doc, flags, message):
         # each run input is decided once, before anything is written

@@ -80,3 +80,8 @@ def test_builtin_config_is_a_pinned_run(command):
     want = cli.parse_config(committed, command)
     got = cli.parse_config(cli.default_config(command), command)
     assert replace(got, output_dir=want.output_dir) == want
+
+
+def test_every_committed_config_is_pinned():
+    # a config added to configs/ cannot go unpinned
+    assert {config.stem for config in CONFIGS.glob("*.json")} <= GOLDEN.keys()

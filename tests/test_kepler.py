@@ -114,18 +114,12 @@ class TestElementsFromCartesian:
         with pytest.raises(Degenerate):
             elements_from_cartesian(CartesianState(0.0, 1e-13, 0.1, 0.1), params)
 
-    def test_requires_g_zero(self):
-        with pytest.raises(ValueError):
-            elements_from_cartesian(
-                CartesianState(1.0, 0.0, 0.0, 0.5), Params(g=0.1)
-            )
-
     def test_invariants_recomputed_from_state(self, params):
         # oracle: A and a evaluated directly from the input state
         rng = np.random.default_rng(7)
         for _ in range(200):
             el = random_elements(rng)
-            s = cartesian_from_elements(el, rng.uniform(0.0, TWO_PI), params)
+            s = cartesian_from_elements(el, rng.uniform(0.0, TWO_PI))
             out = elements_from_cartesian(s, params)
             r = math.hypot(s.x, s.y)
             A_direct = s.px**2 + s.py**2 - params.alpha / r
@@ -138,12 +132,12 @@ class TestCartesianFromElements:
     def test_circle_radius(self, params):
         el = OrbitalElements(A=-0.5, a=math.sqrt(0.5), theta0=0.0, alpha=1.0)
         for nu in (0.0, 1.0, 3.0, 5.5):
-            s = cartesian_from_elements(el, nu, params)
+            s = cartesian_from_elements(el, nu)
             assert abs(s.r - el.aM) < 1e-12
 
     def test_aphelion_position(self, params, reference_elements):
         el = reference_elements
-        s = cartesian_from_elements(el, math.pi, params)
+        s = cartesian_from_elements(el, math.pi)
         assert abs(s.r - el.aM * (1.0 + el.e)) < 1e-12
         assert abs(wrap_angle(math.atan2(s.y, s.x)) - el.theta0) < 1e-12
 
@@ -152,7 +146,7 @@ class TestCartesianFromElements:
         for _ in range(100):
             el = random_elements(rng)
             nu = rng.uniform(0.0, TWO_PI)
-            s = cartesian_from_elements(el, nu, params)
+            s = cartesian_from_elements(el, nu)
             ell = el.aM * (1.0 - el.e**2)
             assert abs(s.r - ell / (1.0 + el.e * math.cos(nu))) < 1e-12
 
@@ -160,7 +154,7 @@ class TestCartesianFromElements:
         rng = np.random.default_rng(11)
         for _ in range(500):
             el = random_elements(rng)
-            s = cartesian_from_elements(el, rng.uniform(0.0, TWO_PI), params)
+            s = cartesian_from_elements(el, rng.uniform(0.0, TWO_PI))
             r = s.r
             assert abs(s.px**2 + s.py**2 - params.alpha / r - el.A) < 1e-12
             assert abs(s.x * s.py - s.y * s.px - el.a) < 1e-12
@@ -179,8 +173,8 @@ class TestCartesianFromElements:
         aM = -p.alpha / (2.0 * A)
         a = math.sqrt(0.5 * p.alpha * aM * (1.0 - e * e))
         el = OrbitalElements(A=A, a=a if prograde else -a, theta0=theta0, alpha=p.alpha)
-        s = cartesian_from_elements(el, nu, p)
-        s2 = cartesian_from_elements(elements_from_cartesian(s, p), nu, p)
+        s = cartesian_from_elements(el, nu)
+        s2 = cartesian_from_elements(elements_from_cartesian(s, p), nu)
         worst = max(abs(s2.x - s.x), abs(s2.y - s.y), abs(s2.px - s.px), abs(s2.py - s.py))
         assert worst < 1e-10
 
@@ -188,19 +182,19 @@ class TestCartesianFromElements:
         el = reference_elements
         for nu in (0.2, 1.7, 4.0):
             E = eccentric_from_true(nu, el.e)
-            s1 = cartesian_from_elements(el, nu, params)
-            s2 = state_at_eccentric(el, E, params)
+            s1 = cartesian_from_elements(el, nu)
+            s2 = state_at_eccentric(el, E)
             assert abs(s1.x - s2.x) < 1e-12 and abs(s1.y - s2.y) < 1e-12
             assert abs(s1.px - s2.px) < 1e-12 and abs(s1.py - s2.py) < 1e-12
 
     def test_near_radial_degenerate(self, params):
         el = OrbitalElements(A=-0.5, a=1e-9, theta0=0.3, alpha=1.0)
         with pytest.raises(Degenerate):
-            cartesian_from_elements(el, 0.5, params)
+            cartesian_from_elements(el, 0.5)
 
     def test_retrograde_polar_angle(self, params):
         el = OrbitalElements(A=-0.5, a=-math.sqrt(0.32), theta0=1.2, alpha=1.0)
-        s = cartesian_from_elements(el, 0.5, params)
+        s = cartesian_from_elements(el, 0.5)
         phi = wrap_angle(math.atan2(s.y, s.x))
         assert abs(phi - wrap_angle(el.theta0 + math.pi - 0.5)) < 1e-12
         assert s.x * s.py - s.y * s.px < 0.0
@@ -233,19 +227,19 @@ class TestAnomalies:
     def test_eccentric_of_state(self, params, reference_elements):
         el = reference_elements
         for nu in (0.3, 2.345, 5.9):
-            s = cartesian_from_elements(el, nu, params)
+            s = cartesian_from_elements(el, nu)
             E = eccentric_of_state(el, s)
             assert abs(E - wrap_angle(eccentric_from_true(nu, el.e))) < 1e-10
 
 
 class TestTimeAndDelaunay:
     def test_zero_interval(self, params, reference_elements):
-        assert time_to_anomaly(reference_elements, 1.3, 1.3, params) == 0.0
+        assert time_to_anomaly(reference_elements, 1.3, 1.3) == 0.0
 
     def test_full_revolution_period(self, params):
         el = OrbitalElements(A=-0.5, a=math.sqrt(0.32), theta0=1.2, alpha=1.0)
         L = el.L
-        T = time_to_anomaly(el, 0.7, 0.7 + TWO_PI, params)
+        T = time_to_anomaly(el, 0.7, 0.7 + TWO_PI)
         assert abs(T - TWO_PI * 4.0 * abs(L) ** 3 / params.alpha**2) < 1e-12
 
     def test_mean_motion_value(self, params):
@@ -259,7 +253,7 @@ class TestTimeAndDelaunay:
         for _ in range(100):
             E0 = rng.uniform(0.0, TWO_PI)
             dE = rng.uniform(0.0, TWO_PI)
-            assert time_to_anomaly(reference_elements, E0, E0 + dE, params) >= 0.0
+            assert time_to_anomaly(reference_elements, E0, E0 + dE) >= 0.0
 
     def test_delaunay_L_value(self, params, reference_elements):
         el = reference_elements

@@ -98,7 +98,7 @@ class TestIntegrateToWall:
     def test_no_collision_timeout(self, monkeypatch):
         p = Params()
         el = OrbitalElements(A=-1.0, a=math.sqrt(0.2), theta0=0.1, alpha=1.0)
-        s = cartesian_from_elements(el, 0.0, p)
+        s = cartesian_from_elements(el, 0.0)
         monkeypatch.setattr(billiard, "MAX_ARC_TIME", 50.0)
         with pytest.raises(NoCollision, match="t = 50"):
             integrate_to_wall(s, p)
@@ -123,7 +123,7 @@ class TestRunPerturbed:
     def test_R_drifts_under_perturbation(self):
         p = Params(alpha=1.0, g=0.05, h=1.0)
         el = OrbitalElements(A=-0.5, a=math.sqrt(0.32), theta0=1.2, alpha=1.0)
-        s = cartesian_from_elements(el, 0.0, Params())
+        s = cartesian_from_elements(el, 0.0)
         events, max_rel_drift = run_perturbed(s, 120, p)
         Rv = np.array([conserved_R(ev.post, Params()) for ev in events])
         assert np.ptp(Rv) / abs(Rv[0]) > 1e-4
@@ -132,7 +132,7 @@ class TestRunPerturbed:
     def test_g_sweep_monotone_scatter(self):
         # the physics claim, on the production route (billiard.run, every g)
         el = OrbitalElements(A=-0.5, a=math.sqrt(0.32), theta0=1.2, alpha=1.0)
-        s = cartesian_from_elements(el, 0.0, Params())
+        s = cartesian_from_elements(el, 0.0)
         spreads = []
         for g in (0.0, 1e-3, 1e-2):
             res = run(s, 60, Params(alpha=1.0, g=g, h=1.0))
@@ -156,14 +156,14 @@ class TestSectionEnsemble:
         p = Params()
         A = -0.5
         good = cartesian_from_elements(
-            OrbitalElements(A=A, a=math.sqrt(0.32), theta0=1.2, alpha=1.0), 0.0, p
+            OrbitalElements(A=A, a=math.sqrt(0.32), theta0=1.2, alpha=1.0), 0.0
         )
         # same energy, but the ellipse stays below the wall
         e_small = 0.05
         a2 = 0.5 * 1.0 * (1.0 - e_small**2)
         bad = cartesian_from_elements(
             OrbitalElements(A=A, a=math.sqrt(a2), theta0=1.5 * math.pi, alpha=1.0),
-            0.0, p,
+            0.0,
         )
         out = section_ensemble([bad, good], 5, p)
         assert out[0].error is not None and out[0].error.startswith("NoCollision: max y = ")
@@ -196,10 +196,10 @@ class TestSectionEnsemble:
     def test_mismatched_energy_rejected(self):
         p = Params()
         s1 = cartesian_from_elements(
-            OrbitalElements(A=-0.5, a=math.sqrt(0.32), theta0=1.2, alpha=1.0), 0.0, p
+            OrbitalElements(A=-0.5, a=math.sqrt(0.32), theta0=1.2, alpha=1.0), 0.0
         )
         s2 = cartesian_from_elements(
-            OrbitalElements(A=-0.4, a=math.sqrt(0.32), theta0=1.2, alpha=1.0), 0.0, p
+            OrbitalElements(A=-0.4, a=math.sqrt(0.32), theta0=1.2, alpha=1.0), 0.0
         )
         with pytest.raises(ValueError):
             section_ensemble([s1, s2], 3, p)
