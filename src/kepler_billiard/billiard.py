@@ -76,7 +76,7 @@ MAX_ARC_TIME = 1e4  # the longest free flight, on every route
 MAX_SCAN_STEPS = 100_000  # certified steps per g > 0 arc before it counts as grazing
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CollisionEvent:
     """One wall impact: geometry at the impact point plus both ellipses."""
 
@@ -92,7 +92,7 @@ class CollisionEvent:
     E_hit: float = math.nan
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InvariantReport:
     """Per-collision certification of the conserved quantity and its bounds."""
 
@@ -105,7 +105,7 @@ class InvariantReport:
     bounds_ok: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BilliardRun:
     """Output of :func:`run`: events, reports, and optional dense samples."""
 
@@ -506,11 +506,12 @@ def run(
     ``samples_per_arc > 0`` each arc is sampled up to the crossing its step
     found.  Orbits that never reach the wall are legal: the run returns one
     sampled (radial) revolution of the untouched orbit with the reason in
-    ``no_collision``.  A grazing
-    contact, a near-radial (degenerate) ellipse or a hit state off the wall
-    halts the run early with the events certified so far and a diagnostic
-    in ``halted``.  At g = 0 each step reuses the previous event's ``post``
-    elements, so every ellipse is formed once.
+    ``no_collision``.  A grazing contact, a near-radial (degenerate) ellipse,
+    a hit state off the wall or a reflected orbit that does not return to the
+    wall within ``MAX_ARC_TIME`` halts the run early with the events
+    certified so far and a diagnostic in ``halted``.  At g = 0 each step
+    reuses the previous event's ``post`` elements, so every ellipse is formed
+    once.
     """
     events: list[CollisionEvent] = []
     reports: list[InvariantReport] = []
@@ -526,8 +527,8 @@ def run(
                 no_collision = str(exc)
                 m = samples_per_arc if samples_per_arc > 0 else 256
                 chunks.append(_orbit_samples(state, None, p, m))
-            else:  # pragma: no cover - reflected orbits keep hitting the wall
-                halted = f"no further collision after event {k - 1}"
+            else:
+                halted = f"no further collision after event {k - 1}: {exc}"
             break
         except GrazingContact as exc:
             halted = f"grazing contact at event {k}: {exc}"

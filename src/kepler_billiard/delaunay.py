@@ -47,7 +47,7 @@ TOL_QUAD = 1e-11
 N_RERUN = 300  # collisions per anisochrony rerun in conjecture_report
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GammaSample:
     """Per-collision value of gamma and its two-step increment."""
 

@@ -73,7 +73,13 @@ class Params:
         return 0.5 * self.alpha
 
 
-@dataclass(frozen=True)
+# The records built per impact or per sample (this one, OrbitalElements,
+# RevolvingOrbit, billiard's CollisionEvent, InvariantReport and BilliardRun,
+# delaunay's GammaSample) are slotted, not frozen: a frozen __init__ stores
+# each field through object.__setattr__, which costs about as much as the
+# impact's arithmetic.  The package never mutates them; the slots still
+# reject a misspelt attribute.
+@dataclass(slots=True)
 class CartesianState:
     """Phase-space point (x, y, px, py) at time t."""
 
@@ -104,7 +110,7 @@ class CartesianState:
         return 0.5 * self.energy_A(p)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OrbitalElements:
     """Bound Kepler ellipse (A, a, theta0) with the system constant alpha.
 
@@ -175,7 +181,7 @@ class OrbitalElements:
         return self.center[1] + math.hypot(self.aM * uy, self.semi_minor * vy)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RevolvingOrbit:
     """Bound orbit of the full Hamiltonian at g > 0: Newton's revolving ellipse.
 

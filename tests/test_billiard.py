@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from kepler_billiard.billiard import (
     step,
     tangent_angle,
 )
+from kepler_billiard.delaunay import GammaSample
 from kepler_billiard.errors import (
     Degenerate,
     DomainError,
@@ -615,6 +617,19 @@ class TestRevolvingFlow:
             assert el.a == state.angular_momentum
         assert ev.lam == math.atan2(-out.py, out.px) % math.pi
 
+    def test_run_halts_when_the_orbit_leaves_the_wall_for_good(self):
+        # at g = 1e-4 this orbit leaves the wall nearly tangentially after
+        # event 2; its rosette precesses too slowly to reach y = h again
+        # within MAX_ARC_TIME, which integrate_to_wall confirms
+        p = Params(alpha=1.0, g=1e-4, h=1.0)
+        s = CartesianState(x=0.7527827240631315, y=1.0,
+                           px=-0.5441102927719436, py=-0.053025992185822705)
+        res = run(s, 10, p)
+        assert len(res.events) == len(res.reports) == 3
+        assert res.no_collision is None
+        assert res.halted == ("no further collision after event 2: "
+                              "no wall crossing within t = 10000")
+
     def test_run_samples_each_arc_from_its_step(self):
         s = reference.conservation_state()
         res = run(s, 3, self.PG, samples_per_arc=32)
@@ -776,3 +791,36 @@ class TestInvariantReport:
         assert rep.bounds_ok
         assert lower < rep.R_eq16 < upper
         assert (aM - ev.r) ** 2 < rep.R0**2 < aM**2
+
+
+class TestRecords:
+    """The per-impact records are slotted dataclasses that the package
+    never mutates."""
+
+    def records(self):
+        s = reference.conservation_state()
+        pg = reference.reference_params(g=reference.PERTURBATION_G)
+        _, ev = step(s, Params())
+        res = run(s, 1, Params())
+        return [s, ev.post, revolving_orbit(s, pg), ev, res.reports[0], res,
+                GammaSample(n=0, gamma=0.5, delta2_gamma=math.nan, eps_observed=1)]
+
+    def test_unknown_attribute_rejected(self):
+        records = self.records()
+        assert [type(r).__name__ for r in records] == [
+            "CartesianState", "OrbitalElements", "RevolvingOrbit", "CollisionEvent",
+            "InvariantReport", "BilliardRun", "GammaSample"]
+        for rec in records:
+            with pytest.raises(AttributeError):
+                rec.tt = 1.0  # a misspelt field
+
+    def test_asdict_and_replace_round_trip(self):
+        s = reference.conservation_state()
+        assert CartesianState(**asdict(s)) == s
+        assert replace(s) == s and replace(s) is not s
+        moved = replace(s, y=0.5)
+        assert moved.y == 0.5 and asdict(moved) == {**asdict(s), "y": 0.5}
+
+    def test_elements_still_validate(self):
+        with pytest.raises(ValueError, match="bound orbit requires A < 0"):
+            OrbitalElements(A=0.1, a=0.0, theta0=0.0)
