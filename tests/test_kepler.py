@@ -279,6 +279,9 @@ class TestParams:
     def test_elements_validation(self):
         with pytest.raises(ValueError):
             OrbitalElements(A=0.1, a=0.5, theta0=0.0, alpha=1.0)
+        # __post_init__ still runs on the slotted record
+        with pytest.raises(ValueError, match="bound orbit requires A < 0"):
+            OrbitalElements(A=0.1, a=0.0, theta0=0.0)
 
 
 class TestRevolvingOrbit:
