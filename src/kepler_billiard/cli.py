@@ -2,10 +2,11 @@
 
 Subcommands: ``simulate``, ``gamma``, ``section``, ``region``, ``verify``;
 the subcommand is the run's mode.  A single JSON document configures a run;
-every flag (--out, --n, --g, --seed) overrides the corresponding config
-field.  Each run writes its data files plus a manifest listing every
-emitted file with a sha256 checksum; floats are serialized with 17
-significant digits so repeated runs are byte-identical.
+a flag (--out, --n, --g, --seed) overrides the corresponding config field,
+and a subcommand offers only the flags of the fields it reads.  Each run
+writes its data files plus a manifest listing every emitted file with a
+sha256 checksum; floats are serialized with 17 significant digits so
+repeated runs are byte-identical.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 runtime/numerical error (a failed write of an output file included).
@@ -21,7 +22,7 @@ import math
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,24 +42,20 @@ from .kepler import (
 from .svg import Figure
 
 @dataclass
-class EnsembleSpec:
-    energy: float
-    count: int | None = None  # read by section only, as is seed
-    seed: int | None = None
-
-
-@dataclass
 class RunConfig:
+    """A decided run, and the document that reproduces it."""
+
     params: Params
     command: str
-    n_collisions: int = 0
-    initial: CartesianState | None = None
-    ensemble: EnsembleSpec | None = None
-    output_dir: Path = Path("out")
+    n_collisions: int
+    output_dir: Path
     # the states the run starts from (its initial state, or section's drawn
     # seeds) and their twice-energy A; None for verify
-    starts: list[CartesianState] = field(default_factory=list)
-    A: float | None = None
+    starts: list[CartesianState]
+    A: float | None
+    # the fields the subcommand reads, the start as the Cartesian state it
+    # resolved to; the manifest's config adds mode and output_dir
+    echo: dict
 
 
 @dataclass
@@ -70,8 +67,9 @@ class OutputBundle:
 @dataclass(frozen=True)
 class Command:
     """One subcommand.  ``fields`` are the run inputs it reads besides
-    "mode" and "output_dir", with the ensemble keys it reads (a document that
-    sets any other field is a configuration error); ``config`` is its
+    "mode" and "output_dir", with the ensemble keys it reads: they alone
+    decide its flags, the fields its document may set (any other is a
+    configuration error) and its manifest's echo; ``config`` is its
     built-in config; ``compute`` maps a run to its ``{file name: content}``
     and its manifest extras."""
 
@@ -82,11 +80,6 @@ class Command:
 
 
 # ---------------------------------------------------------------- config ---
-
-
-def _top_fields(command: str) -> tuple[str, ...]:
-    """The top-level keys of the fields ``command`` reads, in order."""
-    return tuple(dict.fromkeys(f.partition(".")[0] for f in COMMANDS[command].fields))
 
 
 def _expect_number(obj, path: str) -> float:
@@ -183,24 +176,24 @@ def _check_energy(A: float, params: Params, command: str, path: str) -> None:
         raise ConfigError(f"{path}: the accessible interval of A = {A:g} on the wall is not finite")
 
 
-def _ensemble_seeds(spec: EnsembleSpec, p: Params) -> list[CartesianState]:
-    """Deterministic wall-reaching seeds sharing the full energy spec.energy.
+def _ensemble_seeds(energy: float, count: int, seed: int, p: Params) -> list[CartesianState]:
+    """Deterministic wall-reaching seeds sharing the twice-energy ``energy``.
 
     Seeds are drawn as g = 0 ellipses at that energy; for g > 0 the momentum
     magnitude is then rescaled in place so A = p^2 - alpha/r + g/r^2 matches
     exactly on the configured surface.
     """
-    rng = np.random.default_rng(spec.seed)
-    aM = -p.alpha / (2.0 * spec.energy)
+    rng = np.random.default_rng(seed)
+    aM = -p.alpha / (2.0 * energy)
     seeds: list[CartesianState] = []
     guard = 0
-    while len(seeds) < spec.count and guard < 1000 * max(spec.count, 1):
+    while len(seeds) < count and guard < 1000 * max(count, 1):
         guard += 1
         e = rng.uniform(0.05, 0.9)
         th = rng.uniform(0.0, 2.0 * math.pi)
         sign = 1.0 if rng.uniform() < 0.5 else -1.0
         a = sign * math.sqrt(0.5 * p.alpha * aM * (1.0 - e * e))
-        el = OrbitalElements(A=spec.energy, a=a, theta0=th, alpha=p.alpha)
+        el = OrbitalElements(A=energy, a=a, theta0=th, alpha=p.alpha)
         if el.max_y() < p.h * (1.0 + 1e-9):
             continue
         for nu in (0.0, math.pi):
@@ -209,14 +202,14 @@ def _ensemble_seeds(spec: EnsembleSpec, p: Params) -> list[CartesianState]:
                 continue
             if p.g > 0.0:
                 r = s.r
-                p_sq = spec.energy + p.alpha / r - p.g / (r * r)
+                p_sq = energy + p.alpha / r - p.g / (r * r)
                 if p_sq <= 0.0 or s.speed_sq == 0.0:
                     continue
                 scale = math.sqrt(p_sq / s.speed_sq)
                 s = CartesianState(x=s.x, y=s.y, px=s.px * scale, py=s.py * scale, t=s.t)
             seeds.append(s)
             break
-    if len(seeds) < spec.count:
+    if len(seeds) < count:
         raise ConfigError("ensemble: could not draw enough wall-reaching seeds")
     return seeds
 
@@ -229,12 +222,13 @@ def parse_config(doc: dict, command: str) -> RunConfig:
     fields ``COMMANDS[command]`` lists, and a run gets exactly one start: an
     ``initial`` state, or for ``section`` and ``region`` an ``ensemble``.
     The states the run starts from (``section`` draws its seeds here) and
-    their twice-energy A are decided here too.
+    their twice-energy A are decided here too, and so is the run's echo.
     """
     if isinstance(doc, dict) and doc.get("mode", command) != command:
         raise ConfigError(f"mode: this config is for {doc['mode']!r}, not {command!r}")
-    fields = _top_fields(command)
-    doc = _expect_object(doc, "", ("mode", "output_dir") + fields)
+    fields = COMMANDS[command].fields
+    top = tuple(dict.fromkeys(f.partition(".")[0] for f in fields))
+    doc = _expect_object(doc, "", ("mode", "output_dir") + top)
     pdoc = _expect_object(doc.get("params", {}), "params", ("alpha", "g", "h"))
     try:
         params = Params(
@@ -247,20 +241,22 @@ def parse_config(doc: dict, command: str) -> RunConfig:
     n = _expect_int(doc.get("n_collisions", 0), "n_collisions")
     if n < 0:
         raise ConfigError("n_collisions: must be >= 0")
+    # every value as decided; the fields the command does not read are dropped below
+    echo = {"params": asdict(params), "n_collisions": n}
     ensemble = None
     if doc.get("ensemble") is not None:
-        keys = tuple(f[len("ensemble."):] for f in COMMANDS[command].fields
-                     if f.startswith("ensemble."))
+        keys = tuple(f[len("ensemble."):] for f in fields if f.startswith("ensemble."))
         e = _expect_object(doc["ensemble"], "ensemble", keys)
-        ensemble = EnsembleSpec(energy=_expect_number(e.get("energy", -0.5), "ensemble.energy"))
+        ensemble = echo["ensemble"] = {
+            "energy": _expect_number(e.get("energy", -0.5), "ensemble.energy")}
         if "seed" in keys:
             if "seed" not in e:
                 raise ConfigError("ensemble.seed: required for reproducibility")
-            ensemble.count = _expect_int(e.get("count", 4), "ensemble.count")
-            ensemble.seed = _expect_int(e["seed"], "ensemble.seed")
-            if ensemble.count < 0:
+            ensemble["count"] = _expect_int(e.get("count", 4), "ensemble.count")
+            ensemble["seed"] = _expect_int(e["seed"], "ensemble.seed")
+            if ensemble["count"] < 0:
                 raise ConfigError("ensemble.count: must be >= 0")
-            if ensemble.seed < 0:
+            if ensemble["seed"] < 0:
                 raise ConfigError("ensemble.seed: must be >= 0")
     out = doc.get("output_dir", "out")
     # a NUL byte would fail only when the directory is made
@@ -269,8 +265,9 @@ def parse_config(doc: dict, command: str) -> RunConfig:
     initial = None
     if doc.get("initial") is not None:
         initial = _parse_initial(doc["initial"], params, "initial")
-    if "initial" in fields and (initial is None) == (ensemble is None):
-        starts = " or ".join(k for k in ("initial", "ensemble") if k in fields)
+        echo["initial"] = {"cartesian": asdict(initial)}
+    if "initial" in top and (initial is None) == (ensemble is None):
+        starts = " or ".join(k for k in ("initial", "ensemble") if k in top)
         raise ConfigError(f"{starts}: {command} needs exactly one start")
     if command == "gamma" and params.g != 0.0:
         raise ConfigError("params.g: gamma requires g = 0")
@@ -278,18 +275,18 @@ def parse_config(doc: dict, command: str) -> RunConfig:
     path = "initial" if ensemble is None else "ensemble"
     try:
         if ensemble is not None:
-            A = ensemble.energy
+            A = ensemble["energy"]
             _check_energy(A, params, command, "ensemble.energy")
             if command == "section":
-                starts = _ensemble_seeds(ensemble, params)
+                starts = _ensemble_seeds(A, ensemble["count"], ensemble["seed"], params)
         elif initial is not None:
             A, starts = initial.energy_A(params), [initial]
             _check_energy(A, params, command, "initial")
     except ArithmeticError as exc:
         # params so extreme that the energy surface's geometry divides by zero
         raise ConfigError(f"{path}: {type(exc).__name__}: {exc}") from exc
-    return RunConfig(params=params, command=command, n_collisions=n, initial=initial,
-                     ensemble=ensemble, output_dir=Path(out), starts=starts, A=A)
+    return RunConfig(params=params, command=command, n_collisions=n, output_dir=Path(out),
+                     starts=starts, A=A, echo={k: echo[k] for k in top if k in echo})
 
 
 # ----------------------------------------------------------- serialization ---
@@ -323,21 +320,6 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    """The run's config as a document that reproduces it: the fields its
-    subcommand reads, the start as the Cartesian state it resolved to."""
-    values = {
-        "params": asdict(cfg.params),
-        "n_collisions": cfg.n_collisions,
-        "initial": None if cfg.initial is None else {"cartesian": asdict(cfg.initial)},
-        "ensemble": None if cfg.ensemble is None
-        else {k: v for k, v in asdict(cfg.ensemble).items() if v is not None},
-    }
-    doc = {"mode": cfg.command, "output_dir": str(cfg.output_dir)}
-    doc.update((k, values[k]) for k in _top_fields(cfg.command) if values[k] is not None)
-    return doc
-
-
 def finalize_bundle(
     cfg: RunConfig, t_start: float, contents: dict, extra: dict | None = None
 ) -> OutputBundle:
@@ -354,7 +336,7 @@ def finalize_bundle(
             path.write_text(content if isinstance(content, str) else _json(content),
                             encoding="utf-8")
     manifest = {
-        "config": _config_echo(cfg),
+        "config": {"mode": cfg.command, "output_dir": str(cfg.output_dir), **cfg.echo},
         "versions": {
             "kepler-billiard": __version__,
             "python": sys.version.split()[0],
@@ -504,15 +486,21 @@ def _energy_drift(s0: CartesianState, res: billiard.BilliardRun, p: Params) -> d
     return {"H0": H0, "max_rel_cumulative": float(np.max(drift))}
 
 
-def cmd_simulate(cfg: RunConfig) -> tuple[dict, dict]:
-    res = billiard.run(cfg.initial, cfg.n_collisions, cfg.params, samples_per_arc=512)
-    events, reports, samples = res.events, res.reports, res.samples
-    extra: dict = {
-        "no_collision": res.no_collision,
-        "energy_drift": _energy_drift(cfg.initial, res, cfg.params),
-    }
+def _run_outcome(res: billiard.BilliardRun) -> dict:
+    """The manifest fields that say why a run has fewer events than asked:
+    ``no_collision`` (null when the orbit reaches the wall) and, when a halt
+    stopped it, ``halted``."""
+    outcome = {"no_collision": res.no_collision}
     if res.halted:
-        extra["halted"] = res.halted
+        outcome["halted"] = res.halted
+    return outcome
+
+
+def cmd_simulate(cfg: RunConfig) -> tuple[dict, dict]:
+    s0 = cfg.starts[0]
+    res = billiard.run(s0, cfg.n_collisions, cfg.params, samples_per_arc=512)
+    events, reports, samples = res.events, res.reports, res.samples
+    extra = {**_run_outcome(res), "energy_drift": _energy_drift(s0, res, cfg.params)}
     return {
         "events.csv": (EVENT_HEADER, _event_rows(events, reports)),
         "trajectory.csv": (["t", "x", "y", "px", "py"], samples),
@@ -521,8 +509,8 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, dict]:
     }, extra
 
 
-def cmd_gamma(cfg: RunConfig) -> tuple[dict, dict | None]:
-    res = billiard.run(cfg.initial, cfg.n_collisions, cfg.params)
+def cmd_gamma(cfg: RunConfig) -> tuple[dict, dict]:
+    res = billiard.run(cfg.starts[0], cfg.n_collisions, cfg.params)
     samples = delaunay.gamma_series(res.events, cfg.params)
     report: dict = {"n_samples": len(samples)}
     if res.events:
@@ -542,7 +530,7 @@ def cmd_gamma(cfg: RunConfig) -> tuple[dict, dict | None]:
                       ((s.n, s.gamma, s.delta2_gamma, s.eps_observed, s.n % 2) for s in samples)),
         "conjecture_report.json": report,
         "delta2_gamma.svg": _delta2_figure(samples),
-    }, {"halted": res.halted} if res.halted else None
+    }, _run_outcome(res)
 
 
 def cmd_section(cfg: RunConfig) -> tuple[dict, dict]:
@@ -805,24 +793,29 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=command.help)
         sp.add_argument("--config", type=Path, help="JSON config file")
         sp.add_argument("--out", type=Path, help="output directory")
-        sp.add_argument("--n", type=int, help="override n_collisions")
-        sp.add_argument("--g", type=float, help="override centrifugal coefficient g")
-        sp.add_argument("--seed", type=int, help="override ensemble seed")
+        # a flag only where the subcommand reads the field it sets
+        if "n_collisions" in command.fields:
+            sp.add_argument("--n", type=int, help="override n_collisions")
+        if "params" in command.fields:
+            sp.add_argument("--g", type=float, help="override centrifugal coefficient g")
+        if "ensemble.seed" in command.fields:
+            sp.add_argument("--seed", type=int, help="override ensemble seed")
     return parser
 
 
 def _apply_flags(doc: dict, args: argparse.Namespace) -> dict:
-    # the flags write into the document before parse_config checks it
+    # the flags write into the document before parse_config checks it; a
+    # flag the subcommand does not register is absent from args
     if not isinstance(doc, dict):
         raise ConfigError("config root: expected a JSON object")
-    if args.n is not None:
+    if getattr(args, "n", None) is not None:
         doc["n_collisions"] = args.n
-    if args.g is not None:
+    if getattr(args, "g", None) is not None:
         params = doc.setdefault("params", {})
         if not isinstance(params, dict):
             raise ConfigError("params: expected a JSON object")
         params["g"] = args.g
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         if not isinstance(doc.get("ensemble"), dict):
             raise ConfigError("--seed: no ensemble in this configuration")
         doc["ensemble"]["seed"] = args.seed

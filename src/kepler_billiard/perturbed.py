@@ -162,8 +162,9 @@ def section_ensemble(seeds: list[CartesianState], n: int, p: Params) -> list[See
 
     Each seed runs through :func:`billiard.run`.  A seed that never reaches
     the wall, halts, or raises a domain failure (a :class:`BilliardError`)
-    is a failed seed: its outcome records the reason and no events, and the
-    other seeds go on.  Any other exception is a fault and propagates.
+    is a failed seed: its outcome records the reason, and the other seeds go
+    on.  A halted seed keeps the events certified before the halt; the other
+    two have none.  Any other exception is a fault and propagates.
 
     Raises:
         ValueError: if the seeds do not share the same energy A.
@@ -178,8 +179,8 @@ def section_ensemble(seeds: list[CartesianState], n: int, p: Params) -> list[See
         try:
             res = billiard.run(seed, n, p)
         except BilliardError as exc:
-            error = f"{type(exc).__name__}: {exc}"
+            outcomes.append(SeedOutcome(events=[], error=f"{type(exc).__name__}: {exc}"))
         else:
             error = f"NoCollision: {res.no_collision}" if res.no_collision else res.halted
-        outcomes.append(SeedOutcome(events=[] if error else res.events, error=error))
+            outcomes.append(SeedOutcome(events=res.events, error=error))
     return outcomes

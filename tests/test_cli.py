@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -141,7 +142,7 @@ class TestConfigParsing:
         for y, ok in ((1.0 + 1e-12, True), (1.0 + 2e-12, False)):
             doc = {"initial": {"cartesian": {"x": 0.5, "y": y, "px": 0.1, "py": -0.5}}}
             if ok:
-                assert cli.parse_config(doc, "simulate").initial.y == y
+                assert cli.parse_config(doc, "simulate").starts[0].y == y
             else:
                 with pytest.raises(ConfigError, match="^initial: the start lies above the wall"):
                     cli.parse_config(doc, "simulate")
@@ -153,7 +154,7 @@ class TestConfigParsing:
         el = doc["initial"]["elements"]
         expected = cartesian_from_elements(
             OrbitalElements(A=el["A"], a=el["a"], theta0=el["theta0"]), 0.0)
-        assert cfg.initial == expected
+        assert cfg.starts == [expected]
         # a near-radial ellipse cannot carry a start
         doc["initial"]["elements"]["a"] = 1e-9
         with pytest.raises(ConfigError, match="^initial.elements: Degenerate: "):
@@ -169,7 +170,7 @@ class TestConfigParsing:
         assert len(cfg.starts) == 3 and cfg.A == -0.5
         assert all(s.energy_A(cfg.params) == pytest.approx(-0.5, abs=1e-12) for s in cfg.starts)
         cfg = cli.parse_config(base_doc(tmp_path), "simulate")
-        assert cfg.starts == [cfg.initial] and cfg.A == cfg.initial.energy_A(cfg.params)
+        assert len(cfg.starts) == 1 and cfg.A == cfg.starts[0].energy_A(cfg.params)
         cfg = cli.parse_config({"ensemble": {"energy": -0.5}}, "region")
         assert cfg.starts == [] and cfg.A == -0.5
         # a seed draw that fails is a configuration error like any other
@@ -177,10 +178,32 @@ class TestConfigParsing:
             cli.parse_config({"ensemble": UNDRAWABLE}, "section")
 
 
+def subparsers():
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+# each subcommand's options as the parser registers them, help aside
+OPTIONS = {name: [s for a in sp._actions for s in a.option_strings if s not in ("-h", "--help")]
+           for name, sp in subparsers().choices.items()}
+
+
+def readme_flag_table():
+    """README's ``| subcommand | fields | flags |`` table: the flags of each
+    subcommand."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    table = {}
+    for line in lines[lines.index("| subcommand | fields | flags |") + 2:]:
+        if not line.startswith("|"):
+            break
+        name, _, flags = line.strip("|").split("|")
+        table[name.strip().strip("`")] = re.findall(r"`(--[a-z]+)`", flags)
+    return table
+
+
 class TestCommandTable:
     def test_parser_offers_the_table(self):
-        sub = next(a for a in cli.build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
+        sub = subparsers()
         assert list(sub.choices) == list(cli.COMMANDS)
         assert {a.dest: a.help for a in sub._choices_actions} == {
             name: c.help for name, c in cli.COMMANDS.items()}
@@ -194,6 +217,34 @@ class TestCommandTable:
         assert cli.main(["section", "--out", str(tmp_path / "s"), "--n", "1", "--g", "0.01",
                          "--seed", "3"]) == 0
         assert {name: cli.default_config(name) for name in cli.COMMANDS} == before
+
+    def test_flags_follow_the_fields(self):
+        # the fields of a subcommand's row decide its flags: --config and
+        # --out always, and the flag of each field it reads
+        flag_of = {"n_collisions": "--n", "params": "--g", "ensemble.seed": "--seed"}
+        for name, command in cli.COMMANDS.items():
+            implied = [flag for f, flag in flag_of.items() if f in command.fields]
+            assert sorted(OPTIONS[name]) == sorted(["--config", "--out", *implied]), name
+
+    def test_readme_lists_the_parser_flags(self):
+        # the flag table of README's Command line section, against the parser
+        assert {name: sorted(flags) for name, flags in readme_flag_table().items()} == {
+            name: sorted(o for o in options if o != "--config") for name, options in OPTIONS.items()}
+
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--seed"), ("gamma", "--seed"), ("region", "--n"), ("region", "--seed"),
+        ("verify", "--n"), ("verify", "--g"), ("verify", "--seed"),
+    ], ids=lambda v: v.lstrip("-"))
+    def test_unread_flag_is_unrecognized(self, tmp_path, capsys, monkeypatch, command, flag):
+        # a flag for a field the subcommand does not read fails in the
+        # parser: exit 2, and nothing is written
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_verify_checks", lambda: pytest.fail("verify ran"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--out", str(tmp_path / "o"), flag, "5"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 # JSON values as json.loads returns them: NaN, +-Infinity and integers beyond
@@ -356,7 +407,7 @@ class TestSimulate:
         _, samples = read_csv(cfg.output_dir / "trajectory.csv")
         assert len(rows) == 20 and len(samples) == 20 * 512
         # the samples start at the initial state and stay below the wall
-        s0 = cfg.initial
+        s0 = cfg.starts[0]
         assert [float(v) for v in samples[0]] == pytest.approx([0.0, s0.x, s0.y, s0.px, s0.py], abs=1e-14)
         assert max(float(r[2]) for r in samples) <= 1.0 + 1e-12
 
@@ -703,20 +754,20 @@ class TestMainExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     @pytest.mark.parametrize(
-        "doc, flags",
+        "command, doc, flags",
         [
-            ([1, 2], ["--n", "3"]),
-            ({"params": [1.0]}, ["--g", "0.1"]),
-            ({"params": None}, ["--g", "0.1"]),
-            ({"ensemble": [1]}, ["--seed", "3"]),
+            ("simulate", [1, 2], ["--n", "3"]),
+            ("simulate", {"params": [1.0]}, ["--g", "0.1"]),
+            ("simulate", {"params": None}, ["--g", "0.1"]),
+            ("section", {"ensemble": [1]}, ["--seed", "3"]),
         ],
         ids=["root-list", "params-list", "params-null", "ensemble-list"],
     )
-    def test_flags_on_malformed_config_exit_2(self, tmp_path, capsys, doc, flags):
+    def test_flags_on_malformed_config_exit_2(self, tmp_path, capsys, command, doc, flags):
         f = tmp_path / "c.json"
         f.write_text(json.dumps(doc))
         out = tmp_path / "o"
-        assert cli.main(["simulate", "--config", str(f), "--out", str(out), *flags]) == 2
+        assert cli.main([command, "--config", str(f), "--out", str(out), *flags]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
@@ -752,12 +803,8 @@ class TestMainExitCodes:
              "ensemble: unknown config field"),
             ("region", {"ensemble": REGION_ENSEMBLE, "n_collisions": 50}, [],
              "n_collisions: unknown config field"),
-            ("region", {"ensemble": REGION_ENSEMBLE}, ["--n", "50"],
-             "n_collisions: unknown config field"),
             ("region", {"ensemble": ENSEMBLE}, [], "ensemble.count: unknown config field"),
             ("region", {"ensemble": {"seed": 0, "energy": -0.3}}, [],
-             "ensemble.seed: unknown config field"),
-            ("region", {"ensemble": REGION_ENSEMBLE}, ["--seed", "5"],
              "ensemble.seed: unknown config field"),
             ("section", {"initial": ELEMENTS_REF, "ensemble": ENSEMBLE}, [],
              "initial or ensemble: section needs exactly one start"),
@@ -807,8 +854,8 @@ class TestMainExitCodes:
         ids=[f"{c}-above-wall-{form}" for c in ("simulate", "gamma", "section", "region")
              for form in ("cartesian", "elements")]
         + [f"{c}-at-centre" for c in ("simulate", "gamma", "section", "region")]
-        + ["simulate-ensemble", "gamma-ensemble", "region-n_collisions", "region-flag-n",
-           "region-count", "region-seed", "region-flag-seed",
+        + ["simulate-ensemble", "gamma-ensemble", "region-n_collisions",
+           "region-count", "region-seed",
            "section-both-starts", "region-both-starts",
            "region-interval-not-finite", "simulate-interval-not-finite",
            "region-off-wall-ensemble", "section-off-wall-ensemble",
@@ -829,12 +876,16 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("command", ["simulate", "gamma"])
     def test_off_wall_start_runs_without_collisions(self, tmp_path, command):
+        # both commands write no rows and say why in the manifest
         f = tmp_path / "c.json"
         f.write_text(json.dumps({"n_collisions": 3, "initial": OFF_WALL}))
         out = tmp_path / "o"
         assert cli.main([command, "--config", str(f), "--out", str(out)]) == 0
         _, rows = read_csv(out / ("events.csv" if command == "simulate" else "gamma.csv"))
         assert rows == []
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["no_collision"] == "max y = 0.000902708 below wall y = 1"
+        assert "halted" not in manifest
 
     def test_missing_config_file_exit_2(self, tmp_path):
         assert cli.main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
@@ -935,15 +986,23 @@ class TestMainExitCodes:
             f = tmp_path / "c.json"
             f.write_text(json.dumps({"mode": "verify", **doc}))
             argv += ["--config", str(f)]
-        assert cli.main(argv) == 2
-        assert "configuration error" in capsys.readouterr().err
+            assert cli.main(argv) == 2
+            assert "configuration error" in capsys.readouterr().err
+        else:
+            # verify offers no flag but --config and --out
+            with pytest.raises(SystemExit, match="^2$"):
+                cli.main(argv)
+            assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_seed_flag_without_ensemble_exit_2(self, tmp_path):
-        doc = cli.default_config("simulate")
+    def test_seed_flag_without_ensemble_exit_2(self, tmp_path, capsys):
+        # section offers --seed, but this run starts from an initial state
         f = tmp_path / "c.json"
-        f.write_text(json.dumps(doc))
-        assert cli.main(["simulate", "--config", str(f), "--seed", "5"]) == 2
+        f.write_text(json.dumps({"n_collisions": 2, "initial": ELEMENTS_REF}))
+        out = tmp_path / "o"
+        assert cli.main(["section", "--config", str(f), "--out", str(out), "--seed", "5"]) == 2
+        assert "configuration error: --seed: no ensemble in this configuration" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # finite numbers, mostly moderate, with the extremes that overflow or
@@ -1036,8 +1095,11 @@ class TestMainFuzz:
         f = tmp_path / "c.json"
         f.write_text(json.dumps(doc))
         out = Path(tempfile.mkdtemp(dir=tmp_path)) / "o"
-        # "--g=-1e-300": a separate value with a leading minus reads as an option
-        argv = [command, "--config", str(f), "--out", str(out)] + [f"{k}={v}" for k, v in flags.items()]
+        # "--g=-1e-300": a separate value with a leading minus reads as an
+        # option; a flag the subcommand does not offer is the parser's
+        # (test_unread_flag_is_unrecognized)
+        argv = [command, "--config", str(f), "--out", str(out)] + [
+            f"{k}={v}" for k, v in flags.items() if k in OPTIONS[command]]
         code = cli.main(argv)
         assert code in (0, 2, 3)
         if code == 2:

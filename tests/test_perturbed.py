@@ -178,11 +178,14 @@ class TestSectionEnsemble:
 
     def test_halted_seed_fails(self, reference_state, monkeypatch):
         # a grazing cutoff inside the orbit's range of normal velocities
-        # halts the run after a few events (see test_billiard)
+        # halts the run after a few events (see test_billiard); the seed
+        # fails and keeps the events certified before the halt
         monkeypatch.setattr(billiard, "TOL_GRAZE", 0.425)
         (out,) = section_ensemble([reference_state], 50, Params())
-        assert out.error is not None and out.error.startswith("grazing contact at event ")
-        assert out.events == []
+        k = len(out.events)
+        assert out.error is not None and out.error.startswith(f"grazing contact at event {k}: ")
+        assert k > 0 and [ev.n for ev in out.events] == list(range(k))
+        assert out.events == billiard.run(reference_state, k, Params()).events
 
     def test_fault_propagates(self, rotation_state, monkeypatch):
         # only domain errors are a seed's failure; any other error is a fault
