@@ -150,7 +150,12 @@ def R_from_R0(R0: float, aM: float, p: Params) -> float:
 
 
 def tangent_angle(el: OrbitalElements, E: float) -> float:
-    """Tangent-line angle against the wall at anomaly E, reduced to [0, pi)."""
+    """Tangent-line angle against the wall at anomaly E, reduced to [0, pi).
+
+    An oracle, called only by the tests: it takes lambda from the ellipse's
+    tangent, where ``next_wall_crossing`` returns the ``lam`` of the hit
+    momentum, so the tests check that ``lam`` against it.
+    """
     aM, b = el.aM, el.semi_minor
     ux, uy, vx, vy = el.frame()
     tx = -aM * math.sin(E) * ux + b * math.cos(E) * vx
@@ -582,7 +587,12 @@ def accessible_interval(A: float, p: Params) -> tuple[float, float]:
 
 
 def r_value_on_section(x: float, lam: float, A: float, p: Params) -> float:
-    """R evaluated at a section point (x, lambda) at energy A/2, g = 0."""
+    """R evaluated at a section point (x, lambda) at energy A/2, g = 0.
+
+    An oracle, called only by the tests: it evaluates R pointwise from the
+    impact geometry, so the tests check each point of ``level_set_R`` and
+    each impact of a g = 0 run against the level they should carry.
+    """
     aM = -p.alpha / (2.0 * A)
     r = math.hypot(x, p.h)
     return R_from_R0(R0_from_geometry(r, aM, lam), aM, p)
@@ -606,22 +616,26 @@ def level_set_R(A: float, R: float, p: Params) -> np.ndarray:
         raise EmptyLevelSet(f"R = {R:g} exceeds the value at R0 = 0")
     x_min, x_max = accessible_interval(A, Params(alpha=p.alpha, g=0.0, h=p.h))
     xs = np.linspace(x_min, x_max, 1002)[1:-1]
-    lower: list[tuple[float, float]] = []
-    upper: list[tuple[float, float]] = []
-    for x in xs:
-        r = math.hypot(x, p.h)
-        q = 2.0 * aM - r
-        if q <= 0.0:
-            continue
-        c2 = (4.0 * R0_sq - r * r - q * q) / (2.0 * r * q)
-        # the 1e-12 guard keeps round-off at the lambda = 0 boundary from
-        # turning the degenerate R0 = aM level into spurious interior points
-        if not -1.0 <= c2 <= 1.0 - 1e-12:
-            continue
-        lam = 0.5 * math.acos(c2)  # in (0, pi/2]
-        lower.append((x, lam))
-        if lam < 0.5 * math.pi:
-            upper.append((x, math.pi - lam))
-    if not lower:
+    # math.hypot and math.acos per element: np.hypot and np.arccos differ
+    # from them in the last bit on part of their inputs
+    r = np.array(list(map(math.hypot, xs.tolist(), [p.h] * xs.size)))
+    q = 2.0 * aM - r
+    keep = q > 0.0
+    xs, r, q = xs[keep], r[keep], q[keep]
+    # overflow gives inf or nan, silently as in float arithmetic; an
+    # underflowed denominator raises as a float division by zero does
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = 2.0 * r * q
+        if not den.all():
+            raise ZeroDivisionError("float division by zero")
+        c2 = (4.0 * R0_sq - r * r - q * q) / den
+    # the 1e-12 guard keeps round-off at the lambda = 0 boundary from
+    # turning the degenerate R0 = aM level into spurious interior points
+    inside = (c2 >= -1.0) & (c2 <= 1.0 - 1e-12)
+    if not inside.any():
         raise EmptyLevelSet(f"level R = {R:g} does not intersect the rectangle")
-    return np.array(lower + upper[::-1])
+    xs = xs[inside]
+    lam = 0.5 * np.array(list(map(math.acos, c2[inside].tolist())))  # in (0, pi/2]
+    up = lam < 0.5 * math.pi
+    return np.concatenate((np.column_stack((xs, lam)),
+                           np.column_stack((xs[up], math.pi - lam[up]))[::-1]))

@@ -373,19 +373,20 @@ def _trajectory_figure(
     fig.line(fig.xlim[0], p.h, fig.xlim[1], p.h, stroke="#000000", width=1.6)
     if dashed_ellipses:
         # each visited ellipse in full; the traversed arcs are redrawn solid
-        seen = []
+        E = np.linspace(0.0, 2.0 * math.pi, 512)
+        cos_E, sin_E = np.cos(E), np.sin(E)
+        seen = set()
         for ev in events:
             for el in (ev.pre, ev.post):
                 key = (round(el.a, 12), round(el.theta0, 12))
                 if key in seen:
                     continue
-                seen.append(key)
-                E = np.linspace(0.0, 2.0 * math.pi, 512)
+                seen.add(key)
                 aM, b = el.aM, el.semi_minor
                 cx, cy = el.center
                 ux, uy, vx, vy = el.frame()
-                ex = cx + aM * np.cos(E) * ux + b * np.sin(E) * vx
-                ey = cy + aM * np.cos(E) * uy + b * np.sin(E) * vy
+                ex = cx + aM * cos_E * ux + b * sin_E * vx
+                ey = cy + aM * cos_E * uy + b * sin_E * vy
                 fig.polyline(ex, ey, stroke="#999999", width=0.7, dashed=True)
     fig.polyline(xs, ys, stroke="#1f77b4", width=1.2)
     fig.dot(0.0, 0.0, radius=4.0, fill="#000000")

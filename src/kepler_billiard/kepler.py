@@ -335,7 +335,12 @@ def state_at_eccentric(el: OrbitalElements, E: float, t: float = 0.0) -> Cartesi
 
 
 def true_from_eccentric(E: float, e: float) -> float:
-    """True anomaly from eccentric anomaly (continuous across revolutions)."""
+    """True anomaly from eccentric anomaly (continuous across revolutions).
+
+    The anomaly oracle, called only by the tests: they check
+    ``eccentric_from_true`` as its inverse, and map a revolving crossing's
+    ``E_hit`` back to the true anomaly to scan the arc before the hit.
+    """
     beta = e / (1.0 + math.sqrt(max(1.0 - e * e, 0.0)))
     return E + 2.0 * math.atan2(beta * math.sin(E), 1.0 - beta * math.cos(E))
 

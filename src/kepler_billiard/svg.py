@@ -8,15 +8,14 @@ fixed order, so identical inputs give byte-identical files.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-# canvas size and plot-area margin in pixels: module constants, as _px and _py
-# run per plotted point and Python 3.11 reads class attributes slowly there
+# canvas size and plot-area margin in pixels
 WIDTH, HEIGHT, MARGIN = 720, 540, 56
 TICKS = 5  # per axis
 MARKER_SIZE = 3.0  # half-width of the plus and cross markers, in pixels
@@ -65,11 +64,12 @@ class Figure:
         self.ylabel = ylabel
         self._body: list[str] = []
 
-    def _px(self, x: float) -> float:
+    # _px and _py map a float or a float64 array alike, by the same operations
+    def _px(self, x: float | np.ndarray) -> float | np.ndarray:
         x0, x1 = self.xlim
         return MARGIN + (x - x0) / (x1 - x0) * (WIDTH - 2 * MARGIN)
 
-    def _py(self, y: float) -> float:
+    def _py(self, y: float | np.ndarray) -> float | np.ndarray:
         y0, y1 = self.ylim
         return HEIGHT - MARGIN - (y - y0) / (y1 - y0) * (HEIGHT - 2 * MARGIN)
 
@@ -82,13 +82,15 @@ class Figure:
         dashed: bool = False,
         opacity: float = 1.0,
     ) -> None:
-        pts = " ".join(
-            f"{_fmt(self._px(x))},{_fmt(self._py(y))}"
-            for x, y in zip(xs, ys)
-            if math.isfinite(x) and math.isfinite(y)
-        )
-        if not pts:
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        keep = np.isfinite(xs) & np.isfinite(ys)
+        if not keep.any():
             return
+        # a finite point far outside the limits maps to inf or nan, silently
+        # as Python floats do, and is then printed as such
+        with np.errstate(over="ignore", invalid="ignore"):
+            px, py = self._px(xs[keep]), self._py(ys[keep])
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
         dash = ' stroke-dasharray="6 4"' if dashed else ""
         op = f' stroke-opacity="{opacity:g}"' if opacity != 1.0 else ""
         self._body.append(

@@ -741,7 +741,76 @@ class TestAccessibleInterval:
             accessible_interval(0.5, params)
 
 
+def _level_set_per_point(A: float, R: float, p: Params) -> np.ndarray:
+    """level_set_R one abscissa at a time: the oracle of the array form,
+    from the loop level_set_R ran before it."""
+    aM = -p.alpha / (2.0 * A)
+    R0_sq = p.h * p.h + aM * aM - 2.0 * aM * R / p.alpha
+    if R0_sq < 0.0:
+        raise EmptyLevelSet(f"R = {R:g} exceeds the value at R0 = 0")
+    x_min, x_max = accessible_interval(A, Params(alpha=p.alpha, g=0.0, h=p.h))
+    lower, upper = [], []
+    for x in np.linspace(x_min, x_max, 1002)[1:-1]:
+        r = math.hypot(x, p.h)
+        q = 2.0 * aM - r
+        if q <= 0.0:
+            continue
+        c2 = (4.0 * R0_sq - r * r - q * q) / (2.0 * r * q)
+        if not -1.0 <= c2 <= 1.0 - 1e-12:
+            continue
+        lam = 0.5 * math.acos(c2)
+        lower.append((x, lam))
+        if lam < 0.5 * math.pi:
+            upper.append((x, math.pi - lam))
+    if not lower:
+        raise EmptyLevelSet(f"level R = {R:g} does not intersect the rectangle")
+    return np.array(lower + upper[::-1])
+
+
+def _outcome(f, *args):
+    """The bytes of f's array, or the type and message of what it raised."""
+    try:
+        return f(*args).tobytes()
+    except (EmptyLevelSet, EmptyRegion, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
 class TestLevelSet:
+    @given(
+        A=st.floats(-3.0, -0.03),
+        alpha=st.floats(0.1, 10.0),
+        # h as a share of the turning radius 2 aM; past 1 no orbit reaches the wall
+        h_share=st.floats(0.02, 1.1),
+        # R as a share of its value at R0 = 0; past 1 the level set is empty
+        R_share=st.floats(-0.5, 1.2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_point_form(self, A, alpha, h_share, R_share):
+        aM = -alpha / (2.0 * A)
+        h = h_share * 2.0 * aM
+        p = Params(alpha=alpha, g=0.0, h=h)
+        R = R_share * alpha * (h * h + aM * aM) / (2.0 * aM)
+        assert _outcome(level_set_R, A, R, p) == _outcome(_level_set_per_point, A, R, p)
+
+    @pytest.mark.parametrize("A, R, h, expect", [
+        (-0.5, 0.8, 1.0, "curve"),
+        (-0.5, 1.5, 1.0, "R0 = 0"),                # R beyond the value at R0 = 0
+        (-0.5, 0.5, 1.0, "does not intersect"),    # the degenerate R0 = aM level
+        (-0.5, 0.5 + 1e-13, 1.0, "guard"),         # straddles the 1 - 1e-12 guard
+        (-5e199, 1e-300, 1e-200, "float division by zero"),  # 2*r*q underflows
+    ])
+    def test_matches_per_point_form_at_edges(self, A, R, h, expect):
+        p = Params(alpha=1.0, g=0.0, h=h)
+        got = _outcome(level_set_R, A, R, p)
+        assert got == _outcome(_level_set_per_point, A, R, p)
+        if expect == "curve":
+            assert isinstance(got, bytes)
+        elif expect == "guard":
+            # the guard drops some interior points and keeps others
+            assert 0 < len(got) // 16 < 2000
+        else:
+            assert expect in got[1]
+
     def test_lower_bound_degenerate(self, params):
         A = -0.5
         aM = 1.0
