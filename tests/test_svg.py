@@ -32,6 +32,7 @@ class TestPolyline:
         equal_aspect=st.booleans(),
         as_array=st.booleans(),
     )
+    @example(points=[], xlim=(0.0, 1.0), ylim=(0.0, 1.0), equal_aspect=False, as_array=True)
     @example(points=[(math.nan, 1.0), (2.0, math.inf), (-math.inf, -math.inf)],
              xlim=(0.0, 1.0), ylim=(0.0, 1.0), equal_aspect=False, as_array=True)
     @example(points=[(math.nan, 1.0), (2.0, math.inf)],
@@ -58,9 +59,3 @@ class TestPolyline:
                 ' stroke-dasharray="6 4" stroke-opacity="0.5"'
                 f' points="{expected}"/>'
             ]
-
-    def test_empty_input_draws_nothing(self):
-        fig = Figure((0.0, 1.0), (0.0, 1.0))
-        fig.polyline([], [])
-        fig.polyline(np.array([]), np.array([]))
-        assert fig._body == []
