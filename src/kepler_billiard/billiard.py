@@ -94,10 +94,9 @@ class CollisionEvent:
 
 @dataclass(slots=True)
 class InvariantReport:
-    """Per-collision certification of the conserved quantity and its bounds."""
+    """Per-collision certification of the conserved quantity and its bounds;
+    the event it certifies holds its ``n`` and ``post.A``."""
 
-    n: int
-    A: float
     R_eq16: float
     R0: float
     R_eq17: float
@@ -138,7 +137,7 @@ def R0_from_geometry(r: float, aM: float, lam: float) -> float:
 
 def R0_from_center(el: OrbitalElements, p: Params) -> float:
     """Distance |Q - C| from the wall foot Q = (0, h) to the ellipse center."""
-    cx, cy = el.center
+    _, _, _, cx, cy, *_ = el.geometry()
     return math.hypot(cx, p.h - cy)
 
 
@@ -156,8 +155,7 @@ def tangent_angle(el: OrbitalElements, E: float) -> float:
     tangent, where ``next_wall_crossing`` returns the ``lam`` of the hit
     momentum, so the tests check that ``lam`` against it.
     """
-    aM, b = el.aM, el.semi_minor
-    ux, uy, vx, vy = el.frame()
+    aM, _, b, _, _, ux, uy, vx, vy, _ = el.geometry()
     tx = -aM * math.sin(E) * ux + b * math.cos(E) * vx
     ty = -aM * math.sin(E) * uy + b * math.cos(E) * vy
     lam = math.atan2(ty, tx) % math.pi
@@ -170,9 +168,8 @@ def next_wall_crossing(
     """Earliest forward anomaly at which the ellipse meets y = h going up.
 
     Returns ``(E_hit, r, lam)`` of the impact and the state there (at time
-    ``t0`` plus the flight time), before reflection.  The ellipse's geometry
-    is formed once, by the expressions of the :class:`OrbitalElements`
-    properties, and the state comes out as ``state_at_eccentric`` and
+    ``t0`` plus the flight time), before reflection.  The ellipse is
+    ``el.geometry()``, and the state comes out as ``state_at_eccentric`` and
     ``time_to_anomaly`` give it.
 
     ``alpha`` comes from ``el``; ``p`` gives only the wall height.
@@ -182,16 +179,7 @@ def next_wall_crossing(
         GrazingContact: if the normal velocity at the contact is below
             ``TOL_GRAZE``.
     """
-    alpha, a, th = el.alpha, el.a, el.theta0
-    aM = -alpha / (2.0 * el.A)
-    e2 = 1.0 + 4.0 * el.A * a * a / (alpha * alpha)
-    e = math.sqrt(e2) if e2 > 0.0 else 0.0
-    b = aM * math.sqrt(max(1.0 - e * e, 0.0))
-    c, ct, st = aM * e, math.cos(th), math.sin(th)
-    cx, cy = c * ct, c * st
-    ux, uy = -ct, -st
-    vx, vy = (-uy, ux) if a >= 0.0 else (uy, -ux)
-    mean_motion = alpha * alpha / (4.0 * math.sqrt(0.5 * alpha * aM) ** 3)
+    aM, e, b, cx, cy, ux, uy, vx, vy, n = el.geometry()
     P = aM * uy
     Q = b * vy
     rho = math.hypot(P, Q)
@@ -207,7 +195,7 @@ def next_wall_crossing(
     E_hit = E_now + dE
     cE, sE = math.cos(E_hit), math.sin(E_hit)
     # outgoing-normal filter: dy/dt must be positive (approaching the wall)
-    Edot = mean_motion / (1.0 - e * cE)
+    Edot = n / (1.0 - e * cE)
     vy_hit = rho * math.sin(delta) * Edot
     if vy_hit <= TOL_GRAZE:
         raise GrazingContact(
@@ -220,7 +208,7 @@ def next_wall_crossing(
         y=cy + aM * cE * uy + b * sE * vy,
         px=tx * Edot,
         py=ty * Edot,
-        t=t0 + ((E_hit - e * sE) - (E_now - e * math.sin(E_now))) / mean_motion,
+        t=t0 + ((E_hit - e * sE) - (E_now - e * math.sin(E_now))) / n,
     )
     return E_hit, aM * (1.0 - e * cE), math.atan2(ty, tx) % math.pi, hit
 
@@ -417,18 +405,17 @@ def invariant_report(event: CollisionEvent, p: Params) -> InvariantReport:
     """Certify one collision: both routes to R plus the inequality box.
 
     R_eq16, R0 and R_eq17 are ``conserved_R``, ``R0_from_geometry`` and
-    ``R_from_R0`` of the event, from one evaluation of aM and e.  They are
-    the Kepler (osculating) quantities of its ``post`` elements, whatever
-    ``p.g`` is.
+    ``R_from_R0`` of the event: the Kepler (osculating) quantities of its
+    ``post`` elements, whatever ``p.g`` is.
+
+    Raises:
+        DomainError: unless 0 < r < 2*aM (from ``R0_from_geometry``).
     """
     el = event.post
-    aM, e, r = el.aM, el.e, event.r
-    R16 = el.a * el.a + p.h * p.alpha * e * math.sin(el.theta0)
-    if not 0.0 < r < 2.0 * aM:
-        raise DomainError(f"need 0 < r < 2*aM, got r = {r:g}, aM = {aM:g}")
-    q = 2.0 * aM - r
-    R0 = math.sqrt(max(0.25 * r * r + 0.25 * q * q + 0.5 * r * q * math.cos(2.0 * event.lam), 0.0))
-    R17 = p.alpha / (2.0 * aM) * (p.h * p.h + aM * aM - R0 * R0)
+    aM, r = el.aM, event.r
+    R16 = conserved_R(el, p)
+    R0 = R0_from_geometry(r, aM, event.lam)
+    R17 = R_from_R0(R0, aM, p)
     lower = p.alpha * p.h * p.h / (2.0 * aM)
     upper = (
         1.0 + (aM / p.h) ** 2 - ((aM - r) / p.h) ** 2
@@ -438,8 +425,6 @@ def invariant_report(event: CollisionEvent, p: Params) -> InvariantReport:
         and lower < R16 < upper
     )
     return InvariantReport(
-        n=event.n,
-        A=el.A,
         R_eq16=R16,
         R0=R0,
         R_eq17=R17,
@@ -465,18 +450,16 @@ def _orbit_samples(s: CartesianState, E1: float | None, p: Params, m: int) -> np
 
 def _arc_samples(el: OrbitalElements, E0: float, E1: float, t0: float, m: int) -> np.ndarray:
     """Sample an elliptic arc at m points (excluding the final anomaly)."""
-    aM, b, e = el.aM, el.semi_minor, el.e
-    cx, cy = el.center
-    ux, uy, vx, vy = el.frame()
+    aM, e, b, cx, cy, ux, uy, vx, vy, n = el.geometry()
     E = np.linspace(E0, E1, m, endpoint=False)
     cE, sE = np.cos(E), np.sin(E)
     x = cx + aM * cE * ux + b * sE * vx
     y = cy + aM * cE * uy + b * sE * vy
-    Edot = el.mean_motion() / (1.0 - e * cE)
+    Edot = n / (1.0 - e * cE)
     px = (-aM * sE * ux + b * cE * vx) * Edot
     py = (-aM * sE * uy + b * cE * vy) * Edot
     M0 = mean_from_eccentric(E0, e)
-    t = t0 + ((E - e * np.sin(E)) - M0) / el.mean_motion()
+    t = t0 + ((E - e * np.sin(E)) - M0) / n
     return np.column_stack([t, x, y, px, py])
 
 

@@ -382,9 +382,7 @@ def _trajectory_figure(
                 if key in seen:
                     continue
                 seen.add(key)
-                aM, b = el.aM, el.semi_minor
-                cx, cy = el.center
-                ux, uy, vx, vy = el.frame()
+                aM, _, b, cx, cy, ux, uy, vx, vy, _ = el.geometry()
                 ex = cx + aM * cos_E * ux + b * sin_E * vx
                 ey = cy + aM * cos_E * uy + b * sin_E * vy
                 fig.polyline(ex, ey, stroke="#999999", width=0.7, dashed=True)
@@ -456,7 +454,7 @@ def _section_figure(
 def _event_rows(events, reports):
     for ev, rep in zip(events, reports):
         yield (
-            ev.n, ev.t, ev.x_impact, ev.r, ev.lam, rep.A,
+            ev.n, ev.t, ev.x_impact, ev.r, ev.lam, ev.post.A,
             ev.pre.a, ev.post.a, ev.pre.theta0, ev.post.theta0,
             rep.R_eq16, rep.R0, rep.R_eq17, rep.residual_identity, rep.bounds_ok,
         )
@@ -650,7 +648,7 @@ def run_verify_checks() -> dict[str, float]:
     # Theorem 1 over 10^4 collisions of the conservation reference
     res = billiard.run(reference.conservation_state(), 10_000, p)
     R = np.array([rep.R_eq16 for rep in res.reports])
-    Av = np.array([rep.A for rep in res.reports])
+    Av = np.array([ev.post.A for ev in res.events])
     m["theorem1_R_drift"] = float(np.ptp(R) / abs(R[0]))
     m["theorem1_A_drift"] = float(np.ptp(Av) / abs(Av[0]))
     m["identity_eq16_eq17"] = max(

@@ -114,7 +114,7 @@ class CartesianState:
 class OrbitalElements:
     """Bound Kepler ellipse (A, a, theta0) with the system constant alpha.
 
-    ``alpha`` is carried along so the derived quantities (aM, e, L, center)
+    ``alpha`` is carried along so the derived quantities (aM, e, L, geometry())
     and every function of the ellipse alone are self-contained: those take
     no :class:`Params`.
     """
@@ -146,39 +146,32 @@ class OrbitalElements:
         """Delaunay action -sqrt(alpha*aM/2) (negative by convention)."""
         return -math.sqrt(0.5 * self.alpha * self.aM)
 
-    @property
-    def semi_minor(self) -> float:
-        e = self.e
-        return self.aM * math.sqrt(max(1.0 - e * e, 0.0))
+    def geometry(self) -> tuple[float, ...]:
+        """The ellipse formed once: ``(aM, e, b, cx, cy, ux, uy, vx, vy, n)``.
 
-    @property
-    def center(self) -> tuple[float, float]:
-        """Center of the ellipse, aM*e*(cos theta0, sin theta0)."""
-        c = self.aM * self.e
-        return (c * math.cos(self.theta0), c * math.sin(self.theta0))
-
-    def frame(self) -> tuple[float, float, float, float]:
-        """Unit axes (ux, uy, vx, vy) of the orbit.
-
-        ``u`` points from the center toward the perihelion; ``v`` is ``u``
-        rotated a quarter turn in the direction of motion, so the eccentric
-        anomaly always increases with time regardless of the rotation sense.
+        ``aM`` and ``e`` by the expressions of their properties; ``b`` the
+        semi-minor axis; ``(cx, cy)`` the center, aM*e*(cos theta0, sin
+        theta0); ``u`` the unit axis from the center toward the perihelion,
+        and ``v`` the one a quarter turn from it in the direction of motion,
+        so the eccentric anomaly always increases with time whatever the
+        rotation sense; ``n`` the magnitude of the mean-anomaly rate,
+        |alpha^2 / (4 L^3)|.
         """
-        ux = -math.cos(self.theta0)
-        uy = -math.sin(self.theta0)
-        if self.a >= 0.0:
-            return ux, uy, -uy, ux
-        return ux, uy, uy, -ux
-
-    def mean_motion(self) -> float:
-        """Magnitude of the mean-anomaly rate, |alpha^2 / (4 L^3)|."""
-        L = self.L
-        return self.alpha * self.alpha / (4.0 * abs(L) ** 3)
+        alpha, a, th = self.alpha, self.a, self.theta0
+        aM = -alpha / (2.0 * self.A)
+        e2 = 1.0 + 4.0 * self.A * a * a / (alpha * alpha)
+        e = math.sqrt(e2) if e2 > 0.0 else 0.0
+        b = aM * math.sqrt(max(1.0 - e * e, 0.0))
+        c, ct, st = aM * e, math.cos(th), math.sin(th)
+        ux, uy = -ct, -st
+        vx, vy = (-uy, ux) if a >= 0.0 else (uy, -ux)
+        n = alpha * alpha / (4.0 * math.sqrt(0.5 * alpha * aM) ** 3)
+        return aM, e, b, c * ct, c * st, ux, uy, vx, vy, n
 
     def max_y(self) -> float:
         """Largest y reached on the full ellipse."""
-        ux, uy, vx, vy = self.frame()
-        return self.center[1] + math.hypot(self.aM * uy, self.semi_minor * vy)
+        aM, _, b, _, cy, _, uy, _, vy, _ = self.geometry()
+        return cy + math.hypot(aM * uy, b * vy)
 
 
 @dataclass(slots=True)
@@ -292,7 +285,7 @@ def elements_from_cartesian(s: CartesianState, p: Params) -> OrbitalElements:
     return OrbitalElements(A=A, a=a, theta0=theta0, alpha=p.alpha)
 
 
-def cartesian_from_elements(el: OrbitalElements, nu: float, t: float = 0.0) -> CartesianState:
+def cartesian_from_elements(el: OrbitalElements, nu: float) -> CartesianState:
     """State on the ellipse at true anomaly ``nu`` (measured from perihelion).
 
     For retrograde orbits (a < 0) the polar angle runs backwards while ``nu``
@@ -316,19 +309,16 @@ def cartesian_from_elements(el: OrbitalElements, nu: float, t: float = 0.0) -> C
         y=r * sphi,
         px=vr * cphi - sigma * vt * sphi,
         py=vr * sphi + sigma * vt * cphi,
-        t=t,
     )
 
 
 def state_at_eccentric(el: OrbitalElements, E: float, t: float = 0.0) -> CartesianState:
     """State on the ellipse at eccentric anomaly ``E`` (exact parametrization)."""
-    aM, b, e = el.aM, el.semi_minor, el.e
-    cx, cy = el.center
-    ux, uy, vx, vy = el.frame()
+    aM, e, b, cx, cy, ux, uy, vx, vy, n = el.geometry()
     cE, sE = math.cos(E), math.sin(E)
     x = cx + aM * cE * ux + b * sE * vx
     y = cy + aM * cE * uy + b * sE * vy
-    Edot = el.mean_motion() / (1.0 - e * cE)
+    Edot = n / (1.0 - e * cE)
     px = (-aM * sE * ux + b * cE * vx) * Edot
     py = (-aM * sE * uy + b * cE * vy) * Edot
     return CartesianState(x=x, y=y, px=px, py=py, t=t)
@@ -407,6 +397,6 @@ def time_to_anomaly(el: OrbitalElements, E_from: float, E_to: float) -> float:
     Positive whenever ``E_to >= E_from`` (forward traversal); the paper's
     negative-L convention is absorbed into the magnitude of the mean motion.
     """
-    e = el.e
+    _, e, *_, n = el.geometry()
     dM = mean_from_eccentric(E_to, e) - mean_from_eccentric(E_from, e)
-    return dM / el.mean_motion()
+    return dM / n

@@ -8,6 +8,8 @@ fixed order, so identical inputs give byte-identical files.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -44,16 +46,18 @@ class Figure:
         x0, x1 = _span(*xlim)
         y0, y1 = _span(*ylim)
         if equal_aspect:
-            # widen the shorter data span so units map to equal pixel lengths
+            # widen the shorter data span so units map to equal pixel lengths;
+            # a scale that is 0 or not finite (a span that is not finite, or
+            # one so small that the scale overflows) leaves the limits as given
             avail_w = WIDTH - 2 * MARGIN
             avail_h = HEIGHT - 2 * MARGIN
             sx = avail_w / (x1 - x0)
             sy = avail_h / (y1 - y0)
-            if sx < sy:
+            if 0.0 < sx < sy < math.inf:
                 cy = 0.5 * (y0 + y1)
                 half = 0.5 * avail_h / sx
                 y0, y1 = cy - half, cy + half
-            else:
+            elif 0.0 < sy <= sx < math.inf:
                 cx = 0.5 * (x0 + x1)
                 half = 0.5 * avail_w / sy
                 x0, x1 = cx - half, cx + half

@@ -1,11 +1,25 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 import scipy
 
 from kepler_billiard.kepler import OrbitalElements, Params, cartesian_from_elements
+
+# Hypothesis reports a failing example through hypothesis.extra._patching,
+# whose first import may load libcst, and libcst imports a deprecated
+# mypy_extensions name.  Under filterwarnings = error (or -W error) that
+# DeprecationWarning would abort the run with INTERNALERROR and lose the
+# example, so the module is imported once here with it ignored.  Every other
+# warning stays an error.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture

@@ -83,15 +83,13 @@ def sampling_crossing_oracle(el, E_now, p, n_grid=10_000, iters=100):
 
 def composed_collision(s, p, n):
     """One g = 0 collision composed from kepler's functions: the oracle of
-    ``step`` and ``invariant_report``.  Every derived quantity of the ellipse
-    comes from the ``OrbitalElements`` properties, the hit state from
+    ``step`` and ``invariant_report``.  The ellipse comes from
+    ``OrbitalElements.geometry()``, the hit state from
     ``state_at_eccentric`` and ``time_to_anomaly``, and R from the public
     ``conserved_R``, ``R0_from_geometry`` and ``R_from_R0``."""
     el = elements_from_cartesian(s, p)
     E0 = eccentric_of_state(el, s)
-    aM, b, e = el.aM, el.semi_minor, el.e
-    _, cy = el.center
-    _, uy, _, vy = el.frame()
+    aM, e, b, _, cy, _, uy, _, vy, _ = el.geometry()
     P, Q = aM * uy, b * vy
     delta = math.acos(max(-1.0, min(1.0, (p.h - cy) / math.hypot(P, Q))))
     E_hit = E0 + (math.atan2(Q, P) - delta - E0) % TWO_PI
@@ -107,7 +105,7 @@ def composed_collision(s, p, n):
     upper = (1.0 + (post.aM / p.h) ** 2 - ((post.aM - r) / p.h) ** 2) * lower
     bounds_ok = (r < 2.0 * post.aM and (post.aM - r) ** 2 < R0 * R0 < post.aM * post.aM
                  and lower < R16 < upper)
-    report = InvariantReport(n=n, A=post.A, R_eq16=R16, R0=R0, R_eq17=R17,
+    report = InvariantReport(R_eq16=R16, R0=R0, R_eq17=R17,
                              residual_identity=abs(R16 - R17), bounds_ok=bounds_ok)
     return out, event, report
 
@@ -387,7 +385,7 @@ class TestRun:
     def test_conservation_drift(self, params, reference_state):
         res = run(reference_state, 2000, params)
         R = np.array([rep.R_eq16 for rep in res.reports])
-        A = np.array([rep.A for rep in res.reports])
+        A = np.array([ev.post.A for ev in res.events])
         assert np.ptp(R) / abs(R[0]) < 1e-9
         assert np.ptp(A) / abs(A[0]) < 1e-9
         assert all(rep.bounds_ok for rep in res.reports)
@@ -853,7 +851,6 @@ class TestInvariantReport:
     def test_fields_and_bounds(self, params, reference_state):
         _, ev = step(reference_state, params)
         rep = invariant_report(ev, params)
-        assert rep.n == ev.n
         aM = ev.post.aM
         lower = params.alpha * params.h**2 / (2.0 * aM)
         upper = (1.0 + (aM / params.h) ** 2 - ((aM - ev.r) / params.h) ** 2) * lower

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -128,6 +129,33 @@ class TestElementsFromCartesian:
             assert abs(out.a - a_direct) < 1e-12
 
 
+class TestGeometry:
+    # a fixed example sequence, so every run checks the same ellipses
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(
+        A=st.floats(-100.0, -1e-3),
+        e=st.one_of(st.just(0.0), st.floats(0.0, 1.0 - 1e-9)),
+        theta0=st.floats(0.0, TWO_PI),
+        prograde=st.booleans(),
+        alpha=st.floats(0.1, 10.0),
+    )
+    def test_one_formation(self, A, e, theta0, prograde, alpha):
+        aM0 = -alpha / (2.0 * A)
+        a = math.sqrt(0.5 * alpha * aM0 * (1.0 - e * e))
+        el = OrbitalElements(A=A, a=a if prograde else -a, theta0=theta0, alpha=alpha)
+        aM, e, b, _, _, ux, uy, vx, vy, n = el.geometry()
+        # the one formula pair kept in two places: the properties
+        assert repr((aM, e)) == repr((el.aM, el.e))
+        ulp4 = 4.0 * sys.float_info.epsilon
+        assert abs(ux * ux + uy * uy - 1.0) <= ulp4
+        assert abs(vx * vx + vy * vy - 1.0) <= ulp4
+        assert abs(ux * vx + uy * vy) <= ulp4
+        # v is u turned a quarter turn in the direction of motion
+        assert abs(ux * vy - uy * vx - (1.0 if el.a >= 0.0 else -1.0)) <= ulp4
+        assert math.isclose(b * b + (aM * e) ** 2, aM * aM, rel_tol=1e-14)
+        assert math.isclose(n * n * aM**3, 0.5 * alpha, rel_tol=1e-14)
+
+
 class TestCartesianFromElements:
     def test_circle_radius(self, params):
         el = OrbitalElements(A=-0.5, a=math.sqrt(0.5), theta0=0.0, alpha=1.0)
@@ -246,7 +274,7 @@ class TestTimeAndDelaunay:
         # alpha = 1, L = -sqrt(1/2): |dM/dt| = sqrt(2)/2
         el = OrbitalElements(A=-0.5, a=math.sqrt(0.32), theta0=1.2, alpha=1.0)
         assert abs(el.L + math.sqrt(0.5)) < 1e-14
-        assert abs(el.mean_motion() - 0.7071067811865476) < 1e-14
+        assert abs(el.geometry()[-1] - 0.7071067811865476) < 1e-14
 
     def test_forward_nonnegative(self, params, reference_elements):
         rng = np.random.default_rng(5)

@@ -2,6 +2,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -59,3 +60,21 @@ class TestPolyline:
                 ' stroke-dasharray="6 4" stroke-opacity="0.5"'
                 f' points="{expected}"/>'
             ]
+
+
+class TestEqualAspect:
+    @pytest.mark.parametrize("xlim, ylim", [
+        ((-1e308, 1e308), (0.0, 1.0)),
+        ((0.0, 1.0), (-1e308, 1e308)),
+        ((0.0, math.inf), (0.0, 1.0)),
+        ((0.0, 1.0), (0.0, math.inf)),
+    ])
+    def test_span_not_finite_keeps_limits(self, xlim, ylim):
+        # the scale of a span that is not finite is 0: equal-aspect widening
+        # leaves the limits as given, and the figure is the one without it
+        figs = [Figure(xlim, ylim, title="t", equal_aspect=eq) for eq in (True, False)]
+        for fig in figs:
+            fig.polyline([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
+            fig.dot(0.5, 0.5)
+        assert figs[0].xlim == figs[1].xlim and figs[0].ylim == figs[1].ylim
+        assert figs[0].to_svg() == figs[1].to_svg()
