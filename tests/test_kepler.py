@@ -134,14 +134,14 @@ class TestGeometry:
     @settings(max_examples=500, derandomize=True, database=None, deadline=None)
     @given(
         A=st.floats(-100.0, -1e-3),
-        e=st.one_of(st.just(0.0), st.floats(0.0, 1.0 - 1e-9)),
+        e0=st.one_of(st.just(0.0), st.floats(0.0, 1.0 - 1e-9)),
         theta0=st.floats(0.0, TWO_PI),
         prograde=st.booleans(),
         alpha=st.floats(0.1, 10.0),
     )
-    def test_one_formation(self, A, e, theta0, prograde, alpha):
+    def test_one_formation(self, A, e0, theta0, prograde, alpha):
         aM0 = -alpha / (2.0 * A)
-        a = math.sqrt(0.5 * alpha * aM0 * (1.0 - e * e))
+        a = math.sqrt(0.5 * alpha * aM0 * (1.0 - e0 * e0))
         el = OrbitalElements(A=A, a=a if prograde else -a, theta0=theta0, alpha=alpha)
         aM, e, b, _, _, ux, uy, vx, vy, n = el.geometry()
         # the one formula pair kept in two places: the properties
