@@ -363,7 +363,6 @@ def _trajectory_figure(
     samples: np.ndarray,
     events: list[billiard.CollisionEvent],
     p: Params,
-    dashed_ellipses: bool,
 ) -> str:
     xs, ys = samples[:, 1], samples[:, 2]
     pad = 0.4
@@ -371,7 +370,7 @@ def _trajectory_figure(
     ylim = (float(ys.min()) - pad, max(float(ys.max()), p.h) + pad)
     fig = Figure(xlim, ylim, title="trajectory", xlabel="x", ylabel="y", equal_aspect=True)
     fig.line(fig.xlim[0], p.h, fig.xlim[1], p.h, stroke="#000000", width=1.6)
-    if dashed_ellipses:
+    if len(events) <= 64:
         # each visited ellipse in full; the traversed arcs are redrawn solid
         E = np.linspace(0.0, 2.0 * math.pi, 512)
         cos_E, sin_E = np.cos(E), np.sin(E)
@@ -393,22 +392,22 @@ def _trajectory_figure(
     return fig.to_svg()
 
 
-def _delta2_figure(samples: list[delaunay.GammaSample]) -> str | None:
-    pts = [(s.n, s.delta2_gamma, s.n % 2) for s in samples if not math.isnan(s.delta2_gamma)]
-    if not pts:
+def _delta2_figure(series: delaunay.GammaSeries) -> str | None:
+    ns = np.flatnonzero(~np.isnan(series.delta2))
+    if not ns.size:
         return None
-    vals = [v for _, v, _ in pts]
-    lo, hi = min(vals), max(vals)
+    vals = series.delta2[ns]
+    lo, hi = float(vals.min()), float(vals.max())
     pad = 0.05 * (hi - lo) if hi > lo else max(1e-12, 1e-6 * abs(hi))
     fig = Figure(
-        (0.0, max(n for n, _, _ in pts) + 1.0),
+        (0.0, float(ns[-1]) + 1.0),
         (lo - pad, hi + pad),
         title="two-collision increment of gamma",
         xlabel="collision index n",
         ylabel="delta2 gamma",
     )
-    for n, v, par in pts:
-        if par == 0:
+    for n, v in zip(ns.tolist(), vals.tolist()):
+        if n % 2 == 0:
             fig.marker_plus(n, v, stroke="#1f77b4")
         else:
             fig.marker_cross(n, v, stroke="#d62728")
@@ -503,15 +502,14 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, dict]:
     return {
         "events.csv": (EVENT_HEADER, _event_rows(events, reports)),
         "trajectory.csv": (["t", "x", "y", "px", "py"], samples),
-        "trajectory.svg": _trajectory_figure(samples, events, cfg.params,
-                                             dashed_ellipses=len(events) <= 64),
+        "trajectory.svg": _trajectory_figure(samples, events, cfg.params),
     }, extra
 
 
 def cmd_gamma(cfg: RunConfig) -> tuple[dict, dict]:
     res = billiard.run(cfg.starts[0], cfg.n_collisions, cfg.params)
-    samples = delaunay.gamma_series(res.events, cfg.params)
-    report: dict = {"n_samples": len(samples)}
+    series = delaunay.gamma_series(res.events, cfg.params)
+    report: dict = {"n_samples": series.gamma.size}
     if res.events:
         el0 = res.events[0].post
         L = el0.L
@@ -519,16 +517,17 @@ def cmd_gamma(cfg: RunConfig) -> tuple[dict, dict]:
         report["L"] = L
         report["R"] = R
         report["R_above_h_alpha"] = R > cfg.params.h * cfg.params.alpha
-        report["branch_mismatch_rows"] = [s.n for s in samples if s.branch_mismatch]
+        report["branch_mismatch_rows"] = np.flatnonzero(series.mismatch).tolist()
         try:
-            report["conjectures"] = delaunay.conjecture_report(samples, L, R, cfg.params)
+            report["conjectures"] = delaunay.conjecture_report(series, L, R, cfg.params)
         except BilliardError as exc:
             report["conjectures"] = {"error": f"{type(exc).__name__}: {exc}"}
+    columns = zip(series.gamma.tolist(), series.delta2.tolist(), series.eps.tolist())
     return {
         "gamma.csv": (["n", "gamma", "delta2_gamma", "eps_observed", "parity"],
-                      ((s.n, s.gamma, s.delta2_gamma, s.eps_observed, s.n % 2) for s in samples)),
+                      ((n, g, d, e, n % 2) for n, (g, d, e) in enumerate(columns))),
         "conjecture_report.json": report,
-        "delta2_gamma.svg": _delta2_figure(samples),
+        "delta2_gamma.svg": _delta2_figure(series),
     }, _run_outcome(res)
 
 
@@ -542,7 +541,8 @@ def cmd_section(cfg: RunConfig) -> tuple[dict, dict]:
         if len(Rv) >= 2
     ]
     extra = {
-        "r_value_scatter": float(np.mean(scatter)) if scatter else 0.0,
+        # null, not 0.0 (a perfectly conserved R), when no seed has two impacts
+        "r_value_scatter": float(np.mean(scatter)) if scatter else None,
         "failed_seeds": [
             {"seed_id": i, "error": o.error} for i, o in enumerate(outcomes) if o.error
         ],
@@ -668,9 +668,9 @@ def run_verify_checks() -> dict[str, float]:
     # conjecture 2 statistics on the gamma reference
     s0 = reference.gamma_state()
     res_g = billiard.run(s0, 1100, p)
-    samples = delaunay.gamma_series(res_g.events, p)
-    m["conjecture2_mismatches"] = float(sum(1 for s in samples if s.branch_mismatch))
-    m["conjecture2_spread_even"], m["conjecture2_spread_odd"] = delaunay.spread_by_parity(samples)
+    series = delaunay.gamma_series(res_g.events, p)
+    m["conjecture2_mismatches"] = float(series.mismatch.sum())
+    m["conjecture2_spread_even"], m["conjecture2_spread_odd"] = delaunay.spread_by_parity(series)
 
     # oracle equivalence on the rotation-regime orbit: its first 100 events
     events_ode, _ = perturbed.run_perturbed(s0, 100, p)
@@ -681,14 +681,14 @@ def run_verify_checks() -> dict[str, float]:
     worst = 0.0
     for k in range(30):
         nxt, ev = billiard.step(state, p, n=k)
-        hit, _ = perturbed.integrate_to_wall(state, p)
+        hit = perturbed.integrate_to_wall(state, p)
         worst = max(worst, abs(hit.x - ev.x_impact))
         state = nxt
     m["oracle_arc"] = worst
 
     # anisochrony: omega at R vs R*(1+1e-3)
     L, R_lvl = reference.gamma_level()
-    om1, e1 = delaunay.omega_estimate_of(samples)
+    om1, e1 = delaunay.omega_estimate_of(series)
     om2, e2 = delaunay.omega_of_level(L, R_lvl * (1.0 + 1e-3), p, 600)
     noise = math.hypot(e1, e2)
     m["anisochrony_ratio"] = abs(om2 - om1) / noise if noise > 0.0 else math.inf
@@ -802,6 +802,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()  # built once per process: parse_args leaves it as it was
+
+
 def _apply_flags(doc: dict, args: argparse.Namespace) -> dict:
     # the flags write into the document before parse_config checks it; a
     # flag the subcommand does not register is absent from args
@@ -824,7 +827,7 @@ def _apply_flags(doc: dict, args: argparse.Namespace) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         if args.config is not None:
             try:

@@ -47,15 +47,14 @@ TOL_QUAD = 1e-11
 N_RERUN = 300  # collisions per anisochrony rerun in conjecture_report
 
 
-@dataclass(slots=True)
-class GammaSample:
-    """Per-collision value of gamma and its two-step increment."""
+@dataclass(slots=True, eq=False)
+class GammaSeries:
+    """A run's gamma series: four columns indexed by collision n."""
 
-    n: int
-    gamma: float
-    delta2_gamma: float  # nan when fewer than two successors exist
-    eps_observed: int  # sign of the angular momentum at collision n
-    branch_mismatch: bool = False
+    gamma: np.ndarray  # cumulative gamma, nan where undefined
+    delta2: np.ndarray  # two-collision increment, nan without two successors
+    eps: np.ndarray  # int64 sign of the post-impact angular momentum
+    mismatch: np.ndarray  # bool: the (-1)^n alternation breaks or gamma is undefined
 
 
 def _coeffs(s2: float, R: float, L: float, p: Params):
@@ -344,82 +343,56 @@ def generating_integral(theta0: float, R: float, L: float, p: Params) -> float:
     return total
 
 
-def _sign(x: float) -> int:
-    return 1 if x >= 0.0 else -1
-
-
-def gamma_series(
-    events: list[billiard.CollisionEvent], p: Params
-) -> list[GammaSample]:
+def gamma_series(events: list[billiard.CollisionEvent], p: Params) -> GammaSeries:
     """Per-collision gamma and two-step increments for a g = 0 run.
 
     Conventions:
 
-    * each sample uses the post-collision ellipse (the arc the collision
+    * each collision uses the post-collision ellipse (the arc the collision
       creates) and the valid root with a > 0;
     * two consecutive collisions of the same parity sit on the same momentum
       loop, so their gamma increment is well defined modulo the full-loop
       integral Gamma; increments are reduced mod Gamma and re-centered at
       the class median, and the gamma column is the cumulative (unwrapped)
       sum of those increments;
-    * ``branch_mismatch`` flags collisions where the sign of the angular
-      momentum breaks the (-1)^n alternation (reported, never fatal).
+    * ``mismatch`` flags collisions where the sign of the angular momentum
+      breaks the (-1)^n alternation (reported, never fatal).
 
     Events whose gamma quadrature fails (for example in the R < h*alpha
     regime where the momentum loop crosses a = 0) carry nan gammas and are
     flagged, keeping the series usable as a diagnostic.
     """
-    if not events:
-        return []
-    el0 = events[0].post
-    L = el0.L
-    R = billiard.conserved_R(el0, p)
-    s0 = _sign(el0.a)
     n_ev = len(events)
+    gamma = np.full(n_ev, np.nan)
+    delta2 = np.full(n_ev, np.nan)
+    eps = np.where(np.array([ev.post.a for ev in events]) >= 0.0, 1, -1).astype(np.int64)
+    if not events:
+        return GammaSeries(gamma, delta2, eps, np.zeros(0, dtype=bool))
+    el0 = events[0].post
+    R = billiard.conserved_R(el0, p)
     # every collision's gamma and, last, the full-loop integral Gamma
-    gammas = _gammas(np.array([ev.post.theta0 for ev in events] + [TWO_PI]), R, L, p)
-    gamma_principal = gammas[:-1].tolist()
-    gamma_full = float(gammas[-1])
-    eps_obs = [_sign(ev.post.a) for ev in events]
-    mism = [
-        e != s0 * (1 if idx % 2 == 0 else -1) or math.isnan(g)
-        for idx, (e, g) in enumerate(zip(eps_obs, gamma_principal))
-    ]
+    gammas = _gammas(np.array([ev.post.theta0 for ev in events] + [TWO_PI]), R, el0.L, p)
+    principal, gamma_full = gammas[:-1], float(gammas[-1])
+    undefined = np.isnan(principal)
+    alternation = np.where(np.arange(n_ev) % 2 == 0, eps[0], -eps[0])
+    mismatch = (eps != alternation) | undefined
 
     # per-parity increments, reduced mod Gamma and re-centered at the median
-    gamma_unwrapped = [math.nan] * n_ev
-    delta2 = [math.nan] * n_ev
+    defined = np.flatnonzero(~undefined)
+    half = 0.5 * gamma_full
     for par in (0, 1):
-        idxs = [i for i in range(par, n_ev, 2) if not math.isnan(gamma_principal[i])]
-        if not idxs:
+        idxs = defined[defined % 2 == par]
+        if not idxs.size:
             continue
-        gamma_unwrapped[idxs[0]] = gamma_principal[idxs[0]]
-        if len(idxs) < 2 or math.isnan(gamma_full):
+        gamma[idxs[0]] = principal[idxs[0]]
+        if idxs.size < 2 or math.isnan(gamma_full):
             continue
-        raw = [
-            gamma_principal[j] - gamma_principal[i]
-            for i, j in zip(idxs, idxs[1:])
-        ]
-        reduced = [r % gamma_full for r in raw]
-        med = median(reduced)
-        half = 0.5 * gamma_full
-        recentered = [((r - med + half) % gamma_full) + med - half for r in reduced]
-        for (i, j), d in zip(zip(idxs, idxs[1:]), recentered):
-            delta2[i] = d
-            gamma_unwrapped[j] = gamma_unwrapped[i] + d
-
-    samples: list[GammaSample] = []
-    for idx in range(n_ev):
-        samples.append(
-            GammaSample(
-                n=idx,
-                gamma=gamma_unwrapped[idx],
-                delta2_gamma=delta2[idx],
-                eps_observed=eps_obs[idx],
-                branch_mismatch=mism[idx],
-            )
-        )
-    return samples
+        reduced = np.diff(principal[idxs]) % gamma_full
+        med = median(reduced.tolist())
+        delta2[idxs[:-1]] = ((reduced - med + half) % gamma_full) + med - half
+        # add.accumulate sums left to right: gamma[j] = gamma[i] + delta2[i]
+        gamma[idxs] = np.cumsum(np.concatenate((principal[idxs[:1]], delta2[idxs[:-1]])))
+    return GammaSeries(gamma, delta2, eps, mismatch)
 
 
 def _relative_spread(values: np.ndarray) -> float:
@@ -431,13 +404,10 @@ def _relative_spread(values: np.ndarray) -> float:
     return float(np.ptp(values) / abs(mean))
 
 
-def spread_by_parity(samples: list[GammaSample]) -> tuple[float, float]:
-    """Relative spread of delta2_gamma over the even and odd subsequences."""
-    d = np.array([s.delta2_gamma for s in samples])
-    ok = ~np.isnan(d)
-    even = d[(np.arange(d.size) % 2 == 0) & ok]
-    odd = d[(np.arange(d.size) % 2 == 1) & ok]
-    return _relative_spread(even), _relative_spread(odd)
+def spread_by_parity(series: GammaSeries) -> tuple[float, float]:
+    """Relative spread of delta2 over the even and odd subsequences."""
+    even, odd = series.delta2[0::2], series.delta2[1::2]
+    return _relative_spread(even[~np.isnan(even)]), _relative_spread(odd[~np.isnan(odd)])
 
 
 def initial_state_on_level(L: float, R: float, p: Params) -> CartesianState:
@@ -469,51 +439,45 @@ def initial_state_on_level(L: float, R: float, p: Params) -> CartesianState:
     raise NoCollision("could not place the start below the wall")
 
 
-def omega_estimate_of(samples: list[GammaSample]) -> tuple[float, float]:
-    """(mean, stderr) of delta2_gamma over the positive-momentum class.
+def omega_estimate_of(series: GammaSeries) -> tuple[float, float]:
+    """(mean, stderr) of delta2 over the positive-momentum class.
 
     The two momentum loops are mirror images, so their increments sum to the
     full-loop integral rather than coinciding; pinning the estimate to the
     a > 0 class makes omega comparable across runs regardless of the initial
     momentum sign.
     """
-    d = np.array(
-        [s.delta2_gamma for s in samples if s.eps_observed > 0],
-        dtype=float,
-    )
-    d = d[~np.isnan(d)]
+    d = series.delta2[(series.eps > 0) & ~np.isnan(series.delta2)]
     if d.size < 10:
         raise InsufficientData(f"only {d.size} usable increments")
     return float(np.mean(d)), float(np.std(d) / math.sqrt(d.size))
 
 
 def omega_of_level(L: float, R: float, p: Params, n_events: int) -> tuple[float, float]:
-    """(mean, stderr) of delta2_gamma for a fresh orbit on the level (L, R)."""
+    """(mean, stderr) of delta2 for a fresh orbit on the level (L, R)."""
     s0 = initial_state_on_level(L, R, p)
     res = billiard.run(s0, n_events, p)
     return omega_estimate_of(gamma_series(res.events, p))
 
 
-def conjecture_report(
-    samples: list[GammaSample], L: float, R: float, p: Params
-) -> dict:
+def conjecture_report(series: GammaSeries, L: float, R: float, p: Params) -> dict:
     """The verdict data for the rotation conjectures at one (L, R): summarize
     a gamma series and probe anisochrony by rerunning at R +- dR.
 
     Each rerun is a fresh orbit of ``N_RERUN`` collisions on the shifted level.
 
     Raises:
-        InsufficientData: with fewer than 100 samples.
+        InsufficientData: with fewer than 100 collisions.
     """
-    if len(samples) < 100:
-        raise InsufficientData(f"need >= 100 samples, got {len(samples)}")
-    spread_even, spread_odd = spread_by_parity(samples)
-    omega, stderr = omega_estimate_of(samples)
+    if series.gamma.size < 100:
+        raise InsufficientData(f"need >= 100 samples, got {series.gamma.size}")
+    spread_even, spread_odd = spread_by_parity(series)
+    omega, stderr = omega_estimate_of(series)
     dR = 1e-4 * abs(R)
     om_hi, _ = omega_of_level(L, R + dR, p, N_RERUN)
     om_lo, _ = omega_of_level(L, R - dR, p, N_RERUN)
     return {
-        "sign_alternation_ok": not any(s.branch_mismatch for s in samples),
+        "sign_alternation_ok": not series.mismatch.any(),
         "spread_even": spread_even,
         "spread_odd": spread_odd,
         "omega_estimate": omega,

@@ -73,12 +73,12 @@ class Params:
         return 0.5 * self.alpha
 
 
-# The records built per impact or per sample (this one, OrbitalElements,
-# RevolvingOrbit, billiard's CollisionEvent, InvariantReport and BilliardRun,
-# delaunay's GammaSample) are slotted, not frozen: a frozen __init__ stores
-# each field through object.__setattr__, which costs about as much as the
-# impact's arithmetic.  The package never mutates them; the slots still
-# reject a misspelt attribute.
+# The records built per impact (this one, OrbitalElements, RevolvingOrbit,
+# billiard's CollisionEvent and InvariantReport) are slotted, not frozen: a
+# frozen __init__ stores each field through object.__setattr__, which costs
+# about as much as the impact's arithmetic.  The per-run records (billiard's
+# BilliardRun, delaunay's GammaSeries) are slotted too.  The package never
+# mutates any of them; the slots still reject a misspelt attribute.
 @dataclass(slots=True)
 class CartesianState:
     """Phase-space point (x, y, px, py) at time t."""

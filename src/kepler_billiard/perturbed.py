@@ -69,12 +69,12 @@ def solve_ivp(*args, **kwargs):
     return scipy.integrate.solve_ivp(*args, **kwargs)
 
 
-def integrate_to_wall(s: CartesianState, p: Params) -> tuple[CartesianState, float]:
+def integrate_to_wall(s: CartesianState, p: Params) -> CartesianState:
     """Integrate Hamilton's equations until the next upward wall crossing.
 
-    Returns ``(state, elapsed)``: the state at the crossing as propagated
-    (approaching the wall) and the elapsed time.  A state already on the wall
-    and approaching it returns itself and 0.0.
+    Returns the state at the crossing as propagated (approaching the wall);
+    its ``t`` is ``s.t`` plus the elapsed time.  A state already on the wall
+    and approaching it returns itself.
 
     Raises:
         Unbound: for non-negative energy.
@@ -83,7 +83,7 @@ def integrate_to_wall(s: CartesianState, p: Params) -> tuple[CartesianState, flo
         NoCollision: no crossing within ``billiard.MAX_ARC_TIME``.
     """
     if abs(s.y - p.h) < billiard.TOL_EVENT and s.py > 0.0:
-        return s, 0.0
+        return s
     if s.hamiltonian(p) >= 0.0:
         raise Unbound(f"H = {s.hamiltonian(p):g} >= 0")
 
@@ -122,14 +122,12 @@ def integrate_to_wall(s: CartesianState, p: Params) -> tuple[CartesianState, flo
         raise StepFailure(f"approached the center within {R_SINGULARITY_GUARD:g}")
     if not len(sol.t_events[0]):
         raise NoCollision(f"no wall crossing within t = {billiard.MAX_ARC_TIME:g}")
-    t_hit = float(sol.t_events[0][0])
     y_hit = sol.y_events[0][0]
-    out = CartesianState(
+    return CartesianState(
         x=float(y_hit[0]), y=float(y_hit[1]),
         px=float(y_hit[2]), py=float(y_hit[3]),
-        t=s.t + t_hit,
+        t=s.t + float(sol.t_events[0][0]),
     )
-    return out, t_hit
 
 
 def run_perturbed(
@@ -147,7 +145,7 @@ def run_perturbed(
     H0 = s0.hamiltonian(p)
     state = s0
     for k in range(n):
-        hit, _ = integrate_to_wall(state, p)
+        hit = integrate_to_wall(state, p)
         drifts.append(abs(hit.hamiltonian(p) - state.hamiltonian(p)))
         state, event = billiard.impact_event(hit, p, k, tol_event=10.0 * billiard.TOL_EVENT)
         events.append(event)

@@ -27,7 +27,7 @@ from kepler_billiard.billiard import (
     step,
     tangent_angle,
 )
-from kepler_billiard.delaunay import GammaSample
+from kepler_billiard.delaunay import GammaSeries
 from kepler_billiard.errors import (
     Degenerate,
     DomainError,
@@ -525,7 +525,7 @@ class TestRevolvingFlow:
         state = reference.conservation_state()
         for k in range(100):
             nxt, ev = step(state, self.PG, n=k)
-            hit, _ = integrate_to_wall(state, self.PG)
+            hit = integrate_to_wall(state, self.PG)
             assert abs(hit.x - ev.x_impact) <= 1e-8
             assert abs(hit.t - ev.t) <= 1e-8
             state = nxt
@@ -860,8 +860,8 @@ class TestInvariantReport:
 
 
 class TestRecords:
-    """The per-impact records are slotted dataclasses that the package
-    never mutates."""
+    """The package's records are slotted dataclasses that it never
+    mutates."""
 
     def test_unknown_attribute_rejected(self):
         s = reference.conservation_state()
@@ -869,10 +869,11 @@ class TestRecords:
         res = run(s, 1, Params())
         ev = res.events[0]
         records = [s, ev.post, revolving_orbit(s, pg), ev, res.reports[0], res,
-                   GammaSample(n=0, gamma=0.5, delta2_gamma=math.nan, eps_observed=1)]
+                   GammaSeries(np.zeros(1), np.zeros(1), np.ones(1, dtype=np.int64),
+                               np.zeros(1, dtype=bool))]
         assert [type(r).__name__ for r in records] == [
             "CartesianState", "OrbitalElements", "RevolvingOrbit", "CollisionEvent",
-            "InvariantReport", "BilliardRun", "GammaSample"]
+            "InvariantReport", "BilliardRun", "GammaSeries"]
         for rec in records:
             with pytest.raises(AttributeError):
                 rec.tt = 1.0  # a misspelt field

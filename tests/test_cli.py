@@ -218,6 +218,15 @@ class TestCommandTable:
                          "--seed", "3"]) == 0
         assert {name: cli.default_config(name) for name in cli.COMMANDS} == before
 
+    def test_main_reuses_one_parser(self, tmp_path, monkeypatch):
+        # the parser is built once per process; a flag of one call does not
+        # reach the next
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        assert cli.main(["region", "--out", str(tmp_path / "r")]) == 0
+        assert cli.PARSER.parse_args(["section", "--n", "3", "--seed", "4"]).n == 3
+        args = cli.PARSER.parse_args(["section"])
+        assert args.n is None and args.seed is None
+
     def test_flags_follow_the_fields(self):
         # the fields of a subcommand's row decide its flags: --config and
         # --out always, and the flag of each field it reads
@@ -555,6 +564,19 @@ class TestSection:
         manifest = json.loads((cfg.output_dir / "manifest.json").read_text())
         assert manifest["failed_seeds"] == []
         assert manifest["r_value_scatter"] < 1e-7
+
+    @pytest.mark.parametrize("flags, ensemble", [
+        (["--n", "0"], None), (["--n", "1", "--g", "0.5"], None),
+        ([], {"count": 0, "seed": 1, "energy": -0.5}),
+    ], ids=["n0", "n1", "count0"])
+    def test_scatter_null_without_two_impacts(self, tmp_path, flags, ensemble):
+        # no seed has two impacts: nothing was measured, which is not the
+        # 0.0 of a perfectly conserved R
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"ensemble": ensemble} if ensemble else cli.default_config("section")))
+        assert cli.main(["section", "--config", str(config), "--out", str(tmp_path / "s"), *flags]) == 0
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        assert manifest["r_value_scatter"] is None and manifest["failed_seeds"] == []
 
     def test_scatter_grows_with_g(self, tmp_path):
         scatters = []

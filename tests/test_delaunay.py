@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from kepler_billiard import delaunay
 from kepler_billiard.billiard import conserved_R, run
 from kepler_billiard.delaunay import (
-    GammaSample,
+    GammaSeries,
     a_branch,
     conjecture_report,
     gamma_of,
@@ -23,7 +23,7 @@ from kepler_billiard.errors import (
     GammaUndefined,
     InsufficientData,
 )
-from kepler_billiard.kepler import Params
+from kepler_billiard.kepler import OrbitalElements, Params, cartesian_from_elements
 
 TWO_PI = 2.0 * math.pi
 L_REF = -math.sqrt(1.5)
@@ -180,16 +180,16 @@ class TestGammaOf:
         assert vals[2] == 0.0
 
 
-def undefined_rows_flagged(res, samples, p) -> int:
+def undefined_rows_flagged(res, series, p) -> int:
     """How many rows' gamma_of is undefined; asserts each of them is nan and flagged."""
     R = conserved_R(res.events[0].post, p)
     undefined = 0
-    for ev, s in zip(res.events, samples):
+    for n, ev in enumerate(res.events):
         try:
             gamma_of(ev.post.theta0, R, ev.post.L, p)
         except GammaUndefined:
             undefined += 1
-            assert s.branch_mismatch and math.isnan(s.gamma), s.n
+            assert series.mismatch[n] and math.isnan(series.gamma[n]), n
     return undefined
 
 
@@ -219,36 +219,37 @@ def quadpack_gamma(theta0: float, R: float, L: float, p) -> float:
     return total
 
 
+def columns(series):
+    return series.gamma, series.delta2, series.eps, series.mismatch
+
+
 class TestGammaSeries:
     def test_empty(self, params):
-        assert gamma_series([], params) == []
+        series = gamma_series([], params)
+        for col, dtype in zip(columns(series), (float, float, np.int64, bool)):
+            assert col.size == 0 and col.dtype == dtype
 
     def test_sign_alternation(self, gamma_run):
-        _, _, samples = gamma_run
-        signs = [s.eps_observed for s in samples]
-        assert all(a == -b for a, b in zip(signs, signs[1:]))
-        assert not any(s.branch_mismatch for s in samples)
+        _, res, series = gamma_run
+        assert series.eps.dtype == np.int64 and series.mismatch.dtype == bool
+        assert all(col.size == len(res.events) for col in columns(series))
+        assert np.all(series.eps[1:] == -series.eps[:-1])
+        assert not series.mismatch.any()
 
     def test_delta2_constancy(self, gamma_run):
-        _, _, samples = gamma_run
-        se, so = spread_by_parity(samples)
+        _, _, series = gamma_run
+        se, so = spread_by_parity(series)
         assert se < 1e-6 and so < 1e-6
 
     def test_delta2_defined_for_two_successors(self, gamma_run):
-        _, _, samples = gamma_run
-        n = len(samples)
-        for s in samples:
-            if s.n + 2 < n:
-                assert math.isfinite(s.delta2_gamma)
-            else:
-                assert math.isnan(s.delta2_gamma)
+        _, _, series = gamma_run
+        assert np.all(np.isfinite(series.delta2[:-2]))
+        assert np.all(np.isnan(series.delta2[-2:]))
 
     def test_gamma_cumulative(self, gamma_run):
-        _, _, samples = gamma_run
-        for s in samples:
-            if s.n + 2 < len(samples):
-                nxt = samples[s.n + 2]
-                assert abs(nxt.gamma - s.gamma - s.delta2_gamma) < 1e-12
+        _, _, series = gamma_run
+        g, d = series.gamma, series.delta2
+        assert np.all(np.abs(g[2:] - g[:-2] - d[:-2]) < 1e-12)
 
     def test_observed_root_follows_sin_sign(self, gamma_run):
         # on the level set the valid quadratic root is -sign(sin theta0),
@@ -266,8 +267,8 @@ class TestGammaSeries:
         # R < h*alpha: branch bookkeeping runs, nothing is asserted
         s0 = initial_state_on_level(L_REF, 0.8, params)
         res = run(s0, 60, params)
-        samples = gamma_series(res.events, params)
-        assert len(samples) == len(res.events)
+        series = gamma_series(res.events, params)
+        assert all(col.size == len(res.events) for col in columns(series))
 
     def test_undefined_rows_flagged_without_warnings(self, params):
         # R < h*alpha: the momentum loop crosses a = 0, so some lanes of the
@@ -276,12 +277,12 @@ class TestGammaSeries:
         res = run(s0, 60, params)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            samples = gamma_series(res.events, params)
-        assert undefined_rows_flagged(res, samples, params) > 0
+            series = gamma_series(res.events, params)
+        assert undefined_rows_flagged(res, series, params) > 0
 
     def test_series_uses_scalar_gamma_bit_for_bit(self, gamma_run, monkeypatch):
         # the series' one quadrature pass gives every lane the bits of gamma_of
-        p, res, samples = gamma_run
+        p, res, series = gamma_run
         passes = []
         real = delaunay._gammas
 
@@ -290,28 +291,60 @@ class TestGammaSeries:
             return passes[-1][1]
 
         monkeypatch.setattr(delaunay, "_gammas", spy)
-        assert gamma_series(res.events, p) == samples
+        again = gamma_series(res.events, p)
+        for col, col_again in zip(columns(series), columns(again)):
+            assert col.tobytes() == col_again.tobytes()
         (theta, gammas), = passes
         el0 = res.events[0].post
         R = conserved_R(el0, p)
         assert theta[-1] == TWO_PI and theta.size == len(res.events) + 1
         for th, g in zip(theta, gammas):
             assert g == gamma_of(float(th), R, el0.L, p)
-        assert samples[0].gamma == gammas[0]
+        assert series.gamma[0] == gammas[0]
+
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
+    @given(
+        A=st.floats(-0.24, -0.02),
+        frac=st.floats(0.01, 0.99),
+        theta0=st.floats(0.0, TWO_PI),
+        sense=st.sampled_from((1.0, -1.0)),
+    )
+    def test_conjecture2_on_random_rotation_orbits(self, A, frac, theta0, sense):
+        # any orbit of the rotation regime h*alpha < R < L^2: its e is the
+        # positive root of L^2 e^2 - h*alpha*sin(theta0)*e + (R - L^2) = 0
+        p = Params()
+        L2 = p.alpha * p.alpha / (-4.0 * A)
+        hb = p.h * p.alpha
+        R = hb + frac * (L2 - hb)
+        s = math.sin(theta0)
+        e = (hb * s + math.sqrt(hb * hb * s * s - 4.0 * L2 * (R - L2))) / (2.0 * L2)
+        el = OrbitalElements(A=A, a=sense * math.sqrt(L2 * (1.0 - e * e)), theta0=theta0,
+                             alpha=p.alpha)
+        # every such ellipse reaches the wall and has an apse below it
+        assert el.max_y() > p.h
+        apses = [cartesian_from_elements(el, nu) for nu in (math.pi, 0.0)]
+        res = run(next(a for a in apses if a.y < p.h), 150, p)
+        assert len(res.events) == 150, res.halted
+        series = gamma_series(res.events, p)
+        assert not series.mismatch.any()
+        assert np.all(np.isfinite(series.gamma))
+        se, so = spread_by_parity(series)
+        assert se <= 5e-6 and so <= 5e-6  # verify's conjecture2_spread_* bound
 
 
 class TestConjectureReport:
     def test_insufficient_data(self, params):
-        samples = [GammaSample(n=0, gamma=0.0, delta2_gamma=math.nan, eps_observed=1)]
+        series = GammaSeries(np.zeros(99), np.full(99, np.nan), np.ones(99, dtype=np.int64),
+                             np.zeros(99, dtype=bool))
         with pytest.raises(InsufficientData):
-            conjecture_report(samples, L_REF, R_REF, params)
+            conjecture_report(series, L_REF, R_REF, params)
 
     def test_report_fields(self, gamma_run):
-        p, _, samples = gamma_run
-        rep = conjecture_report(samples, L_REF, R_REF, p)
+        p, _, series = gamma_run
+        rep = conjecture_report(series, L_REF, R_REF, p)
         assert set(rep) == {"sign_alternation_ok", "spread_even", "spread_odd",
                             "omega_estimate", "omega_stderr", "domega_dR"}
-        assert rep["sign_alternation_ok"]
+        assert rep["sign_alternation_ok"] is True
         assert rep["spread_even"] >= 0.0 and rep["spread_odd"] >= 0.0
         assert rep["domega_dR"] != 0.0
         assert rep["omega_stderr"] < 1e-9
