@@ -686,10 +686,11 @@ def run_verify_checks() -> dict[str, float]:
         state = nxt
     m["oracle_arc"] = worst
 
-    # anisochrony: omega at R vs R*(1+1e-3)
+    # anisochrony: omega at R vs R*(1+1e-3), each a run's mean with its stderr
     L, R_lvl = reference.gamma_level()
     om1, e1 = delaunay.omega_estimate_of(series)
-    om2, e2 = delaunay.omega_of_level(L, R_lvl * (1.0 + 1e-3), p, 600)
+    res_shift = billiard.run(delaunay.initial_state_on_level(L, R_lvl * (1.0 + 1e-3), p), 600, p)
+    om2, e2 = delaunay.omega_estimate_of(delaunay.gamma_series(res_shift.events, p))
     noise = math.hypot(e1, e2)
     m["anisochrony_ratio"] = abs(om2 - om1) / noise if noise > 0.0 else math.inf
 

@@ -44,7 +44,6 @@ from .kepler import (
 )
 
 TOL_QUAD = 1e-11
-N_RERUN = 300  # collisions per anisochrony rerun in conjecture_report
 
 
 @dataclass(slots=True, eq=False)
@@ -453,29 +452,46 @@ def omega_estimate_of(series: GammaSeries) -> tuple[float, float]:
     return float(np.mean(d)), float(np.std(d) / math.sqrt(d.size))
 
 
-def omega_of_level(L: float, R: float, p: Params, n_events: int) -> tuple[float, float]:
-    """(mean, stderr) of delta2 for a fresh orbit on the level (L, R)."""
-    s0 = initial_state_on_level(L, R, p)
-    res = billiard.run(s0, n_events, p)
-    return omega_estimate_of(gamma_series(res.events, p))
+def omega_of_level(L: float, R: float, p: Params) -> float:
+    """The rotation rate omega of the level (L, R), read from one collision pair.
+
+    Conjecture 2 makes every two-collision increment on a level equal (verify
+    gates their relative spread at 5e-6), so omega is the first a > 0
+    increment of a fresh 4-collision orbit from :func:`initial_state_on_level`.
+    The sign of a alternates, so four collisions hold one a > 0 pair.
+
+    Raises:
+        InsufficientData: where no a > 0 increment is finite, as below
+            R = h*alpha, where gamma is undefined.
+        NoCollision, GammaUndefined: where :func:`initial_state_on_level`
+            finds no wall-reaching start on the level.
+    """
+    series = gamma_series(billiard.run(initial_state_on_level(L, R, p), 4, p).events, p)
+    d = series.delta2[(series.eps > 0) & np.isfinite(series.delta2)]
+    if not d.size:
+        raise InsufficientData(f"no finite a > 0 increment on the level R = {R:g}")
+    return float(d[0])
 
 
 def conjecture_report(series: GammaSeries, L: float, R: float, p: Params) -> dict:
     """The verdict data for the rotation conjectures at one (L, R): summarize
-    a gamma series and probe anisochrony by rerunning at R +- dR.
+    a gamma series and probe anisochrony on the levels R +- dR.
 
-    Each rerun is a fresh orbit of ``N_RERUN`` collisions on the shifted level.
+    ``domega_dR`` is the central difference of :func:`omega_of_level`, one
+    a > 0 collision pair on each of the levels R +- 1e-4|R|; that reading of
+    omega holds as far as conjecture 2 does.
 
     Raises:
         InsufficientData: with fewer than 100 collisions.
+        BilliardError: from :func:`omega_of_level` where a shifted level fails.
     """
     if series.gamma.size < 100:
         raise InsufficientData(f"need >= 100 samples, got {series.gamma.size}")
     spread_even, spread_odd = spread_by_parity(series)
     omega, stderr = omega_estimate_of(series)
     dR = 1e-4 * abs(R)
-    om_hi, _ = omega_of_level(L, R + dR, p, N_RERUN)
-    om_lo, _ = omega_of_level(L, R - dR, p, N_RERUN)
+    om_hi = omega_of_level(L, R + dR, p)
+    om_lo = omega_of_level(L, R - dR, p)
     return {
         "sign_alternation_ok": not series.mismatch.any(),
         "spread_even": spread_even,

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from kepler_billiard import billiard, cli
+from kepler_billiard import billiard, cli, delaunay
 from kepler_billiard.errors import ConfigError, NotOnWall
 from kepler_billiard.kepler import OrbitalElements, Params, cartesian_from_elements
 
@@ -516,6 +516,21 @@ class TestGamma:
         assert report["conjectures"]["sign_alternation_ok"] is True
         assert report["branch_mismatch_rows"] == []
 
+    def test_failing_shifted_level_is_reported(self, tmp_path):
+        # R just above h*alpha: the run's own series is fine, but the level
+        # R - 1e-4|R| of domega_dR lies below h*alpha, where gamma is nan
+        s = delaunay.initial_state_on_level(-math.sqrt(1.5), 1.00005, Params())
+        doc = cli.default_config("gamma")
+        doc["initial"] = {"cartesian": {"x": s.x, "y": s.y, "px": s.px, "py": s.py}}
+        doc["n_collisions"] = 100
+        config = tmp_path / "gamma.json"
+        config.write_text(json.dumps(doc))
+        assert cli.main(["gamma", "--config", str(config), "--out", str(tmp_path / "g")]) == 0
+        report = json.loads((tmp_path / "g" / "conjecture_report.json").read_text())
+        assert report["R_above_h_alpha"] is True
+        assert report["conjectures"] == {
+            "error": "InsufficientData: no finite a > 0 increment on the level R = 0.99995"}
+
     def test_short_run_empty_delta2_no_figure(self, tmp_path):
         doc = cli.default_config("gamma")
         doc["n_collisions"] = 2
@@ -709,9 +724,10 @@ def run_python(code: str) -> str:
 
 
 class TestStartup:
-    """Only verify loads scipy.integrate (and with it scipy.optimize), for its DOP853 oracle."""
+    """Only verify loads scipy.integrate (and with it scipy.optimize and
+    scipy.special), for its DOP853 oracle."""
 
-    SLOW = ("scipy.optimize", "scipy.integrate")
+    SLOW = ("scipy.optimize", "scipy.integrate", "scipy.special")
 
     def test_import_leaves_slow_scipy_modules_out(self):
         out = run_python(

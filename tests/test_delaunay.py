@@ -17,17 +17,31 @@ from kepler_billiard.delaunay import (
     generating_integral,
     initial_state_on_level,
     omega_estimate_of,
+    omega_of_level,
     spread_by_parity,
 )
 from kepler_billiard.errors import (
     GammaUndefined,
     InsufficientData,
+    NoCollision,
 )
 from kepler_billiard.kepler import OrbitalElements, Params, cartesian_from_elements
 
 TWO_PI = 2.0 * math.pi
 L_REF = -math.sqrt(1.5)
 R_REF = 1.2
+
+# a level of the rotation regime h*alpha < R < L^2: its twice-energy A and
+# how far up that band R lies
+LEVEL_A = st.floats(-0.24, -0.02)
+LEVEL_FRAC = st.floats(0.01, 0.99)
+
+
+def rotation_level(A, frac, p):
+    """(L^2, R) of the level drawn as (A, frac)."""
+    L2 = p.alpha * p.alpha / (-4.0 * A)
+    hb = p.h * p.alpha
+    return L2, hb + frac * (L2 - hb)
 
 
 @pytest.fixture(scope="module")
@@ -303,19 +317,14 @@ class TestGammaSeries:
         assert series.gamma[0] == gammas[0]
 
     @settings(max_examples=50, derandomize=True, database=None, deadline=None)
-    @given(
-        A=st.floats(-0.24, -0.02),
-        frac=st.floats(0.01, 0.99),
-        theta0=st.floats(0.0, TWO_PI),
-        sense=st.sampled_from((1.0, -1.0)),
-    )
+    @given(A=LEVEL_A, frac=LEVEL_FRAC, theta0=st.floats(0.0, TWO_PI),
+           sense=st.sampled_from((1.0, -1.0)))
     def test_conjecture2_on_random_rotation_orbits(self, A, frac, theta0, sense):
         # any orbit of the rotation regime h*alpha < R < L^2: its e is the
         # positive root of L^2 e^2 - h*alpha*sin(theta0)*e + (R - L^2) = 0
         p = Params()
-        L2 = p.alpha * p.alpha / (-4.0 * A)
+        L2, R = rotation_level(A, frac, p)
         hb = p.h * p.alpha
-        R = hb + frac * (L2 - hb)
         s = math.sin(theta0)
         e = (hb * s + math.sqrt(hb * hb * s * s - 4.0 * L2 * (R - L2))) / (2.0 * L2)
         el = OrbitalElements(A=A, a=sense * math.sqrt(L2 * (1.0 - e * e)), theta0=theta0,
@@ -356,6 +365,38 @@ class TestConjectureReport:
         om1, e1 = omega_estimate_of(gamma_series(run(s1, 250, params).events, params))
         om2, e2 = omega_estimate_of(gamma_series(run(s2, 250, params).events, params))
         assert abs(om1 - om2) > 100.0 * math.hypot(e1, e2)
+
+
+class TestOmegaOfLevel:
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
+    @given(A=LEVEL_A, frac=LEVEL_FRAC)
+    def test_one_pair_matches_300_collision_runs(self, A, frac):
+        # oracle: the mean a > 0 increment of a 300-collision run on the
+        # level, and domega/dR as the difference quotient of two such means
+        p = Params()
+        L2, R = rotation_level(A, frac, p)
+        L = -math.sqrt(L2)
+
+        def series_of(R_lvl):
+            return gamma_series(run(initial_state_on_level(L, R_lvl, p), 300, p).events, p)
+
+        series = series_of(R)
+        omega = omega_estimate_of(series)[0]
+        assert abs(omega_of_level(L, R, p) - omega) <= 1e-10 * abs(omega)
+        dR = 1e-4 * abs(R)
+        quotient = (omega_estimate_of(series_of(R + dR))[0]
+                    - omega_estimate_of(series_of(R - dR))[0]) / (2.0 * dR)
+        domega_dR = conjecture_report(series, L, R, p)["domega_dR"]
+        assert abs(domega_dR - quotient) <= 1e-8 * abs(quotient)
+
+    def test_below_h_alpha(self, params):
+        # R < h*alpha: the momentum loop crosses a = 0, so gamma is nan
+        with pytest.raises(InsufficientData):
+            omega_of_level(L_REF, 0.8, params)
+
+    def test_level_missing_the_wall(self, params):
+        with pytest.raises(NoCollision):
+            omega_of_level(L_REF, 0.1, params)
 
 
 class TestInitialStateOnLevel:

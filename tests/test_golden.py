@@ -23,7 +23,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # config by its subcommand
 GOLDEN = {
     "gamma_rotation": {
-        "conjecture_report.json": "8e963ecea3734d21933079fe24a8f08f5bc84861ad22b6962588a1b422493f7d",
+        "conjecture_report.json": "ea507ac830e3dfc87b43748aa861d1adf86d70841ccf8216462aaa1a81cf3245",
         "delta2_gamma.svg": "a8a03fb540d582423ed855a6e26ffc161f0eb0f3194535f09c257c21c12941e9",
         "gamma.csv": "108bf112afd5ab8fe1bf13cc5ae2e25128ce3544442a25e9d6eb2a20deddfe4f",
     },
