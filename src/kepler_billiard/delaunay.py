@@ -15,13 +15,15 @@ labelled by eps = +-1, with a = sqrt(a^2) > 0.  Only one eps root satisfies
 the implicit relation with the non-negative square root (the other is its
 e -> -e continuation): the valid one has sign(a^2 - R) = -sign(sin), that is
 eps = -1 where sin(theta0) > 0 and eps = +1 where sin(theta0) < 0.
-:func:`a_branch` enforces that membership.  The gamma quadrature follows the
-valid root by construction: it integrates the eps-labelled quadratic root as
-a formula on each half-turn, with eps alternating from -1 on (0, pi).
+:func:`a_branch` enforces that membership.
 
 The conjectured angle gamma is the R-derivative of the generating integral
 ``int_0^theta0 a(L, R, psi) dpsi``; its two-collision increments are the
-observable tested against the one-part-per-million constancy claim.
+observable tested against the one-part-per-million constancy claim.  Along
+the valid root gamma is an elliptic integral of the first kind, which
+:func:`_gammas` evaluates in closed form with Carlson's R_F.  The QUADPACK
+oracle :func:`generating_integral` integrates the eps-labelled quadratic root
+as a formula on each half-turn, with eps alternating from -1 on (0, pi).
 """
 
 from __future__ import annotations
@@ -72,21 +74,6 @@ def _a_sq_raw(s2: float, R: float, L: float, eps: int, p: Params) -> float:
     if disc < -1e-13 * max(1.0, abs(R)):
         raise GammaUndefined(f"discriminant {disc:g} < 0")
     return t1 + eps * math.sqrt(max(disc, 0.0))
-
-
-def _dadR(s2: np.ndarray, R: float, L: float, eps: np.ndarray, p: Params) -> np.ndarray:
-    """d a / d R of the eps-labelled root (a > 0), nan where it is undefined.
-
-    Undefined means a negative discriminant, a branch point (vanishing
-    discriminant off the axis sin = 0) or a^2 <= 0 on the branch.
-    """
-    t1, disc, m = _coeffs(s2, R, L, p)
-    sd = np.sqrt(np.maximum(disc, 0.0))
-    axis = s2 < 1e-30
-    du = np.where(axis, 1.0, 1.0 - eps * 0.5 * m / np.where(sd > 0.0, sd, 1.0))
-    u = np.where(axis, R, t1 + eps * sd)
-    bad = (disc < 0.0) | (~axis & (sd == 0.0)) | (u <= 0.0)
-    return np.where(bad, np.nan, du / (2.0 * np.sqrt(np.where(bad, 1.0, u))))
 
 
 def a_branch(theta0: float, R: float, L: float, eps: int, p: Params) -> float:
@@ -157,8 +144,8 @@ def _half_turns(theta0: float):
 def quad(*args, **kwargs):
     """``scipy.integrate.quad``, with scipy.integrate imported on the first call.
 
-    Only the oracle :func:`generating_integral` calls it; gamma itself runs
-    on numpy alone, so no subcommand pays for loading scipy.integrate here.
+    Only the oracle :func:`generating_integral` calls it; gamma itself is in
+    closed form, so no subcommand pays for loading scipy.integrate here.
     """
     import scipy.integrate
 
@@ -175,158 +162,106 @@ def _quad_piece(f, lo: float, hi: float) -> float:
     return val
 
 
-# The 21-point Gauss-Kronrod pair of QUADPACK's qk21: the Kronrod nodes in
-# [0, 1] (the rule is symmetric) and their weights, and the weights of the
-# embedded 10-point Gauss rule, whose nodes are the Kronrod nodes 1, 3, ..., 9.
-_XK = (
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0,
-)
-_WK = (
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-)
-_WG = (
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-)
-_NODES = np.array(_XK + tuple(-x for x in _XK[-2::-1]))
-_W_KRONROD = np.array(_WK + _WK[-2::-1])
-_W_GAUSS = np.zeros(21)
-_W_GAUSS[1:10:2] = _WG
-_W_GAUSS[11:20:2] = _WG[::-1]
-QUAD_LIMIT = 200  # panels per piece, as QUADPACK's limit in _quad_piece
-_EPS50 = 50.0 * np.finfo(float).eps
+def _rf(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Carlson's symmetric integral R_F(x, y, 1) at each lane, for x, y in [0, 1].
 
-
-def _gk21(f, a: np.ndarray, b: np.ndarray, k: np.ndarray):
-    """(value, error estimate) of the 21-point rule on each panel [a, b] of piece k.
-
-    The error estimate is QUADPACK's: the Kronrod-Gauss difference, scaled
-    against the integrand's variation on the panel and floored at 50 ulp of
-    the integral of |f|.
+    Duplication, then Carlson's fifth-order series (B. C. Carlson, Numer.
+    Algorithms 10, 1995).  Every lane takes 13 steps, so its bits depend on
+    its own x and y alone.  That meets Carlson's stopping rule at
+    r = 2^-53 wherever R_F is finite: R_F(x, y, 1) <= R_F(0, 5e-324, 1) < 374
+    keeps the mean above 374^-2, and 4^-13 brings his bound Q <= 253 below
+    it.  A lane that still fails the rule (x = y = 0, where R_F is
+    infinite) or has a nan or negative argument is nan.
     """
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fx = f(c[:, None] + h[:, None] * _NODES, k)
-    resk = (fx * _W_KRONROD).sum(axis=1)
-    resg = (fx * _W_GAUSS).sum(axis=1)
-    ah = np.abs(h)
-    resasc = ah * (np.abs(fx - 0.5 * resk[:, None]) * _W_KRONROD).sum(axis=1)
-    resabs = ah * (np.abs(fx) * _W_KRONROD).sum(axis=1)
-    err = np.abs((resk - resg) * h)
-    ratio = 200.0 * err / np.where(resasc > 0.0, resasc, 1.0)
-    err = np.where(resasc > 0.0, resasc * np.minimum(1.0, ratio * np.sqrt(ratio)), err)
-    return resk * h, np.maximum(err, _EPS50 * resabs)
-
-
-def _integrate(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The integral of f over each piece [lo, hi], nan where it fails.
-
-    ``f(x, k)`` evaluates piece k's integrand at the rows of x, with nan
-    where it is undefined.  Every round applies the 21-point rule to all open
-    panels at once and bisects the panels above their share (by length) of
-    QUADPACK's request in ``_quad_piece`` (absolute ``TOL_QUAD``, relative
-    1e-12).  Halves whose summed estimate is no better than their parent's
-    and already within ``_quad_piece``'s acceptance bound are not bisected
-    again: near a sharp momentum peak the integrand's own rounding sets the
-    estimate there.  A piece ends once its summed estimate meets the request
-    or no panel of it is bisected, and is accepted only within that bound.
-    It is nan when any node gives nan, when the bound fails, or when it
-    would need more than ``QUAD_LIMIT`` panels.  A piece's value depends
-    only on its own panels, summed in the same order whatever else is in
-    the batch.
-    """
-    n = lo.size
-    out = np.where(lo == hi, 0.0, np.nan)
-    kept_val = np.zeros(n)
-    kept_err = np.zeros(n)
-    panels = np.ones(n, dtype=np.int64)
-    k = np.flatnonzero(lo != hi)
-    a, b = lo[k], hi[k]
-    parent_err = np.zeros(0)
-    while k.size:
-        val, err = _gk21(f, a, b, k)
-        est = kept_val + np.bincount(k, val, n)
-        tot = kept_err + np.bincount(k, err, n)
-        tol = np.maximum(TOL_QUAD, 1e-12 * np.abs(est))
-        bound = 1e3 * TOL_QUAD + 1e-12 * np.abs(est)
-        split = err > tol[k] * (b - a) / (hi - lo)[k]
-        if parent_err.size:  # the panels are halves: the left ones, then the right ones
-            err2 = err[:parent_err.size] + err[parent_err.size:]
-            stalled = (err2 >= 0.99 * parent_err) & (err2 <= bound[k[:parent_err.size]])
-            split &= ~np.concatenate((stalled, stalled))
-        # a nan node makes est and tot nan for good: the piece ends nan, in
-        # this round or once its other panels stop splitting
-        done = (tot <= tol) | (np.bincount(k[split], minlength=n) == 0)
-        end = k[done[k]]
-        out[end] = np.where(tot[end] <= bound[end], est[end], np.nan)
-        go = ~done[k]
-        keep, split = go & ~split, go & split
-        kept_val += np.bincount(k[keep], val[keep], n)
-        kept_err += np.bincount(k[keep], err[keep], n)
-        panels += np.bincount(k[split], minlength=n)
-        split &= panels[k] <= QUAD_LIMIT
-        k, a, b = k[split], a[split], b[split]
-        parent_err = err[split]
-        mid = 0.5 * (a + b)
-        k, a, b = np.concatenate((k, k)), np.concatenate((a, mid)), np.concatenate((mid, b))
-    return out
+    v = np.stack(np.broadcast_arrays(x, y, 1.0))
+    a0 = (v[0] + v[1] + v[2]) / 3.0
+    q = (3.0 * 2.0**-53) ** (-1.0 / 6.0) * np.abs(a0 - v).max(axis=0)
+    a, w = a0, v
+    for _ in range(13):
+        r = np.sqrt(w)
+        lam = r[0] * r[1] + r[0] * r[2] + r[1] * r[2]
+        w = 0.25 * (w + lam)
+        a = 0.25 * (a + lam)
+    X, Y = (a0 - v[:2]) / (4.0**13 * a)
+    Z = -X - Y
+    e2 = X * Y - Z * Z
+    e3 = X * Y * Z
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(a)
+    return np.where(q < 4.0**13 * a, rf, np.nan)
 
 
 def _gammas(theta: np.ndarray, R: float, L: float, p: Params) -> np.ndarray:
-    """gamma at each theta >= 0 in one quadrature pass, nan where it fails.
+    """gamma at each theta >= 0 in closed form, nan where it is undefined.
 
-    The pieces are the half-turns of :func:`_half_turns`, each distinct
-    piece integrated once: a full half-turn is shared by every theta that
-    covers it.
+    In u = a^2, dgamma = du / (2 sqrt(u Q(u))) on the level, with
+    Q(u) = -u^2 + (2R - (h*alpha)^2/L^2) u + (h*alpha)^2 - R^2, which equals
+    (h*alpha*e*cos(psi))^2 there.  Let u- < u+ be the roots of Q and put
+    u = u+ - (u+ - u-) sin^2(phi): then dgamma = dF(phi|m) / sqrt(u+) with
+    m = (u+ - u-)/u+, an elliptic integral of the first kind (P. F. Byrd,
+    M. D. Friedman, Handbook of Elliptic Integrals, 1971).  Over a turn of
+    psi, u runs from R to u-, back to R, to u+ and back to R, one quarter-turn
+    each, while phi advances by pi.  So, with phi_theta and phi_R the phi in
+    [0, pi/2] of u at theta and of u = R, gamma on the first quarter-turn is
+    F(phi_theta) - F(phi_R), on the second and third 2K - F(phi_R) -
+    F(phi_theta), and on the fourth 2K - F(phi_R) + F(phi_theta); each whole
+    turn before theta adds Gamma = 2K/sqrt(u+).
+
+    Below R = h*alpha, u- < 0 and m > 1, so K, and with it every lane past
+    the first quarter-turn, is nan; so is a first-quarter lane past a = 0.
+    Above R = L^2, phi_R is not real and every lane is nan.
     """
     theta = np.asarray(theta, dtype=float)
     if np.any(theta < 0.0):
         raise ValueError("theta0 must be non-negative")
-    lo, hi, eps, use = [], [], [], []  # use: (thetas on half-turn t, their pieces)
-    for t in range(max(1, math.ceil(float(theta.max(initial=0.0)) / math.pi))):
-        on = theta - 1e-15 > t * math.pi if t else np.ones(theta.shape, dtype=bool)
-        ends, idx = np.unique(np.minimum((t + 1) * math.pi, theta[on]), return_inverse=True)
-        use.append((on, len(lo) + idx))
-        lo += [t * math.pi] * ends.size
-        hi += ends.tolist()
-        eps += [-1.0 if t % 2 == 0 else 1.0] * ends.size
-    eps_k = np.array(eps)
-
-    def f(x, k):
-        s = np.sin(x)
-        return _dadR(s * s, R, L, eps_k[k][:, None], p)
-
-    vals = _integrate(f, np.array(lo), np.array(hi))
-    total = np.zeros(theta.shape)
-    for on, idx in use:
-        total[on] += vals[idx]
-    return total
+    hb = p.h * p.alpha
+    L2 = L * L
+    b = 2.0 * R - hb * hb / L2
+    c = (hb - R) * (hb + R)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u_hi = 0.5 * (b + np.sqrt(b * b + 4.0 * c))
+        u_lo = -c / u_hi
+        d = u_hi - u_lo
+        # u on the valid root at each theta and, last, at psi = 0, where u = R
+        psi = np.append(theta, 0.0)
+        s = np.sin(psi)
+        t1, disc, _ = _coeffs(s * s, R, L, p)
+        u = t1 - np.copysign(np.sqrt(disc), s)
+        # sin(phi) cos(phi) = h*alpha*e*|cos(psi)| / (u+ - u-).  Of the two,
+        # the one that vanishes at the root nearer u is formed from this
+        # product: u's distance to that root cancels near the turning point
+        prod = hb * np.sqrt(1.0 - u / L2) * np.abs(np.cos(psi)) / d
+        near_lo = u - u_lo < u_hi - u
+        big = np.sqrt(np.where(near_lo, u_hi - u, u - u_lo) / d)
+        sin_phi = np.where(near_lo, big, prod / big)
+        cos_phi = np.where(near_lo, prod / big, big)
+        # u/u+ = 1 - m sin^2(phi), formed without its cancellation as m -> 1
+        y = np.where(near_lo, u_lo + d * cos_phi**2, u_hi - d * sin_phi**2) / u_hi
+        # F(phi|m) = sin(phi) R_F(cos^2(phi), u/u+, 1) at each psi, then K
+        f = np.append(sin_phi, 1.0) * _rf(np.append(cos_phi**2, 0.0), np.append(y, u_lo / u_hi))
+        f_theta, f_R, K = f[:-2], f[-2], f[-1]
+        quarter = np.floor(theta / (0.5 * math.pi))
+        # 2K from the second quarter-turn on and 2K per whole turn before it;
+        # a nan K (below R = h*alpha) must leave the first quarter-turn alone
+        k = 2.0 * np.ceil(quarter / 4.0)
+        whole = np.where(k > 0.0, k * K, 0.0)
+        # +F(phi_theta) on the first and fourth quarter-turns, -F on the others
+        f_theta = np.where((quarter + 1.0) % 4.0 < 2.0, f_theta, -f_theta)
+        return (whole + f_theta - f_R) / np.sqrt(u_hi)
 
 
 def gamma_of(theta0: float, R: float, L: float, p: Params) -> float:
     """gamma = d/dR of the generating integral int_0^theta0 a dpsi.
 
-    Integrates da/dR of the valid root, a > 0, over each half-turn; one lane
-    of the quadrature that :func:`gamma_series` runs over a whole series.
+    One lane of the closed form :func:`_gammas`, which :func:`gamma_series`
+    evaluates over a whole series.
 
     Raises:
-        GammaUndefined: where da/dR is undefined on the path or the
-            quadrature does not converge.
+        GammaUndefined: where gamma is undefined: below R = h*alpha once the
+            path crosses a = 0, and everywhere above R = L^2.
     """
     g = float(_gammas(np.array([theta0]), R, L, p)[0])
     if math.isnan(g):
-        raise GammaUndefined(f"gamma quadrature failed at theta0 = {theta0:g}")
+        raise GammaUndefined(f"gamma undefined at theta0 = {theta0:g}")
     return g
 
 
@@ -357,9 +292,9 @@ def gamma_series(events: list[billiard.CollisionEvent], p: Params) -> GammaSerie
     * ``mismatch`` flags collisions where the sign of the angular momentum
       breaks the (-1)^n alternation (reported, never fatal).
 
-    Events whose gamma quadrature fails (for example in the R < h*alpha
-    regime where the momentum loop crosses a = 0) carry nan gammas and are
-    flagged, keeping the series usable as a diagnostic.
+    Events whose gamma is undefined (for example in the R < h*alpha regime
+    where the momentum loop crosses a = 0) carry nan gammas and are flagged,
+    keeping the series usable as a diagnostic.
     """
     n_ev = len(events)
     gamma = np.full(n_ev, np.nan)

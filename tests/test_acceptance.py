@@ -168,8 +168,8 @@ def test_10_verify_determinism(verify_twice, verify_checks):
 
 # verify's data files, as the byte gate pins every reference run's
 VERIFY_FILES = {
-    "verify_checks.csv": "87fb289407533e794e487a2a1f7526d62a34fe61a6fb53cb435abd8f59066bdb",
-    "verify_report.json": "6ae5a4f04bc54422a60fc1fd28ce5983bf013ad76fb21d38b3122cc9de6e59ad",
+    "verify_checks.csv": "62fef0d524d3d6c09cdeba953c088418581da9b850d2426b48a15508616bfef7",
+    "verify_report.json": "354b9aae0479b9063d479453b07fbfb65bdc811192edf4c5c561ffe02fcb9543",
 }
 
 

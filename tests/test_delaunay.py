@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kepler_billiard import delaunay
@@ -142,56 +142,86 @@ class TestGammaOf:
             g = gamma_of(th, 1.0 + 3e-8, L_REF, params)
             assert abs(g - exact) <= 1e3 * delaunay.TOL_QUAD + 1e-12 * abs(g), th
 
-    def test_unconverged_quadrature_is_undefined(self, params, monkeypatch):
-        # the near-edge level needs bisection: with one panel per piece allowed
-        # the pieces over the momentum peak stay above their tolerance, and
-        # gamma there is undefined, not accepted
-        s0 = initial_state_on_level(L_REF, 1.0005, params)
-        res = run(s0, 20, params)
-        monkeypatch.setattr(delaunay, "QUAD_LIMIT", 1)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(A=LEVEL_A, frac=LEVEL_FRAC, turn=st.sampled_from((0.5 * math.pi, 1.5 * math.pi)),
+           side=st.sampled_from((1.0, -1.0)), log_gap=st.floats(-12.0, -3.0))
+    def test_turning_points_against_quadpack(self, A, frac, turn, side, log_gap):
+        # at psi = pi/2 and 3pi/2, a^2 turns at a root of Q: the elliptic
+        # amplitude read from a^2 alone would lose about 1e-16/gap there
+        p = Params()
+        L2, R = rotation_level(A, frac, p)
+        L = -math.sqrt(L2)
+        theta0 = turn + side * 10.0**log_gap
+        g = gamma_of(theta0, R, L, p)
+        assert abs(g - quadpack_gamma(theta0, R, L, p)) <= 1e-12 * max(1.0, abs(g))
+
+    def test_separatrix_turning_points(self, params):
+        # R - h*alpha = 1e-10, where m = 1 - 1.1e-10 and a^2 falls to 1.5e-10
+        # at psi = pi/2: the values of the same integral at 40 digits (mpmath,
+        # R = 1 + 1e-10 as a double), whose momentum peak QUADPACK cannot
+        # resolve; forming u/u+ as 1 - m sin^2(phi) misses them by 1.4e-6
+        for th, exact in ((math.pi / 2 - 1e-6, 10.583151072250326967),
+                          (math.pi / 2 + 1e-9, 10.644398633977941991),
+                          (1.5 * math.pi - 1e-7, 21.764387847235386127),
+                          (1.5 * math.pi + 1e-4, 21.764409519521143129)):
+            g = gamma_of(th, 1.0 + 1e-10, L_REF, params)
+            assert abs(g - exact) <= 1e-12 * abs(g), th
+
+    def test_separatrix_level(self, params):
+        # R = h*alpha: a^2 falls to 0 at psi = pi/2, where K is infinite
+        g = gamma_of(1.5, 1.0, L_REF, params)
+        assert abs(g - quadpack_gamma(1.5, 1.0, L_REF, params)) <= 1e-12 * max(1.0, abs(g))
+        for th in (2.0, 4.0, TWO_PI):
+            with pytest.raises(GammaUndefined):
+                gamma_of(th, 1.0, L_REF, params)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(A=LEVEL_A, frac=st.floats(0.01, 0.99), before=st.booleans(), t=st.floats(0.0, 1.0))
+    def test_below_h_alpha_defined_until_a_vanishes(self, A, frac, before, t):
+        # R < h*alpha: the path reaches a = 0 where sin(psi) = R/(h*alpha),
+        # and gamma is undefined from there on, the full loop included
+        p = Params()
+        L = -p.alpha / (2.0 * math.sqrt(-A))
+        hb = p.h * p.alpha
+        R = frac * hb
+        edge = math.asin(R / hb)
+        theta0 = t * edge if before else edge + t * (TWO_PI - edge)
+        assume(abs(theta0 - edge) > 1e-9)
+        if before:
+            g = gamma_of(theta0, R, L, p)
+            assert abs(g - quadpack_gamma(theta0, R, L, p)) <= 1e-12 * max(1.0, abs(g))
+        else:
+            with pytest.raises(GammaUndefined):
+                gamma_of(theta0, R, L, p)
         with pytest.raises(GammaUndefined):
-            gamma_of(2.0, 1.0005, L_REF, params)
-        assert undefined_rows_flagged(res, gamma_series(res.events, params), params) > 0
-        monkeypatch.undo()
-        assert math.isfinite(gamma_of(2.0, 1.0005, L_REF, params))
+            gamma_of(TWO_PI, R, L, p)
 
-    @pytest.mark.parametrize("f, lo, hi", [
-        (np.cos, 0.0, 1.0),  # the estimate is the 50-ulp floor
-        (lambda x: 1.0 / np.sqrt(x + 1e-3), 0.0, 2.0),
-        (lambda x: np.exp(np.sin(5.0 * x)), -1.0, 3.0),
-    ], ids=["cos", "near-singular", "oscillating"])
-    def test_rule_is_quadpack_qk21(self, f, lo, hi):
-        # with limit=1 QUADPACK returns its 21-point rule on the whole interval
-        val, err = delaunay._gk21(lambda x, k: f(x), np.array([lo]), np.array([hi]), np.array([0]))
-        q_val, q_err, *_ = delaunay.quad(lambda x: float(f(np.array(x))), lo, hi, limit=1, full_output=1)
-        assert abs(val[0] - q_val) <= 4e-16 * abs(q_val)
-        assert abs(err[0] - q_err) <= 1e-15 * q_err
-
-    def test_estimate_past_acceptance_bound_is_undefined(self, params, monkeypatch):
-        # forced estimates on the piece [0, pi], by panel width: the halves of
-        # [0, pi/2] and then those of [pi/2, 3pi/4] and [3pi/4, pi] stop
-        # improving inside the bound, but they sum past it (1.62e-8 > 1e-8)
-        real = delaunay._gk21
-
-        def forced(f, a, b, k):
-            val, _ = real(f, a, b, k)
-            eighths = np.rint((b - a) / (math.pi / 8.0))
-            err = np.select([eighths == 8, eighths == 4, (eighths == 2) & (a < 1.5), eighths == 2],
-                            [1e-7, 8e-9, 4.9e-9, 3e-9], 1.6e-9)
-            return val, err
-
-        monkeypatch.setattr(delaunay, "_gk21", forced)
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
+    @given(A=LEVEL_A, excess=st.floats(1e-9, 1.0), theta0=st.floats(0.0, TWO_PI))
+    def test_above_L_squared_undefined(self, A, excess, theta0):
+        # R > L^2: no momentum a <= |L| has a^2 = R at psi = 0
+        p = Params()
+        L2 = p.alpha * p.alpha / (-4.0 * A)
         with pytest.raises(GammaUndefined):
-            gamma_of(math.pi, R_REF, L_REF, params)
+            gamma_of(theta0, L2 * (1.0 + excess), -math.sqrt(L2), p)
 
-    def test_subdivision_cap(self):
-        # about 1600 oscillations need more than QUAD_LIMIT panels of 21 nodes
-        lo, hi = np.array([0.0, 0.0, 0.5]), np.array([1.0, 1.0, 0.5])
-        freq = np.array([1e4, 1.0, 1e4])
-        vals = delaunay._integrate(lambda x, k: np.cos(freq[k][:, None] * x), lo, hi)
-        assert math.isnan(vals[0])
-        assert abs(vals[1] - math.sin(1.0)) < 1e-15
-        assert vals[2] == 0.0
+    def test_carlson_kernel_against_scipy(self):
+        # F(phi|m) = sin(phi) R_F(cos^2(phi), 1 - m sin^2(phi), 1) and
+        # K(m) = R_F(0, 1 - m, 1); half the draws crowd m -> 1
+        from scipy.special import ellipk, ellipkinc
+
+        rng = np.random.default_rng(2)
+        n = 20000
+        phi = rng.uniform(1e-6, 0.5 * math.pi, n)
+        m = np.concatenate((rng.uniform(0.0, 1.0 - 1e-12, n // 2),
+                            1.0 - 10.0 ** -rng.uniform(0.0, 12.0, n // 2)))
+        s2, c2 = np.sin(phi) ** 2, np.cos(phi) ** 2
+        # the same double m, as cos^2 + (1 - m) sin^2 to keep its digits as m -> 1
+        F = np.sin(phi) * delaunay._rf(c2, c2 + (1.0 - m) * s2)
+        K = delaunay._rf(np.zeros(n), 1.0 - m)
+        assert np.max(np.abs(F / ellipkinc(phi, m) - 1.0)) <= 1e-14
+        assert np.max(np.abs(K / ellipk(m) - 1.0)) <= 1e-14
 
 
 def undefined_rows_flagged(res, series, p) -> int:

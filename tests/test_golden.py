@@ -23,9 +23,9 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # config by its subcommand
 GOLDEN = {
     "gamma_rotation": {
-        "conjecture_report.json": "ea507ac830e3dfc87b43748aa861d1adf86d70841ccf8216462aaa1a81cf3245",
+        "conjecture_report.json": "b7ed79502bbf0d512666642d85b1bfce636419088b89097a04e304482fc13e07",
         "delta2_gamma.svg": "a8a03fb540d582423ed855a6e26ffc161f0eb0f3194535f09c257c21c12941e9",
-        "gamma.csv": "108bf112afd5ab8fe1bf13cc5ae2e25128ce3544442a25e9d6eb2a20deddfe4f",
+        "gamma.csv": "8afa3288d01417086b4215ee41de99515d406fbccc66ac60383209ad224b07fb",
     },
     "perturbed_g005": {
         "events.csv": "290473c5d72159c1d160cf2df29da90b95a1900617aa8808f010d3fadc75369f",
