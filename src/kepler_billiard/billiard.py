@@ -204,11 +204,11 @@ def next_wall_crossing(
     tx = -aM * sE * ux + b * cE * vx
     ty = -aM * sE * uy + b * cE * vy
     hit = CartesianState(
-        x=cx + aM * cE * ux + b * sE * vx,
-        y=cy + aM * cE * uy + b * sE * vy,
-        px=tx * Edot,
-        py=ty * Edot,
-        t=t0 + ((E_hit - e * sE) - (E_now - e * math.sin(E_now))) / n,
+        cx + aM * cE * ux + b * sE * vx,
+        cy + aM * cE * uy + b * sE * vy,
+        tx * Edot,
+        ty * Edot,
+        t0 + ((E_hit - e * sE) - (E_now - e * math.sin(E_now))) / n,
     )
     return E_hit, aM * (1.0 - e * cE), math.atan2(ty, tx) % math.pi, hit
 
@@ -347,7 +347,7 @@ def reflect(s: CartesianState, p: Params, tol_event: float = TOL_EVENT) -> Carte
     """
     if abs(s.y - p.h) >= tol_event:
         raise NotOnWall(f"|y - h| = {abs(s.y - p.h):g} >= {tol_event:g}")
-    return CartesianState(x=s.x, y=p.h, px=s.px, py=-s.py, t=s.t)
+    return CartesianState(s.x, p.h, s.px, -s.py, s.t)
 
 
 def impact_event(
@@ -362,15 +362,11 @@ def impact_event(
     """
     out = reflect(hit, p, tol_event=tol_event)
     # the incoming state pinned onto the wall, as reflect pinned it
-    pinned = CartesianState(x=out.x, y=out.y, px=out.px, py=hit.py, t=out.t)
-    event = CollisionEvent(
-        n=n, t=out.t, x_impact=out.x, r=pinned.r,
-        lam=math.atan2(hit.py, hit.px) % math.pi,
-        pre=elements_from_cartesian(pinned, p),
-        post=elements_from_cartesian(out, p),
-        E_hit=E_hit,
+    pinned = CartesianState(out.x, out.y, out.px, hit.py, out.t)
+    return out, CollisionEvent(
+        n, out.t, out.x, pinned.r, math.atan2(hit.py, hit.px) % math.pi,
+        elements_from_cartesian(pinned, p), elements_from_cartesian(out, p), E_hit,
     )
-    return out, event
 
 
 def step(
@@ -394,11 +390,9 @@ def step(
         el = elements_from_cartesian(s, p)
     E_hit, r, lam, hit = next_wall_crossing(el, eccentric_of_state(el, s), p, s.t)
     out = reflect(hit, p)
-    event = CollisionEvent(
-        n=n, t=out.t, x_impact=out.x, r=r, lam=lam,
-        pre=el, post=elements_from_cartesian(out, p), E_hit=E_hit,
+    return out, CollisionEvent(
+        n, out.t, out.x, r, lam, el, elements_from_cartesian(out, p), E_hit
     )
-    return out, event
 
 
 def invariant_report(event: CollisionEvent, p: Params) -> InvariantReport:
@@ -412,25 +406,14 @@ def invariant_report(event: CollisionEvent, p: Params) -> InvariantReport:
         DomainError: unless 0 < r < 2*aM (from ``R0_from_geometry``).
     """
     el = event.post
-    aM, r = el.aM, event.r
+    aM, r, h = el.aM, event.r, p.h
     R16 = conserved_R(el, p)
     R0 = R0_from_geometry(r, aM, event.lam)
     R17 = R_from_R0(R0, aM, p)
-    lower = p.alpha * p.h * p.h / (2.0 * aM)
-    upper = (
-        1.0 + (aM / p.h) ** 2 - ((aM - r) / p.h) ** 2
-    ) * lower
-    bounds_ok = (
-        (aM - r) ** 2 < R0 * R0 < aM * aM
-        and lower < R16 < upper
-    )
-    return InvariantReport(
-        R_eq16=R16,
-        R0=R0,
-        R_eq17=R17,
-        residual_identity=abs(R16 - R17),
-        bounds_ok=bounds_ok,
-    )
+    lower = p.alpha * h * h / (2.0 * aM)
+    upper = (1.0 + (aM / h) ** 2 - ((aM - r) / h) ** 2) * lower
+    bounds_ok = (aM - r) ** 2 < R0 * R0 < aM * aM and lower < R16 < upper
+    return InvariantReport(R16, R0, R17, abs(R16 - R17), bounds_ok)
 
 
 def _orbit_samples(s: CartesianState, E1: float | None, p: Params, m: int) -> np.ndarray:

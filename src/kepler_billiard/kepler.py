@@ -78,7 +78,9 @@ class Params:
 # frozen __init__ stores each field through object.__setattr__, which costs
 # about as much as the impact's arithmetic.  The per-run records (billiard's
 # BilliardRun, delaunay's GammaSeries) are slotted too.  The package never
-# mutates any of them; the slots still reject a misspelt attribute.
+# mutates any of them; the slots still reject a misspelt attribute.  The
+# per-impact ones are built positionally: by keyword, a slotted record took
+# about 0.5 us against 0.25 us (Python 3.11), on five records an impact.
 @dataclass(slots=True)
 class CartesianState:
     """Phase-space point (x, y, px, py) at time t."""
@@ -215,7 +217,7 @@ class RevolvingOrbit:
         pr = self.mu / self.l_eff * self.e * math.sin(nu)
         pt = self.l / r
         c, s = math.cos(phi), math.sin(phi)
-        return CartesianState(x=r * c, y=r * s, px=pr * c - pt * s, py=pr * s + pt * c, t=t)
+        return CartesianState(r * c, r * s, pr * c - pt * s, pr * s + pt * c, t)
 
     def time_to(self, nu: float) -> float:
         """Time from ``nu0`` to ``nu``, by Kepler's equation of the radial orbit."""
@@ -247,8 +249,8 @@ def revolving_orbit(s: CartesianState, p: Params) -> RevolvingOrbit:
     # (e*cos(nu0), e*sin(nu0)) from r = (l_eff^2/mu)/(1 + e*cos nu) and p_r
     nu0 = math.atan2(pr * l_eff / mu, l_eff * l_eff / (mu * r) - 1.0)
     return RevolvingOrbit(
-        l=l, l_eff=l_eff, e=math.sqrt(e2) if e2 > 0.0 else 0.0, aM=-mu / (2.0 * H),
-        mu=mu, phi0=math.atan2(s.y, s.x), nu0=nu0,
+        l, l_eff, math.sqrt(e2) if e2 > 0.0 else 0.0, -mu / (2.0 * H), mu,
+        math.atan2(s.y, s.x), nu0,
     )
 
 
@@ -264,14 +266,16 @@ def elements_from_cartesian(s: CartesianState, p: Params) -> OrbitalElements:
         Unbound: if the energy is non-negative.
         Degenerate: if r is (numerically) zero or the orbit is near-radial.
     """
-    r = s.r
+    x, y, px, py = s.x, s.y, s.px, s.py
+    r = math.hypot(x, y)
     if r <= TOL_GEOM:
         raise Degenerate(f"state at r = {r:g} is too close to the center")
-    A = s.speed_sq - p.alpha / r
+    alpha = p.alpha
+    A = px * px + py * py - alpha / r
     if A >= 0.0:
         raise Unbound(f"A = {A:g} >= 0: not a bound orbit")
-    a = s.angular_momentum
-    e2 = 1.0 + 4.0 * A * a * a / (p.alpha * p.alpha)
+    a = x * py - y * px
+    e2 = 1.0 + 4.0 * A * a * a / (alpha * alpha)
     e = math.sqrt(e2) if e2 > 0.0 else 0.0
     if e >= 1.0 - TOL_ECC:
         raise Degenerate(f"eccentricity {e:g} too close to 1 (radial orbit)")
@@ -279,10 +283,10 @@ def elements_from_cartesian(s: CartesianState, p: Params) -> OrbitalElements:
         theta0 = 0.0
     else:
         # eccentricity vector (points at perihelion); aphelion is opposite
-        ex = 2.0 * a * s.py / p.alpha - s.x / r
-        ey = -2.0 * a * s.px / p.alpha - s.y / r
+        ex = 2.0 * a * py / alpha - x / r
+        ey = -2.0 * a * px / alpha - y / r
         theta0 = wrap_angle(math.atan2(-ey, -ex))
-    return OrbitalElements(A=A, a=a, theta0=theta0, alpha=p.alpha)
+    return OrbitalElements(A, a, theta0, alpha)
 
 
 def cartesian_from_elements(el: OrbitalElements, nu: float) -> CartesianState:
