@@ -380,15 +380,28 @@ def step(
     steps passes each event's ``post`` elements on, which are exactly that.
     At g > 0 the arc is the revolving orbit, ``el`` is not read, and the
     event carries the osculating g = 0 elements (:func:`impact_event`).
+
+    A start on the wall (within ``TOL_EVENT``) moving up hits it at once, on
+    either route: its event is ``impact_event`` of the start itself, at the
+    start's anomaly.  The forward search would instead round the crossing
+    just behind the start and fly a whole revolution through the wall.
     """
     if s.y > p.h + TOL_EVENT:
-        raise NotOnWall(f"state starts above the wall (y = {s.y:g})")
+        raise NotOnWall(f"state starts above the wall (y = {s.y:g}, y - h = {s.y - p.h:g})")
+    # py first: a chained step leaves the wall moving down
+    on_wall_up = s.py > 0.0 and abs(s.y - p.h) < TOL_EVENT
     if p.g > 0.0:
-        E_hit, hit = next_revolving_crossing(revolving_orbit(s, p), p, t0=s.t)
+        orb = revolving_orbit(s, p)
+        if on_wall_up:
+            return impact_event(s, p, n, E_hit=eccentric_from_true(orb.nu0, orb.e))
+        E_hit, hit = next_revolving_crossing(orb, p, t0=s.t)
         return impact_event(hit, p, n, E_hit=E_hit)
     if el is None:
         el = elements_from_cartesian(s, p)
-    E_hit, r, lam, hit = next_wall_crossing(el, eccentric_of_state(el, s), p, s.t)
+    E_now = eccentric_of_state(el, s)
+    if on_wall_up:
+        return impact_event(s, p, n, E_hit=E_now)
+    E_hit, r, lam, hit = next_wall_crossing(el, E_now, p, s.t)
     out = reflect(hit, p)
     return out, CollisionEvent(
         n, out.t, out.x, r, lam, el, elements_from_cartesian(out, p), E_hit

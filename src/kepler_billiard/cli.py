@@ -417,12 +417,11 @@ def _delta2_figure(series: delaunay.GammaSeries) -> str | None:
 
 def _section_figure(
     outcomes: list[perturbed.SeedOutcome], R_values: list[list[float]], A: float, p: Params
-) -> str | None:
+) -> str:
+    # parse_config has checked that the surface reaches the wall, and its g = 0
+    # turning radius alpha/|A| is never below the g > 0 one
     g0 = Params(alpha=p.alpha, g=0.0, h=p.h)
-    try:
-        x_min, x_max = billiard.accessible_interval(A, g0)
-    except EmptyRegion:
-        return None
+    x_min, x_max = billiard.accessible_interval(A, g0)
     fig = Figure(
         (x_min, x_max),
         (0.0, math.pi),

@@ -1,11 +1,12 @@
-"""Action-angle machinery for the collision map: branch solver and gamma.
+"""Action-angle machinery for the collision map: level starts and gamma.
 
 At fixed (L, R) the angular momentum a(theta0) on the invariant level set
 solves the implicit relation
 
     a^2 = R - h*alpha*sin(theta0) * sqrt(1 - a^2/L^2),
 
-whose square is a quadratic in a^2 with roots
+whose square is a quadratic in a^2.  The QUADPACK oracle
+:func:`generating_integral` integrates its roots
 
     a^2 = R - (h*alpha*sin(theta0))^2 / (2L^2)  +  eps * sqrt(disc),
     disc = (h*alpha*sin(theta0))^4 / (4L^4)
@@ -14,16 +15,16 @@ whose square is a quadratic in a^2 with roots
 labelled by eps = +-1, with a = sqrt(a^2) > 0.  Only one eps root satisfies
 the implicit relation with the non-negative square root (the other is its
 e -> -e continuation): the valid one has sign(a^2 - R) = -sign(sin), that is
-eps = -1 where sin(theta0) > 0 and eps = +1 where sin(theta0) < 0.
-:func:`a_branch` enforces that membership.
+eps = -1 where sin(theta0) > 0 and eps = +1 where sin(theta0) < 0.  So the
+oracle takes eps = -1 on (0, pi) and alternates it per half-turn
+(:func:`_half_turns`), and :func:`initial_state_on_level` starts each level
+at theta0 = 3*pi/2 on the eps = +1 root.
 
 The conjectured angle gamma is the R-derivative of the generating integral
 ``int_0^theta0 a(L, R, psi) dpsi``; its two-collision increments are the
 observable tested against the one-part-per-million constancy claim.  Along
 the valid root gamma is an elliptic integral of the first kind, which
-:func:`_gammas` evaluates in closed form with Carlson's R_F.  The QUADPACK
-oracle :func:`generating_integral` integrates the eps-labelled quadratic root
-as a formula on each half-turn, with eps alternating from -1 on (0, pi).
+:func:`_gammas` evaluates in closed form with Carlson's R_F.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .kepler import (
     OrbitalElements,
     Params,
     cartesian_from_elements,
-    wrap_angle,
 )
 
 TOL_QUAD = 1e-11
@@ -74,50 +74,6 @@ def _a_sq_raw(s2: float, R: float, L: float, eps: int, p: Params) -> float:
     if disc < -1e-13 * max(1.0, abs(R)):
         raise GammaUndefined(f"discriminant {disc:g} < 0")
     return t1 + eps * math.sqrt(max(disc, 0.0))
-
-
-def a_branch(theta0: float, R: float, L: float, eps: int, p: Params) -> float:
-    """Angular momentum a > 0 on the eps root at aphelion angle theta0.
-
-    Returns ``sqrt(a^2)`` where a^2 is the eps root of the squared implicit
-    relation, validated to be a genuine solution (not the e < 0
-    continuation) and to lie in [0, L^2].
-
-    Raises:
-        GammaUndefined: if the discriminant is negative, a^2 leaves
-            [0, L^2], or the root fails the implicit relation.
-    """
-    if L >= 0.0:
-        raise ValueError("L must be negative (paper sign convention)")
-    s = math.sin(theta0)
-    t1, disc, m = _coeffs(s * s, R, L, p)
-    scale = max(1.0, abs(R))
-    if disc < -1e-13 * scale:
-        raise GammaUndefined(f"discriminant {disc:g} < 0 at theta0 = {theta0:g}")
-    sd = math.sqrt(max(disc, 0.0))
-    a2 = t1 + eps * sd
-    L2 = L * L
-    if a2 < -1e-12 * scale or a2 > L2 * (1.0 + 1e-12):
-        raise GammaUndefined(f"a^2 = {a2:g} outside [0, L^2]")
-    a2 = min(max(a2, 0.0), L2)
-    # Eq.-membership: a^2 - R = -h*alpha*sin * e with e >= 0, i.e.
-    # sign(eps*sd - m/2) must oppose sign(sin) (zero is fine: merged roots).
-    drift = eps * sd - 0.5 * m
-    if s * drift > 1e-13 * scale:
-        raise GammaUndefined(
-            f"eps = {eps:+d} root at theta0 = {theta0:g} is the e < 0 continuation"
-        )
-    # one guarded Newton polish of the implicit relation to kill cancellation
-    hb = p.h * p.alpha
-    e = math.sqrt(max(1.0 - a2 / L2, 0.0))
-    if e > 0.0:
-        f = a2 - R + hb * s * e
-        fp = 1.0 - 0.5 * hb * s / (L2 * e)
-        if fp != 0.0:
-            da2 = f / fp
-            if abs(da2) < 1e-6 * scale:
-                a2 = min(max(a2 - da2, 0.0), L2)
-    return math.sqrt(a2)
 
 
 def _half_turns(theta0: float):
@@ -347,30 +303,40 @@ def spread_by_parity(series: GammaSeries) -> tuple[float, float]:
 def initial_state_on_level(L: float, R: float, p: Params) -> CartesianState:
     """A wall-reaching state on the invariant level (L, R).
 
-    Builds the ellipse with aphelion at theta0 = 3*pi/2 and the valid branch
-    momentum there (a > 0), then starts the particle at whichever apse lies
-    below the wall.
+    Builds the ellipse with aphelion at theta0 = 3*pi/2 and the valid root
+    a > 0 there, and starts the particle at that aphelion, y = -aM*(1 + e),
+    below the wall.  sin(theta0) = -1, so the valid root is eps = +1:
+    a^2 = t1 + sqrt(disc), with e = sqrt(1 - a^2/L^2) >= 0 in the implicit
+    relation a^2 = R + h*alpha*e, and one guarded Newton step of that
+    relation polishes it.
+
+    Raises:
+        GammaUndefined: if the discriminant is negative, a^2 leaves
+            [0, L^2], or the root is the e < 0 continuation.
+        NoCollision: if the ellipse stays below the wall.
+        Degenerate: if the ellipse is too close to radial.
     """
     theta0 = 1.5 * math.pi
-    A = -p.alpha * p.alpha / (4.0 * L * L)
-    a = None
-    # sin(theta0) = -1: the valid root is eps = +1; -1 only where they merge
-    for eps in (1, -1):
-        try:
-            a = a_branch(theta0, R, L, eps, p)
-            break
-        except GammaUndefined:
-            continue
-    if a is None:
+    t1, disc, m = _coeffs(1.0, R, L, p)
+    scale = max(1.0, abs(R))
+    sd = math.sqrt(max(disc, 0.0))
+    a2 = t1 + sd
+    L2 = L * L
+    # a^2 - R = h*alpha*e needs e >= 0: sd - m/2 >= 0 (zero: merged roots)
+    if (disc < -1e-13 * scale or a2 < -1e-12 * scale or a2 > L2 * (1.0 + 1e-12)
+            or 0.5 * m - sd > 1e-13 * scale):
         raise GammaUndefined(f"no valid branch at theta0 = {theta0:g}")
-    el = OrbitalElements(A=A, a=a, theta0=wrap_angle(theta0), alpha=p.alpha)
+    a2 = min(max(a2, 0.0), L2)
+    hb = p.h * p.alpha
+    e = math.sqrt(max(1.0 - a2 / L2, 0.0))
+    if e > 0.0:
+        da2 = (a2 - R - hb * e) / (1.0 + 0.5 * hb / (L2 * e))
+        if abs(da2) < 1e-6 * scale:
+            a2 = min(max(a2 - da2, 0.0), L2)
+    el = OrbitalElements(-p.alpha * p.alpha / (4.0 * L * L), math.sqrt(a2), theta0, p.alpha)
     if el.max_y() < p.h:
         raise NoCollision("level-set ellipse does not reach the wall")
-    for nu in (math.pi, 0.0, 0.5 * math.pi, 1.5 * math.pi):
-        state = cartesian_from_elements(el, nu)
-        if state.y < p.h:
-            return state
-    raise NoCollision("could not place the start below the wall")
+    return cartesian_from_elements(el, math.pi)
 
 
 def omega_estimate_of(series: GammaSeries) -> tuple[float, float]:

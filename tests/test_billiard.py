@@ -3,7 +3,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -17,6 +17,7 @@ from kepler_billiard.billiard import (
     R_from_R0,
     accessible_interval,
     conserved_R,
+    impact_event,
     invariant_report,
     level_set_R,
     next_revolving_crossing,
@@ -44,6 +45,7 @@ from kepler_billiard.kepler import (
     Params,
     RevolvingOrbit,
     cartesian_from_elements,
+    eccentric_from_true,
     eccentric_of_state,
     elements_from_cartesian,
     revolving_orbit,
@@ -375,6 +377,45 @@ class TestStep:
         assert out.py < 0.0
         assert out.t == ev.t
 
+    def test_start_above_the_wall(self, params):
+        # y prints as 1 at this distance, so the message also gives y - h
+        with pytest.raises(NotOnWall, match=r"\(y = 1, y - h = 1e-09\)$"):
+            step(CartesianState(0.3, params.h + 1e-9, 1.0, 0.5), params)
+
+
+class TestOnWallStart:
+    """A start on the wall moving up hits it at once, on either route."""
+
+    @PROPERTY
+    @given(
+        g=st.sampled_from([0.0, 0.05]),
+        x=st.floats(-3.0, 3.0),
+        off=st.floats(-0.99, 0.99),
+        heading=st.floats(0.01, math.pi - 0.01),
+        frac=st.floats(0.05, 0.95),
+    )
+    # about the start of TestSimulate's on-wall run
+    @example(g=0.0, x=1.286836803600051, off=0.0, heading=1.031150751816641,
+             frac=0.7840511500982955)
+    def test_first_event_is_the_start(self, g, x, off, heading, frac):
+        # a bound start within TOL_EVENT of the wall, moving up at any heading
+        p = Params(alpha=1.0, g=g, h=1.0)
+        y = p.h + off * TOL_EVENT
+        r_sq = x * x + y * y
+        speed = math.sqrt(frac * (p.alpha / math.sqrt(r_sq) - g / r_sq))
+        s = CartesianState(x, y, speed * math.cos(heading), speed * math.sin(heading), 2.5)
+        if g > 0.0:
+            orb = revolving_orbit(s, p)
+            E0 = eccentric_from_true(orb.nu0, orb.e)
+        else:
+            el = elements_from_cartesian(s, p)
+            E0 = eccentric_of_state(el, s)
+        out, ev = step(s, p, n=0)
+        assert ev.t == s.t
+        want_out, want_ev = impact_event(s, p, 0, E_hit=E0)
+        assert_same(out, want_out)
+        assert_same(ev, want_ev)
+
 
 class TestRun:
     def test_zero_events(self, params, reference_state):
@@ -565,9 +606,18 @@ class TestRevolvingFlow:
 
     @PROPERTY
     @RANDOM_ORBITS
+    # precesses by about 0.0054 rad a radial turn: no hit within MAX_ARC_TIME
+    @example(g=0.001, A=-0.1875, e=0.75, theta0=5.5, prograde=True, nu=0.0)
     def test_random_orbits_hit_the_wall_first_time(self, g, A, e, theta0, prograde, nu):
         p, s, orb = self.random_start(g, A, e, theta0, prograde, nu)
-        E_hit, hit = next_revolving_crossing(orb, p)
+        try:
+            E_hit, hit = next_revolving_crossing(orb, p)
+        except NoCollision as exc:  # precessing too slowly to meet the wall in time
+            assert str(exc) == f"no wall crossing within t = {billiard.MAX_ARC_TIME:g}"
+            with pytest.raises(NoCollision) as got:
+                step(s, p)
+            assert str(got.value) == str(exc)
+            return
         assert abs(hit.y - p.h) < TOL_EVENT and hit.py > 0.0
         H = s.hamiltonian(p)
         assert abs(hit.hamiltonian(p) - H) <= 1e-12 * abs(H)
@@ -624,6 +674,13 @@ class TestRevolvingFlow:
         assert s.angular_momentum == 0.0
         with pytest.raises(NoCollision, match="t = 10000"):
             step(s, self.PG)
+
+    def test_at_rest_at_the_potential_minimum(self):
+        # r = g/mu with no momentum: k = e = 0, so the scan has no bound to
+        # step by, and the particle never moves
+        p = Params(alpha=1.0, g=0.5, h=1.0)
+        with pytest.raises(NoCollision, match="t = 10000"):
+            step(CartesianState(0.0, -1.0, 0.0, 0.0), p)
 
     def test_grazing(self, monkeypatch):
         monkeypatch.setattr(billiard, "TOL_GRAZE", 10.0)

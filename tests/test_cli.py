@@ -488,6 +488,23 @@ class TestSimulate:
         svg = (out / "trajectory.svg").read_text()
         assert "nan" not in svg and "inf" not in svg
 
+    def test_start_on_the_wall_moving_up_hits_at_once(self, tmp_path):
+        # the first impact is the start: a forward search from it rounds the
+        # crossing to just behind it and flies a revolution through the wall
+        # (first impact at t = 65.13, y up to 7.01)
+        start = {"x": 1.286836803600051, "y": 1.0, "px": 0.35640056639675566,
+                 "py": 0.5950443046778483}
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({"n_collisions": 3, "initial": {"cartesian": start}}))
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(f), "--out", str(out)]) == 0
+        header, rows = read_csv(out / "events.csv")
+        assert len(rows) == 3
+        assert float(rows[0][header.index("t")]) == 0.0
+        assert float(rows[0][header.index("x_impact")]) == start["x"]
+        _, samples = read_csv(out / "trajectory.csv")
+        assert max(float(r[2]) for r in samples) <= 1.0 + 1e-12
+
     def test_byte_identical_reruns(self, tmp_path):
         doc1 = base_doc(tmp_path, n_collisions=30)
         doc1["output_dir"] = str(tmp_path / "a")

@@ -10,7 +10,6 @@ from kepler_billiard import delaunay
 from kepler_billiard.billiard import conserved_R, run
 from kepler_billiard.delaunay import (
     GammaSeries,
-    a_branch,
     conjecture_report,
     gamma_of,
     gamma_series,
@@ -21,11 +20,17 @@ from kepler_billiard.delaunay import (
     spread_by_parity,
 )
 from kepler_billiard.errors import (
+    Degenerate,
     GammaUndefined,
     InsufficientData,
     NoCollision,
 )
-from kepler_billiard.kepler import OrbitalElements, Params, cartesian_from_elements
+from kepler_billiard.kepler import (
+    OrbitalElements,
+    Params,
+    cartesian_from_elements,
+    elements_from_cartesian,
+)
 
 TWO_PI = 2.0 * math.pi
 L_REF = -math.sqrt(1.5)
@@ -50,52 +55,6 @@ def gamma_run():
     s0 = initial_state_on_level(L_REF, R_REF, p)
     res = run(s0, 320, p)
     return p, res, gamma_series(res.events, p)
-
-
-class TestABranch:
-    def test_theta0_zero_both_eps(self, params):
-        for eps in (1, -1):
-            a = a_branch(0.0, R_REF, L_REF, eps, params)
-            assert abs(a - math.sqrt(R_REF)) < 1e-14
-
-    def test_theta0_pi(self, params):
-        for eps in (1, -1):
-            a = a_branch(math.pi, R_REF, L_REF, eps, params)
-            assert abs(a - math.sqrt(R_REF)) < 1e-13
-
-    def test_implicit_residual(self, params):
-        # oracle: substitute back into a^2 = R - h*alpha*sin(theta0)*e(a)
-        rng = np.random.default_rng(23)
-        checked = 0
-        while checked < 400:
-            th = rng.uniform(0.0, TWO_PI)
-            R = rng.uniform(0.3, 1.45)
-            eps = 1 if rng.uniform() < 0.5 else -1
-            try:
-                a = a_branch(th, R, L_REF, eps, params)
-            except GammaUndefined:
-                continue
-            e = math.sqrt(max(1.0 - a * a / (L_REF * L_REF), 0.0))
-            resid = abs(a * a - R + params.h * params.alpha * math.sin(th) * e)
-            assert resid < 1e-12
-            checked += 1
-
-    def test_continuation_root_rejected(self, params):
-        # at sin > 0 the eps = +1 quadratic root solves the e < 0 mirror only
-        with pytest.raises(GammaUndefined):
-            a_branch(math.pi / 2, R_REF, L_REF, 1, params)
-        with pytest.raises(GammaUndefined):
-            a_branch(1.5 * math.pi, R_REF, L_REF, -1, params)
-
-    def test_requires_negative_L(self, params):
-        with pytest.raises(ValueError):
-            a_branch(0.3, R_REF, abs(L_REF), 1, params)
-
-    def test_negative_discriminant(self, params):
-        # R > L^2 kills the discriminant near sin(theta0) = 0
-        R = 1.6
-        with pytest.raises(GammaUndefined):
-            a_branch(0.05, R, L_REF, -1, params)
 
 
 class TestGammaOf:
@@ -432,9 +391,53 @@ class TestOmegaOfLevel:
 class TestInitialStateOnLevel:
     def test_lands_on_level(self, params):
         s = initial_state_on_level(L_REF, R_REF, params)
-        from kepler_billiard.kepler import elements_from_cartesian
-
         el = elements_from_cartesian(s, params)
         assert abs(conserved_R(el, params) - R_REF) < 1e-10
         assert abs(el.L - L_REF) < 1e-12
         assert s.y < params.h
+
+    def test_reference_start_pinned(self, params):
+        # the start of verify's gamma reference, bit for bit
+        assert repr(initial_state_on_level(L_REF, R_REF, params)) == (
+            "CartesianState(x=-1.5744818758317942e-15, y=-3.673320053068152, "
+            "px=0.3249101759613068, py=-1.5077994319356152e-16, t=0.0)"
+        )
+
+    def test_level_above_its_range(self, params):
+        # R > L^2: no a^2 in [0, L^2] solves the level at theta0 = 3*pi/2
+        with pytest.raises(GammaUndefined, match="no valid branch at theta0 = 4.71239"):
+            initial_state_on_level(L_REF, 1.6, params)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        alpha=st.floats(0.1, 10.0),
+        h=st.floats(0.1, 10.0),
+        size=st.floats(0.5, 5.0),
+        ecc=st.floats(-0.5, 0.99),
+    )
+    def test_random_levels(self, alpha, h, size, ecc):
+        # an ellipse of semi-major axis size*h and the level R that its
+        # aphelion at 3*pi/2 would carry with eccentricity ecc; ecc < 0 gives
+        # levels of the e < 0 continuation, some above L^2.  The start lies
+        # below the wall on the level, or the level has none for a named reason
+        p = Params(alpha=alpha, h=h)
+        L = -math.sqrt(0.5 * alpha * size * h)
+        R = L * L * (1.0 - ecc * ecc) - h * alpha * ecc
+        try:
+            s = initial_state_on_level(L, R, p)
+        except (GammaUndefined, NoCollision, Degenerate):
+            return
+        # the eccentricity vector (toward perihelion) from the state itself:
+        # e = sqrt(1 - a^2/L^2) from the elements loses half its digits as
+        # e -> 0, this does not
+        mu = 0.5 * p.alpha
+        a = s.angular_momentum
+        ex, ey = s.py * a / mu - s.x / s.r, -s.px * a / mu - s.y / s.r
+        assert s.y < p.h
+        assert abs(ex) <= 1e-12 and ey >= -1e-12  # aphelion at theta0 = 3*pi/2
+        # R = a^2 + h*alpha*e*sin(theta0), and e*sin(theta0) = -ey.  Near a
+        # circle R moves with a^2 as h*alpha/(2 L^2 e): one ulp of a^2 moves
+        # it by about 1e-8 at e = 0, and the bound holds from e = 1e-3 on
+        # (the worst of 10^4 random starts there: 2.4e-13)
+        if ey >= 1e-3:
+            assert abs(a * a - p.h * p.alpha * ey - R) <= 1e-12 * max(1.0, abs(R))

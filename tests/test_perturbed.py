@@ -170,6 +170,11 @@ class TestSectionEnsemble:
         assert out[0].events == []
         assert out[1].error is None and len(out[1].events) == 5
 
+    def test_escaping_domain_error_fails_seed(self):
+        # billiard.run lets Unbound out of its first step; the seed fails
+        (out,) = section_ensemble([CartesianState(0.0, -0.5, 2.0, 0.0)], 3, Params())
+        assert out.error == "Unbound: A = 2 >= 0: not a bound orbit" and out.events == []
+
     def test_no_collision_within_time_cap_fails_seed(self, reference_state, monkeypatch):
         # this orbit's first g = 0.05 impact comes at t = 3.9
         monkeypatch.setattr(billiard, "MAX_ARC_TIME", 1.0)
