@@ -523,7 +523,9 @@ def run(
         except NotOnWall as exc:
             halted = f"off the wall at event {k}: {exc}"
             break
-        if samples_per_arc > 0:
+        # an on-wall upward start's arc takes no time: the next arc's first
+        # sample is that start, reflected
+        if samples_per_arc > 0 and event.t != state.t:
             chunks.append(_orbit_samples(state, event.E_hit, p, samples_per_arc))
         events.append(event)
         reports.append(invariant_report(event, p))

@@ -5,20 +5,17 @@ solves the implicit relation
 
     a^2 = R - h*alpha*sin(theta0) * sqrt(1 - a^2/L^2),
 
-whose square is a quadratic in a^2.  The QUADPACK oracle
-:func:`generating_integral` integrates its roots
+whose square is a quadratic in a^2.  Of its two roots only the one with
+sign(a^2 - R) = -sign(sin(theta0)) meets the relation with e >= 0 (the other
+is its e -> -e continuation), so the level's momentum a > 0 is
 
-    a^2 = R - (h*alpha*sin(theta0))^2 / (2L^2)  +  eps * sqrt(disc),
+    a^2 = R - (h*alpha*sin(theta0))^2 / (2L^2) - sign(sin(theta0)) * sqrt(disc),
     disc = (h*alpha*sin(theta0))^4 / (4L^4)
-         + (h*alpha*sin(theta0))^2 * (1 - R/L^2),
+         + (h*alpha*sin(theta0))^2 * (1 - R/L^2).
 
-labelled by eps = +-1, with a = sqrt(a^2) > 0.  Only one eps root satisfies
-the implicit relation with the non-negative square root (the other is its
-e -> -e continuation): the valid one has sign(a^2 - R) = -sign(sin), that is
-eps = -1 where sin(theta0) > 0 and eps = +1 where sin(theta0) < 0.  So the
-oracle takes eps = -1 on (0, pi) and alternates it per half-turn
-(:func:`_half_turns`), and :func:`initial_state_on_level` starts each level
-at theta0 = 3*pi/2 on the eps = +1 root.
+The roots merge at multiples of pi, where disc = 0, so this one rule gives a
+smooth profile.  :func:`_gammas`, :func:`initial_state_on_level` and the
+QUADPACK oracle :func:`generating_integral` all read it.
 
 The conjectured angle gamma is the R-derivative of the generating integral
 ``int_0^theta0 a(L, R, psi) dpsi``; its two-collision increments are the
@@ -68,35 +65,6 @@ def _coeffs(s2: float, R: float, L: float, p: Params):
     return t1, disc, m
 
 
-def _a_sq_raw(s2: float, R: float, L: float, eps: int, p: Params) -> float:
-    """eps-labelled quadratic root for a^2 (no Eq.-membership validation)."""
-    t1, disc, _ = _coeffs(s2, R, L, p)
-    if disc < -1e-13 * max(1.0, abs(R)):
-        raise GammaUndefined(f"discriminant {disc:g} < 0")
-    return t1 + eps * math.sqrt(max(disc, 0.0))
-
-
-def _half_turns(theta0: float):
-    """Yield (lo, hi, eps) for each half-turn of [0, theta0].
-
-    The valid root is eps = -1 where sin(psi) > 0 and eps = +1 where
-    sin(psi) < 0, and the two roots merge at multiples of pi, so eps
-    alternates per half-turn and a(psi)^2 is the smooth momentum profile of
-    the level set (a fixed eps would integrate the e < 0 continuation on half
-    of each turn).  The first piece is always yielded: theta0 = 0 gives the
-    empty piece (0, 0).
-    """
-    if theta0 < 0.0:
-        raise ValueError("theta0 must be non-negative")
-    k = 0
-    lo = 0.0
-    while k == 0 or lo < theta0 - 1e-15:
-        hi = min((k + 1) * math.pi, theta0)
-        yield lo, hi, (-1 if k % 2 == 0 else 1)
-        lo = hi
-        k += 1
-
-
 def quad(*args, **kwargs):
     """``scipy.integrate.quad``, with scipy.integrate imported on the first call.
 
@@ -106,16 +74,6 @@ def quad(*args, **kwargs):
     import scipy.integrate
 
     return scipy.integrate.quad(*args, **kwargs)
-
-
-def _quad_piece(f, lo: float, hi: float) -> float:
-    """Adaptive quadrature over one half-turn [lo, hi] (sin keeps its sign)."""
-    if lo == hi:
-        return 0.0
-    val, err = quad(f, lo, hi, epsabs=TOL_QUAD, epsrel=1e-12, limit=200)
-    if err > 1e3 * TOL_QUAD + 1e-12 * abs(val):
-        raise GammaUndefined(f"quadrature error estimate {err:g} too large")
-    return val
 
 
 def _rf(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -222,14 +180,33 @@ def gamma_of(theta0: float, R: float, L: float, p: Params) -> float:
 
 
 def generating_integral(theta0: float, R: float, L: float, p: Params) -> float:
-    """The integral int_0^theta0 a(L, R, psi) dpsi itself (for oracles)."""
-    total = 0.0
-    for lo, hi, eps in _half_turns(theta0):
-        def f(psi, _e=eps):
-            s = math.sin(psi)
-            return math.sqrt(max(_a_sq_raw(s * s, R, L, _e, p), 0.0))
+    """The integral int_0^theta0 a(L, R, psi) dpsi itself (for oracles).
 
-        total += _quad_piece(f, lo, hi)
+    One QUADPACK call per half-turn [k*pi, (k+1)*pi], the last cut at theta0,
+    so sin(psi) keeps its sign on each.  GammaUndefined where disc < 0 or a
+    piece misses the quadrature tolerance.
+    """
+    if not theta0 >= 0.0:
+        raise ValueError("theta0 must be non-negative")
+    if math.isinf(theta0):
+        raise ValueError("theta0 must be finite")
+
+    def a(psi):
+        s = math.sin(psi)
+        t1, disc, _ = _coeffs(s * s, R, L, p)
+        if disc < -1e-13 * max(1.0, abs(R)):
+            raise GammaUndefined(f"discriminant {disc:g} < 0")
+        return math.sqrt(max(t1 - math.copysign(math.sqrt(max(disc, 0.0)), s), 0.0))
+
+    total, k = 0.0, 0
+    # past k*pi > 0, a sliver under 1e-15 is rounding, not a piece
+    while k * math.pi < theta0 - (1e-15 if k else 0.0):
+        val, err = quad(a, k * math.pi, min((k + 1) * math.pi, theta0),
+                        epsabs=TOL_QUAD, epsrel=1e-12, limit=200)
+        if err > 1e3 * TOL_QUAD + 1e-12 * abs(val):
+            raise GammaUndefined(f"quadrature error estimate {err:g} too large")
+        total += val
+        k += 1
     return total
 
 
@@ -305,7 +282,7 @@ def initial_state_on_level(L: float, R: float, p: Params) -> CartesianState:
 
     Builds the ellipse with aphelion at theta0 = 3*pi/2 and the valid root
     a > 0 there, and starts the particle at that aphelion, y = -aM*(1 + e),
-    below the wall.  sin(theta0) = -1, so the valid root is eps = +1:
+    below the wall.  sin(theta0) = -1, so the valid root is
     a^2 = t1 + sqrt(disc), with e = sqrt(1 - a^2/L^2) >= 0 in the implicit
     relation a^2 = R + h*alpha*e, and one guarded Newton step of that
     relation polishes it.

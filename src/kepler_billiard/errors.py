@@ -50,9 +50,9 @@ class EmptyLevelSet(BilliardError):
 
 
 class GammaUndefined(BilliardError):
-    """gamma has no value here: the angular-momentum branch does not exist,
-    its R-derivative is singular (branch point or a = 0), or the quadrature
-    missed its tolerance."""
+    """gamma has no value here: the angular-momentum root does not exist or
+    its R-derivative is singular (branch point or a = 0); or the oracle
+    ``delaunay.generating_integral`` missed its quadrature tolerance."""
 
 
 class InsufficientData(BilliardError):

@@ -505,6 +505,21 @@ class TestSimulate:
         _, samples = read_csv(out / "trajectory.csv")
         assert max(float(r[2]) for r in samples) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("g", [0.0, 0.05])
+    def test_on_wall_start_sampled_once(self, tmp_path, g):
+        # the first arc of an on-wall upward start takes no time and adds no
+        # samples: the trajectory starts once, reflected, at t = 0
+        start = {"x": 1.286836803600051, "y": 1.0, "px": 0.35640056639675566,
+                 "py": 0.5950443046778483}
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({"n_collisions": 3, "initial": {"cartesian": start}}))
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(f), "--out", str(out), "--g", str(g)]) == 0
+        _, samples = read_csv(out / "trajectory.csv")
+        at_start = [r for r in samples if float(r[0]) == 0.0]
+        assert len(at_start) == 1 and float(at_start[0][4]) < 0.0
+        assert len(samples) == 512 * 2
+
     def test_byte_identical_reruns(self, tmp_path):
         doc1 = base_doc(tmp_path, n_collisions=30)
         doc1["output_dir"] = str(tmp_path / "a")
@@ -706,6 +721,29 @@ class TestRegion:
             x, b = float(row[0]), float(row[1])
             r = math.hypot(x, p.h)
             assert abs(b**2 - max(-0.5 - p.g / r**2 + p.alpha / r, 0.0)) < 1e-12
+
+    def test_inner_turning_circle_skips_rows(self, tmp_path):
+        # g = 2, A = -0.1: the inner turning radius 5 - sqrt(5) = 2.764 lies
+        # above the wall, so the abscissae inside it are not accessible and
+        # get no row
+        p = Params(alpha=1.0, g=2.0, h=1.0)
+        doc = {"mode": "region", "params": {"alpha": 1.0, "g": 2.0, "h": 1.0},
+               "ensemble": {"energy": -0.1}, "output_dir": str(tmp_path / "r")}
+        region = cli.run_command(cli.parse_config(doc, "region")).manifest
+        _, rows = read_csv(tmp_path / "r" / "region.csv")
+        assert len(rows) == 642
+
+        def rad(x):
+            r = math.hypot(x, p.h)
+            return -0.1 - p.g / (r * r) + p.alpha / r
+
+        grid = np.linspace(region["x_min"], region["x_max"], 1001).tolist()
+        x_in = math.sqrt((5.0 - math.sqrt(5.0)) ** 2 - p.h**2)
+        written = [float(r[0]) for r in rows]
+        assert written == [x for x in grid if abs(x) >= x_in]
+        assert all(rad(x) < 0.0 for x in grid if abs(x) < x_in)
+        for x, row in zip(written, rows):
+            assert abs(float(row[1]) ** 2 - max(rad(x), 0.0)) < 1e-12
 
     def test_initial_energy_includes_g(self, tmp_path):
         # region takes A from the state simulate starts from, g/r^2 included,

@@ -60,15 +60,24 @@ def gamma_run():
 class TestGammaOf:
     def test_zero_angle(self, params):
         assert gamma_of(0.0, R_REF, L_REF, params) == 0.0
+        assert generating_integral(0.0, R_REF, L_REF, params) == 0.0
 
     def test_finite_difference_of_generating_integral(self, params):
-        # inside each half-turn, on a multiple of pi, and at the full loop 2*pi
+        # inside each half-turn, on a multiple of pi, at the full loop 2*pi,
+        # and past it: inside the fourth half-turn and after two whole turns
         hs = 1e-6 * R_REF
-        for th in (0.9, 2.6, math.pi, 4.0, 5.5, TWO_PI):
+        for th in (0.9, 2.6, math.pi, 4.0, 5.5, TWO_PI, 9.0, 2.0 * TWO_PI):
             g = gamma_of(th, R_REF, L_REF, params)
             ip = generating_integral(th, R_REF + hs, L_REF, params)
             im = generating_integral(th, R_REF - hs, L_REF, params)
             assert abs(g - (ip - im) / (2.0 * hs)) < 1e-6, th
+
+    def test_generating_integral_rejects_bad_angles(self, params):
+        for th in (-0.5, math.nan):
+            with pytest.raises(ValueError, match="non-negative"):
+                generating_integral(th, R_REF, L_REF, params)
+        with pytest.raises(ValueError, match="finite"):
+            generating_integral(math.inf, R_REF, L_REF, params)
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(
@@ -92,14 +101,12 @@ class TestGammaOf:
             assert abs(g - quadpack_gamma(th, 1.0005, L_REF, params)) <= 1e-12 * max(1.0, abs(g)), th
 
     def test_rounding_limited_level(self, params):
-        # R - h*alpha = 3e-8: near the momentum peak the integrand's rounding
-        # sets the error estimate, so halves there stop improving; gamma is
-        # still defined and within _quad_piece's acceptance bound of the
-        # values of the same integral at 40 digits (mpmath, R = 1 + 3e-8 as
-        # a double)
+        # R - h*alpha = 3e-8, a narrow momentum peak near psi = pi/2: the
+        # closed form keeps to the values of the same integral at 40 digits
+        # (mpmath, R = 1 + 3e-8 as a double)
         for th, exact in ((2.0, 15.243498402975346), (5.0, 16.887739656491264)):
             g = gamma_of(th, 1.0 + 3e-8, L_REF, params)
-            assert abs(g - exact) <= 1e3 * delaunay.TOL_QUAD + 1e-12 * abs(g), th
+            assert abs(g - exact) <= 1e-12 * abs(g), th
 
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -255,9 +262,9 @@ class TestGammaSeries:
         assert np.all(np.abs(g[2:] - g[:-2] - d[:-2]) < 1e-12)
 
     def test_observed_root_follows_sin_sign(self, gamma_run):
-        # on the level set the valid quadratic root is -sign(sin theta0),
-        # so every collision's post-ellipse must sit on that label; the
-        # eps = +1 root is the one with a^2 >= R - (h*alpha*sin)^2/(2L^2)
+        # on the level set the valid quadratic root lies on the side
+        # -sign(sin theta0) of t1 = R - (h*alpha*sin)^2/(2L^2), so every
+        # collision's post-ellipse must sit on that side
         p, res, _ = gamma_run
         for ev in res.events:
             el = ev.post
@@ -274,8 +281,8 @@ class TestGammaSeries:
         assert all(col.size == len(res.events) for col in columns(series))
 
     def test_undefined_rows_flagged_without_warnings(self, params):
-        # R < h*alpha: the momentum loop crosses a = 0, so some lanes of the
-        # quadrature are undefined; they must not warn and their rows are flagged
+        # R < h*alpha: the momentum loop crosses a = 0, so gamma is undefined
+        # at some collisions; their lanes must not warn and their rows are flagged
         s0 = initial_state_on_level(L_REF, 0.8, params)
         res = run(s0, 60, params)
         with warnings.catch_warnings():
@@ -284,7 +291,7 @@ class TestGammaSeries:
         assert undefined_rows_flagged(res, series, params) > 0
 
     def test_series_uses_scalar_gamma_bit_for_bit(self, gamma_run, monkeypatch):
-        # the series' one quadrature pass gives every lane the bits of gamma_of
+        # the series' one closed-form pass gives every lane the bits of gamma_of
         p, res, series = gamma_run
         passes = []
         real = delaunay._gammas

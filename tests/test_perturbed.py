@@ -95,6 +95,11 @@ class TestIntegrateToWall:
         with pytest.raises(StepFailure, match="left bounding radius"):
             integrate_to_wall(s, p)
 
+    def test_center_guard_is_step_failure(self):
+        # from rest beside the centre the particle falls straight at it
+        with pytest.raises(StepFailure, match="approached the center within 1e-06"):
+            integrate_to_wall(CartesianState(1e-4, -0.5, 0.0, 0.0), Params())
+
     def test_no_collision_timeout(self, monkeypatch):
         p = Params()
         el = OrbitalElements(A=-1.0, a=math.sqrt(0.2), theta0=0.1, alpha=1.0)
