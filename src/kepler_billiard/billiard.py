@@ -22,10 +22,11 @@ Q = (0, h) to the ellipse center.  Each collision is certified through an
 box bounds on both.
 
 At g > 0 the orbit is Newton's revolving ellipse (:class:`RevolvingOrbit`),
-and :func:`next_revolving_crossing` finds the first upward root of the wall
-function in its true anomaly by a certified scan and a Brent polish.  Its
-events carry the osculating g = 0 elements at the impact, so the same report
-measures how far R drifts.  An arc that would take longer than
+and :func:`next_revolving_crossing` brackets the first upward root of the
+wall function by a certified scan in its true anomaly and polishes it by
+Newton's method in the radial orbit's eccentric anomaly.  Its events carry
+the osculating g = 0 elements at the impact, so the same report measures
+how far R drifts.  An arc that would take longer than
 ``MAX_ARC_TIME`` counts as never reaching the wall, here and on the ODE route
 of :mod:`perturbed`.
 
@@ -38,7 +39,6 @@ convention is insensitive to the sense of parametrization.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +74,7 @@ TOL_EVENT = 1e-12
 TOL_GRAZE = 1e-10
 MAX_ARC_TIME = 1e4  # the longest free flight, on every route
 MAX_SCAN_STEPS = 100_000  # certified steps per g > 0 arc before it counts as grazing
+MAX_POLISH_ITER = 50  # Newton steps on a g > 0 crossing's bracket
 
 
 @dataclass(slots=True)
@@ -213,57 +214,6 @@ def next_wall_crossing(
     return E_hit, aM * (1.0 - e * cE), math.atan2(ty, tx) % math.pi, hit
 
 
-def _brentq(f, xa: float, xb: float) -> float:
-    """A root of f in [xa, xb], given ``f(xa) < 0 <= f(xb)``, by Brent's method.
-
-    A float-for-float port of scipy's ``brentq`` (``Zeros/brentq.c``) at
-    ``xtol=1e-15``, its default ``rtol`` of 4 eps and 100 iterations, and
-    ``disp=False``: an unconverged search returns its last iterate.  It keeps
-    ``scipy.optimize`` off the import path of :mod:`billiard`.
-    (R. P. Brent, *Algorithms for Minimization Without Derivatives*, 1973,
-    ch. 4.)
-    """
-    xtol, rtol = 1e-15, 4.0 * sys.float_info.epsilon
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fcur == 0.0:
-        return xcur
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                # C's x/0 is inf or NaN, and either one fails the test below
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den != 0.0 else math.inf
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = f(xcur)
-    return xcur
-
-
 def next_revolving_crossing(
     orb: RevolvingOrbit, p: Params, t0: float = 0.0
 ) -> tuple[float, CartesianState]:
@@ -276,9 +226,13 @@ def next_revolving_crossing(
     far as either bound proves ``f < 0``; the second-order step also leaves
     the wall at the arc's start, where ``f`` is about 0.  Once ``f' > 0`` and
     ``f'^2 > 2*B2*|f|``, f rises monotonically through exactly one root within
-    twice the Newton step, and Brent's method polishes that root on ``y - h``
-    itself.  Returns the radial orbit's eccentric anomaly at the root and the
-    state there (at time ``t0`` plus the flight time), before reflection.
+    twice the Newton step.  That bracket, started at the Newton point, goes
+    over to the radial orbit's eccentric anomaly E, where Newton's method on
+    ``y(E) - h`` polishes the root, bisecting where a step leaves the
+    bracket or the slope is not positive.  (Near the apocentre of a
+    near-radial orbit nu barely moves while the particle does, so a root in
+    nu can leave y 1e-11 off the wall.)  Returns E at the root and the state
+    there, at ``t0`` plus the flight time.
 
     Raises:
         NoCollision: if the apocentre lies below the wall, or the crossing
@@ -298,23 +252,20 @@ def next_revolving_crossing(
     if B2 == 0.0:  # at rest at r = g/mu (k = e = 0)
         raise no_crossing
 
-    def gap(nu: float) -> float:
-        return ell * math.sin(orb.phi0 + k * (nu - orb.nu0)) / (1.0 + e * math.cos(nu)) - h
-
     nu = orb.nu0
     for _ in range(MAX_SCAN_STEPS):
         if nu > nu_max:
             raise no_crossing
-        f = gap(nu) * (1.0 + e * math.cos(nu))  # the sign of y - h, exactly
-        df = ell * k * math.cos(orb.phi0 + k * (nu - orb.nu0)) + h * e * math.sin(nu)
+        phi = orb.phi0 + k * (nu - orb.nu0)
+        f = ell * math.sin(phi) - h * (1.0 + e * math.cos(nu))  # the sign of y - h
+        df = ell * k * math.cos(phi) + h * e * math.sin(nu)
         if f >= 0.0 and df > 0.0:  # on the wall going up, to round-off
-            nu_hit = nu
+            lo = E = hi = eccentric_from_true(nu, e)
             break
         if df > 0.0 and df * df > 2.0 * B2 * -f:
-            hi = nu - 2.0 * f / df
-            if gap(hi) >= 0.0:
-                # an unconverged estimate is caught by reflect's TOL_EVENT check
-                nu_hit = _brentq(gap, nu, hi)
+            hi = eccentric_from_true(nu - 2.0 * f / df, e)
+            if orb.state_at(hi).y >= h:
+                lo, E = eccentric_from_true(nu, e), eccentric_from_true(nu - f / df, e)
                 break
         disc = df * df - 2.0 * B2 * f
         if disc < 0.0:
@@ -327,15 +278,34 @@ def next_revolving_crossing(
         nu = nu_next
     else:
         raise GrazingContact(f"wall scan took more than {MAX_SCAN_STEPS} certified steps")
-    elapsed = orb.time_to(nu_hit)
+    # y(E) - h and its slope, with y formed as state_at forms it
+    aM, sq = orb.aM, math.sqrt(1.0 - e * e)
+    beta = e / (1.0 + sq)
+    for _ in range(MAX_POLISH_ITER):
+        cE, sE = math.cos(E), math.sin(E)
+        phi = orb.phi0 + k * (E + 2.0 * math.atan2(beta * sE, 1.0 - beta * cE) - orb.nu0)
+        sphi = math.sin(phi)
+        f = aM * (1.0 - e * cE) * sphi - h
+        df = aM * (e * sE * sphi + k * sq * math.cos(phi))
+        lo, hi = (E, hi) if f < 0.0 else (lo, E)
+        dE = f / df if df > 0.0 else math.inf
+        tol = 1e-15 * (1.0 + abs(E))
+        # a converged step of a few ulp is taken even onto a bracket end
+        if abs(dE) > tol and not lo < E - dE < hi:
+            dE = E - 0.5 * (lo + hi)
+        E -= dE
+        if abs(dE) <= tol:
+            break
+    # an unconverged estimate is caught by reflect's TOL_EVENT check
+    elapsed = orb.time_to(E)
     if elapsed > MAX_ARC_TIME:
         raise no_crossing
-    hit = orb.state_at(nu_hit, t=t0 + elapsed)
+    hit = orb.state_at(E, t=t0 + elapsed)
     if hit.py <= TOL_GRAZE:
         raise GrazingContact(
             f"normal velocity {hit.py:g} at contact below tol {TOL_GRAZE:g}"
         )
-    return eccentric_from_true(nu_hit, e), hit
+    return E, hit
 
 
 def reflect(s: CartesianState, p: Params, tol_event: float = TOL_EVENT) -> CartesianState:

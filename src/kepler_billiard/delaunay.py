@@ -27,6 +27,7 @@ the valid root gamma is an elliptic integral of the first kind, which
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from statistics import median
 
@@ -125,8 +126,10 @@ def _gammas(theta: np.ndarray, R: float, L: float, p: Params) -> np.ndarray:
     Above R = L^2, phi_R is not real and every lane is nan.
     """
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta < 0.0):
+    if not np.all(theta >= 0.0):  # NaN too, as in the oracle
         raise ValueError("theta0 must be non-negative")
+    if np.any(np.isinf(theta)):
+        raise ValueError("theta0 must be finite")
     hb = p.h * p.alpha
     L2 = L * L
     b = 2.0 * R - hb * hb / L2
@@ -170,6 +173,7 @@ def gamma_of(theta0: float, R: float, L: float, p: Params) -> float:
     evaluates over a whole series.
 
     Raises:
+        ValueError: if theta0 is negative, NaN or infinite.
         GammaUndefined: where gamma is undefined: below R = h*alpha once the
             path crosses a = 0, and everywhere above R = L^2.
     """
@@ -183,8 +187,8 @@ def generating_integral(theta0: float, R: float, L: float, p: Params) -> float:
     """The integral int_0^theta0 a(L, R, psi) dpsi itself (for oracles).
 
     One QUADPACK call per half-turn [k*pi, (k+1)*pi], the last cut at theta0,
-    so sin(psi) keeps its sign on each.  GammaUndefined where disc < 0 or a
-    piece misses the quadrature tolerance.
+    so sin(psi) keeps its sign on each.  GammaUndefined where disc < 0, or
+    where a piece misses the quadrature tolerance or QUADPACK warns.
     """
     if not theta0 >= 0.0:
         raise ValueError("theta0 must be non-negative")
@@ -201,8 +205,12 @@ def generating_integral(theta0: float, R: float, L: float, p: Params) -> float:
     total, k = 0.0, 0
     # past k*pi > 0, a sliver under 1e-15 is rounding, not a piece
     while k * math.pi < theta0 - (1e-15 if k else 0.0):
-        val, err = quad(a, k * math.pi, min((k + 1) * math.pi, theta0),
-                        epsabs=TOL_QUAD, epsrel=1e-12, limit=200)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            val, err = quad(a, k * math.pi, min((k + 1) * math.pi, theta0),
+                            epsabs=TOL_QUAD, epsrel=1e-12, limit=200)
+        if caught:  # QUADPACK's IntegrationWarning: the piece did not converge
+            raise GammaUndefined("quadrature warning: " + " ".join(str(caught[0].message).split()))
         if err > 1e3 * TOL_QUAD + 1e-12 * abs(val):
             raise GammaUndefined(f"quadrature error estimate {err:g} too large")
         total += val

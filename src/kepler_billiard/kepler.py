@@ -187,7 +187,8 @@ class RevolvingOrbit:
     The polar angle turns only ``k = l/l_eff`` times as fast as that orbit's
     true anomaly, ``phi = phi0 + k*(nu - nu0)`` (Newton, Principia I,
     Props. 43-45).  ``nu`` increases with time whatever the sense of
-    rotation, and ``l_eff^2 >= g`` keeps ``e`` below 1.
+    rotation, and ``l_eff^2 >= g`` keeps ``e`` below 1.  A point of the orbit
+    is named by the radial orbit's eccentric anomaly ``E``.
     """
 
     l: float
@@ -210,20 +211,22 @@ class RevolvingOrbit:
         """Mean-anomaly rate of the radial motion, sqrt(mu/aM^3)."""
         return math.sqrt(self.mu / self.aM**3)
 
-    def state_at(self, nu: float, t: float = 0.0) -> CartesianState:
-        """State at true anomaly ``nu``, from r, phi, p_r and p_phi = l/r."""
-        r = self.semi_latus / (1.0 + self.e * math.cos(nu))
+    def state_at(self, E: float, t: float = 0.0) -> CartesianState:
+        """State at eccentric anomaly ``E``, from r, phi(nu), p_r(nu) and p_phi = l/r."""
+        e = self.e
+        r = self.aM * (1.0 - e * math.cos(E))
+        nu = true_from_eccentric(E, e)
         phi = self.phi0 + self.k * (nu - self.nu0)
-        pr = self.mu / self.l_eff * self.e * math.sin(nu)
+        pr = self.mu / self.l_eff * e * math.sin(nu)
         pt = self.l / r
         c, s = math.cos(phi), math.sin(phi)
         return CartesianState(r * c, r * s, pr * c - pt * s, pr * s + pt * c, t)
 
-    def time_to(self, nu: float) -> float:
-        """Time from ``nu0`` to ``nu``, by Kepler's equation of the radial orbit."""
+    def time_to(self, E: float) -> float:
+        """Time from ``nu0`` to ``E``, by Kepler's equation of the radial orbit."""
         e = self.e
         M0 = mean_from_eccentric(eccentric_from_true(self.nu0, e), e)
-        return (mean_from_eccentric(eccentric_from_true(nu, e), e) - M0) / self.mean_motion()
+        return (mean_from_eccentric(E, e) - M0) / self.mean_motion()
 
 
 def revolving_orbit(s: CartesianState, p: Params) -> RevolvingOrbit:
@@ -331,9 +334,8 @@ def state_at_eccentric(el: OrbitalElements, E: float, t: float = 0.0) -> Cartesi
 def true_from_eccentric(E: float, e: float) -> float:
     """True anomaly from eccentric anomaly (continuous across revolutions).
 
-    The anomaly oracle, called only by the tests: they check
-    ``eccentric_from_true`` as its inverse, and map a revolving crossing's
-    ``E_hit`` back to the true anomaly to scan the arc before the hit.
+    ``RevolvingOrbit.state_at`` takes the polar angle from it, and the tests
+    check ``eccentric_from_true`` as its inverse.
     """
     beta = e / (1.0 + math.sqrt(max(1.0 - e * e, 0.0)))
     return E + 2.0 * math.atan2(beta * math.sin(E), 1.0 - beta * math.cos(E))

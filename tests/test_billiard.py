@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 from kepler_billiard import billiard, reference
 from kepler_billiard.billiard import (
@@ -43,7 +42,6 @@ from kepler_billiard.kepler import (
     CartesianState,
     OrbitalElements,
     Params,
-    RevolvingOrbit,
     cartesian_from_elements,
     eccentric_from_true,
     eccentric_of_state,
@@ -624,7 +622,7 @@ class TestRevolvingFlow:
         assert abs(hit.angular_momentum - orb.l) <= 1e-12 * orb.l_eff
         # no upward crossing before the hit, on a dense grid of the arc
         nus = np.linspace(orb.nu0, true_from_eccentric(E_hit, orb.e), 2000)[:-1]
-        ys = np.array([orb.state_at(float(v)).y for v in nus]) - p.h
+        ys = np.array([orb.state_at(eccentric_from_true(float(v), orb.e)).y for v in nus]) - p.h
         assert not np.any((ys[:-1] < 0.0) & (ys[1:] >= 0.0))
 
     @PROPERTY
@@ -720,6 +718,46 @@ class TestRevolvingFlow:
         assert res.halted == ("no further collision after event 2: "
                               "no wall crossing within t = 10000")
 
+    def test_near_radial_run_stays_on_the_wall(self):
+        # verify's start at g = 1e-6 reaches an arc with e = 1 - 1.4e-6 that
+        # hits the wall near its apocentre; a root found in the true anomaly
+        # left that hit 1.6e-11 off the wall and halted the run at event 133
+        res = run(reference.conservation_state(), 2000, Params(g=1e-6))
+        assert res.halted is None and len(res.events) == 2000
+
+    @PROPERTY
+    @given(
+        log_g=st.floats(-10.0, -3.0),
+        A=st.floats(-0.45, -0.1),
+        log_1me=st.floats(-7.0, -1.0),
+        xfrac=st.floats(-0.95, 0.95),
+        prograde=st.booleans(),
+    )
+    # a root in the true anomaly left the first hit 2.5e-12 off the wall
+    @example(log_g=-5.0, A=-0.4375, log_1me=-5.0, xfrac=0.0, prograde=False)
+    def test_near_radial_hits_on_the_wall(self, log_g, A, log_1me, xfrac, prograde):
+        # a reflected state on the wall whose revolving orbit has e = 1 - 10**log_1me,
+        # chained through 20 impacts; every hit lies within TOL_EVENT of y = h
+        p = Params(alpha=1.0, g=10.0**log_g, h=1.0)
+        e = 1.0 - 10.0**log_1me
+        l_eff_sq = (1.0 - e * e) * p.mu * p.mu / -A
+        assume(l_eff_sq > p.g)
+        l = math.copysign(math.sqrt(l_eff_sq - p.g), 1.0 if prograde else -1.0)
+        x = xfrac * accessible_interval(A, p)[1]
+        r = math.hypot(x, p.h)
+        pr_sq = A + p.alpha / r - p.g / (r * r) - (l / r) ** 2
+        assume(pr_sq > 0.0)
+        pr, pt, c, s = -math.sqrt(pr_sq), l / r, x / r, p.h / r
+        state = CartesianState(x, p.h, pr * c - pt * s, pr * s + pt * c)
+        assume(state.py < 0.0)
+        for _ in range(20):
+            try:
+                _, hit = next_revolving_crossing(revolving_orbit(state, p), p, t0=state.t)
+            except (NoCollision, GrazingContact):
+                break
+            assert abs(hit.y - p.h) < TOL_EVENT and hit.py > 0.0
+            state = reflect(hit, p)
+
     def test_run_samples_each_arc_from_its_step(self):
         s = reference.conservation_state()
         res = run(s, 3, self.PG, samples_per_arc=32)
@@ -732,64 +770,6 @@ class TestRevolvingFlow:
         # each arc after the first leaves from the impact that ended the one before
         assert list(t[32::32]) == pytest.approx([ev.t for ev in res.events[:2]], abs=1e-12)
         assert t[-1] < res.events[2].t
-
-
-def revolving_gap(orb: RevolvingOrbit, h: float):
-    """The function whose root ``next_revolving_crossing`` polishes: y(nu) - h."""
-
-    def gap(nu: float) -> float:
-        return orb.semi_latus * math.sin(orb.phi0 + orb.k * (nu - orb.nu0)) / (
-            1.0 + orb.e * math.cos(nu)) - h
-
-    return gap
-
-
-class TestBrent:
-    """The private Brent port against scipy's brentq, the independent oracle."""
-
-    @PROPERTY
-    @given(
-        l_eff=st.floats(0.3, 2.0),
-        k=st.floats(-1.0, 1.0),
-        e=st.floats(0.0, 0.95),
-        phi0=st.floats(0.0, TWO_PI),
-        nu0=st.floats(0.0, TWO_PI),
-        level=st.floats(0.01, 0.99),
-        lo=st.integers(0, 399),
-        hi=st.integers(0, 399),
-    )
-    def test_matches_scipy_bit_for_bit(self, l_eff, k, e, phi0, nu0, level, lo, hi):
-        orb = RevolvingOrbit(l=k * l_eff, l_eff=l_eff, e=e, aM=1.0, mu=0.5, phi0=phi0, nu0=nu0)
-        # a wall between the lowest and the highest y on a grid over two turns
-        nus = [float(v) for v in np.linspace(nu0, nu0 + 2.0 * TWO_PI, 400)]
-        ys = [revolving_gap(orb, 0.0)(v) for v in nus]
-        gap = revolving_gap(orb, min(ys) + level * (max(ys) - min(ys)))
-        # a bracket gap(a) < 0 <= gap(b) with a < b, as the scan hands over
-        below = [v for v in nus if gap(v) < 0.0]
-        assume(below)
-        a = below[lo % len(below)]
-        above = [v for v in nus if v > a and gap(v) >= 0.0]
-        assume(above)
-        b = above[hi % len(above)]
-        assert billiard._brentq(gap, a, b) == brentq(gap, a, b, xtol=1e-15, disp=False)
-
-    def test_interpolation_step_bound(self):
-        # a bracket (one in 20 000 random draws) where an interpolated step is
-        # taken or refused by the "- delta" of its bound 3*|sbis| - delta
-        orb = RevolvingOrbit(l=0.030133574435911914, l_eff=1.8619897444389109,
-                             e=0.5794299019337391, aM=1.0, mu=0.5,
-                             phi0=6.192579044736169, nu0=5.178908130117778)
-        gap = revolving_gap(orb, -0.43192011401310987)
-        a, b = 5.21040279331166, 5.462360098862721
-        assert billiard._brentq(gap, a, b) == brentq(gap, a, b, xtol=1e-15, disp=False)
-
-    def test_root_at_upper_end(self):
-        # gap(0) = 2*sin(pi/2) - 2 = 0 exactly
-        orb = RevolvingOrbit(l=1.0, l_eff=1.0, e=0.0, aM=1.0, mu=0.5, phi0=math.pi / 2, nu0=0.0)
-        gap = revolving_gap(orb, 2.0)
-        assert gap(0.0) == 0.0 and gap(-0.5) < 0.0
-        assert billiard._brentq(gap, -0.5, 0.0) == 0.0
-        assert brentq(gap, -0.5, 0.0, xtol=1e-15, disp=False) == 0.0
 
 
 class TestAccessibleInterval:

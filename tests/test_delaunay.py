@@ -79,6 +79,25 @@ class TestGammaOf:
         with pytest.raises(ValueError, match="finite"):
             generating_integral(math.inf, R_REF, L_REF, params)
 
+    def test_gamma_rejects_bad_angles_as_the_oracle_does(self, params):
+        for th in (-0.5, math.nan):
+            with pytest.raises(ValueError, match="non-negative"):
+                gamma_of(th, R_REF, L_REF, params)
+        with pytest.raises(ValueError, match="finite"):
+            gamma_of(math.inf, R_REF, L_REF, params)
+
+    @pytest.mark.parametrize("theta0, R, L, alpha", [
+        (3.310152797252826, 1.0 + 1.24e-9, -1.4591387165169984, 1.0),
+        (10.736739069988007, 1.9145063599416754, -2.739781192829705, 1.9145063610210795),
+    ])
+    def test_generating_integral_quadrature_warning_is_undefined(self, theta0, R, L, alpha):
+        # near-edge levels where QUADPACK warns of round-off: the oracle
+        # gives no value there, and no warning escapes it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GammaUndefined, match="quadrature warning: The occurrence"):
+                generating_integral(theta0, R, L, Params(alpha=alpha, h=1.0))
+
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(
         A=st.floats(-0.24, -0.01),

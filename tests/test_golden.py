@@ -27,9 +27,16 @@ GOLDEN = {
         "delta2_gamma.svg": "a8a03fb540d582423ed855a6e26ffc161f0eb0f3194535f09c257c21c12941e9",
         "gamma.csv": "8afa3288d01417086b4215ee41de99515d406fbccc66ac60383209ad224b07fb",
     },
+    # the two g > 0 runs: re-pinned when the revolving wall crossing moved
+    # its root polish from the true to the eccentric anomaly.  Every hit moved
+    # by at most 8.1e-13 in x_impact and 5.0e-12 in t (perturbed_g005) and
+    # 2.0e-12 in x (section_sweep seeds 0-4).  Seed 5 of section_sweep
+    # moves by 1e-12 up to impact 10, then grows about tenfold every two
+    # impacts (1.8e-10 at 11, 8.6e-7 at 22), as a chaotic orbit amplifies
+    # any change
     "perturbed_g005": {
-        "events.csv": "290473c5d72159c1d160cf2df29da90b95a1900617aa8808f010d3fadc75369f",
-        "trajectory.csv": "f0fbe31764c02f2550dba3e7503c028a70261037aae61379b6842e4d615a055a",
+        "events.csv": "f95487d96a878f8778a170748d452016ba557a08b011d1adeb21b4862b1a1740",
+        "trajectory.csv": "f83320ffd449d6eacac55da77989d8ee69de57e71337b70bcc9c8ad6d3af9d7b",
         "trajectory.svg": "1bb3d0ac2673a99ea7e221f13db16132cea0fbdc8a4a1422484a9e37e227357b",
     },
     "reference_g0": {
@@ -41,8 +48,8 @@ GOLDEN = {
         "region.csv": "a1d3a050add3c8aefc55f11bcff9dc9a65fc9d96180544457b343f0934365eed",
     },
     "section_sweep": {
-        "section.csv": "aa6fbc2586262b1a4c556f3271db57e3860b594622a7901a1877732a767d37af",
-        "section.svg": "cdf9e2666da04052b5a9fb64865f0504d838394be71e001675550065088aafad",
+        "section.csv": "175f906b04fed7e63ebbbc6f79e69df59bca44c2337e77c6c05bd81cc4ff4322",
+        "section.svg": "1333442b03ac7301ebf5f0bf6bf97982ccfcb867eccf698d3f7fccccbd719bbf",
     },
     "section": {
         "section.csv": "544fb11c4d0c20d5543e7828064b13252ce909efcb7329e3fcb148621fdc5d8d",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kepler_billiard import billiard
 from kepler_billiard.errors import Degenerate, Unbound
 from kepler_billiard.kepler import (
     TOL_ECC,
@@ -324,7 +325,7 @@ class TestRevolvingOrbit:
     def test_state_at_start_reproduces_state(self):
         for s in self.states():
             orb = revolving_orbit(s, self.G)
-            back = orb.state_at(orb.nu0)
+            back = orb.state_at(eccentric_from_true(orb.nu0, orb.e))
             for a, b in zip((back.x, back.y, back.px, back.py), (s.x, s.y, s.px, s.py)):
                 assert abs(a - b) <= 1e-13 * max(1.0, s.r, math.sqrt(s.speed_sq))
 
@@ -332,18 +333,36 @@ class TestRevolvingOrbit:
         for s in self.states():
             orb = revolving_orbit(s, self.G)
             H, l = s.hamiltonian(self.G), s.angular_momentum
-            for nu in orb.nu0 + np.linspace(0.0, 20.0, 41):
-                st = orb.state_at(float(nu))
-                assert abs(st.hamiltonian(self.G) - H) <= 1e-13 * abs(H) / min(1.0, st.r)
+            E0 = eccentric_from_true(orb.nu0, orb.e)
+            for E in E0 + np.linspace(0.0, 20.0, 41):
+                st = orb.state_at(float(E))
+                # r = aM*(1 - e*cos E) cancels near the pericentre, so H is
+                # held to the size of its terms, not to |H|
+                scale = 0.5 * st.speed_sq + self.G.mu / st.r + 0.5 * self.G.g / st.r**2
+                assert abs(st.hamiltonian(self.G) - H) <= 1e-13 * scale
                 assert abs(st.angular_momentum - l) <= 1e-13 * max(1.0, st.r)
 
     def test_radial_period(self):
         for s in self.states()[:10]:
             orb = revolving_orbit(s, self.G)
             period = TWO_PI / orb.mean_motion()
-            assert orb.time_to(orb.nu0) == 0.0
-            assert abs(orb.time_to(orb.nu0 + TWO_PI) - period) <= 1e-12 * period
-            assert abs(orb.time_to(orb.nu0 + 3.0 * TWO_PI) - 3.0 * period) <= 1e-12 * period
+            E0 = eccentric_from_true(orb.nu0, orb.e)
+            assert orb.time_to(E0) == 0.0
+            assert abs(orb.time_to(E0 + TWO_PI) - period) <= 1e-12 * period
+            assert abs(orb.time_to(E0 + 3.0 * TWO_PI) - 3.0 * period) <= 1e-12 * period
+
+    def test_state_at_is_the_sampled_arc(self):
+        # the one parametrisation of a revolving arc: state_at(E) is the row
+        # that billiard's arc sampler computes at the same E, on numpy arrays
+        for s in self.states():
+            orb = revolving_orbit(s, self.G)
+            E0 = eccentric_from_true(orb.nu0, orb.e)
+            rows = billiard._revolving_samples(orb, E0, E0 + 3.0 * TWO_PI, 0.0, 64)
+            for E, row in zip(np.linspace(E0, E0 + 3.0 * TWO_PI, 64, endpoint=False), rows):
+                st = orb.state_at(float(E), t=orb.time_to(float(E)))
+                assert abs(st.t - row[0]) <= 1e-14 * abs(row[0])
+                got = np.array([st.x, st.y, st.px, st.py])
+                assert np.max(np.abs(got - row[1:])) <= 1e-14 * np.max(np.abs(row[1:]))
 
     def test_eccentricity_below_one(self):
         # l_eff^2 >= g bounds e^2 by 1 - 2|H|g/mu^2, even for radial motion
