@@ -226,13 +226,11 @@ def next_revolving_crossing(
     far as either bound proves ``f < 0``; the second-order step also leaves
     the wall at the arc's start, where ``f`` is about 0.  Once ``f' > 0`` and
     ``f'^2 > 2*B2*|f|``, f rises monotonically through exactly one root within
-    twice the Newton step.  That bracket, started at the Newton point, goes
-    over to the radial orbit's eccentric anomaly E, where Newton's method on
-    ``y(E) - h`` polishes the root, bisecting where a step leaves the
-    bracket or the slope is not positive.  (Near the apocentre of a
-    near-radial orbit nu barely moves while the particle does, so a root in
-    nu can leave y 1e-11 off the wall.)  Returns E at the root and the state
-    there, at ``t0`` plus the flight time.
+    twice the Newton step.  Newton's method on ``y(E) - h`` in the radial
+    orbit's eccentric anomaly E, from the Newton point, polishes that root,
+    bisecting where a step leaves the bracket or the slope is not positive
+    (near a near-radial apocentre, a root in nu can lie 1e-11 off the wall).
+    Returns E at the root and the state there, at ``t0`` plus the flight time.
 
     Raises:
         NoCollision: if the apocentre lies below the wall, or the crossing
@@ -247,7 +245,8 @@ def next_revolving_crossing(
     B1 = ell * abs(k) + h * e
     B2 = ell * k * k + h * e
     # in MAX_ARC_TIME the radial motion completes at most n*T/(2*pi) + 1 turns
-    nu_max = orb.nu0 + orb.mean_motion() * MAX_ARC_TIME + TWO_PI
+    n = orb.mean_motion()
+    nu_max = orb.nu0 + n * MAX_ARC_TIME + TWO_PI
     no_crossing = NoCollision(f"no wall crossing within t = {MAX_ARC_TIME:g}")
     if B2 == 0.0:  # at rest at r = g/mu (k = e = 0)
         raise no_crossing
@@ -264,6 +263,7 @@ def next_revolving_crossing(
             break
         if df > 0.0 and df * df > 2.0 * B2 * -f:
             hi = eccentric_from_true(nu - 2.0 * f / df, e)
+            # lo needs no such check: only a round-off landing, at a pericentre, puts it on the wall
             if orb.state_at(hi).y >= h:
                 lo, E = eccentric_from_true(nu, e), eccentric_from_true(nu - f / df, e)
                 break
@@ -278,29 +278,26 @@ def next_revolving_crossing(
         nu = nu_next
     else:
         raise GrazingContact(f"wall scan took more than {MAX_SCAN_STEPS} certified steps")
-    # y(E) - h and its slope, with y formed as state_at forms it
-    aM, sq = orb.aM, math.sqrt(1.0 - e * e)
-    beta = e / (1.0 + sq)
+    # y(E) - h, dy/dE = p_y*(1 - e*cos E)/n; the hit is the last state evaluated
+    dE = 0.0
     for _ in range(MAX_POLISH_ITER):
-        cE, sE = math.cos(E), math.sin(E)
-        phi = orb.phi0 + k * (E + 2.0 * math.atan2(beta * sE, 1.0 - beta * cE) - orb.nu0)
-        sphi = math.sin(phi)
-        f = aM * (1.0 - e * cE) * sphi - h
-        df = aM * (e * sE * sphi + k * sq * math.cos(phi))
+        E -= dE
+        s = orb.state_at(E)
+        f = s.y - h
+        df = s.py * (1.0 - e * math.cos(E)) / n
         lo, hi = (E, hi) if f < 0.0 else (lo, E)
         dE = f / df if df > 0.0 else math.inf
         tol = 1e-15 * (1.0 + abs(E))
-        # a converged step of a few ulp is taken even onto a bracket end
+        # a step of a few ulp ends the polish, even one out of the bracket
         if abs(dE) > tol and not lo < E - dE < hi:
             dE = E - 0.5 * (lo + hi)
-        E -= dE
         if abs(dE) <= tol:
             break
     # an unconverged estimate is caught by reflect's TOL_EVENT check
     elapsed = orb.time_to(E)
     if elapsed > MAX_ARC_TIME:
         raise no_crossing
-    hit = orb.state_at(E, t=t0 + elapsed)
+    hit = CartesianState(s.x, s.y, s.px, s.py, t0 + elapsed)
     if hit.py <= TOL_GRAZE:
         raise GrazingContact(
             f"normal velocity {hit.py:g} at contact below tol {TOL_GRAZE:g}"
@@ -432,15 +429,15 @@ def _arc_samples(el: OrbitalElements, E0: float, E1: float, t0: float, m: int) -
 def _revolving_samples(
     orb: RevolvingOrbit, E0: float, E1: float, t0: float, m: int
 ) -> np.ndarray:
-    """Sample a revolving arc at m points, uniform in the radial eccentric anomaly."""
-    e = orb.e
+    """Sample a revolving arc at m points uniform in E, by the formulas of ``state_at``."""
+    e, aM = orb.e, orb.aM
     E = np.linspace(E0, E1, m, endpoint=False)
     cE, sE = np.cos(E), np.sin(E)
     beta = e / (1.0 + math.sqrt(1.0 - e * e))
     nu = E + 2.0 * np.arctan2(beta * sE, 1.0 - beta * cE)
-    r = orb.aM * (1.0 - e * cE)
+    r = orb.semi_latus / (1.0 + e) + 2.0 * aM * e * np.sin(0.5 * E) ** 2
     phi = orb.phi0 + orb.k * (nu - orb.nu0)
-    pr = orb.mu / orb.l_eff * e * np.sin(nu)
+    pr = math.sqrt(orb.mu * aM) * e * sE / r
     pt = orb.l / r
     cphi, sphi = np.cos(phi), np.sin(phi)
     t = t0 + ((E - e * sE) - mean_from_eccentric(E0, e)) / orb.mean_motion()

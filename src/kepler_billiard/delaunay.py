@@ -194,6 +194,7 @@ def generating_integral(theta0: float, R: float, L: float, p: Params) -> float:
         raise ValueError("theta0 must be non-negative")
     if math.isinf(theta0):
         raise ValueError("theta0 must be finite")
+    from scipy.integrate import IntegrationWarning  # the import runs before warnings are recorded
 
     def a(psi):
         s = math.sin(psi)
@@ -209,8 +210,10 @@ def generating_integral(theta0: float, R: float, L: float, p: Params) -> float:
             warnings.simplefilter("always")
             val, err = quad(a, k * math.pi, min((k + 1) * math.pi, theta0),
                             epsabs=TOL_QUAD, epsrel=1e-12, limit=200)
-        if caught:  # QUADPACK's IntegrationWarning: the piece did not converge
-            raise GammaUndefined("quadrature warning: " + " ".join(str(caught[0].message).split()))
+        for w in caught:  # QUADPACK's own: the piece did not converge
+            if issubclass(w.category, IntegrationWarning):
+                raise GammaUndefined("quadrature warning: " + " ".join(str(w.message).split()))
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
         if err > 1e3 * TOL_QUAD + 1e-12 * abs(val):
             raise GammaUndefined(f"quadrature error estimate {err:g} too large")
         total += val

@@ -212,12 +212,12 @@ class RevolvingOrbit:
         return math.sqrt(self.mu / self.aM**3)
 
     def state_at(self, E: float, t: float = 0.0) -> CartesianState:
-        """State at eccentric anomaly ``E``, from r, phi(nu), p_r(nu) and p_phi = l/r."""
-        e = self.e
-        r = self.aM * (1.0 - e * math.cos(E))
-        nu = true_from_eccentric(E, e)
-        phi = self.phi0 + self.k * (nu - self.nu0)
-        pr = self.mu / self.l_eff * e * math.sin(nu)
+        """State at eccentric anomaly ``E``, with r and p_r = dr/dt formed in E free of
+        the cancellation in ``1 - e*cos E`` and of nu's rounding near the pericentre."""
+        e, aM = self.e, self.aM
+        r = self.semi_latus / (1.0 + e) + 2.0 * aM * e * math.sin(0.5 * E) ** 2
+        phi = self.phi0 + self.k * (true_from_eccentric(E, e) - self.nu0)
+        pr = math.sqrt(self.mu * aM) * e * math.sin(E) / r
         pt = self.l / r
         c, s = math.cos(phi), math.sin(phi)
         return CartesianState(r * c, r * s, pr * c - pt * s, pr * s + pt * c, t)

@@ -758,6 +758,25 @@ class TestRevolvingFlow:
             assert abs(hit.y - p.h) < TOL_EVENT and hit.py > 0.0
             state = reflect(hit, p)
 
+    def test_scan_landing_a_rounding_below_the_wall(self):
+        # radial orbits (l = 0) whose pericentre lies just under a low wall: y < h
+        # only for |nu| < 1e-4, where f'' is within 1e-8*B2 of B2, so the scan's
+        # second-order step lands on the root to round-off.  Some landings keep
+        # f < 0 in nu while y in E is already on or above the wall, so the
+        # bracket's lower end is not below the wall in E; the polish then
+        # settles on that end, which lies on the wall to round-off
+        p = Params(alpha=1.0, g=0.05, h=0.05)
+        ell, nu_star = p.g / p.mu, 1e-4
+        for phi0 in np.linspace(0.7, 2.4, 10):
+            e = (ell * math.sin(phi0) / p.h - 1.0) / math.cos(nu_star)
+            for nu0 in np.linspace(-0.95, -0.05, 10) * nu_star:
+                r = ell / (1.0 + e * math.cos(nu0))
+                pr = p.mu / math.sqrt(p.g) * e * math.sin(nu0)
+                s = CartesianState(r * math.cos(phi0), r * math.sin(phi0),
+                                   pr * math.cos(phi0), pr * math.sin(phi0))
+                _, hit = next_revolving_crossing(revolving_orbit(s, p), p)
+                assert abs(hit.y - p.h) <= 1e-16 and hit.py > 0.0
+
     def test_run_samples_each_arc_from_its_step(self):
         s = reference.conservation_state()
         res = run(s, 3, self.PG, samples_per_arc=32)

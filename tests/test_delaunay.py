@@ -98,6 +98,21 @@ class TestGammaOf:
             with pytest.raises(GammaUndefined, match="quadrature warning: The occurrence"):
                 generating_integral(theta0, R, L, Params(alpha=alpha, h=1.0))
 
+    def test_generating_integral_passes_other_warnings_on(self, params, monkeypatch):
+        # only QUADPACK's IntegrationWarning means an undefined level; any
+        # other warning raised inside a quad call reaches the caller as it is
+        quad = delaunay.quad
+
+        def warning_quad(*args, **kwargs):
+            warnings.warn("unrelated", DeprecationWarning)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(delaunay, "quad", warning_quad)
+        with pytest.warns(DeprecationWarning, match="unrelated"):
+            val = generating_integral(1.0, R_REF, L_REF, params)
+        monkeypatch.setattr(delaunay, "quad", quad)
+        assert val == generating_integral(1.0, R_REF, L_REF, params)
+
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(
         A=st.floats(-0.24, -0.01),

@@ -28,15 +28,15 @@ GOLDEN = {
         "gamma.csv": "8afa3288d01417086b4215ee41de99515d406fbccc66ac60383209ad224b07fb",
     },
     # the two g > 0 runs: re-pinned when the revolving wall crossing moved
-    # its root polish from the true to the eccentric anomaly.  Every hit moved
-    # by at most 8.1e-13 in x_impact and 5.0e-12 in t (perturbed_g005) and
-    # 2.0e-12 in x (section_sweep seeds 0-4).  Seed 5 of section_sweep
-    # moves by 1e-12 up to impact 10, then grows about tenfold every two
-    # impacts (1.8e-10 at 11, 8.6e-7 at 22), as a chaotic orbit amplifies
-    # any change
+    # its root polish and its hit state from the true to the eccentric
+    # anomaly.  Every hit moved by at most 3.0e-12 in x_impact and 5.8e-11 in
+    # t (perturbed_g005, a relative 2.0e-14 after 200 impacts) and 4.5e-12 in
+    # x (section_sweep seeds 0-4).  Seed 5 of section_sweep moves by 3e-13 up
+    # to impact 10, then by 5.6e-11 at 11 and 2.7e-7 at 22, as a chaotic
+    # orbit amplifies any change
     "perturbed_g005": {
-        "events.csv": "f95487d96a878f8778a170748d452016ba557a08b011d1adeb21b4862b1a1740",
-        "trajectory.csv": "f83320ffd449d6eacac55da77989d8ee69de57e71337b70bcc9c8ad6d3af9d7b",
+        "events.csv": "f50344ba8154fa23f87038f601090333f600366ebb3c8f6bc487723175624e07",
+        "trajectory.csv": "801b6ef7ef19501d02f6641ea5e0d73b091fbde7ce984bcf82f6d87016b320ed",
         "trajectory.svg": "1bb3d0ac2673a99ea7e221f13db16132cea0fbdc8a4a1422484a9e37e227357b",
     },
     "reference_g0": {
@@ -48,8 +48,8 @@ GOLDEN = {
         "region.csv": "a1d3a050add3c8aefc55f11bcff9dc9a65fc9d96180544457b343f0934365eed",
     },
     "section_sweep": {
-        "section.csv": "175f906b04fed7e63ebbbc6f79e69df59bca44c2337e77c6c05bd81cc4ff4322",
-        "section.svg": "1333442b03ac7301ebf5f0bf6bf97982ccfcb867eccf698d3f7fccccbd719bbf",
+        "section.csv": "c6096ef07a14e248994fe796dc3485e6e3c7b4e7dc90e043be2996e81f9da3f2",
+        "section.svg": "92063bd0f579267563dabb88953ff20040c53c1ac3318dad3ada67e278c66c9e",
     },
     "section": {
         "section.csv": "544fb11c4d0c20d5543e7828064b13252ce909efcb7329e3fcb148621fdc5d8d",
