@@ -38,6 +38,7 @@ convention is insensitive to the sense of parametrization.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -566,7 +567,7 @@ def level_set_R(A: float, R: float, p: Params) -> np.ndarray:
     xs = np.linspace(x_min, x_max, 1002)[1:-1]
     # math.hypot and math.acos per element: np.hypot and np.arccos differ
     # from them in the last bit on part of their inputs
-    r = np.array(list(map(math.hypot, xs.tolist(), [p.h] * xs.size)))
+    r = np.fromiter(map(math.hypot, xs.tolist(), itertools.repeat(p.h, xs.size)), float, xs.size)
     q = 2.0 * aM - r
     keep = q > 0.0
     xs, r, q = xs[keep], r[keep], q[keep]
@@ -582,8 +583,8 @@ def level_set_R(A: float, R: float, p: Params) -> np.ndarray:
     inside = (c2 >= -1.0) & (c2 <= 1.0 - 1e-12)
     if not inside.any():
         raise EmptyLevelSet(f"level R = {R:g} does not intersect the rectangle")
-    xs = xs[inside]
-    lam = 0.5 * np.array(list(map(math.acos, c2[inside].tolist())))  # in (0, pi/2]
+    xs, c2 = xs[inside], c2[inside]
+    lam = 0.5 * np.fromiter(map(math.acos, c2.tolist()), float, c2.size)  # in (0, pi/2]
     up = lam < 0.5 * math.pi
     return np.concatenate((np.column_stack((xs, lam)),
                            np.column_stack((xs[up], math.pi - lam[up]))[::-1]))

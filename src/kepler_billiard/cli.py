@@ -305,19 +305,18 @@ def _fmt_cell(v) -> str:
     return format(x, ".17g")
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: Path, header: list[str], rows) -> bytes:
+    """Write a CSV file and return the bytes written."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    path.write_bytes(data)
+    return data
 
 
 def _json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def finalize_bundle(
@@ -326,15 +325,21 @@ def finalize_bundle(
     """Write the run's files into its output directory, in the order of
     ``contents`` ({file name: content}), then the manifest.  A content is a
     CSV as ``(header, rows)``, a JSON document as a dict, or text; None
-    writes no file."""
-    contents = {name: c for name, c in contents.items() if c is not None}
-    files = [cfg.output_dir / name for name in contents]
-    for path, content in zip(files, contents.values()):
+    writes no file.  Each file is encoded once and written as bytes, and the
+    manifest's sizes and checksums are those of the bytes written."""
+    files, entries = [], []
+    for name, content in contents.items():
+        if content is None:
+            continue
+        path = cfg.output_dir / name
         if isinstance(content, tuple):
-            write_csv(path, *content)
+            data = write_csv(path, *content)
         else:
-            path.write_text(content if isinstance(content, str) else _json(content),
-                            encoding="utf-8")
+            data = (content if isinstance(content, str) else _json(content)).encode("utf-8")
+            path.write_bytes(data)
+        files.append(path)
+        entries.append({"name": name, "bytes": len(data),
+                        "sha256": hashlib.sha256(data).hexdigest()})
     manifest = {
         "config": {"mode": cfg.command, "output_dir": str(cfg.output_dir), **cfg.echo},
         "versions": {
@@ -344,15 +349,12 @@ def finalize_bundle(
             "scipy": scipy.__version__,
         },
         "wall_clock_s": round(time.monotonic() - t_start, 3),
-        "files": [
-            {"name": f.name, "bytes": f.stat().st_size, "sha256": _sha256(f)}
-            for f in files
-        ],
+        "files": entries,
     }
     if extra:
         manifest.update(extra)
     out = cfg.output_dir / "manifest.json"
-    out.write_text(_json(manifest), encoding="utf-8")
+    out.write_bytes(_json(manifest).encode("utf-8"))
     return OutputBundle(manifest=manifest, files=files + [out])
 
 
