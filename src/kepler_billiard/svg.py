@@ -3,7 +3,9 @@
 Only the primitives the figures need: polylines (optionally dashed), point
 markers (circle / plus / cross), straight lines, text, and a linear
 data-to-pixel mapping with simple axes.  Output is a plain string built in a
-fixed order, so identical inputs give byte-identical files.
+fixed order, so identical inputs give byte-identical files.  Pixel
+coordinates are written as ``"%.2f"`` writes them; a polyline's points are
+formatted in one numpy pass (``_fmt_points``) that gives the same bytes.
 """
 
 from __future__ import annotations
@@ -34,15 +36,15 @@ def _fmt_points(pts: np.ndarray) -> str:
     with np.errstate(over="ignore", invalid="ignore"):
         y = 100.0 * v
         k = np.rint(y)
-        odd = ~(np.abs(y) < 2.0**52) | (np.abs(y - k) == 0.5)
-    a = np.where(odd, 0.0, np.abs(k))  # integers below 2**52, exact in float
+        by_percent = ~(np.abs(y) < 2.0**52) | (np.abs(y - k) == 0.5)
+    a = np.where(by_percent, 0.0, np.abs(k))  # integers below 2**52, exact in float
     d = len("%d" % (a.max(initial=0.0) // 100))  # integer digits of the widest
     # the bytes of value i are column i: sign, d integer digits, '.', two
     # decimals and the separator (',' after x, ' ' after y).  A zero byte is
     # dropped from the text, so it stands for no sign and for a leading zero;
     # a 1 marks the place of a value that '%' writes.
     cells = np.zeros((d + 5, v.size), np.uint8)
-    cells[0] = np.where(odd, 1, np.where(np.signbit(v), 45, 0))
+    cells[0] = np.where(by_percent, 1, np.where(np.signbit(v), 45, 0))
     cells[d + 1] = 46
     cells[d + 4, 0::2] = 44
     cells[d + 4, 1::2] = 32
@@ -53,9 +55,10 @@ def _fmt_points(pts: np.ndarray) -> str:
             digit *= a > 0.0
         cells[row] = digit
         a = t
-    cells[1:d + 4, odd] = 0
+    cells[1:d + 4, by_percent] = 0
     text = cells.T.tobytes().translate(None, b"\0")[:-1].decode("ascii").split("\x01")
-    return text[0] + "".join(map(str.__add__, map("%.2f".__mod__, v[odd].tolist()), text[1:]))
+    written = map("%.2f".__mod__, v[by_percent].tolist())
+    return text[0] + "".join(map(str.__add__, written, text[1:]))
 
 
 # canvas size and plot-area margin in pixels

@@ -439,7 +439,8 @@ class TestSimulate:
     ], ids=["simulate", "gamma", "section", "region", "verify"])
     def test_manifest_checksums(self, tmp_path, monkeypatch, command, flags, names):
         # the manifest lists exactly the data files in the directory, in the
-        # order they were written, each with its size and checksum
+        # order they were written, each with its size and checksum; it takes
+        # them from the bytes it wrote, so this reads the files back from disk
         monkeypatch.setattr(cli, "run_verify_checks", lambda: {
             name: thr for name, (_, thr) in cli.VERIFY_CHECKS.items()})
         out = tmp_path / "o"
@@ -448,9 +449,11 @@ class TestSimulate:
         assert [e["name"] for e in manifest["files"]] == names
         assert sorted(p.name for p in out.iterdir()) == sorted(names + ["manifest.json"])
         for entry in manifest["files"]:
-            data = (out / entry["name"]).read_bytes()
+            path = out / entry["name"]
+            data = path.read_bytes()
             assert hashlib.sha256(data).hexdigest() == entry["sha256"]
-            assert len(data) == entry["bytes"]
+            assert path.stat().st_size == len(data) == entry["bytes"]
+            assert b"\r" not in data  # written as bytes: '\n' line ends anywhere
         assert manifest["config"]["mode"] == command
 
     def test_off_wall_halt_keeps_the_events(self, tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from kepler_billiard.svg import Figure
+from kepler_billiard.svg import Figure, _fmt_points
 
 
 def _points_per_point(fig: Figure, xs, ys) -> str:
@@ -60,6 +60,43 @@ class TestPolyline:
                 ' stroke-dasharray="6 4" stroke-opacity="0.5"'
                 f' points="{expected}"/>'
             ]
+
+
+# values whose 100 v lies at or next to a rounding tie: 0.125 and 0.375 are
+# ties that '%' rounds to even; 2.675 and (k + 1/2)/100 lie off the tie,
+# while fl(100 v) may land on it
+HALVES = [(k + 0.5) / 100
+          for k in (0, 1, 2, 12, 267, 1234, 10**6 + 7, 10**9 + 3, 10**12 + 5, 10**14 - 1, 10**14)]
+TIES = [0.125, 0.375, 2.675] + [
+    w for v in HALVES for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 5e-324, -5e-324, -0.004,
+           2.0**52 / 100, 2.0**52]
+# every float, subnormals, signed zeros, infinities, NaN and magnitudes up to
+# 1e300 included, and a share of values on the scale of a figure
+values = st.one_of(st.floats(allow_subnormal=True), st.floats(-1e300, 1e300), st.floats(-1e3, 1e3))
+
+
+class TestFormatPoints:
+    """The array formatter of polyline points is '%.2f' byte for byte."""
+
+    @given(points=st.lists(st.tuples(values, values), min_size=1, max_size=30))
+    @example(points=[(v, -v) for v in TIES])
+    @example(points=[(v, -v) for v in SPECIAL])
+    def test_matches_percent(self, points):
+        expected = " ".join("%.2f,%.2f" % pt for pt in points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _fmt_points(np.array(points, dtype=float)) == expected
+            # through polyline, on a figure whose pixel maps are the identity
+            fig = Figure((0.0, 1.0), (0.0, 1.0))
+            fig._px = fig._py = lambda v: v
+            fig.polyline([x for x, _ in points], [y for _, y in points])
+        drawn = [pt for pt in points if math.isfinite(pt[0]) and math.isfinite(pt[1])]
+        if drawn:
+            assert fig._body[0].endswith(
+                ' points="' + " ".join("%.2f,%.2f" % pt for pt in drawn) + '"/>')
+        else:
+            assert fig._body == []
 
 
 class TestEqualAspect:
