@@ -27,6 +27,13 @@ GOLDEN = {
         "delta2_gamma.svg": "a8a03fb540d582423ed855a6e26ffc161f0eb0f3194535f09c257c21c12941e9",
         "gamma.csv": "8afa3288d01417086b4215ee41de99515d406fbccc66ac60383209ad224b07fb",
     },
+    # a run whose level R - 1e-4|R| of domega_dR lies below h*alpha, so its
+    # report holds the probe's error in place of the conjecture statistics
+    "gamma_shifted_below": {
+        "conjecture_report.json": "f5850bd8702cd20c0ded8d43b4e1f2351c16a3d624e25f3e0a8a0ef1eb39b4e0",
+        "delta2_gamma.svg": "affc603ef7f3a57bca0a0a20fd1fed0a3308efb7346dc12c9164b6f3ebc4eb97",
+        "gamma.csv": "55257caa3e1a8ec043d16ed45fc4515ee2fa19ab31116f0cae56a0a29208903a",
+    },
     # the two g > 0 runs: re-pinned when the revolving wall crossing moved
     # its root polish and its hit state from the true to the eccentric
     # anomaly.  Every hit moved by at most 3.0e-12 in x_impact and 5.8e-11 in
