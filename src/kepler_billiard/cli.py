@@ -293,6 +293,12 @@ def parse_config(doc: dict, command: str) -> RunConfig:
 
 
 def _fmt_cell(v) -> str:
+    # the exact types of nearly every cell first; the rule below covers all
+    t = type(v)
+    if t is float:
+        return "" if math.isnan(v) else format(v, ".17g")
+    if t is int:
+        return str(v)
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, str):
@@ -309,7 +315,7 @@ def write_csv(path: Path, header: list[str], rows) -> bytes:
     """Write a CSV file and return the bytes written."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt_cell(v) for v in row))
+        lines.append(",".join(map(_fmt_cell, row)))
     data = ("\n".join(lines) + "\n").encode("utf-8")
     path.write_bytes(data)
     return data
@@ -408,11 +414,7 @@ def _delta2_figure(series: delaunay.GammaSeries) -> str | None:
         xlabel="collision index n",
         ylabel="delta2 gamma",
     )
-    for n, v in zip(ns.tolist(), vals.tolist()):
-        if n % 2 == 0:
-            fig.marker_plus(n, v, stroke="#1f77b4")
-        else:
-            fig.marker_cross(n, v, stroke="#d62728")
+    fig.markers(ns, vals, ns % 2 == 1)
     fig.text(fig.width - fig.margin, fig.margin - 10, "+ even n, x odd n", anchor="end", size=11)
     return fig.to_svg()
 
@@ -508,19 +510,22 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, dict]:
 
 
 def cmd_gamma(cfg: RunConfig) -> tuple[dict, dict]:
-    res = billiard.run(cfg.starts[0], cfg.n_collisions, cfg.params)
-    series = delaunay.gamma_series(res.events, cfg.params)
-    report: dict = {"n_samples": series.gamma.size}
+    p = cfg.params
+    res = billiard.run(cfg.starts[0], cfg.n_collisions, p)
+    report: dict = {"n_samples": len(res.events)}
+    probes = []
     if res.events:
         el0 = res.events[0].post
-        L = el0.L
-        R = billiard.conserved_R(el0, cfg.params)
-        report["L"] = L
-        report["R"] = R
-        report["R_above_h_alpha"] = R > cfg.params.h * cfg.params.alpha
-        report["branch_mismatch_rows"] = np.flatnonzero(series.mismatch).tolist()
+        L, R = el0.L, billiard.conserved_R(el0, p)
+        if len(res.events) >= delaunay.MIN_SAMPLES:
+            probes = delaunay.probe_runs(L, R, p)
+    # the series and both probes from one closed-form pass
+    series, *probes = delaunay.gamma_series_of([res.events, *probes], p)
+    if res.events:
+        report.update(L=L, R=R, R_above_h_alpha=R > p.h * p.alpha,
+                      branch_mismatch_rows=np.flatnonzero(series.mismatch).tolist())
         try:
-            report["conjectures"] = delaunay.conjecture_report(series, L, R, cfg.params)
+            report["conjectures"] = delaunay.conjecture_report(series, L, R, p, probes)
         except BilliardError as exc:
             report["conjectures"] = {"error": f"{type(exc).__name__}: {exc}"}
     columns = zip(series.gamma.tolist(), series.delta2.tolist(), series.eps.tolist())

@@ -21,7 +21,8 @@ The conjectured angle gamma is the R-derivative of the generating integral
 ``int_0^theta0 a(L, R, psi) dpsi``; its two-collision increments are the
 observable tested against the one-part-per-million constancy claim.  Along
 the valid root gamma is an elliptic integral of the first kind, which
-:func:`_gammas` evaluates in closed form with Carlson's R_F.
+:func:`_gammas` evaluates in closed form with Carlson's R_F, in one pass
+over a run and the two probe orbits of its anisochrony (:func:`gamma_series_of`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from statistics import median
 import numpy as np
 
 from . import billiard
-from .errors import GammaUndefined, InsufficientData, NoCollision
+from .errors import BilliardError, GammaUndefined, InsufficientData, NoCollision
 from .kepler import (
     TWO_PI,
     CartesianState,
@@ -44,6 +45,7 @@ from .kepler import (
 )
 
 TOL_QUAD = 1e-11
+MIN_SAMPLES = 100  # collisions below which conjecture_report makes no verdict
 
 
 @dataclass(slots=True, eq=False)
@@ -82,7 +84,8 @@ def _rf(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Duplication, then Carlson's fifth-order series (B. C. Carlson, Numer.
     Algorithms 10, 1995).  Every lane takes 13 steps, so its bits depend on
-    its own x and y alone.  That meets Carlson's stopping rule at
+    its own x and y alone, and one call may hold the lanes of several
+    levels (:func:`_gammas`).  That meets Carlson's stopping rule at
     r = 2^-53 wherever R_F is finite: R_F(x, y, 1) <= R_F(0, 5e-324, 1) < 374
     keeps the mean above 374^-2, and 4^-13 brings his bound Q <= 253 below
     it.  A lane that still fails the rule (x = y = 0, where R_F is
@@ -105,8 +108,13 @@ def _rf(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(q < 4.0**13 * a, rf, np.nan)
 
 
-def _gammas(theta: np.ndarray, R: float, L: float, p: Params) -> np.ndarray:
-    """gamma at each theta >= 0 in closed form, nan where it is undefined.
+def _gammas(theta: np.ndarray, R: np.ndarray, L: np.ndarray, p: Params) -> np.ndarray:
+    """gamma at each lane (theta >= 0, R, L) in closed form, nan where it is undefined.
+
+    One pass may hold several levels: a run of consecutive lanes with the
+    same (R, L) is one level, which adds its own psi = 0 lane and K lane.
+    The arithmetic is elementwise and :func:`_rf` takes a fixed number of
+    steps, so every lane has the bits it has in a pass over its level alone.
 
     In u = a^2, dgamma = du / (2 sqrt(u Q(u))) on the level, with
     Q(u) = -u^2 + (2R - (h*alpha)^2/L^2) u + (h*alpha)^2 - R^2, which equals
@@ -130,6 +138,17 @@ def _gammas(theta: np.ndarray, R: float, L: float, p: Params) -> np.ndarray:
         raise ValueError("theta0 must be non-negative")
     if np.any(np.isinf(theta)):
         raise ValueError("theta0 must be finite")
+    # a level starts wherever (R, L) changes
+    n = theta.size
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (R[1:] != R[:-1]) | (L[1:] != L[:-1])
+    first = np.flatnonzero(starts)
+    level = np.cumsum(starts) - 1  # of each theta lane
+    n_lvl = first.size
+    # the psi lanes: every theta and, last, psi = 0 (where u = R) per level
+    R = np.concatenate((R, R[first]))
+    L = np.concatenate((L, L[first]))
+    psi = np.concatenate((theta, np.zeros(n_lvl)))
     hb = p.h * p.alpha
     L2 = L * L
     b = 2.0 * R - hb * hb / L2
@@ -138,8 +157,7 @@ def _gammas(theta: np.ndarray, R: float, L: float, p: Params) -> np.ndarray:
         u_hi = 0.5 * (b + np.sqrt(b * b + 4.0 * c))
         u_lo = -c / u_hi
         d = u_hi - u_lo
-        # u on the valid root at each theta and, last, at psi = 0, where u = R
-        psi = np.append(theta, 0.0)
+        # u on the valid root at each psi
         s = np.sin(psi)
         t1, disc, _ = _coeffs(s * s, R, L, p)
         u = t1 - np.copysign(np.sqrt(disc), s)
@@ -153,9 +171,10 @@ def _gammas(theta: np.ndarray, R: float, L: float, p: Params) -> np.ndarray:
         cos_phi = np.where(near_lo, prod / big, big)
         # u/u+ = 1 - m sin^2(phi), formed without its cancellation as m -> 1
         y = np.where(near_lo, u_lo + d * cos_phi**2, u_hi - d * sin_phi**2) / u_hi
-        # F(phi|m) = sin(phi) R_F(cos^2(phi), u/u+, 1) at each psi, then K
-        f = np.append(sin_phi, 1.0) * _rf(np.append(cos_phi**2, 0.0), np.append(y, u_lo / u_hi))
-        f_theta, f_R, K = f[:-2], f[-2], f[-1]
+        # F(phi|m) = sin(phi) R_F(cos^2(phi), u/u+, 1) at each psi, then K per level
+        f = np.concatenate((sin_phi, np.ones(n_lvl))) * _rf(
+            np.concatenate((cos_phi**2, np.zeros(n_lvl))), np.concatenate((y, (u_lo / u_hi)[n:])))
+        f_theta, f_R, K = f[:n], f[n:n + n_lvl][level], f[n + n_lvl:][level]
         quarter = np.floor(theta / (0.5 * math.pi))
         # 2K from the second quarter-turn on and 2K per whole turn before it;
         # a nan K (below R = h*alpha) must leave the first quarter-turn alone
@@ -163,21 +182,21 @@ def _gammas(theta: np.ndarray, R: float, L: float, p: Params) -> np.ndarray:
         whole = np.where(k > 0.0, k * K, 0.0)
         # +F(phi_theta) on the first and fourth quarter-turns, -F on the others
         f_theta = np.where((quarter + 1.0) % 4.0 < 2.0, f_theta, -f_theta)
-        return (whole + f_theta - f_R) / np.sqrt(u_hi)
+        return (whole + f_theta - f_R) / np.sqrt(u_hi[:n])
 
 
 def gamma_of(theta0: float, R: float, L: float, p: Params) -> float:
     """gamma = d/dR of the generating integral int_0^theta0 a dpsi.
 
-    One lane of the closed form :func:`_gammas`, which :func:`gamma_series`
-    evaluates over a whole series.
+    One lane of the closed form :func:`_gammas`, which :func:`gamma_series_of`
+    evaluates over whole series.
 
     Raises:
         ValueError: if theta0 is negative, NaN or infinite.
         GammaUndefined: where gamma is undefined: below R = h*alpha once the
             path crosses a = 0, and everywhere above R = L^2.
     """
-    g = float(_gammas(np.array([theta0]), R, L, p)[0])
+    g = float(_gammas(np.array([theta0]), np.array([R]), np.array([L]), p)[0])
     if math.isnan(g):
         raise GammaUndefined(f"gamma undefined at theta0 = {theta0:g}")
     return g
@@ -221,6 +240,37 @@ def generating_integral(theta0: float, R: float, L: float, p: Params) -> float:
     return total
 
 
+def gamma_series_of(
+    runs: list[list[billiard.CollisionEvent] | BilliardError], p: Params
+) -> list[GammaSeries | BilliardError]:
+    """The :func:`gamma_series` of each of several g = 0 runs, from one
+    closed-form :func:`_gammas` pass over all their levels.
+
+    A run is its list of collision events.  A run given instead as the
+    BilliardError that kept it from starting is returned as given, in its
+    place, so a caller can keep the error for its report.
+    """
+    theta, R, L = [], [], []
+    for events in runs:
+        if not isinstance(events, BilliardError) and events:
+            el0 = events[0].post
+            # every collision's gamma and, last, the full-loop integral Gamma
+            theta += [ev.post.theta0 for ev in events]
+            theta.append(TWO_PI)
+            R += [billiard.conserved_R(el0, p)] * (len(events) + 1)
+            L += [el0.L] * (len(events) + 1)
+    gammas = _gammas(np.array(theta), np.array(R), np.array(L), p)
+    out, k = [], 0
+    for events in runs:
+        if isinstance(events, BilliardError):
+            out.append(events)
+            continue
+        lanes = len(events) + 1 if events else 0
+        out.append(_series(events, gammas[k:k + lanes]))
+        k += lanes
+    return out
+
+
 def gamma_series(events: list[billiard.CollisionEvent], p: Params) -> GammaSeries:
     """Per-collision gamma and two-step increments for a g = 0 run.
 
@@ -240,16 +290,17 @@ def gamma_series(events: list[billiard.CollisionEvent], p: Params) -> GammaSerie
     where the momentum loop crosses a = 0) carry nan gammas and are flagged,
     keeping the series usable as a diagnostic.
     """
+    return gamma_series_of([events], p)[0]
+
+
+def _series(events: list[billiard.CollisionEvent], gammas: np.ndarray) -> GammaSeries:
+    """A run's series from its lanes of the pass: each collision's gamma, then Gamma."""
     n_ev = len(events)
     gamma = np.full(n_ev, np.nan)
     delta2 = np.full(n_ev, np.nan)
     eps = np.where(np.array([ev.post.a for ev in events]) >= 0.0, 1, -1).astype(np.int64)
     if not events:
         return GammaSeries(gamma, delta2, eps, np.zeros(0, dtype=bool))
-    el0 = events[0].post
-    R = billiard.conserved_R(el0, p)
-    # every collision's gamma and, last, the full-loop integral Gamma
-    gammas = _gammas(np.array([ev.post.theta0 for ev in events] + [TWO_PI]), R, el0.L, p)
     principal, gamma_full = gammas[:-1], float(gammas[-1])
     undefined = np.isnan(principal)
     alternation = np.where(np.arange(n_ev) % 2 == 0, eps[0], -eps[0])
@@ -341,13 +392,51 @@ def omega_estimate_of(series: GammaSeries) -> tuple[float, float]:
     return float(np.mean(d)), float(np.std(d) / math.sqrt(d.size))
 
 
+def _probe_levels(R: float) -> tuple[float, float, float]:
+    """(dR, R + dR, R - dR): the levels on which domega_dR reads omega."""
+    dR = 1e-4 * abs(R)
+    return dR, R + dR, R - dR
+
+
+def _probe_run(L: float, R: float, p: Params) -> list[billiard.CollisionEvent]:
+    """The 4-collision orbit from :func:`initial_state_on_level` on (L, R)."""
+    return billiard.run(initial_state_on_level(L, R, p), 4, p).events
+
+
+def probe_runs(
+    L: float, R: float, p: Params
+) -> list[list[billiard.CollisionEvent] | BilliardError]:
+    """The probe orbits of :func:`conjecture_report` on R + dR, then R - dR,
+    each as its events or as the BilliardError its start raised."""
+    runs = []
+    for R_lvl in _probe_levels(R)[1:]:
+        try:
+            runs.append(_probe_run(L, R_lvl, p))
+        except BilliardError as exc:
+            runs.append(exc)
+    return runs
+
+
+def _probe_omega(probe: GammaSeries | BilliardError, R: float) -> float:
+    """omega from a probe's series: its first finite a > 0 increment.  A probe
+    that is the error its start raised raises it."""
+    if isinstance(probe, BilliardError):
+        raise probe
+    d = probe.delta2[(probe.eps > 0) & np.isfinite(probe.delta2)]
+    if not d.size:
+        raise InsufficientData(f"no finite a > 0 increment on the level R = {R:g}")
+    return float(d[0])
+
+
 def omega_of_level(L: float, R: float, p: Params) -> float:
     """The rotation rate omega of the level (L, R), read from one collision pair.
 
     Conjecture 2 makes every two-collision increment on a level equal (verify
     gates their relative spread at 5e-6), so omega is the first a > 0
     increment of a fresh 4-collision orbit from :func:`initial_state_on_level`.
-    The sign of a alternates, so four collisions hold one a > 0 pair.
+    The sign of a alternates, so four collisions hold one a > 0 pair.  The
+    one-level form of what :func:`conjecture_report` reads from the probes of
+    a shared pass, and its oracle.
 
     Raises:
         InsufficientData: where no a > 0 increment is finite, as below
@@ -355,32 +444,33 @@ def omega_of_level(L: float, R: float, p: Params) -> float:
         NoCollision, GammaUndefined: where :func:`initial_state_on_level`
             finds no wall-reaching start on the level.
     """
-    series = gamma_series(billiard.run(initial_state_on_level(L, R, p), 4, p).events, p)
-    d = series.delta2[(series.eps > 0) & np.isfinite(series.delta2)]
-    if not d.size:
-        raise InsufficientData(f"no finite a > 0 increment on the level R = {R:g}")
-    return float(d[0])
+    return _probe_omega(gamma_series(_probe_run(L, R, p), p), R)
 
 
-def conjecture_report(series: GammaSeries, L: float, R: float, p: Params) -> dict:
+def conjecture_report(
+    series: GammaSeries, L: float, R: float, p: Params, probes: list[GammaSeries | BilliardError]
+) -> dict:
     """The verdict data for the rotation conjectures at one (L, R): summarize
     a gamma series and probe anisochrony on the levels R +- dR.
 
-    ``domega_dR`` is the central difference of :func:`omega_of_level`, one
-    a > 0 collision pair on each of the levels R +- 1e-4|R|; that reading of
-    omega holds as far as conjecture 2 does.
+    ``probes`` are the series of :func:`probe_runs` (R + dR first), from the
+    same :func:`gamma_series_of` pass as ``series``.  ``domega_dR`` is the
+    central difference of omega, one a > 0 collision pair on each of the
+    levels R +- 1e-4|R| (:func:`omega_of_level`); that reading of omega holds
+    as far as conjecture 2 does.
 
     Raises:
-        InsufficientData: with fewer than 100 collisions.
-        BilliardError: from :func:`omega_of_level` where a shifted level fails.
+        InsufficientData: with fewer than MIN_SAMPLES collisions.
+        BilliardError: where a probe level fails, R + dR first: the error its
+            start raised, or InsufficientData without a finite increment.
     """
-    if series.gamma.size < 100:
-        raise InsufficientData(f"need >= 100 samples, got {series.gamma.size}")
+    if series.gamma.size < MIN_SAMPLES:
+        raise InsufficientData(f"need >= {MIN_SAMPLES} samples, got {series.gamma.size}")
     spread_even, spread_odd = spread_by_parity(series)
     omega, stderr = omega_estimate_of(series)
-    dR = 1e-4 * abs(R)
-    om_hi = omega_of_level(L, R + dR, p)
-    om_lo = omega_of_level(L, R - dR, p)
+    dR, R_hi, R_lo = _probe_levels(R)
+    om_hi = _probe_omega(probes[0], R_hi)
+    om_lo = _probe_omega(probes[1], R_lo)
     return {
         "sign_alternation_ok": not series.mismatch.any(),
         "spread_even": spread_even,

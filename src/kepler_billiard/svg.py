@@ -4,13 +4,15 @@ Only the primitives the figures need: polylines (optionally dashed), point
 markers (circle / plus / cross), straight lines, text, and a linear
 data-to-pixel mapping with simple axes.  Output is a plain string built in a
 fixed order, so identical inputs give byte-identical files.  Pixel
-coordinates are written as ``"%.2f"`` writes them; a polyline's points are
-formatted in one numpy pass (``_fmt_points``) that gives the same bytes.
+coordinates are written as ``"%.2f"`` writes them; a polyline's points, and
+the pixel values of a set of markers, are formatted in one numpy pass
+(``_fmt_points``) that gives the same bytes.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -65,6 +67,10 @@ def _fmt_points(pts: np.ndarray) -> str:
 WIDTH, HEIGHT, MARGIN = 720, 540, 56
 TICKS = 5  # per axis
 MARKER_SIZE = 3.0  # half-width of the plus and cross markers, in pixels
+# a marker path's slots as indices into (cx - s, cx, cx + s, cy - s, cy, cy + s);
+# a plus has six slots, a cross eight
+_PLUS = np.array([0, 4, 2, 1, 3, 5, -1, -1])
+_CROSS = np.array([0, 3, 2, 5, 0, 5, 2, 3])
 
 
 def _span(lo: float, hi: float) -> tuple[float, float]:
@@ -159,21 +165,39 @@ class Figure:
             f'r="{radius:g}" fill="{fill}"/>'
         )
 
-    def marker_plus(self, x, y, stroke="#1f77b4") -> None:
-        cx, cy, size = self._px(x), self._py(y), MARKER_SIZE
-        self._body.append(
-            f'<path d="M {_fmt(cx - size)} {_fmt(cy)} H {_fmt(cx + size)} '
-            f'M {_fmt(cx)} {_fmt(cy - size)} V {_fmt(cy + size)}" '
-            f'stroke="{stroke}" stroke-width="1" fill="none"/>'
+    def markers(self, xs, ys, crossed, plus="#1f77b4", cross="#d62728") -> None:
+        """One ``<path>`` per point, in input order: a plus, or a cross where
+        ``crossed`` is set, MARKER_SIZE pixels each way.
+
+        The six pixel values of every point (cx, cy and each +- MARKER_SIZE)
+        are formatted in one :func:`_fmt_points` pass, and the paths in one
+        ``%`` of their joined templates."""
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        crossed = np.asarray(crossed, dtype=bool)
+        if not xs.size:
+            return
+        size = MARKER_SIZE
+        with np.errstate(over="ignore", invalid="ignore"):
+            cx, cy = self._px(xs), self._py(ys)
+            six = np.column_stack((cx - size, cx, cx + size, cy - size, cy, cy + size))
+        v = _fmt_points(six.reshape(-1, 2)).replace(",", " ").split(" ")
+        # each path's slots as indices into its point's six values
+        slots = 6 * np.arange(xs.size)[:, None] + np.where(crossed[:, None], _CROSS, _PLUS)
+        slots = slots[crossed[:, None] | (_PLUS >= 0)]
+        paths = (
+            '<path d="M %s %s H %s M %s %s V %s" '
+            f'stroke="{plus.replace("%", "%%")}" stroke-width="1" fill="none"/>',
+            '<path d="M %s %s L %s %s M %s %s L %s %s" '
+            f'stroke="{cross.replace("%", "%%")}" stroke-width="1" fill="none"/>',
         )
+        template = "\n".join(map(paths.__getitem__, crossed.tolist()))
+        self._body.append(template % itemgetter(*slots.tolist())(v))
+
+    def marker_plus(self, x, y, stroke="#1f77b4") -> None:
+        self.markers([x], [y], [False], plus=stroke)
 
     def marker_cross(self, x, y, stroke="#d62728") -> None:
-        cx, cy, size = self._px(x), self._py(y), MARKER_SIZE
-        self._body.append(
-            f'<path d="M {_fmt(cx - size)} {_fmt(cy - size)} L {_fmt(cx + size)} {_fmt(cy + size)} '
-            f'M {_fmt(cx - size)} {_fmt(cy + size)} L {_fmt(cx + size)} {_fmt(cy - size)}" '
-            f'stroke="{stroke}" stroke-width="1" fill="none"/>'
-        )
+        self.markers([x], [y], [True], cross=stroke)
 
     def text(self, x_px: float, y_px: float, s: str, size=12, anchor="start") -> None:
         self._body.append(

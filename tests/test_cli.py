@@ -178,6 +178,41 @@ class TestConfigParsing:
             cli.parse_config({"ensemble": UNDRAWABLE}, "section")
 
 
+def generic_cell(v) -> str:
+    """The cell rule without its exact-type branches: the oracle of _fmt_cell."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    x = float(v)
+    return "" if math.isnan(x) else format(x, ".17g")
+
+
+CELLS = [True, False, 0, 1, -7, 2**70, np.int64(-3), np.int64(2**62), 0.1, -0.0, 0.0,
+         1e-320, 1e300, math.inf, -math.inf, math.nan, np.float64(0.1), np.float64(-0.0),
+         np.float64(math.nan), np.float64(-math.inf), np.bool_(True), "", "abc"]
+
+
+class TestFmtCell:
+    @pytest.mark.parametrize("v", CELLS, ids=repr)
+    def test_matches_generic_rule(self, v):
+        assert cli._fmt_cell(v) == generic_cell(v)
+
+    def test_written_forms(self):
+        assert [cli._fmt_cell(v) for v in (True, False, math.nan, -0.0, math.inf, -math.inf)] \
+            == ["true", "false", "", "-0", "inf", "-inf"]
+        assert cli._fmt_cell(np.float64(math.nan)) == ""
+
+    @given(x=st.floats(allow_subnormal=True), n=st.integers(-(2**63), 2**63 - 1))
+    def test_fast_branches_match_numpy_scalars(self, x, n):
+        # a Python float or int takes the fast branch; its numpy scalar, the
+        # generic rule
+        assert cli._fmt_cell(x) == cli._fmt_cell(np.float64(x)) == generic_cell(x)
+        assert cli._fmt_cell(n) == cli._fmt_cell(np.int64(n)) == generic_cell(n)
+
+
 def subparsers():
     return next(a for a in cli.build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction))
@@ -550,6 +585,23 @@ class TestGamma:
         assert report["R_above_h_alpha"] is True
         assert report["conjectures"]["sign_alternation_ok"] is True
         assert report["branch_mismatch_rows"] == []
+
+    @pytest.mark.parametrize("n, probes", [(140, 2), (99, 0)])
+    def test_one_closed_form_pass_per_call(self, tmp_path, monkeypatch, n, probes):
+        # the series and both probe levels share one _rf call: n + 1 lanes of
+        # the run, 5 of each 4-collision probe, and psi = 0 and K per level.
+        # Below 100 samples no probe orbit is started
+        rf_lanes, starts = [], []
+        real_rf, real_start = delaunay._rf, delaunay.initial_state_on_level
+        monkeypatch.setattr(delaunay, "_rf", lambda x, y: rf_lanes.append(x.size) or real_rf(x, y))
+        monkeypatch.setattr(delaunay, "initial_state_on_level",
+                            lambda *args: starts.append(args) or real_start(*args))
+        doc = cli.default_config("gamma")
+        doc["n_collisions"] = n
+        doc["output_dir"] = str(tmp_path / "g")
+        cli.run_command(cli.parse_config(doc, "gamma"))
+        assert rf_lanes == [n + 1 + 5 * probes + 2 * (1 + probes)]
+        assert len(starts) == probes
 
     def test_failing_shifted_level_is_reported(self, tmp_path):
         # R just above h*alpha: the run's own series is fine, but the level

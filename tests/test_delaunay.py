@@ -13,10 +13,12 @@ from kepler_billiard.delaunay import (
     conjecture_report,
     gamma_of,
     gamma_series,
+    gamma_series_of,
     generating_integral,
     initial_state_on_level,
     omega_estimate_of,
     omega_of_level,
+    probe_runs,
     spread_by_parity,
 )
 from kepler_billiard.errors import (
@@ -267,6 +269,12 @@ def columns(series):
     return series.gamma, series.delta2, series.eps, series.mismatch
 
 
+def report_of(events, L, R, p):
+    """conjecture_report on a run and its probes, from one shared pass."""
+    series, *probes = gamma_series_of([events, *probe_runs(L, R, p)], p)
+    return conjecture_report(series, L, R, p, probes)
+
+
 class TestGammaSeries:
     def test_empty(self, params):
         series = gamma_series([], params)
@@ -331,20 +339,56 @@ class TestGammaSeries:
         real = delaunay._gammas
 
         def spy(theta, R, L, p):
-            passes.append((theta, real(theta, R, L, p)))
-            return passes[-1][1]
+            passes.append((theta, R, L, real(theta, R, L, p)))
+            return passes[-1][-1]
 
         monkeypatch.setattr(delaunay, "_gammas", spy)
         again = gamma_series(res.events, p)
         for col, col_again in zip(columns(series), columns(again)):
             assert col.tobytes() == col_again.tobytes()
-        (theta, gammas), = passes
+        (theta, R, L, gammas), = passes
         el0 = res.events[0].post
-        R = conserved_R(el0, p)
         assert theta[-1] == TWO_PI and theta.size == len(res.events) + 1
+        assert np.all(R == conserved_R(el0, p)) and np.all(L == el0.L)
         for th, g in zip(theta, gammas):
-            assert g == gamma_of(float(th), R, el0.L, p)
+            assert g == gamma_of(float(th), R[0], L[0], p)
         assert series.gamma[0] == gammas[0]
+
+    def test_runs_share_one_pass(self, gamma_run, params, monkeypatch):
+        # several runs, an empty one and a run that never started: one pass,
+        # and each series byte for byte its one-run form
+        p, res, series = gamma_run
+        low = run(initial_state_on_level(L_REF, 0.8, params), 60, params).events
+        failed = NoCollision("level-set ellipse does not reach the wall")
+        alone = [gamma_series(ev, p) for ev in (res.events, [], low)]
+        calls = []
+        real = delaunay._rf
+        monkeypatch.setattr(delaunay, "_rf", lambda x, y: calls.append(x.size) or real(x, y))
+        got = gamma_series_of([res.events, [], failed, low], p)
+        assert len(calls) == 1
+        assert got[2] is failed
+        for one, joint in zip(alone, got[:2] + got[3:]):
+            for col, col_joint in zip(columns(one), columns(joint)):
+                assert col.dtype == col_joint.dtype and col.tobytes() == col_joint.tobytes()
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(levels=st.lists(
+        st.tuples(LEVEL_A, LEVEL_FRAC,
+                  st.lists(st.floats(0.0, 4.0 * TWO_PI), min_size=1, max_size=12)),
+        min_size=1, max_size=4))
+    def test_joint_pass_lanes_match_one_level_passes(self, levels):
+        # every lane of a pass over several levels has the bits of a pass
+        # over its level alone
+        p = Params()
+        theta, R, L = [], [], []
+        for A, frac, ths in levels:
+            L2, R_lvl = rotation_level(A, frac, p)
+            theta.append(np.array(ths))
+            R.append(np.full(len(ths), R_lvl))
+            L.append(np.full(len(ths), -math.sqrt(L2)))
+        joint = delaunay._gammas(np.concatenate(theta), np.concatenate(R), np.concatenate(L), p)
+        alone = np.concatenate([delaunay._gammas(*lanes, p) for lanes in zip(theta, R, L)])
+        assert joint.tobytes() == alone.tobytes()
 
     @settings(max_examples=50, derandomize=True, database=None, deadline=None)
     @given(A=LEVEL_A, frac=LEVEL_FRAC, theta0=st.floats(0.0, TWO_PI),
@@ -376,11 +420,11 @@ class TestConjectureReport:
         series = GammaSeries(np.zeros(99), np.full(99, np.nan), np.ones(99, dtype=np.int64),
                              np.zeros(99, dtype=bool))
         with pytest.raises(InsufficientData):
-            conjecture_report(series, L_REF, R_REF, params)
+            conjecture_report(series, L_REF, R_REF, params, [])
 
     def test_report_fields(self, gamma_run):
-        p, _, series = gamma_run
-        rep = conjecture_report(series, L_REF, R_REF, p)
+        p, res, _ = gamma_run
+        rep = report_of(res.events, L_REF, R_REF, p)
         assert set(rep) == {"sign_alternation_ok", "spread_even", "spread_odd",
                             "omega_estimate", "omega_stderr", "domega_dR"}
         assert rep["sign_alternation_ok"] is True
@@ -407,8 +451,11 @@ class TestOmegaOfLevel:
         L2, R = rotation_level(A, frac, p)
         L = -math.sqrt(L2)
 
+        def events_of(R_lvl):
+            return run(initial_state_on_level(L, R_lvl, p), 300, p).events
+
         def series_of(R_lvl):
-            return gamma_series(run(initial_state_on_level(L, R_lvl, p), 300, p).events, p)
+            return gamma_series(events_of(R_lvl), p)
 
         series = series_of(R)
         omega = omega_estimate_of(series)[0]
@@ -416,8 +463,40 @@ class TestOmegaOfLevel:
         dR = 1e-4 * abs(R)
         quotient = (omega_estimate_of(series_of(R + dR))[0]
                     - omega_estimate_of(series_of(R - dR))[0]) / (2.0 * dR)
-        domega_dR = conjecture_report(series, L, R, p)["domega_dR"]
+        domega_dR = report_of(events_of(R), L, R, p)["domega_dR"]
         assert abs(domega_dR - quotient) <= 1e-8 * abs(quotient)
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(A=LEVEL_A, frac=LEVEL_FRAC)
+    def test_shared_pass_matches_omega_of_level(self, A, frac):
+        # domega_dR from the probes of the shared pass is, bit for bit, the
+        # central difference of the one-level oracle omega_of_level
+        p = Params()
+        L2, R = rotation_level(A, frac, p)
+        L = -math.sqrt(L2)
+        events = run(initial_state_on_level(L, R, p), 100, p).events
+        dR = 1e-4 * abs(R)
+        want = (omega_of_level(L, R + dR, p) - omega_of_level(L, R - dR, p)) / (2.0 * dR)
+        assert report_of(events, L, R, p)["domega_dR"] == want
+
+    def test_probe_errors_in_order(self, gamma_run, params):
+        # the run's own estimate first, then R + dR: its start's error, then
+        # its missing increment; then R - dR
+        p, res, series = gamma_run
+        hi = NoCollision("level-set ellipse does not reach the wall")
+        lo = GammaUndefined("no valid branch")
+        unusable = GammaSeries(series.gamma, np.full_like(series.delta2, np.nan), series.eps,
+                               series.mismatch)
+        with pytest.raises(InsufficientData, match="only 0 usable increments"):
+            conjecture_report(unusable, L_REF, R_REF, p, [hi, lo])
+        with pytest.raises(NoCollision):
+            conjecture_report(series, L_REF, R_REF, p, [hi, lo])
+        empty = gamma_series([], p)
+        with pytest.raises(InsufficientData, match="no finite a > 0 increment on the level R = 1.2001"):
+            conjecture_report(series, L_REF, R_REF, p, [empty, lo])
+        ok = gamma_series_of(probe_runs(L_REF, R_REF, p), p)
+        with pytest.raises(GammaUndefined):
+            conjecture_report(series, L_REF, R_REF, p, [ok[0], lo])
 
     def test_below_h_alpha(self, params):
         # R < h*alpha: the momentum loop crosses a = 0, so gamma is nan

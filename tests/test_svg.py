@@ -99,6 +99,72 @@ class TestFormatPoints:
             assert fig._body == []
 
 
+def _marker_per_point(fig: Figure, x: float, y: float, crossed: bool,
+                      plus: str = "#1f77b4", cross: str = "#d62728") -> str:
+    """One marker's path as Figure.marker_plus and marker_cross wrote it,
+    one point at a time: the oracle of Figure.markers."""
+    cx, cy, s = fig._px(x), fig._py(y), 3.0
+    if crossed:
+        d = "M %.2f %.2f L %.2f %.2f M %.2f %.2f L %.2f %.2f" % (
+            cx - s, cy - s, cx + s, cy + s, cx - s, cy + s, cx + s, cy - s)
+    else:
+        d = "M %.2f %.2f H %.2f M %.2f %.2f V %.2f" % (cx - s, cy, cx + s, cx, cy - s, cy + s)
+    return f'<path d="{d}" stroke="{cross if crossed else plus}" stroke-width="1" fill="none"/>'
+
+
+def _check_markers(fig: Figure, points, **strokes) -> None:
+    """markers draws every point's old path in input order, as one body
+    entry, and the one-point forms draw the same paths one entry each."""
+    expected = [_marker_per_point(fig, x, y, c, **strokes) for x, y, c in points]
+    one = Figure(fig.xlim, fig.ylim)
+    one._px, one._py = fig._px, fig._py
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fig.markers([x for x, _, _ in points], [y for _, y, _ in points],
+                    np.array([c for _, _, c in points], dtype=bool), **strokes)
+        for x, y, c in points:
+            if c:
+                one.marker_cross(x, y, stroke=strokes.get("cross", "#d62728"))
+            else:
+                one.marker_plus(x, y, stroke=strokes.get("plus", "#1f77b4"))
+    assert fig._body == (["\n".join(expected)] if expected else [])
+    assert one._body == expected
+
+
+class TestMarkers:
+    """Figure.markers writes the per-point paths of marker_plus and
+    marker_cross byte for byte, in input order."""
+
+    @given(points=st.lists(st.tuples(coords, coords, st.booleans()), max_size=30),
+           xlim=limits, ylim=limits)
+    @example(points=[], xlim=(0.0, 1.0), ylim=(0.0, 1.0))
+    # pluses and crosses interleaved: drawn by kind they would reorder
+    @example(points=[(0.1, 0.2, True), (0.3, 0.4, False), (0.5, 0.6, False), (0.7, 0.8, True)],
+             xlim=(0.0, 1.0), ylim=(0.0, 1.0))
+    @example(points=[(math.nan, 1.0, False), (2.0, math.inf, True), (-math.inf, math.nan, True),
+                     (1e308, -1e308, False)],
+             xlim=(0.0, 1.0), ylim=(0.0, 1.0))
+    def test_matches_per_point_form(self, points, xlim, ylim):
+        _check_markers(Figure(xlim, ylim), points)
+
+    @given(points=st.lists(st.tuples(values, values, st.booleans()), min_size=1, max_size=20))
+    @example(points=[(v, -v, i % 2 == 1) for i, v in enumerate(TIES)])
+    @example(points=[(v, -v, i % 3 == 0) for i, v in enumerate(SPECIAL)])
+    # pixel values whose +- 3 lands on an exact half
+    @example(points=[(k / 8.0, -k / 8.0, k % 2 == 0) for k in range(-40, 41)])
+    def test_pixel_values_match_percent(self, points):
+        # on a figure whose pixel maps are the identity, so that the values
+        # and their ties are chosen directly
+        fig = Figure((0.0, 1.0), (0.0, 1.0))
+        fig._px = fig._py = lambda v: v
+        _check_markers(fig, points)
+
+    def test_custom_strokes(self):
+        fig = Figure((0.0, 10.0), (0.0, 10.0))
+        _check_markers(fig, [(1.0, 2.0, False), (3.0, 4.0, True)],
+                       plus="rgb(10%, 20%, 30%)", cross="#00ff00")
+
+
 class TestEqualAspect:
     @pytest.mark.parametrize("xlim, ylim", [
         ((-1e308, 1e308), (0.0, 1.0)),
