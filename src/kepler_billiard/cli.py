@@ -513,14 +513,14 @@ def cmd_gamma(cfg: RunConfig) -> tuple[dict, dict]:
     p = cfg.params
     res = billiard.run(cfg.starts[0], cfg.n_collisions, p)
     report: dict = {"n_samples": len(res.events)}
-    probes = []
+    runs = [res.events]
     if res.events:
         el0 = res.events[0].post
         L, R = el0.L, billiard.conserved_R(el0, p)
         if len(res.events) >= delaunay.MIN_SAMPLES:
-            probes = delaunay.probe_runs(L, R, p)
+            runs += delaunay.probe_runs(L, R, p)
     # the series and both probes from one closed-form pass
-    series, *probes = delaunay.gamma_series_of([res.events, *probes], p)
+    series, *probes = delaunay.gamma_series_of(runs, p)
     if res.events:
         report.update(L=L, R=R, R_above_h_alpha=R > p.h * p.alpha,
                       branch_mismatch_rows=np.flatnonzero(series.mismatch).tolist())

@@ -440,6 +440,25 @@ class TestConjectureReport:
         om2, e2 = omega_estimate_of(gamma_series(run(s2, 250, params).events, params))
         assert abs(om1 - om2) > 100.0 * math.hypot(e1, e2)
 
+    def test_probe_errors_in_order(self, gamma_run):
+        # the run's own estimate first, then R + dR: its start's error, then
+        # its missing increment; then R - dR
+        p, res, series = gamma_run
+        hi = NoCollision("level-set ellipse does not reach the wall")
+        lo = GammaUndefined("no valid branch")
+        unusable = GammaSeries(series.gamma, np.full_like(series.delta2, np.nan), series.eps,
+                               series.mismatch)
+        with pytest.raises(InsufficientData, match="only 0 usable increments"):
+            conjecture_report(unusable, L_REF, R_REF, p, [hi, lo])
+        with pytest.raises(NoCollision):
+            conjecture_report(series, L_REF, R_REF, p, [hi, lo])
+        empty = gamma_series([], p)
+        with pytest.raises(InsufficientData, match="no finite a > 0 increment on the level R = 1.2001"):
+            conjecture_report(series, L_REF, R_REF, p, [empty, lo])
+        ok = gamma_series_of(probe_runs(L_REF, R_REF, p), p)
+        with pytest.raises(GammaUndefined):
+            conjecture_report(series, L_REF, R_REF, p, [ok[0], lo])
+
 
 class TestOmegaOfLevel:
     @settings(max_examples=50, derandomize=True, database=None, deadline=None)
@@ -478,25 +497,6 @@ class TestOmegaOfLevel:
         dR = 1e-4 * abs(R)
         want = (omega_of_level(L, R + dR, p) - omega_of_level(L, R - dR, p)) / (2.0 * dR)
         assert report_of(events, L, R, p)["domega_dR"] == want
-
-    def test_probe_errors_in_order(self, gamma_run, params):
-        # the run's own estimate first, then R + dR: its start's error, then
-        # its missing increment; then R - dR
-        p, res, series = gamma_run
-        hi = NoCollision("level-set ellipse does not reach the wall")
-        lo = GammaUndefined("no valid branch")
-        unusable = GammaSeries(series.gamma, np.full_like(series.delta2, np.nan), series.eps,
-                               series.mismatch)
-        with pytest.raises(InsufficientData, match="only 0 usable increments"):
-            conjecture_report(unusable, L_REF, R_REF, p, [hi, lo])
-        with pytest.raises(NoCollision):
-            conjecture_report(series, L_REF, R_REF, p, [hi, lo])
-        empty = gamma_series([], p)
-        with pytest.raises(InsufficientData, match="no finite a > 0 increment on the level R = 1.2001"):
-            conjecture_report(series, L_REF, R_REF, p, [empty, lo])
-        ok = gamma_series_of(probe_runs(L_REF, R_REF, p), p)
-        with pytest.raises(GammaUndefined):
-            conjecture_report(series, L_REF, R_REF, p, [ok[0], lo])
 
     def test_below_h_alpha(self, params):
         # R < h*alpha: the momentum loop crosses a = 0, so gamma is nan
