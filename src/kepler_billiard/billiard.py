@@ -21,6 +21,15 @@ Q = (0, h) to the ellipse center.  Each collision is certified through an
 :class:`InvariantReport` that cross-checks the two routes to R0 and R and the
 box bounds on both.
 
+One loop, :func:`_kepler_chain`, runs every g = 0 collision: ``run`` calls it
+once and ``step`` is its one-collision form.  It forms each ellipse once and
+carries the numbers it formed (e, cos theta0, sin theta0) from an impact's
+post-impact elements to the next arc's crossing (:func:`wall_crossing`) and
+to the impact's report (:func:`certify`), so an impact builds three records:
+the post-impact elements, the event and the report.  Its floats are those of
+the composed route (``elements_from_cartesian``, ``eccentric_of_state``,
+``next_wall_crossing``, ``reflect``, ``invariant_report``), bit for bit.
+
 At g > 0 the orbit is Newton's revolving ellipse (:class:`RevolvingOrbit`),
 and :func:`next_revolving_crossing` brackets the first upward root of the
 wall function by a certified scan in its true anomaly and polishes it by
@@ -52,19 +61,25 @@ from .errors import (
     GrazingContact,
     NoCollision,
     NotOnWall,
+    Unbound,
 )
 # state_at_eccentric and time_to_anomaly are the composed route that
-# next_wall_crossing fuses (the tests compare the two bit for bit); perfbench's
-# tracer wraps them under this module's name
+# wall_crossing fuses, as elements_from_cartesian and eccentric_of_state are
+# for _kepler_chain (the tests compare them bit for bit); perfbench's tracer
+# wraps them under this module's name
 from .kepler import (  # noqa: F401
+    TOL_ECC,
+    TOL_GEOM,
     TWO_PI,
     CartesianState,
     OrbitalElements,
     Params,
     RevolvingOrbit,
+    check_not_radial,
     eccentric_from_true,
     eccentric_of_state,
     elements_from_cartesian,
+    ellipse_geometry,
     mean_from_eccentric,
     revolving_orbit,
     state_at_eccentric,
@@ -121,7 +136,13 @@ def conserved_R(el: OrbitalElements, p: Params) -> float:
     """R = a^2 + h*alpha*e*sin(theta0) of the Kepler (osculating) ellipse
     ``el``, whatever ``p.g`` is: conserved at g = 0, and at g > 0 the value
     whose drift measures the perturbation."""
-    return el.a * el.a + p.h * p.alpha * el.e * math.sin(el.theta0)
+    return R_eq16(el.a, el.e, math.sin(el.theta0), p)
+
+
+def R_eq16(a: float, e: float, sin_theta0: float, p: Params) -> float:
+    """:func:`conserved_R` of the ellipse with angular momentum ``a`` from its
+    already formed ``e`` and ``sin(theta0)``."""
+    return a * a + p.h * p.alpha * e * sin_theta0
 
 
 def R0_from_geometry(r: float, aM: float, lam: float) -> float:
@@ -170,25 +191,36 @@ def next_wall_crossing(
     """Earliest forward anomaly at which the ellipse meets y = h going up.
 
     Returns ``(E_hit, r, lam)`` of the impact and the state there (at time
-    ``t0`` plus the flight time), before reflection.  The ellipse is
-    ``el.geometry()``, and the state comes out as ``state_at_eccentric`` and
-    ``time_to_anomaly`` give it.
+    ``t0`` plus the flight time), before reflection: :func:`wall_crossing`
+    of ``el.geometry()``.
 
     ``alpha`` comes from ``el``; ``p`` gives only the wall height.
+    """
+    E_hit, r, lam, x, y, px, py, t = wall_crossing(el.geometry(), E_now, p.h, t0)
+    return E_hit, r, lam, CartesianState(x, y, px, py, t)
+
+
+def wall_crossing(
+    geometry: tuple[float, ...], E_now: float, h: float, t0: float
+) -> tuple[float, ...]:
+    """The crossing of :func:`next_wall_crossing` on an already formed
+    ellipse ``geometry`` (as ``OrbitalElements.geometry()`` gives it), for the
+    wall y = h: ``(E_hit, r, lam, x, y, px, py, t)``.  The state comes out as
+    ``state_at_eccentric`` and ``time_to_anomaly`` give it.
 
     Raises:
         NoCollision: if the ellipse stays below (or entirely above) the wall.
         GrazingContact: if the normal velocity at the contact is below
             ``TOL_GRAZE``.
     """
-    aM, e, b, cx, cy, ux, uy, vx, vy, n = el.geometry()
+    aM, e, b, cx, cy, ux, uy, vx, vy, n = geometry
     P = aM * uy
     Q = b * vy
     rho = math.hypot(P, Q)
-    d = p.h - cy
+    d = h - cy
     if rho < abs(d):
         if d > 0.0:
-            raise NoCollision(f"max y = {cy + rho:g} below wall y = {p.h:g}")
+            raise NoCollision(f"max y = {cy + rho:g} below wall y = {h:g}")
         raise NoCollision("ellipse lies entirely above the wall")
     E_star = math.atan2(Q, P)
     delta = math.acos(max(-1.0, min(1.0, d / rho)))
@@ -205,14 +237,14 @@ def next_wall_crossing(
         )
     tx = -aM * sE * ux + b * cE * vx
     ty = -aM * sE * uy + b * cE * vy
-    hit = CartesianState(
+    return (
+        E_hit, aM * (1.0 - e * cE), math.atan2(ty, tx) % math.pi,
         cx + aM * cE * ux + b * sE * vx,
         cy + aM * cE * uy + b * sE * vy,
         tx * Edot,
         ty * Edot,
         t0 + ((E_hit - e * sE) - (E_now - e * math.sin(E_now))) / n,
     )
-    return E_hit, aM * (1.0 - e * cE), math.atan2(ty, tx) % math.pi, hit
 
 
 def next_revolving_crossing(
@@ -326,7 +358,8 @@ def impact_event(
     The event carries the osculating (Kepler) elements of the incoming state
     pinned onto the wall and of the outgoing one, so ``conserved_R`` of its
     ``post`` elements is exactly the quantity whose drift measures the
-    perturbation.
+    perturbation.  At g > 0 an orbit through the centre's line (angular
+    momentum about 0) is regular, and its elements have e up to 1.
     """
     out = reflect(hit, p, tol_event=tol_event)
     # the incoming state pinned onto the wall, as reflect pinned it
@@ -344,36 +377,121 @@ def step(
 
     Returns the post-reflection state (on the wall, moving away) and the
     fully populated collision event.  At g = 0 the arc is the Kepler
-    ellipse ``el``, by default ``elements_from_cartesian(s, p)``; a chain of
-    steps passes each event's ``post`` elements on, which are exactly that.
-    At g > 0 the arc is the revolving orbit, ``el`` is not read, and the
-    event carries the osculating g = 0 elements (:func:`impact_event`).
+    ellipse ``el``, by default ``elements_from_cartesian(s, p)``, and the
+    step is one collision of :func:`_kepler_chain`.  At g > 0 the arc is the
+    revolving orbit, ``el`` is not read, and the event carries the osculating
+    g = 0 elements (:func:`impact_event`).
 
     A start on the wall (within ``TOL_EVENT``) moving up hits it at once, on
     either route: its event is ``impact_event`` of the start itself, at the
     start's anomaly.  The forward search would instead round the crossing
     just behind the start and fly a whole revolution through the wall.
     """
-    if s.y > p.h + TOL_EVENT:
-        raise NotOnWall(f"state starts above the wall (y = {s.y:g}, y - h = {s.y - p.h:g})")
-    # py first: a chained step leaves the wall moving down
-    on_wall_up = s.py > 0.0 and abs(s.y - p.h) < TOL_EVENT
     if p.g > 0.0:
+        _check_start(s, p)
         orb = revolving_orbit(s, p)
-        if on_wall_up:
+        # py first: a chained step leaves the wall moving down
+        if s.py > 0.0 and abs(s.y - p.h) < TOL_EVENT:
             return impact_event(s, p, n, E_hit=eccentric_from_true(orb.nu0, orb.e))
         E_hit, hit = next_revolving_crossing(orb, p, t0=s.t)
         return impact_event(hit, p, n, E_hit=E_hit)
+    events: list[CollisionEvent] = []
+    out = _kepler_chain(s, el, p, n, 1, 0, events, None, [])
+    return out, events[0]
+
+
+def _check_start(s: CartesianState, p: Params) -> None:
+    if s.y > p.h + TOL_EVENT:
+        raise NotOnWall(f"state starts above the wall (y = {s.y:g}, y - h = {s.y - p.h:g})")
+
+
+def _kepler_chain(
+    s: CartesianState, el: OrbitalElements | None, p: Params, k0: int, n: int,
+    samples_per_arc: int, events: list[CollisionEvent],
+    reports: list[InvariantReport] | None, chunks: list[np.ndarray],
+) -> CartesianState:
+    """The g = 0 propagation core: ``n`` collisions from ``s``, numbered from ``k0``.
+
+    ``el`` is the ellipse through ``s``, by default
+    ``elements_from_cartesian(s, p)``.  Each impact appends its event to
+    ``events``, its report to ``reports`` (unless None) and, with
+    ``samples_per_arc > 0``, its arc's samples to ``chunks``; an exception
+    leaves the impacts before it there.  Returns the state after the last
+    reflection.  The floats are those of the composed route (module
+    docstring), bit for bit.
+
+    Raises:
+        NotOnWall: if ``s`` starts above the wall or a hit state is
+            ``TOL_EVENT`` or farther from it.
+        Degenerate: if an ellipse (the start's, or one an impact leaves) is
+            near-radial (:func:`check_not_radial`).
+        NoCollision, GrazingContact: from :func:`wall_crossing`.
+    """
+    if n <= 0:  # no arc: nothing to check or form
+        return s
+    _check_start(s, p)
+    alpha, h = p.alpha, p.h
+    x, y, px, py, t = s.x, s.y, s.px, s.py, s.t
     if el is None:
         el = elements_from_cartesian(s, p)
-    E_now = eccentric_of_state(el, s)
-    if on_wall_up:
-        return impact_event(s, p, n, E_hit=E_now)
-    E_hit, r, lam, hit = next_wall_crossing(el, E_now, p, s.t)
-    out = reflect(hit, p)
-    return out, CollisionEvent(
-        n, out.t, out.x, r, lam, el, elements_from_cartesian(out, p), E_hit
-    )
+    e = el.e
+    check_not_radial(e)
+    A, a, th = el.A, el.a, el.theta0
+    geometry = ellipse_geometry(A, a, e, math.cos(th), math.sin(th), alpha)
+    for k in range(k0, k0 + n):
+        # eccentric_of_state(el, state): eccentric_from_true of the true
+        # anomaly; each fmod and its sign fix is a wrap_angle
+        sigma = 1.0 if a >= 0.0 else -1.0
+        nu = math.fmod(sigma * (math.atan2(y, x) - th - math.pi), TWO_PI)
+        if nu < 0.0:
+            nu += TWO_PI
+        beta = e / (1.0 + math.sqrt(max(1.0 - e * e, 0.0)))
+        E_now = math.fmod(nu - 2.0 * math.atan2(beta * math.sin(nu), 1.0 + beta * math.cos(nu)),
+                          TWO_PI)
+        if E_now < 0.0:
+            E_now += TWO_PI
+        if py > 0.0 and abs(y - h) < TOL_EVENT:  # on the wall moving up, as in step
+            out, event = impact_event(CartesianState(x, y, px, py, t), p, k, E_hit=E_now)
+            check_not_radial(event.pre.e)
+            post, x, px, py = event.post, out.x, out.px, out.py
+            A, a, th, e = post.A, post.a, post.theta0, post.e
+            check_not_radial(e)
+        else:
+            E_hit, r, lam, x, y, px, py, t_hit = wall_crossing(geometry, E_now, h, t)
+            # reflect: pin the hit onto the wall and negate py
+            if abs(y - h) >= TOL_EVENT:
+                raise NotOnWall(f"|y - h| = {abs(y - h):g} >= {TOL_EVENT:g}")
+            py = -py
+            # elements_from_cartesian of the reflected state (x, h, px, py)
+            r_out = math.hypot(x, h)
+            if r_out <= TOL_GEOM:
+                raise Degenerate(f"state at r = {r_out:g} is too close to the center")
+            A = px * px + py * py - alpha / r_out
+            if A >= 0.0:
+                raise Unbound(f"A = {A:g} >= 0: not a bound orbit")
+            a = x * py - h * px
+            e2 = 1.0 + 4.0 * A * a * a / (alpha * alpha)
+            e = math.sqrt(e2) if e2 > 0.0 else 0.0
+            check_not_radial(e)
+            if e <= TOL_ECC:
+                th = 0.0
+            else:
+                ex = 2.0 * a * py / alpha - x / r_out
+                ey = -2.0 * a * px / alpha - h / r_out
+                th = math.fmod(math.atan2(-ey, -ex), TWO_PI)
+                if th < 0.0:
+                    th += TWO_PI
+            post = OrbitalElements(A, a, th, alpha)
+            if samples_per_arc > 0 and t_hit != t:
+                chunks.append(_arc_samples(el, E_now, E_hit, t, samples_per_arc))
+            event = CollisionEvent(k, t_hit, x, r, lam, el, post, E_hit)
+        events.append(event)
+        el, y, t = post, h, event.t
+        st = math.sin(th)
+        geometry = ellipse_geometry(A, a, e, math.cos(th), st, alpha)
+        if reports is not None:
+            reports.append(certify(a, e, st, geometry[0], event.r, event.lam, p))
+    return CartesianState(x, y, px, py, t)
 
 
 def invariant_report(event: CollisionEvent, p: Params) -> InvariantReport:
@@ -387,9 +505,18 @@ def invariant_report(event: CollisionEvent, p: Params) -> InvariantReport:
         DomainError: unless 0 < r < 2*aM (from ``R0_from_geometry``).
     """
     el = event.post
-    aM, r, h = el.aM, event.r, p.h
-    R16 = conserved_R(el, p)
-    R0 = R0_from_geometry(r, aM, event.lam)
+    return certify(el.a, el.e, math.sin(el.theta0), el.aM, event.r, event.lam, p)
+
+
+def certify(
+    a: float, e: float, sin_theta0: float, aM: float, r: float, lam: float, p: Params
+) -> InvariantReport:
+    """:func:`invariant_report` of an impact at (r, lam) whose post-impact
+    ellipse has angular momentum ``a`` and the already formed ``e``,
+    ``sin(theta0)`` and semi-major axis ``aM``."""
+    h = p.h
+    R16 = R_eq16(a, e, sin_theta0, p)
+    R0 = R0_from_geometry(r, aM, lam)
     R17 = R_from_R0(R0, aM, p)
     lower = p.alpha * h * h / (2.0 * aM)
     upper = (1.0 + (aM / h) ** 2 - ((aM - r) / h) ** 2) * lower
@@ -453,51 +580,50 @@ def run(
 ) -> BilliardRun:
     """Run ``n`` collisions from ``s0``, certifying every event.
 
-    Every g >= 0 takes this loop, and ``invariant_report(event, p)``
-    certifies each event's Kepler (osculating, when g > 0) elements.  With
+    At g > 0 the run loops over :func:`step`; at g = 0 it is one call of
+    :func:`_kepler_chain`.  Either way the report is ``invariant_report``'s
+    of each event's Kepler (osculating, when g > 0) elements.  With
     ``samples_per_arc > 0`` each arc is sampled up to the crossing its step
     found.  Orbits that never reach the wall are legal: the run returns one
     sampled (radial) revolution of the untouched orbit with the reason in
     ``no_collision``.  A grazing contact, a near-radial (degenerate) ellipse,
     a hit state off the wall or a reflected orbit that does not return to the
     wall within ``MAX_ARC_TIME`` halts the run early with the events
-    certified so far and a diagnostic in ``halted``.  At g = 0 each step
-    reuses the previous event's ``post`` elements, so every ellipse is formed
-    once.
+    certified so far and a diagnostic in ``halted``.
     """
     events: list[CollisionEvent] = []
     reports: list[InvariantReport] = []
     chunks: list[np.ndarray] = []
-    state, el = s0, None
     halted = None
     no_collision = None
-    for k in range(n):
-        try:
-            nxt, event = step(state, p, n=k, el=el)
-        except NoCollision as exc:
-            if k == 0:
-                no_collision = str(exc)
-                m = samples_per_arc if samples_per_arc > 0 else 256
-                chunks.append(_orbit_samples(state, None, p, m))
-            else:
-                halted = f"no further collision after event {k - 1}: {exc}"
-            break
-        except GrazingContact as exc:
-            halted = f"grazing contact at event {k}: {exc}"
-            break
-        except Degenerate as exc:
-            halted = f"degenerate orbit at event {k}: {exc}"
-            break
-        except NotOnWall as exc:
-            halted = f"off the wall at event {k}: {exc}"
-            break
-        # an on-wall upward start's arc takes no time: the next arc's first
-        # sample is that start, reflected
-        if samples_per_arc > 0 and event.t != state.t:
-            chunks.append(_orbit_samples(state, event.E_hit, p, samples_per_arc))
-        events.append(event)
-        reports.append(invariant_report(event, p))
-        state, el = nxt, event.post
+    try:
+        if p.g > 0.0:
+            state = s0
+            for k in range(n):
+                nxt, event = step(state, p, n=k)
+                # an on-wall upward start's arc takes no time: the next arc's
+                # first sample is that start, reflected
+                if samples_per_arc > 0 and event.t != state.t:
+                    chunks.append(_orbit_samples(state, event.E_hit, p, samples_per_arc))
+                events.append(event)
+                reports.append(invariant_report(event, p))
+                state = nxt
+        else:
+            _kepler_chain(s0, None, p, 0, n, samples_per_arc, events, reports, chunks)
+    except NoCollision as exc:
+        k = len(events)
+        if k == 0:
+            no_collision = str(exc)
+            m = samples_per_arc if samples_per_arc > 0 else 256
+            chunks.append(_orbit_samples(s0, None, p, m))
+        else:
+            halted = f"no further collision after event {k - 1}: {exc}"
+    except GrazingContact as exc:
+        halted = f"grazing contact at event {len(events)}: {exc}"
+    except Degenerate as exc:
+        halted = f"degenerate orbit at event {len(events)}: {exc}"
+    except NotOnWall as exc:
+        halted = f"off the wall at event {len(events)}: {exc}"
     if chunks:
         samples = np.vstack(chunks)
     else:

@@ -80,7 +80,8 @@ class Params:
 # BilliardRun, delaunay's GammaSeries) are slotted too.  The package never
 # mutates any of them; the slots still reject a misspelt attribute.  The
 # per-impact ones are built positionally: by keyword, a slotted record took
-# about 0.5 us against 0.25 us (Python 3.11), on five records an impact.
+# about 0.5 us against 0.25 us (Python 3.11), on three records a g = 0 impact
+# (post-impact elements, event, report) and more at g > 0.
 @dataclass(slots=True)
 class CartesianState:
     """Phase-space point (x, y, px, py) at time t."""
@@ -159,21 +160,27 @@ class OrbitalElements:
         rotation sense; ``n`` the magnitude of the mean-anomaly rate,
         |alpha^2 / (4 L^3)|.
         """
-        alpha, a, th = self.alpha, self.a, self.theta0
-        aM = -alpha / (2.0 * self.A)
-        e2 = 1.0 + 4.0 * self.A * a * a / (alpha * alpha)
-        e = math.sqrt(e2) if e2 > 0.0 else 0.0
-        b = aM * math.sqrt(max(1.0 - e * e, 0.0))
-        c, ct, st = aM * e, math.cos(th), math.sin(th)
-        ux, uy = -ct, -st
-        vx, vy = (-uy, ux) if a >= 0.0 else (uy, -ux)
-        n = alpha * alpha / (4.0 * math.sqrt(0.5 * alpha * aM) ** 3)
-        return aM, e, b, c * ct, c * st, ux, uy, vx, vy, n
+        th = self.theta0
+        return ellipse_geometry(self.A, self.a, self.e, math.cos(th), math.sin(th), self.alpha)
 
     def max_y(self) -> float:
         """Largest y reached on the full ellipse."""
         aM, _, b, _, cy, _, uy, _, vy, _ = self.geometry()
         return cy + math.hypot(aM * uy, b * vy)
+
+
+def ellipse_geometry(
+    A: float, a: float, e: float, cos_theta0: float, sin_theta0: float, alpha: float
+) -> tuple[float, ...]:
+    """:meth:`OrbitalElements.geometry` of the ellipse (A, a, theta0) from its
+    already formed ``e``, ``cos(theta0)`` and ``sin(theta0)``."""
+    aM = -alpha / (2.0 * A)
+    b = aM * math.sqrt(max(1.0 - e * e, 0.0))
+    c = aM * e
+    ux, uy = -cos_theta0, -sin_theta0
+    vx, vy = (-uy, ux) if a >= 0.0 else (uy, -ux)
+    n = alpha * alpha / (4.0 * math.sqrt(0.5 * alpha * aM) ** 3)
+    return aM, e, b, c * cos_theta0, c * sin_theta0, ux, uy, vx, vy, n
 
 
 @dataclass(slots=True)
@@ -263,11 +270,13 @@ def elements_from_cartesian(s: CartesianState, p: Params) -> OrbitalElements:
 
     Uses the eccentricity vector ``(p x a)/mu - r_hat`` (which points at the
     perihelion) and takes the aphelion angle ``theta0`` from its opposite.
-    Circular orbits (``e <= TOL_ECC``) get ``theta0 = 0`` by convention.
+    Circular orbits (``e <= TOL_ECC``) get ``theta0 = 0`` by convention.  A
+    radial state (a = 0) gets e = 1, a well-defined record: only propagating
+    a near-radial ellipse is refused (:func:`check_not_radial`).
 
     Raises:
         Unbound: if the energy is non-negative.
-        Degenerate: if r is (numerically) zero or the orbit is near-radial.
+        Degenerate: if r is (numerically) zero.
     """
     x, y, px, py = s.x, s.y, s.px, s.py
     r = math.hypot(x, y)
@@ -280,8 +289,6 @@ def elements_from_cartesian(s: CartesianState, p: Params) -> OrbitalElements:
     a = x * py - y * px
     e2 = 1.0 + 4.0 * A * a * a / (alpha * alpha)
     e = math.sqrt(e2) if e2 > 0.0 else 0.0
-    if e >= 1.0 - TOL_ECC:
-        raise Degenerate(f"eccentricity {e:g} too close to 1 (radial orbit)")
     if e <= TOL_ECC:
         theta0 = 0.0
     else:
@@ -290,6 +297,16 @@ def elements_from_cartesian(s: CartesianState, p: Params) -> OrbitalElements:
         ey = -2.0 * a * px / alpha - y / r
         theta0 = wrap_angle(math.atan2(-ey, -ex))
     return OrbitalElements(A, a, theta0, alpha)
+
+
+def check_not_radial(e: float) -> None:
+    """Refuse to propagate an ellipse of eccentricity ``e`` too close to 1.
+
+    Raises:
+        Degenerate: if ``e >= 1 - TOL_ECC`` (a near-radial orbit).
+    """
+    if e >= 1.0 - TOL_ECC:
+        raise Degenerate(f"eccentricity {e:g} too close to 1 (radial orbit)")
 
 
 def cartesian_from_elements(el: OrbitalElements, nu: float) -> CartesianState:
@@ -352,11 +369,17 @@ def mean_from_eccentric(E: float, e: float) -> float:
 
 
 def eccentric_of_state(el: OrbitalElements, s: CartesianState) -> float:
-    """Eccentric anomaly in [0, 2*pi) of a state lying on the ellipse ``el``."""
+    """Eccentric anomaly in [0, 2*pi) of a state lying on the ellipse ``el``.
+
+    Raises:
+        Degenerate: if ``el`` is near-radial (:func:`check_not_radial`).
+    """
+    e = el.e
+    check_not_radial(e)
     sigma = 1.0 if el.a >= 0.0 else -1.0
     phi = math.atan2(s.y, s.x)
     nu = wrap_angle(sigma * (phi - el.theta0 - math.pi))
-    return wrap_angle(eccentric_from_true(nu, el.e))
+    return wrap_angle(eccentric_from_true(nu, e))
 
 
 def solve_kepler(M: float, e: float) -> float:

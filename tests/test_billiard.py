@@ -39,10 +39,12 @@ from kepler_billiard.errors import (
     Unbound,
 )
 from kepler_billiard.kepler import (
+    TOL_ECC,
     CartesianState,
     OrbitalElements,
     Params,
     cartesian_from_elements,
+    check_not_radial,
     eccentric_from_true,
     eccentric_of_state,
     elements_from_cartesian,
@@ -86,17 +88,26 @@ def composed_collision(s, p, n):
     ``step`` and ``invariant_report``.  The ellipse comes from
     ``OrbitalElements.geometry()``, the hit state from
     ``state_at_eccentric`` and ``time_to_anomaly``, and R from the public
-    ``conserved_R``, ``R0_from_geometry`` and ``R_from_R0``."""
+    ``conserved_R``, ``R0_from_geometry`` and ``R_from_R0``.  A start on the
+    wall moving up is itself the hit, as ``impact_event`` records it."""
     el = elements_from_cartesian(s, p)
     E0 = eccentric_of_state(el, s)
-    aM, e, b, _, cy, _, uy, _, vy, _ = el.geometry()
-    P, Q = aM * uy, b * vy
-    delta = math.acos(max(-1.0, min(1.0, (p.h - cy) / math.hypot(P, Q))))
-    E_hit = E0 + (math.atan2(Q, P) - delta - E0) % TWO_PI
-    out = reflect(state_at_eccentric(el, E_hit, t=s.t + time_to_anomaly(el, E0, E_hit)), p)
-    r = aM * (1.0 - e * math.cos(E_hit))
-    lam = tangent_angle(el, E_hit)
+    if s.py > 0.0 and abs(s.y - p.h) < TOL_EVENT:
+        out = reflect(s, p)
+        pinned = CartesianState(out.x, out.y, out.px, s.py, out.t)
+        E_hit, r, lam = E0, pinned.r, math.atan2(s.py, s.px) % math.pi
+        el = elements_from_cartesian(pinned, p)
+        check_not_radial(el.e)
+    else:
+        aM, e, b, _, cy, _, uy, _, vy, _ = el.geometry()
+        P, Q = aM * uy, b * vy
+        delta = math.acos(max(-1.0, min(1.0, (p.h - cy) / math.hypot(P, Q))))
+        E_hit = E0 + (math.atan2(Q, P) - delta - E0) % TWO_PI
+        out = reflect(state_at_eccentric(el, E_hit, t=s.t + time_to_anomaly(el, E0, E_hit)), p)
+        r = aM * (1.0 - e * math.cos(E_hit))
+        lam = tangent_angle(el, E_hit)
     post = elements_from_cartesian(out, p)
+    check_not_radial(post.e)
     event = CollisionEvent(n=n, t=out.t, x_impact=out.x, r=r, lam=lam, pre=el, post=post, E_hit=E_hit)
     R16 = conserved_R(post, p)
     R0 = R0_from_geometry(r, post.aM, lam)
@@ -108,6 +119,26 @@ def composed_collision(s, p, n):
     report = InvariantReport(R_eq16=R16, R0=R0, R_eq17=R17,
                              residual_identity=abs(R16 - R17), bounds_ok=bounds_ok)
     return out, event, report
+
+
+def composed_run(s, p, n, m):
+    """``run(s, n, p, samples_per_arc=m)`` at g = 0 as a chain of
+    ``composed_collision``, each arc sampled from its start's own elements
+    and anomaly: the events, reports and sample chunks, and the error that
+    ended the chain (None if it made all n collisions)."""
+    events, reports, chunks = [], [], []
+    try:
+        for k in range(n):
+            out, event, report = composed_collision(s, p, k)
+            if m > 0 and event.t != s.t:
+                el = elements_from_cartesian(s, p)
+                chunks.append(billiard._arc_samples(el, eccentric_of_state(el, s), event.E_hit, s.t, m))
+            events.append(event)
+            reports.append(report)
+            s = out
+    except (NoCollision, GrazingContact, Degenerate, NotOnWall) as exc:
+        return events, reports, chunks, exc
+    return events, reports, chunks, None
 
 
 def assert_same(got, want):
@@ -472,13 +503,13 @@ class TestRun:
     def test_samples_reuse_each_steps_crossing(self, params, reference_state, monkeypatch):
         # one crossing search per impact, sampled or not
         calls = []
-        search = billiard.next_wall_crossing
+        search = billiard.wall_crossing
 
         def counted(*args):
             calls.append(args)
             return search(*args)
 
-        monkeypatch.setattr(billiard, "next_wall_crossing", counted)
+        monkeypatch.setattr(billiard, "wall_crossing", counted)
         res = run(reference_state, 12, params, samples_per_arc=16)
         assert len(res.events) == 12 and len(calls) == 12
 
@@ -535,23 +566,115 @@ class TestOnePassCollision:
             assert len(res.events) == n
 
     @pytest.mark.parametrize("g", [0.0, 0.05])
-    def test_off_wall_halts_with_partial_output(self, reference_state, monkeypatch, g):
+    def test_off_wall_halts_with_partial_output(self, reference_state, lift_hit, g):
         # the eighth hit state comes back off the wall: the run keeps the
         # seven certified events and says why it stopped
         p = Params(alpha=1.0, g=g, h=1.0)
         want = run(reference_state, 7, p)
-        real, hits = billiard.reflect, []
-
-        def reflect(s, p, tol_event=TOL_EVENT):
-            hits.append(s)
-            if len(hits) == 8:
-                raise NotOnWall(f"|y - h| = 1.6e-11 >= {tol_event:g}")
-            return real(s, p, tol_event)
-
-        monkeypatch.setattr(billiard, "reflect", reflect)
+        off = lift_hit(8)
         res = run(reference_state, 20, p)
-        assert res.halted == "off the wall at event 7: |y - h| = 1.6e-11 >= 1e-12"
+        assert res.halted == f"off the wall at event 7: |y - h| = {off:g} >= 1e-12"
         assert res.events == want.events and res.reports == want.reports
+
+    @pytest.mark.parametrize("g", [0.0, 0.05])
+    def test_hits_within_tol_event_are_pinned(self, reference_state, lift_hit, g):
+        # reflect's rule on both routes: a hit closer than TOL_EVENT to the
+        # wall is pinned onto it, one TOL_EVENT or farther halts the run
+        p = Params(alpha=1.0, g=g, h=1.0)
+        assert lift_hit(3, 0.99 * TOL_EVENT) < TOL_EVENT
+        assert run(reference_state, 5, p).halted is None
+        off = lift_hit(3, TOL_EVENT)
+        assert off >= TOL_EVENT
+        assert run(reference_state, 5, p).halted == f"off the wall at event 2: |y - h| = {off:g} >= 1e-12"
+
+
+class TestChainOracle:
+    """``run`` at g = 0, one call of the propagation core, against a chain of
+    composed collisions: every event, report, halt and sample bit for bit."""
+
+    @PROPERTY
+    @given(
+        A=st.floats(-0.45, -0.1),
+        e=st.floats(0.0, 0.99),
+        theta0=st.floats(0.0, TWO_PI),
+        prograde=st.booleans(),
+        nu=st.floats(0.0, TWO_PI),
+        on_wall=st.booleans(),
+        x=st.floats(-3.0, 3.0),
+        off=st.floats(-0.99, 0.99),
+        heading=st.floats(0.01, math.pi - 0.01),
+        n=st.integers(1, 20),
+        m=st.sampled_from([0, 1, 7]),
+    )
+    def test_run_is_a_chain_of_composed_collisions(
+        self, A, e, theta0, prograde, nu, on_wall, x, off, heading, n, m
+    ):
+        p = Params()
+        aM = -p.alpha / (2.0 * A)
+        if on_wall:  # within TOL_EVENT of the wall, moving up, at twice-energy A
+            y = p.h + off * TOL_EVENT
+            speed_sq = A + p.alpha / math.hypot(x, y)
+            assume(speed_sq > 0.0)
+            speed = math.sqrt(speed_sq)
+            s = CartesianState(x, y, speed * math.cos(heading), speed * math.sin(heading), 1.5)
+        else:  # below the wall on an ellipse that reaches it
+            a = math.sqrt(0.5 * p.alpha * aM * (1.0 - e * e))
+            el = OrbitalElements(A=A, a=a if prograde else -a, theta0=theta0, alpha=p.alpha)
+            assume(el.max_y() > p.h + 1e-3)
+            s = cartesian_from_elements(el, nu)
+            assume(s.y < p.h)
+        events, reports, chunks, exc = composed_run(s, p, n, m)
+        assume(not isinstance(exc, NoCollision) or events)  # an orbit that never hits
+        res = run(s, n, p, samples_per_arc=m)
+        assert len(res.events) == len(res.reports) == len(events)
+        for got_ev, got_rep, want_ev, want_rep in zip(res.events, res.reports, events, reports):
+            assert_same(got_ev, want_ev)
+            assert_same(got_rep, want_rep)
+        if exc is None:
+            assert res.halted is None
+        else:
+            assert res.halted.endswith(f" at event {len(events)}: {exc}")
+        want = np.vstack(chunks) if chunks else np.array([[s.t, s.x, s.y, s.px, s.py]])
+        assert res.samples.shape == want.shape
+        assert res.samples.tobytes() == want.tobytes()
+
+
+class TestRadialOrbits:
+    """An orbit of zero angular momentum: a well-defined record at any g,
+    regular at g > 0 (the centrifugal barrier turns it), and refused as a
+    g = 0 ellipse through the centre."""
+
+    @pytest.mark.parametrize("g", [0.001, 0.05])
+    def test_vertical_start_steps_at_g_positive(self, g):
+        # only the first impact: on the line the orbit is hyperbolic, and the
+        # 6e-17 of cos(pi/2) grows about 18x per collision at g = 0.05
+        p = Params(alpha=1.0, g=g, h=1.0)
+        out, ev = step(CartesianState(0.0, p.h, 0.0, -0.3), p)
+        assert abs(out.x) < 1e-14 and abs(out.px) < 1e-14
+        assert ev.pre.e == 1.0 and ev.post.e == 1.0
+        rep = invariant_report(ev, p)
+        assert math.isfinite(rep.R_eq16) and math.isfinite(rep.R_eq17)
+
+    def test_small_g_run_passes_a_near_radial_impact(self):
+        # a draw from dx dp_x on the section at g = 0.001, A = -0.5: impact 32
+        # leaves the angular momentum at -7.9e-7, whose osculating ellipse
+        # (e = 1 - 6e-13) used to halt the run as degenerate
+        p = Params(alpha=1.0, g=0.001, h=1.0)
+        s = CartesianState(x=-0.08104598788433215, y=1.0, px=-0.34451091833356495,
+                           py=-0.6140444754405722)
+        res = run(s, 100, p)
+        assert res.halted is None and len(res.events) == len(res.reports) == 100
+        assert res.events[32].post.e >= 1.0 - TOL_ECC
+        assert all(rep.residual_identity <= 1e-12 for rep in res.reports)
+
+    def test_g0_radial_start_is_degenerate(self, params):
+        message = r"^eccentricity 1 too close to 1 \(radial orbit\)$"
+        for s in (CartesianState(0.0, 0.5, 0.0, 0.3), CartesianState(0.0, params.h, 0.0, -0.3)):
+            with pytest.raises(Degenerate, match=message):
+                step(s, params)
+            res = run(s, 10, params)
+            assert res.events == [] and res.halted == (
+                "degenerate orbit at event 0: eccentricity 1 too close to 1 (radial orbit)")
 
 
 class TestRevolvingFlow:

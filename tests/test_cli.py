@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kepler_billiard import billiard, cli, delaunay
-from kepler_billiard.errors import ConfigError, NotOnWall
+from kepler_billiard.errors import ConfigError
 from kepler_billiard.kepler import OrbitalElements, Params, cartesian_from_elements
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -491,25 +491,17 @@ class TestSimulate:
             assert b"\r" not in data  # written as bytes: '\n' line ends anywhere
         assert manifest["config"]["mode"] == command
 
-    def test_off_wall_halt_keeps_the_events(self, tmp_path, monkeypatch):
+    def test_off_wall_halt_keeps_the_events(self, tmp_path, lift_hit):
         # a hit state off the wall halts the run: simulate writes the events
         # before it and the reason, and exits 0
-        real, hits = billiard.reflect, []
-
-        def reflect(s, p, tol_event=billiard.TOL_EVENT):
-            hits.append(s)
-            if len(hits) == 6:
-                raise NotOnWall(f"|y - h| = 1.6e-11 >= {tol_event:g}")
-            return real(s, p, tol_event)
-
-        monkeypatch.setattr(billiard, "reflect", reflect)
+        off = lift_hit(6)
         f = tmp_path / "c.json"
         f.write_text(json.dumps(base_doc(tmp_path)))
         assert cli.main(["simulate", "--config", str(f)]) == 0
         _, rows = read_csv(tmp_path / "out" / "events.csv")
         assert [int(r[0]) for r in rows] == list(range(5))
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["halted"] == "off the wall at event 5: |y - h| = 1.6e-11 >= 1e-12"
+        assert manifest["halted"] == f"off the wall at event 5: |y - h| = {off:g} >= 1e-12"
 
     def test_far_radial_start_halts_and_draws(self, tmp_path):
         # at x = 1e20 the figure's padded data span rounds away, and a unit

@@ -109,8 +109,13 @@ class TestElementsFromCartesian:
             elements_from_cartesian(CartesianState(1.0, 0.0, 0.0, 2.0), params)
 
     def test_radial_degenerate(self, params):
-        with pytest.raises(Degenerate):
-            elements_from_cartesian(CartesianState(1.0, 0.0, 0.1, 0.0), params)
+        # a radial state has a record (a = 0, e = 1, theta0 along its ray);
+        # propagating that ellipse is refused
+        s = CartesianState(1.0, 0.0, 0.1, 0.0)
+        el = elements_from_cartesian(s, params)
+        assert (el.a, el.e, el.theta0) == (0.0, 1.0, 0.0)
+        with pytest.raises(Degenerate, match=r"^eccentricity 1 too close to 1 \(radial orbit\)$"):
+            eccentric_of_state(el, s)
 
     def test_at_center_degenerate(self, params):
         with pytest.raises(Degenerate):
