@@ -22,13 +22,15 @@ Q = (0, h) to the ellipse center.  Each collision is certified through an
 box bounds on both.
 
 One loop, :func:`_kepler_chain`, runs every g = 0 collision: ``run`` calls it
-once and ``step`` is its one-collision form.  It forms each ellipse once and
-carries the numbers it formed (e, cos theta0, sin theta0) from an impact's
-post-impact elements to the next arc's crossing (:func:`wall_crossing`) and
-to the impact's report (:func:`certify`), so an impact builds three records:
-the post-impact elements, the event and the report.  Its floats are those of
-the composed route (``elements_from_cartesian``, ``eccentric_of_state``,
-``next_wall_crossing``, ``reflect``, ``invariant_report``), bit for bit.
+once and ``step`` is its one-collision form.  Its one call per arc is the
+crossing, :func:`wall_crossing`; the rest it forms inline from the floats
+it holds: the arc's ellipse (one sqrt(1 - e^2) serving the semi-minor axis
+and the anomaly), the start's anomaly, the post-impact elements and the
+impact's report.  An impact builds three records: the post-impact elements,
+the event and the report.  Its floats are those of the composed route
+(``elements_from_cartesian``, ``OrbitalElements.geometry``,
+``eccentric_of_state``, ``next_wall_crossing``, ``reflect``,
+``invariant_report``), bit for bit.
 
 At g > 0 the orbit is Newton's revolving ellipse (:class:`RevolvingOrbit`),
 and :func:`next_revolving_crossing` brackets the first upward root of the
@@ -79,7 +81,6 @@ from .kepler import (  # noqa: F401
     eccentric_from_true,
     eccentric_of_state,
     elements_from_cartesian,
-    ellipse_geometry,
     mean_from_eccentric,
     revolving_orbit,
     state_at_eccentric,
@@ -136,13 +137,7 @@ def conserved_R(el: OrbitalElements, p: Params) -> float:
     """R = a^2 + h*alpha*e*sin(theta0) of the Kepler (osculating) ellipse
     ``el``, whatever ``p.g`` is: conserved at g = 0, and at g > 0 the value
     whose drift measures the perturbation."""
-    return R_eq16(el.a, el.e, math.sin(el.theta0), p)
-
-
-def R_eq16(a: float, e: float, sin_theta0: float, p: Params) -> float:
-    """:func:`conserved_R` of the ellipse with angular momentum ``a`` from its
-    already formed ``e`` and ``sin(theta0)``."""
-    return a * a + p.h * p.alpha * e * sin_theta0
+    return el.a * el.a + p.h * p.alpha * el.e * math.sin(el.theta0)
 
 
 def R0_from_geometry(r: float, aM: float, lam: float) -> float:
@@ -223,7 +218,10 @@ def wall_crossing(
             raise NoCollision(f"max y = {cy + rho:g} below wall y = {h:g}")
         raise NoCollision("ellipse lies entirely above the wall")
     E_star = math.atan2(Q, P)
-    delta = math.acos(max(-1.0, min(1.0, d / rho)))
+    # max(-1.0, min(1.0, d / rho)) by comparisons: a NaN goes to 1.0 there too
+    c = d / rho
+    c = c if c < 1.0 else 1.0
+    delta = math.acos(c if c > -1.0 else -1.0)
     E_up = E_star - delta
     dE = (E_up - E_now) % TWO_PI
     E_hit = E_now + dE
@@ -417,14 +415,17 @@ def _kepler_chain(
     ``events``, its report to ``reports`` (unless None) and, with
     ``samples_per_arc > 0``, its arc's samples to ``chunks``; an exception
     leaves the impacts before it there.  Returns the state after the last
-    reflection.  The floats are those of the composed route (module
-    docstring), bit for bit.
+    reflection.  It calls :func:`wall_crossing` once an arc and forms the
+    rest inline by the expressions of the composed route (module
+    docstring), whose floats it gives bit for bit.
 
     Raises:
         NotOnWall: if ``s`` starts above the wall or a hit state is
             ``TOL_EVENT`` or farther from it.
         Degenerate: if an ellipse (the start's, or one an impact leaves) is
             near-radial (:func:`check_not_radial`).
+        Unbound: if a reflected state is not bound.
+        DomainError: unless 0 < r < 2*aM at an impact it certifies.
         NoCollision, GrazingContact: from :func:`wall_crossing`.
     """
     if n <= 0:  # no arc: nothing to check or form
@@ -437,15 +438,25 @@ def _kepler_chain(
     e = el.e
     check_not_radial(e)
     A, a, th = el.A, el.a, el.theta0
-    geometry = ellipse_geometry(A, a, e, math.cos(th), math.sin(th), alpha)
+    aM, st = -alpha / (2.0 * A), math.sin(th)
     for k in range(k0, k0 + n):
+        # el.geometry(); check_not_radial has passed e, so the max(1 - e*e,
+        # 0.0) of b and of beta is 1 - e*e, and one sqrt serves both
+        w = math.sqrt(1.0 - e * e)
+        ct = math.cos(th)
+        c = aM * e
+        if a >= 0.0:
+            sigma, vx, vy = 1.0, st, -ct
+        else:
+            sigma, vx, vy = -1.0, -st, ct
+        geometry = (aM, e, aM * w, c * ct, c * st, -ct, -st, vx, vy,
+                    alpha * alpha / (4.0 * math.sqrt(0.5 * alpha * aM) ** 3))
         # eccentric_of_state(el, state): eccentric_from_true of the true
         # anomaly; each fmod and its sign fix is a wrap_angle
-        sigma = 1.0 if a >= 0.0 else -1.0
         nu = math.fmod(sigma * (math.atan2(y, x) - th - math.pi), TWO_PI)
         if nu < 0.0:
             nu += TWO_PI
-        beta = e / (1.0 + math.sqrt(max(1.0 - e * e, 0.0)))
+        beta = e / (1.0 + w)
         E_now = math.fmod(nu - 2.0 * math.atan2(beta * math.sin(nu), 1.0 + beta * math.cos(nu)),
                           TWO_PI)
         if E_now < 0.0:
@@ -453,7 +464,7 @@ def _kepler_chain(
         if py > 0.0 and abs(y - h) < TOL_EVENT:  # on the wall moving up, as in step
             out, event = impact_event(CartesianState(x, y, px, py, t), p, k, E_hit=E_now)
             check_not_radial(event.pre.e)
-            post, x, px, py = event.post, out.x, out.px, out.py
+            post, x, px, py, r, lam = event.post, out.x, out.px, out.py, event.r, event.lam
             A, a, th, e = post.A, post.a, post.theta0, post.e
             check_not_radial(e)
         else:
@@ -487,10 +498,23 @@ def _kepler_chain(
             event = CollisionEvent(k, t_hit, x, r, lam, el, post, E_hit)
         events.append(event)
         el, y, t = post, h, event.t
-        st = math.sin(th)
-        geometry = ellipse_geometry(A, a, e, math.cos(th), st, alpha)
-        if reports is not None:
-            reports.append(certify(a, e, st, geometry[0], event.r, event.lam, p))
+        aM, st = -alpha / (2.0 * A), math.sin(th)
+        if reports is None:
+            continue
+        # invariant_report of the event.  R0_from_geometry's max(val, 0.0)
+        # passes a NaN on, as this does; R_from_R0 refuses R0 < 0, which a
+        # square root never is
+        R16 = a * a + h * alpha * e * st
+        if not 0.0 < r < 2.0 * aM:
+            raise DomainError(f"need 0 < r < 2*aM, got r = {r:g}, aM = {aM:g}")
+        q = 2.0 * aM - r
+        val = 0.25 * r * r + 0.25 * q * q + 0.5 * r * q * math.cos(2.0 * lam)
+        R0 = math.sqrt(0.0 if val < 0.0 else val)
+        R17 = alpha / (2.0 * aM) * (h * h + aM * aM - R0 * R0)
+        lower = alpha * h * h / (2.0 * aM)
+        upper = (1.0 + (aM / h) ** 2 - ((aM - r) / h) ** 2) * lower
+        bounds_ok = (aM - r) ** 2 < R0 * R0 < aM * aM and lower < R16 < upper
+        reports.append(InvariantReport(R16, R0, R17, abs(R16 - R17), bounds_ok))
     return CartesianState(x, y, px, py, t)
 
 
@@ -499,24 +523,16 @@ def invariant_report(event: CollisionEvent, p: Params) -> InvariantReport:
 
     R_eq16, R0 and R_eq17 are ``conserved_R``, ``R0_from_geometry`` and
     ``R_from_R0`` of the event: the Kepler (osculating) quantities of its
-    ``post`` elements, whatever ``p.g`` is.
+    ``post`` elements, whatever ``p.g`` is.  The composed route: ``run`` at
+    g > 0 and the tests' oracle of the g = 0 core, which certifies inline.
 
     Raises:
         DomainError: unless 0 < r < 2*aM (from ``R0_from_geometry``).
     """
-    el = event.post
-    return certify(el.a, el.e, math.sin(el.theta0), el.aM, event.r, event.lam, p)
-
-
-def certify(
-    a: float, e: float, sin_theta0: float, aM: float, r: float, lam: float, p: Params
-) -> InvariantReport:
-    """:func:`invariant_report` of an impact at (r, lam) whose post-impact
-    ellipse has angular momentum ``a`` and the already formed ``e``,
-    ``sin(theta0)`` and semi-major axis ``aM``."""
-    h = p.h
-    R16 = R_eq16(a, e, sin_theta0, p)
-    R0 = R0_from_geometry(r, aM, lam)
+    el, r, h = event.post, event.r, p.h
+    aM = el.aM
+    R16 = conserved_R(el, p)
+    R0 = R0_from_geometry(r, aM, event.lam)
     R17 = R_from_R0(R0, aM, p)
     lower = p.alpha * h * h / (2.0 * aM)
     upper = (1.0 + (aM / h) ** 2 - ((aM - r) / h) ** 2) * lower

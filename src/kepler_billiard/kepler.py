@@ -158,29 +158,21 @@ class OrbitalElements:
         and ``v`` the one a quarter turn from it in the direction of motion,
         so the eccentric anomaly always increases with time whatever the
         rotation sense; ``n`` the magnitude of the mean-anomaly rate,
-        |alpha^2 / (4 L^3)|.
+        |alpha^2 / (4 L^3)|.  The g = 0 core of :mod:`billiard` forms this
+        tuple inline by the same expressions, bit for bit.
         """
-        th = self.theta0
-        return ellipse_geometry(self.A, self.a, self.e, math.cos(th), math.sin(th), self.alpha)
+        aM, e, th = self.aM, self.e, self.theta0
+        ct, st = math.cos(th), math.sin(th)
+        c = aM * e
+        ux, uy = -ct, -st
+        vx, vy = (-uy, ux) if self.a >= 0.0 else (uy, -ux)
+        n = self.alpha * self.alpha / (4.0 * math.sqrt(0.5 * self.alpha * aM) ** 3)
+        return aM, e, aM * math.sqrt(max(1.0 - e * e, 0.0)), c * ct, c * st, ux, uy, vx, vy, n
 
     def max_y(self) -> float:
         """Largest y reached on the full ellipse."""
         aM, _, b, _, cy, _, uy, _, vy, _ = self.geometry()
         return cy + math.hypot(aM * uy, b * vy)
-
-
-def ellipse_geometry(
-    A: float, a: float, e: float, cos_theta0: float, sin_theta0: float, alpha: float
-) -> tuple[float, ...]:
-    """:meth:`OrbitalElements.geometry` of the ellipse (A, a, theta0) from its
-    already formed ``e``, ``cos(theta0)`` and ``sin(theta0)``."""
-    aM = -alpha / (2.0 * A)
-    b = aM * math.sqrt(max(1.0 - e * e, 0.0))
-    c = aM * e
-    ux, uy = -cos_theta0, -sin_theta0
-    vx, vy = (-uy, ux) if a >= 0.0 else (uy, -ux)
-    n = alpha * alpha / (4.0 * math.sqrt(0.5 * alpha * aM) ** 3)
-    return aM, e, b, c * cos_theta0, c * sin_theta0, ux, uy, vx, vy, n
 
 
 @dataclass(slots=True)
@@ -314,10 +306,12 @@ def cartesian_from_elements(el: OrbitalElements, nu: float) -> CartesianState:
 
     For retrograde orbits (a < 0) the polar angle runs backwards while ``nu``
     still increases with time.
+
+    Raises:
+        Degenerate: if ``el`` is near-radial (:func:`check_not_radial`).
     """
     e = el.e
-    if e >= 1.0 - TOL_ECC:
-        raise Degenerate(f"eccentricity {e:g} too close to 1")
+    check_not_radial(e)
     aM = el.aM
     ell = aM * (1.0 - e * e)  # semi-latus rectum
     r = ell / (1.0 + e * math.cos(nu))

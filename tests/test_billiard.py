@@ -513,6 +513,23 @@ class TestRun:
         res = run(reference_state, 12, params, samples_per_arc=16)
         assert len(res.events) == 12 and len(calls) == 12
 
+    @pytest.mark.parametrize("m", [0, 16])
+    def test_g0_run_forms_and_certifies_inline(self, params, reference_state, monkeypatch, m):
+        # a g = 0 run forms the start's elements once and one crossing per
+        # impact; it certifies each impact inline, not by the composed report
+        calls = dict.fromkeys(("wall_crossing", "elements_from_cartesian", "invariant_report",
+                               "conserved_R", "R0_from_geometry", "R_from_R0"), 0)
+        for name in calls:
+            def counted(*args, _call=getattr(billiard, name), _name=name):
+                calls[_name] += 1
+                return _call(*args)
+
+            monkeypatch.setattr(billiard, name, counted)
+        res = run(reference_state, 12, params, samples_per_arc=m)
+        assert len(res.events) == len(res.reports) == 12 and res.halted is None
+        assert calls == {"wall_crossing": 12, "elements_from_cartesian": 1, "invariant_report": 0,
+                         "conserved_R": 0, "R0_from_geometry": 0, "R_from_R0": 0}
+
 
 class TestOnePassCollision:
     """``step`` forms each ellipse once and ``run`` carries the post-impact
@@ -605,11 +622,18 @@ class TestChainOracle:
         heading=st.floats(0.01, math.pi - 0.01),
         n=st.integers(1, 20),
         m=st.sampled_from([0, 1, 7]),
+        alpha=st.floats(0.5, 2.0),
+        h=st.floats(0.5, 2.0),
     )
     def test_run_is_a_chain_of_composed_collisions(
-        self, A, e, theta0, prograde, nu, on_wall, x, off, heading, n, m
+        self, A, e, theta0, prograde, nu, on_wall, x, off, heading, n, m, alpha, h
     ):
-        p = Params()
+        # alpha and h away from 1, where each product of them rounds, so a
+        # reassociated product shows; A and x scale with them, so the orbit
+        # meets the wall as it does at alpha = h = 1
+        p = Params(alpha=alpha, h=h)
+        A *= alpha / h
+        x *= h
         aM = -p.alpha / (2.0 * A)
         if on_wall:  # within TOL_EVENT of the wall, moving up, at twice-energy A
             y = p.h + off * TOL_EVENT

@@ -160,6 +160,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="^initial.elements: Degenerate: "):
             cli.parse_config(doc, "simulate")
 
+    def test_radial_elements_refused_as_a_run_refuses_them(self, tmp_path, capsys):
+        # a radial ellipse is refused by check_not_radial, with the text a
+        # run that meets one halts with
+        doc = base_doc(tmp_path)
+        doc["initial"]["elements"]["a"] = 0.0
+        config = tmp_path / "radial.json"
+        config.write_text(json.dumps(doc))
+        assert cli.main(["simulate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == ("configuration error: initial.elements: Degenerate: "
+                                           "eccentricity 1 too close to 1 (radial orbit)\n")
+        assert not (tmp_path / "out").exists()
+
     def test_negative_n(self):
         with pytest.raises(ConfigError, match="n_collisions"):
             cli.parse_config({"n_collisions": -1}, "simulate")
