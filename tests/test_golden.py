@@ -51,8 +51,9 @@ GOLDEN = {
         "trajectory.csv": "a7994ea5d664bbf7edbaf07eb1c8fb15aac1843ab65e0fa98aeea56e153c5e03",
         "trajectory.svg": "d04690301f4f3c50cf3aaad8992a9c99818a7368d45993a4ebafa5226de4a828",
     },
-    # g = 0 at alpha = 1.3, h = 0.8 (R = 1.020 < h*alpha, so the angular
-    # momentum changes sign), where every product of alpha or h rounds
+    # g = 0 at alpha = 1.3, h = 0.8, where products of alpha and h round,
+    # so a reassociated one changes bits; R = 1.020 < h*alpha, so the
+    # angular momentum changes sign
     "reference_g0_scaled": {
         "events.csv": "5ccfb5a63c9ea5d953f5d6cc40ddd3b5fa699b1cc20479da6e930359c7fa5699",
         "trajectory.csv": "123c556254e68d31669470433ad970a26c09ec48b4c28fc88513956430fcde55",
