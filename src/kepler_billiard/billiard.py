@@ -368,17 +368,14 @@ def impact_event(
     )
 
 
-def step(
-    s: CartesianState, p: Params, n: int = 0, el: OrbitalElements | None = None
-) -> tuple[CartesianState, CollisionEvent]:
+def step(s: CartesianState, p: Params, n: int = 0) -> tuple[CartesianState, CollisionEvent]:
     """Propagate to the next wall impact and reflect.
 
     Returns the post-reflection state (on the wall, moving away) and the
     fully populated collision event.  At g = 0 the arc is the Kepler
-    ellipse ``el``, by default ``elements_from_cartesian(s, p)``, and the
-    step is one collision of :func:`_kepler_chain`.  At g > 0 the arc is the
-    revolving orbit, ``el`` is not read, and the event carries the osculating
-    g = 0 elements (:func:`impact_event`).
+    ellipse through ``s`` and the step is one collision of
+    :func:`_kepler_chain`.  At g > 0 the arc is the revolving orbit, and the
+    event carries the osculating g = 0 elements (:func:`impact_event`).
 
     A start on the wall (within ``TOL_EVENT``) moving up hits it at once, on
     either route: its event is ``impact_event`` of the start itself, at the
@@ -394,7 +391,7 @@ def step(
         E_hit, hit = next_revolving_crossing(orb, p, t0=s.t)
         return impact_event(hit, p, n, E_hit=E_hit)
     events: list[CollisionEvent] = []
-    out = _kepler_chain(s, el, p, n, 1, 0, events, None, [])
+    out = _kepler_chain(s, p, n, 1, 0, events, None, [])
     return out, events[0]
 
 
@@ -404,14 +401,14 @@ def _check_start(s: CartesianState, p: Params) -> None:
 
 
 def _kepler_chain(
-    s: CartesianState, el: OrbitalElements | None, p: Params, k0: int, n: int,
-    samples_per_arc: int, events: list[CollisionEvent],
-    reports: list[InvariantReport] | None, chunks: list[np.ndarray],
+    s: CartesianState, p: Params, k0: int, n: int, samples_per_arc: int,
+    events: list[CollisionEvent], reports: list[InvariantReport] | None,
+    chunks: list[np.ndarray],
 ) -> CartesianState:
     """The g = 0 propagation core: ``n`` collisions from ``s``, numbered from ``k0``.
 
-    ``el`` is the ellipse through ``s``, by default
-    ``elements_from_cartesian(s, p)``.  Each impact appends its event to
+    The first arc is ``elements_from_cartesian(s, p)``, and each impact's
+    post-impact elements are the next arc's.  Each impact appends its event to
     ``events``, its report to ``reports`` (unless None) and, with
     ``samples_per_arc > 0``, its arc's samples to ``chunks``; an exception
     leaves the impacts before it there.  Returns the state after the last
@@ -433,8 +430,7 @@ def _kepler_chain(
     _check_start(s, p)
     alpha, h = p.alpha, p.h
     x, y, px, py, t = s.x, s.y, s.px, s.py, s.t
-    if el is None:
-        el = elements_from_cartesian(s, p)
+    el = elements_from_cartesian(s, p)
     e = el.e
     check_not_radial(e)
     A, a, th = el.A, el.a, el.theta0
@@ -625,7 +621,7 @@ def run(
                 reports.append(invariant_report(event, p))
                 state = nxt
         else:
-            _kepler_chain(s0, None, p, 0, n, samples_per_arc, events, reports, chunks)
+            _kepler_chain(s0, p, 0, n, samples_per_arc, events, reports, chunks)
     except NoCollision as exc:
         k = len(events)
         if k == 0:

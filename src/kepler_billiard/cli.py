@@ -23,6 +23,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -292,30 +293,30 @@ def parse_config(doc: dict, command: str) -> RunConfig:
 # ----------------------------------------------------------- serialization ---
 
 
-def _fmt_cell(v) -> str:
-    # the exact types of nearly every cell first; the rule below covers all
-    t = type(v)
-    if t is float:
-        return "" if math.isnan(v) else format(v, ".17g")
-    if t is int:
-        return str(v)
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    x = float(v)
-    if math.isnan(x):
-        return ""
-    return format(x, ".17g")
+# the cell rule of each kind of column; a NaN float is an empty cell
+CELL_RULES = {
+    bool: lambda col: ["true" if v else "false" for v in col],
+    int: lambda col: list(map(str, col)),
+    float: lambda col: ["" if v != v else format(v, ".17g") for v in col],
+    str: list,
+}
 
 
-def write_csv(path: Path, header: list[str], rows) -> bytes:
-    """Write a CSV file and return the bytes written."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(map(_fmt_cell, row)))
+def _cells(col) -> list[str]:
+    """One column's cells, by the rule of its one kind (an ndarray's by its ``.tolist()``)."""
+    if isinstance(col, np.ndarray):
+        col = col.tolist()
+    kinds = set(map(type, col))
+    if len(kinds) > 1 or not kinds <= CELL_RULES.keys():
+        raise TypeError(f"a column holds one kind of cell, not {sorted(k.__name__ for k in kinds)}")
+    return CELL_RULES[kinds.pop()](col) if kinds else []
+
+
+def write_csv(path: Path, header: list[str], columns) -> bytes:
+    """Write a CSV file from its columns, one a header field and all of one
+    length, and return the bytes written."""
+    cols = [_cells(col) for _, col in zip(header, columns, strict=True)]
+    lines = [",".join(header), *map(",".join, zip(*cols, strict=True))]
     data = ("\n".join(lines) + "\n").encode("utf-8")
     path.write_bytes(data)
     return data
@@ -330,7 +331,7 @@ def finalize_bundle(
 ) -> OutputBundle:
     """Write the run's files into its output directory, in the order of
     ``contents`` ({file name: content}), then the manifest.  A content is a
-    CSV as ``(header, rows)``, a JSON document as a dict, or text; None
+    CSV as ``(header, columns)``, a JSON document as a dict, or text; None
     writes no file.  Each file is encoded once and written as bytes, and the
     manifest's sizes and checksums are those of the bytes written."""
     files, entries = [], []
@@ -453,20 +454,14 @@ def _section_figure(
 # --------------------------------------------------------------- commands ---
 
 
-def _event_rows(events, reports):
-    for ev, rep in zip(events, reports):
-        yield (
-            ev.n, ev.t, ev.x_impact, ev.r, ev.lam, ev.post.A,
-            ev.pre.a, ev.post.a, ev.pre.theta0, ev.post.theta0,
-            rep.R_eq16, rep.R0, rep.R_eq17, rep.residual_identity, rep.bounds_ok,
-        )
-
-
-EVENT_HEADER = [
-    "n", "t", "x_impact", "r", "lambda", "A", "a_pre", "a_post",
-    "theta0_pre", "theta0_post", "R_eq16", "R0", "R_eq17",
-    "residual_identity", "bounds_ok",
-]
+# events.csv: each column's header and the attribute of the event it holds,
+# then one column per field of the event's report
+EVENT_FIELDS = {
+    "n": "n", "t": "t", "x_impact": "x_impact", "r": "r", "lambda": "lam", "A": "post.A",
+    "a_pre": "pre.a", "a_post": "post.a", "theta0_pre": "pre.theta0", "theta0_post": "post.theta0",
+}
+REPORT_FIELDS = ["R_eq16", "R0", "R_eq17", "residual_identity", "bounds_ok"]
+EVENT_HEADER = [*EVENT_FIELDS, *REPORT_FIELDS]
 
 
 def _energy_drift(s0: CartesianState, res: billiard.BilliardRun, p: Params) -> dict:
@@ -502,9 +497,11 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, dict]:
     res = billiard.run(s0, cfg.n_collisions, cfg.params, samples_per_arc=512)
     events, reports, samples = res.events, res.reports, res.samples
     extra = {**_run_outcome(res), "energy_drift": _energy_drift(s0, res, cfg.params)}
+    columns = [list(map(attrgetter(f), events)) for f in EVENT_FIELDS.values()]
+    columns += [list(map(attrgetter(f), reports)) for f in REPORT_FIELDS]
     return {
-        "events.csv": (EVENT_HEADER, _event_rows(events, reports)),
-        "trajectory.csv": (["t", "x", "y", "px", "py"], samples),
+        "events.csv": (EVENT_HEADER, columns),
+        "trajectory.csv": (["t", "x", "y", "px", "py"], samples.T),
         "trajectory.svg": _trajectory_figure(samples, events, cfg.params),
     }, extra
 
@@ -528,10 +525,10 @@ def cmd_gamma(cfg: RunConfig) -> tuple[dict, dict]:
             report["conjectures"] = delaunay.conjecture_report(series, L, R, p, probes)
         except BilliardError as exc:
             report["conjectures"] = {"error": f"{type(exc).__name__}: {exc}"}
-    columns = zip(series.gamma.tolist(), series.delta2.tolist(), series.eps.tolist())
+    n = np.arange(series.gamma.size)
     return {
         "gamma.csv": (["n", "gamma", "delta2_gamma", "eps_observed", "parity"],
-                      ((n, g, d, e, n % 2) for n, (g, d, e) in enumerate(columns))),
+                      [n, series.gamma, series.delta2, series.eps, n % 2]),
         "conjecture_report.json": report,
         "delta2_gamma.svg": _delta2_figure(series),
     }, _run_outcome(res)
@@ -553,14 +550,13 @@ def cmd_section(cfg: RunConfig) -> tuple[dict, dict]:
             {"seed_id": i, "error": o.error} for i, o in enumerate(outcomes) if o.error
         ],
     }
+    events = [ev for o in outcomes for ev in o.events]
     return {
         "section.csv": (
             ["seed_id", "n", "x", "lambda", "R_value"],
-            (
-                (i, ev.n, ev.x_impact, ev.lam, R)
-                for i, (o, Rv) in enumerate(zip(outcomes, R_values))
-                for ev, R in zip(o.events, Rv)
-            ),
+            [[i for i, o in enumerate(outcomes) for _ in o.events], [ev.n for ev in events],
+             [ev.x_impact for ev in events], [ev.lam for ev in events],
+             [R for Rv in R_values for R in Rv]],
         ),
         "section.svg": _section_figure(outcomes, R_values, cfg.A, cfg.params),
     }, extra
@@ -570,18 +566,18 @@ def cmd_region(cfg: RunConfig) -> tuple[dict, dict]:
     # cfg.A is the twice-energy of the state simulate starts from, g/r^2 included
     A = cfg.A
     x_min, x_max = billiard.accessible_interval(A, cfg.params)
-    xs = np.linspace(x_min, x_max, 1001)
-    rows = []
-    for x in xs:
+    xs, bs = [], []
+    for x in np.linspace(x_min, x_max, 1001).tolist():
         r = math.hypot(x, cfg.params.h)
         rad = A - cfg.params.g / (r * r) + cfg.params.alpha / r
         if rad < 0.0 and rad > -1e-12:
             rad = 0.0
         if rad < 0.0:
             continue
-        b = math.sqrt(rad)
-        rows.append((x, b, -b))
-    return {"region.csv": (["x", "p_plus", "p_minus"], rows)}, {"A": A, "x_min": x_min, "x_max": x_max}
+        xs.append(x)
+        bs.append(math.sqrt(rad))
+    return ({"region.csv": (["x", "p_plus", "p_minus"], [xs, bs, [-b for b in bs]])},
+            {"A": A, "x_min": x_min, "x_max": x_max})
 
 
 # ----------------------------------------------------------------- verify ---
@@ -623,9 +619,9 @@ def run_verify_checks() -> dict[str, float]:
 
     # Kepler residual over the (e, M) grid
     worst = 0.0
-    for e in np.linspace(0.0, 0.99, 34):
-        for M in np.linspace(0.0, 2.0 * math.pi, 300, endpoint=False):
-            E = solve_kepler(float(M), float(e))
+    for e in np.linspace(0.0, 0.99, 34).tolist():
+        for M in np.linspace(0.0, 2.0 * math.pi, 300, endpoint=False).tolist():
+            E = solve_kepler(M, e)
             worst = max(worst, abs(E - e * math.sin(E) - M))
     m["kepler_residual"] = worst
 
@@ -731,7 +727,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, dict]:
         ],
     }
     return {
-        "verify_checks.csv": (["name", "kind", "threshold", "measured", "pass"], rows),
+        "verify_checks.csv": (["name", "kind", "threshold", "measured", "pass"], list(zip(*rows))),
         "verify_report.json": report,
     }, {"all_passed": report["all_passed"]}
 

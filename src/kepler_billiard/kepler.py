@@ -210,16 +210,16 @@ class RevolvingOrbit:
         """Mean-anomaly rate of the radial motion, sqrt(mu/aM^3)."""
         return math.sqrt(self.mu / self.aM**3)
 
-    def state_at(self, E: float, t: float = 0.0) -> CartesianState:
-        """State at eccentric anomaly ``E``, with r and p_r = dr/dt formed in E free of
-        the cancellation in ``1 - e*cos E`` and of nu's rounding near the pericentre."""
+    def state_at(self, E: float) -> CartesianState:
+        """State at eccentric anomaly ``E``, at t = 0, with r and p_r = dr/dt formed in E
+        free of the cancellation in ``1 - e*cos E`` and of nu's rounding near the pericentre."""
         e, aM = self.e, self.aM
         r = self.semi_latus / (1.0 + e) + 2.0 * aM * e * math.sin(0.5 * E) ** 2
         phi = self.phi0 + self.k * (true_from_eccentric(E, e) - self.nu0)
         pr = math.sqrt(self.mu * aM) * e * math.sin(E) / r
         pt = self.l / r
         c, s = math.cos(phi), math.sin(phi)
-        return CartesianState(r * c, r * s, pr * c - pt * s, pr * s + pt * c, t)
+        return CartesianState(r * c, r * s, pr * c - pt * s, pr * s + pt * c)
 
     def time_to(self, E: float) -> float:
         """Time from ``nu0`` to ``E``, by Kepler's equation of the radial orbit."""

@@ -191,15 +191,17 @@ class TestConfigParsing:
 
 
 def generic_cell(v) -> str:
-    """The cell rule without its exact-type branches: the oracle of _fmt_cell."""
+    """The form of one cell by its kind, a numpy scalar as its Python value:
+    the oracle of the column formatter."""
+    if isinstance(v, np.generic):
+        v = v.item()
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, str):
         return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    x = float(v)
-    return "" if math.isnan(x) else format(x, ".17g")
+    if isinstance(v, int):
+        return str(v)
+    return "" if math.isnan(v) else format(v, ".17g")
 
 
 CELLS = [True, False, 0, 1, -7, 2**70, np.int64(-3), np.int64(2**62), 0.1, -0.0, 0.0,
@@ -208,21 +210,62 @@ CELLS = [True, False, 0, 1, -7, 2**70, np.int64(-3), np.int64(2**62), 0.1, -0.0,
 
 
 class TestFmtCell:
+    """The cell forms, written by kind of column: a numpy scalar's cell as a
+    one-cell array column of its dtype."""
+
     @pytest.mark.parametrize("v", CELLS, ids=repr)
     def test_matches_generic_rule(self, v):
-        assert cli._fmt_cell(v) == generic_cell(v)
+        col = np.array([v]) if isinstance(v, np.generic) else [v]
+        assert cli._cells(col) == [generic_cell(v)]
 
     def test_written_forms(self):
-        assert [cli._fmt_cell(v) for v in (True, False, math.nan, -0.0, math.inf, -math.inf)] \
-            == ["true", "false", "", "-0", "inf", "-inf"]
-        assert cli._fmt_cell(np.float64(math.nan)) == ""
+        assert cli._cells([True, False]) == ["true", "false"]
+        assert cli._cells([0, 1, -7, 2**70]) == ["0", "1", "-7", "1180591620717411303424"]
+        assert cli._cells([0.1, -0.0, 1e-320, 1e300, math.inf, -math.inf, math.nan]) == [
+            "0.10000000000000001", "-0", "9.9998886718268301e-321", "1.0000000000000001e+300",
+            "inf", "-inf", ""]
+        assert cli._cells(np.array([0.1, math.nan, -math.inf])) == ["0.10000000000000001", "", "-inf"]
+        assert cli._cells(np.array([-3, 2**62])) == ["-3", "4611686018427387904"]
+        assert cli._cells(["", "abc"]) == ["", "abc"]
+        # a lone np.bool_ cell wrote 1; a numpy bool column is a bool column
+        assert cli._cells(np.array([True, False])) == ["true", "false"]
 
-    @given(x=st.floats(allow_subnormal=True), n=st.integers(-(2**63), 2**63 - 1))
-    def test_fast_branches_match_numpy_scalars(self, x, n):
-        # a Python float or int takes the fast branch; its numpy scalar, the
-        # generic rule
-        assert cli._fmt_cell(x) == cli._fmt_cell(np.float64(x)) == generic_cell(x)
-        assert cli._fmt_cell(n) == cli._fmt_cell(np.int64(n)) == generic_cell(n)
+    @given(xs=st.lists(st.floats(allow_subnormal=True)),
+           ns=st.lists(st.integers(-(2**63), 2**63 - 1)))
+    def test_array_columns_write_their_lists(self, xs, ns):
+        # a float64 or int64 array column writes what its .tolist() writes,
+        # and each float cell reads back as its double (a NaN as empty)
+        cells = cli._cells(np.array(xs, dtype=np.float64))
+        assert cells == cli._cells(xs) == [generic_cell(x) for x in xs]
+        for x, c in zip(xs, cells):
+            assert (c == "") if math.isnan(x) else (float(c).hex() == x.hex())
+        assert cli._cells(np.array(ns, dtype=np.int64)) == cli._cells(ns) == [str(n) for n in ns]
+
+    def test_table_of_columns(self, tmp_path):
+        path = tmp_path / "t.csv"
+        data = cli.write_csv(path, ["n", "x", "ok", "s"],
+                             [np.arange(2), [0.5, math.nan], [True, False], ["a", "b"]])
+        assert data == path.read_bytes() == b"n,x,ok,s\n0,0.5,true,a\n1,,false,b\n"
+
+    def test_table_without_rows_writes_its_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        assert cli.write_csv(path, ["t", "x"], [np.zeros(0), []]) == path.read_bytes() == b"t,x\n"
+
+    @pytest.mark.parametrize("columns", [[[1, 2], [0.5]], [[], [0.5]], [[1, 2]]],
+                             ids=["short column", "empty column", "header field without column"])
+    def test_unequal_columns_raise(self, tmp_path, columns):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            cli.write_csv(path, ["a", "b"], columns)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("col", [[1, 2.0], [True, 1], [0.5, "0.5"], [0.5, np.float64(1.5)],
+                                     [np.int64(1)], [None]], ids=repr)
+    def test_column_of_mixed_kinds_raises(self, tmp_path, col):
+        path = tmp_path / "t.csv"
+        with pytest.raises(TypeError, match="^a column holds one kind of cell"):
+            cli.write_csv(path, ["a"], [col])
+        assert not path.exists()
 
 
 def subparsers():

@@ -1,4 +1,5 @@
 import math
+import statistics
 import warnings
 
 import numpy as np
@@ -297,6 +298,21 @@ class TestGammaSeries:
         _, _, series = gamma_run
         assert np.all(np.isfinite(series.delta2[:-2]))
         assert np.all(np.isnan(series.delta2[-2:]))
+
+    @pytest.mark.parametrize("m", [40, 41, 42, 43])
+    def test_class_median_is_statistics_median(self, gamma_run, m):
+        # each parity class's increments are re-centred at their median, as
+        # statistics.median takes it: classes of 19 to 21 increments, odd and
+        # even, on random principal gammas
+        _, res, _ = gamma_run
+        principal, gamma_full = np.random.default_rng(m).uniform(0.0, 40.0, m), 3.7
+        series = delaunay._series(res.events[:m], np.append(principal, gamma_full))
+        half = 0.5 * gamma_full
+        for par in (0, 1):
+            reduced = np.diff(principal[par::2]) % gamma_full
+            med = statistics.median(reduced.tolist())
+            want = ((reduced - med + half) % gamma_full) + med - half
+            assert series.delta2[par::2][:-1].tobytes() == want.tobytes()
 
     def test_gamma_cumulative(self, gamma_run):
         _, _, series = gamma_run
