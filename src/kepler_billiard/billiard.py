@@ -1,7 +1,9 @@
 """Event-driven dynamics against the wall y = h, with invariant certification.
 
-Between collisions the particle follows its free orbit exactly, and ``step``
-picks the route by ``p.g`` alone.
+Between collisions the particle follows its free orbit exactly.  One loop
+per regime runs every collision, :func:`_kepler_chain` at g = 0 and
+:func:`_revolving_chain` at g > 0: ``run`` calls one once, and ``step`` is
+its one-collision form.
 
 At g = 0 the orbit is a Kepler ellipse, and the wall crossing is located in
 closed form because the height along the orbit is a pure sinusoid of the
@@ -21,25 +23,24 @@ Q = (0, h) to the ellipse center.  Each collision is certified through an
 :class:`InvariantReport` that cross-checks the two routes to R0 and R and the
 box bounds on both.
 
-One loop, :func:`_kepler_chain`, runs every g = 0 collision: ``run`` calls it
-once and ``step`` is its one-collision form.  Its one call per arc is the
-crossing, :func:`wall_crossing`; the rest it forms inline from the floats
-it holds: the arc's ellipse (one sqrt(1 - e^2) serving the semi-minor axis
-and the anomaly), the start's anomaly, the post-impact elements and the
-impact's report.  An impact builds three records: the post-impact elements,
-the event and the report.  Its floats are those of the composed route
-(``elements_from_cartesian``, ``OrbitalElements.geometry``,
-``eccentric_of_state``, ``next_wall_crossing``, ``reflect``,
-``invariant_report``), bit for bit.
+The g = 0 loop's one call per arc is the crossing, :func:`wall_crossing`;
+the rest it forms inline from the floats it holds: the arc's ellipse (one
+sqrt(1 - e^2) serving the semi-minor axis and the anomaly), the start's
+anomaly, the post-impact elements and the impact's report.  An impact
+builds three records: the post-impact elements, the event and the report.
+Its floats are those of the composed route (``elements_from_cartesian``,
+``OrbitalElements.geometry``, ``eccentric_of_state``,
+``next_wall_crossing``, ``reflect``, ``invariant_report``), bit for bit.
 
 At g > 0 the orbit is Newton's revolving ellipse (:class:`RevolvingOrbit`),
 and :func:`next_revolving_crossing` brackets the first upward root of the
 wall function by a certified scan in its true anomaly and polishes it by
-Newton's method in the radial orbit's eccentric anomaly.  Its events carry
-the osculating g = 0 elements at the impact, so the same report measures
-how far R drifts.  An arc that would take longer than
-``MAX_ARC_TIME`` counts as never reaching the wall, here and on the ODE route
-of :mod:`perturbed`.
+Newton's method in the radial orbit's eccentric anomaly.  The g > 0 loop
+forms each arc's orbit once, for its crossing and its samples.  Its events
+carry the osculating g = 0 elements at the impact, so the same report
+(:func:`invariant_report`) measures how far R drifts.  An arc that would
+take longer than ``MAX_ARC_TIME`` counts as never reaching the wall, here
+and on the ODE route of :mod:`perturbed`.
 
 The tangent-wall angle ``lambda`` recorded on events is the direction of the
 incoming velocity reduced modulo pi into (0, pi); since reflections send
@@ -105,9 +106,6 @@ class CollisionEvent:
     lam: float
     pre: OrbitalElements
     post: OrbitalElements
-    # eccentric anomaly of the impact on the arc's orbit (the radial orbit's
-    # at g > 0); NaN on the ODE route
-    E_hit: float = math.nan
 
 
 @dataclass(slots=True)
@@ -349,7 +347,7 @@ def reflect(s: CartesianState, p: Params, tol_event: float = TOL_EVENT) -> Carte
 
 
 def impact_event(
-    hit: CartesianState, p: Params, n: int, tol_event: float = TOL_EVENT, E_hit: float = math.nan
+    hit: CartesianState, p: Params, n: int, tol_event: float = TOL_EVENT
 ) -> tuple[CartesianState, CollisionEvent]:
     """Reflect a state that the flow carried onto the wall, and record the impact.
 
@@ -364,7 +362,7 @@ def impact_event(
     pinned = CartesianState(out.x, out.y, out.px, hit.py, out.t)
     return out, CollisionEvent(
         n, out.t, out.x, pinned.r, math.atan2(hit.py, hit.px) % math.pi,
-        elements_from_cartesian(pinned, p), elements_from_cartesian(out, p), E_hit,
+        elements_from_cartesian(pinned, p), elements_from_cartesian(out, p),
     )
 
 
@@ -372,26 +370,18 @@ def step(s: CartesianState, p: Params, n: int = 0) -> tuple[CartesianState, Coll
     """Propagate to the next wall impact and reflect.
 
     Returns the post-reflection state (on the wall, moving away) and the
-    fully populated collision event.  At g = 0 the arc is the Kepler
-    ellipse through ``s`` and the step is one collision of
-    :func:`_kepler_chain`.  At g > 0 the arc is the revolving orbit, and the
+    fully populated collision event: one collision of the regime's loop,
+    :func:`_kepler_chain` on the Kepler ellipse through ``s`` at g = 0,
+    :func:`_revolving_chain` on its revolving orbit at g > 0, where the
     event carries the osculating g = 0 elements (:func:`impact_event`).
 
     A start on the wall (within ``TOL_EVENT``) moving up hits it at once, on
-    either route: its event is ``impact_event`` of the start itself, at the
-    start's anomaly.  The forward search would instead round the crossing
-    just behind the start and fly a whole revolution through the wall.
+    either route: its event is ``impact_event`` of the start itself.  The
+    forward search would instead round the crossing just behind the start
+    and fly a whole revolution through the wall.
     """
-    if p.g > 0.0:
-        _check_start(s, p)
-        orb = revolving_orbit(s, p)
-        # py first: a chained step leaves the wall moving down
-        if s.py > 0.0 and abs(s.y - p.h) < TOL_EVENT:
-            return impact_event(s, p, n, E_hit=eccentric_from_true(orb.nu0, orb.e))
-        E_hit, hit = next_revolving_crossing(orb, p, t0=s.t)
-        return impact_event(hit, p, n, E_hit=E_hit)
     events: list[CollisionEvent] = []
-    out = _kepler_chain(s, p, n, 1, 0, events, None, [])
+    out = (_revolving_chain if p.g > 0.0 else _kepler_chain)(s, p, n, 1, 0, events, None, [])
     return out, events[0]
 
 
@@ -458,7 +448,7 @@ def _kepler_chain(
         if E_now < 0.0:
             E_now += TWO_PI
         if py > 0.0 and abs(y - h) < TOL_EVENT:  # on the wall moving up, as in step
-            out, event = impact_event(CartesianState(x, y, px, py, t), p, k, E_hit=E_now)
+            out, event = impact_event(CartesianState(x, y, px, py, t), p, k)
             check_not_radial(event.pre.e)
             post, x, px, py, r, lam = event.post, out.x, out.px, out.py, event.r, event.lam
             A, a, th, e = post.A, post.a, post.theta0, post.e
@@ -490,8 +480,8 @@ def _kepler_chain(
                     th += TWO_PI
             post = OrbitalElements(A, a, th, alpha)
             if samples_per_arc > 0 and t_hit != t:
-                chunks.append(_arc_samples(el, E_now, E_hit, t, samples_per_arc))
-            event = CollisionEvent(k, t_hit, x, r, lam, el, post, E_hit)
+                chunks.append(_arc_samples(geometry, E_now, E_hit, t, samples_per_arc))
+            event = CollisionEvent(k, t_hit, x, r, lam, el, post)
         events.append(event)
         el, y, t = post, h, event.t
         aM, st = -alpha / (2.0 * A), math.sin(th)
@@ -512,6 +502,33 @@ def _kepler_chain(
         bounds_ok = (aM - r) ** 2 < R0 * R0 < aM * aM and lower < R16 < upper
         reports.append(InvariantReport(R16, R0, R17, abs(R16 - R17), bounds_ok))
     return CartesianState(x, y, px, py, t)
+
+
+def _revolving_chain(
+    s: CartesianState, p: Params, k0: int, n: int, samples_per_arc: int,
+    events: list[CollisionEvent], reports: list[InvariantReport] | None,
+    chunks: list[np.ndarray],
+) -> CartesianState:
+    """The g > 0 propagation core, with :func:`_kepler_chain`'s arguments and
+    contract.  It forms each arc's revolving orbit once, which also checks that
+    the start is bound, and samples the arc from that orbit."""
+    for k in range(k0, k0 + n):
+        _check_start(s, p)
+        orb = revolving_orbit(s, p)
+        # py first: a chained step leaves the wall moving down
+        on_wall = s.py > 0.0 and abs(s.y - p.h) < TOL_EVENT
+        E_hit, hit = (None, s) if on_wall else next_revolving_crossing(orb, p, t0=s.t)
+        out, event = impact_event(hit, p, k)
+        events.append(event)
+        # an on-wall upward start's arc takes no time: the next arc's first
+        # sample is that start, reflected
+        if samples_per_arc > 0 and event.t != s.t:
+            E0 = eccentric_from_true(orb.nu0, orb.e)
+            chunks.append(_revolving_samples(orb, E0, E_hit, s.t, samples_per_arc))
+        if reports is not None:
+            reports.append(invariant_report(event, p))
+        s = out
+    return s
 
 
 def invariant_report(event: CollisionEvent, p: Params) -> InvariantReport:
@@ -536,24 +553,23 @@ def invariant_report(event: CollisionEvent, p: Params) -> InvariantReport:
     return InvariantReport(R16, R0, R17, abs(R16 - R17), bounds_ok)
 
 
-def _orbit_samples(s: CartesianState, E1: float | None, p: Params, m: int) -> np.ndarray:
-    """m states from ``s`` along its free orbit, uniform in E up to (excluding) E1.
+def _orbit_samples(s: CartesianState, p: Params, m: int) -> np.ndarray:
+    """m states from ``s`` over one revolution of its free orbit, uniform in E.
 
-    At g > 0, E is the eccentric anomaly of the radial motion.  ``E1 = None``
-    samples one full (radial) revolution.
+    At g > 0, E is the eccentric anomaly of the radial motion.
     """
     if p.g > 0.0:
         orb = revolving_orbit(s, p)
         E0 = eccentric_from_true(orb.nu0, orb.e)
-        return _revolving_samples(orb, E0, E0 + TWO_PI if E1 is None else E1, s.t, m)
+        return _revolving_samples(orb, E0, E0 + TWO_PI, s.t, m)
     el = elements_from_cartesian(s, p)
     E0 = eccentric_of_state(el, s)
-    return _arc_samples(el, E0, E0 + TWO_PI if E1 is None else E1, s.t, m)
+    return _arc_samples(el.geometry(), E0, E0 + TWO_PI, s.t, m)
 
 
-def _arc_samples(el: OrbitalElements, E0: float, E1: float, t0: float, m: int) -> np.ndarray:
-    """Sample an elliptic arc at m points (excluding the final anomaly)."""
-    aM, e, b, cx, cy, ux, uy, vx, vy, n = el.geometry()
+def _arc_samples(geometry: tuple[float, ...], E0: float, E1: float, t0: float, m: int) -> np.ndarray:
+    """Sample the arc of a ``geometry()`` tuple at m points (excluding the final anomaly)."""
+    aM, e, b, cx, cy, ux, uy, vx, vy, n = geometry
     E = np.linspace(E0, E1, m, endpoint=False)
     cE, sE = np.cos(E), np.sin(E)
     x = cx + aM * cE * ux + b * sE * vx
@@ -592,16 +608,17 @@ def run(
 ) -> BilliardRun:
     """Run ``n`` collisions from ``s0``, certifying every event.
 
-    At g > 0 the run loops over :func:`step`; at g = 0 it is one call of
-    :func:`_kepler_chain`.  Either way the report is ``invariant_report``'s
-    of each event's Kepler (osculating, when g > 0) elements.  With
-    ``samples_per_arc > 0`` each arc is sampled up to the crossing its step
-    found.  Orbits that never reach the wall are legal: the run returns one
-    sampled (radial) revolution of the untouched orbit with the reason in
-    ``no_collision``.  A grazing contact, a near-radial (degenerate) ellipse,
-    a hit state off the wall or a reflected orbit that does not return to the
-    wall within ``MAX_ARC_TIME`` halts the run early with the events
-    certified so far and a diagnostic in ``halted``.
+    It is one call of the regime's loop, :func:`_kepler_chain` at g = 0 or
+    :func:`_revolving_chain` at g > 0.  Either way the report is
+    ``invariant_report``'s of each event's Kepler (osculating, when g > 0)
+    elements.  With ``samples_per_arc > 0`` each arc is sampled from the
+    orbit its crossing was found on, up to that crossing.  Orbits that never
+    reach the wall are legal: the run returns one sampled (radial)
+    revolution of the untouched orbit with the reason in ``no_collision``.
+    A grazing contact, a near-radial (degenerate) ellipse, a hit state off
+    the wall or a reflected orbit that does not return to the wall within
+    ``MAX_ARC_TIME`` halts the run early with the events certified so far
+    and a diagnostic in ``halted``.
     """
     events: list[CollisionEvent] = []
     reports: list[InvariantReport] = []
@@ -609,25 +626,14 @@ def run(
     halted = None
     no_collision = None
     try:
-        if p.g > 0.0:
-            state = s0
-            for k in range(n):
-                nxt, event = step(state, p, n=k)
-                # an on-wall upward start's arc takes no time: the next arc's
-                # first sample is that start, reflected
-                if samples_per_arc > 0 and event.t != state.t:
-                    chunks.append(_orbit_samples(state, event.E_hit, p, samples_per_arc))
-                events.append(event)
-                reports.append(invariant_report(event, p))
-                state = nxt
-        else:
-            _kepler_chain(s0, p, 0, n, samples_per_arc, events, reports, chunks)
+        chain = _revolving_chain if p.g > 0.0 else _kepler_chain
+        chain(s0, p, 0, n, samples_per_arc, events, reports, chunks)
     except NoCollision as exc:
         k = len(events)
         if k == 0:
             no_collision = str(exc)
             m = samples_per_arc if samples_per_arc > 0 else 256
-            chunks.append(_orbit_samples(s0, None, p, m))
+            chunks.append(_orbit_samples(s0, p, m))
         else:
             halted = f"no further collision after event {k - 1}: {exc}"
     except GrazingContact as exc:

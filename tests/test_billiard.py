@@ -89,7 +89,9 @@ def composed_collision(s, p, n):
     ``OrbitalElements.geometry()``, the hit state from
     ``state_at_eccentric`` and ``time_to_anomaly``, and R from the public
     ``conserved_R``, ``R0_from_geometry`` and ``R_from_R0``.  A start on the
-    wall moving up is itself the hit, as ``impact_event`` records it."""
+    wall moving up is itself the hit, as ``impact_event`` records it.
+    Returns the outgoing state, the event, the report and the anomaly of
+    the hit, which the oracle samples the arc up to."""
     el = elements_from_cartesian(s, p)
     E0 = eccentric_of_state(el, s)
     if s.py > 0.0 and abs(s.y - p.h) < TOL_EVENT:
@@ -108,7 +110,7 @@ def composed_collision(s, p, n):
         lam = tangent_angle(el, E_hit)
     post = elements_from_cartesian(out, p)
     check_not_radial(post.e)
-    event = CollisionEvent(n=n, t=out.t, x_impact=out.x, r=r, lam=lam, pre=el, post=post, E_hit=E_hit)
+    event = CollisionEvent(n=n, t=out.t, x_impact=out.x, r=r, lam=lam, pre=el, post=post)
     R16 = conserved_R(post, p)
     R0 = R0_from_geometry(r, post.aM, lam)
     R17 = R_from_R0(R0, post.aM, p)
@@ -118,7 +120,7 @@ def composed_collision(s, p, n):
                  and lower < R16 < upper)
     report = InvariantReport(R_eq16=R16, R0=R0, R_eq17=R17,
                              residual_identity=abs(R16 - R17), bounds_ok=bounds_ok)
-    return out, event, report
+    return out, event, report, E_hit
 
 
 def composed_run(s, p, n, m):
@@ -129,10 +131,11 @@ def composed_run(s, p, n, m):
     events, reports, chunks = [], [], []
     try:
         for k in range(n):
-            out, event, report = composed_collision(s, p, k)
+            out, event, report, E_hit = composed_collision(s, p, k)
             if m > 0 and event.t != s.t:
                 el = elements_from_cartesian(s, p)
-                chunks.append(billiard._arc_samples(el, eccentric_of_state(el, s), event.E_hit, s.t, m))
+                chunks.append(billiard._arc_samples(el.geometry(), eccentric_of_state(el, s), E_hit,
+                                                    s.t, m))
             events.append(event)
             reports.append(report)
             s = out
@@ -433,15 +436,9 @@ class TestOnWallStart:
         r_sq = x * x + y * y
         speed = math.sqrt(frac * (p.alpha / math.sqrt(r_sq) - g / r_sq))
         s = CartesianState(x, y, speed * math.cos(heading), speed * math.sin(heading), 2.5)
-        if g > 0.0:
-            orb = revolving_orbit(s, p)
-            E0 = eccentric_from_true(orb.nu0, orb.e)
-        else:
-            el = elements_from_cartesian(s, p)
-            E0 = eccentric_of_state(el, s)
         out, ev = step(s, p, n=0)
         assert ev.t == s.t
-        want_out, want_ev = impact_event(s, p, 0, E_hit=E0)
+        want_out, want_ev = impact_event(s, p, 0)
         assert_same(out, want_out)
         assert_same(ev, want_ev)
 
@@ -530,6 +527,24 @@ class TestRun:
         assert calls == {"wall_crossing": 12, "elements_from_cartesian": 1, "invariant_report": 0,
                          "conserved_R": 0, "R0_from_geometry": 0, "R_from_R0": 0}
 
+    @pytest.mark.parametrize("g", [0.0, 0.05])
+    def test_sampled_run_forms_each_arc_once(self, reference_state, monkeypatch, g):
+        # each arc's orbit is formed once, and its samples come from that
+        # orbit: one revolving_orbit an arc at g > 0, where the run makes no
+        # step, and no geometry() call at g = 0, where the core forms its own
+        p = Params(alpha=1.0, g=g, h=1.0)
+        calls = {"revolving_orbit": 0, "step": 0, "geometry": 0}
+        for owner, name in ((billiard, "revolving_orbit"), (billiard, "step"),
+                            (OrbitalElements, "geometry")):
+            def counted(*args, _call=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        res = run(reference_state, 12, p, samples_per_arc=16)
+        assert len(res.events) == 12 and res.samples.shape == (12 * 16, 5)
+        assert calls == {"revolving_orbit": 12 if g > 0.0 else 0, "step": 0, "geometry": 0}
+
 
 class TestOnePassCollision:
     """``step`` forms each ellipse once and ``run`` carries the post-impact
@@ -555,32 +570,49 @@ class TestOnePassCollision:
         s = cartesian_from_elements(el, nu)
         assume(s.y < p.h)
         out, ev = step(s, p, n=0)
-        want_out, want_ev, want_rep = composed_collision(s, p, 0)
+        want_out, want_ev, want_rep, _ = composed_collision(s, p, 0)
         assert_same(out, want_out)
         assert_same(ev, want_ev)
         assert_same(invariant_report(ev, p), want_rep)
         # the next collision, from the state the first left
-        want_out, want_ev, want_rep = composed_collision(out, p, 1)
+        want_out, want_ev, want_rep, _ = composed_collision(out, p, 1)
         got_out, got_ev = step(out, p, n=1)
         assert_same(got_out, want_out)
         assert_same(got_ev, want_ev)
         assert_same(invariant_report(got_ev, p), want_rep)
 
-    @pytest.mark.parametrize("start, n", [("reference", 300), ("near_radial", 500)])
-    def test_run_is_a_chain_of_plain_steps(self, params, reference_state, start, n):
+    @pytest.mark.parametrize("start, n, g, m", [
+        pytest.param("reference", 300, 0.0, 0, id="reference-300"),
+        pytest.param("near_radial", 500, 0.0, 0, id="near_radial-500"),
+        *(pytest.param("reference", 300, g, m, id=f"reference-300-g{g}-m{m}")
+          for g in (0.05, 0.001) for m in (0, 7)),
+    ])
+    def test_run_is_a_chain_of_plain_steps(self, reference_state, start, n, g, m):
+        # at g > 0 each arc's samples are those of a freshly formed revolving
+        # orbit, up to the anomaly of the crossing found on it
+        p = Params(alpha=1.0, g=g, h=1.0)
         s0 = reference_state if start == "reference" else self.NEAR_RADIAL
-        res = run(s0, n, params)
-        state = s0
+        res = run(s0, n, p, samples_per_arc=m)
+        state, chunks = s0, []
         for k, (ev, rep) in enumerate(zip(res.events, res.reports)):
-            state, want = step(state, params, n=k)
+            if m > 0:
+                orb = revolving_orbit(state, p)
+                E_hit, _ = next_revolving_crossing(orb, p, t0=state.t)
+                E0 = eccentric_from_true(orb.nu0, orb.e)
+                chunks.append(billiard._revolving_samples(orb, E0, E_hit, state.t, m))
+            state, want = step(state, p, n=k)
             assert_same(ev, want)
-            assert_same(rep, invariant_report(want, params))
+            assert_same(rep, invariant_report(want, p))
         if res.halted:  # the near-radial orbit's collision 452
             assert len(res.events) == 452
-            with pytest.raises(Degenerate):
-                step(state, params, n=452)
+            with pytest.raises(Degenerate) as exc:
+                step(state, p, n=452)
+            assert res.halted == f"degenerate orbit at event 452: {exc.value}"
         else:
             assert len(res.events) == n
+        if m > 0:
+            assert res.samples.shape == (n * m, 5)
+            assert res.samples.tobytes() == np.vstack(chunks).tobytes()
 
     @pytest.mark.parametrize("g", [0.0, 0.05])
     def test_off_wall_halts_with_partial_output(self, reference_state, lift_hit, g):
@@ -780,7 +812,7 @@ class TestRevolvingFlow:
         p, s, _ = self.random_start(g, A, e, theta0, prograde, nu)
         s = replace(s, t=2.5)
         try:
-            E_hit, hit = next_revolving_crossing(revolving_orbit(s, p), p, t0=s.t)
+            _, hit = next_revolving_crossing(revolving_orbit(s, p), p, t0=s.t)
         except NoCollision as exc:  # precessing too slowly to meet the wall in time
             with pytest.raises(NoCollision) as got:
                 step(s, p, n=3)
@@ -793,7 +825,7 @@ class TestRevolvingFlow:
             n=3, t=want_out.t, x_impact=want_out.x, r=pinned.r,
             lam=math.atan2(hit.py, hit.px) % math.pi,
             pre=elements_from_cartesian(pinned, p),
-            post=elements_from_cartesian(want_out, p), E_hit=E_hit,
+            post=elements_from_cartesian(want_out, p),
         )
         out, ev = step(s, p, n=3)
         assert_same(out, want_out)
@@ -840,6 +872,17 @@ class TestRevolvingFlow:
     def test_unbound(self):
         with pytest.raises(Unbound):
             step(CartesianState(1.0, 0.0, 0.0, 2.0), self.PG)
+
+    def test_unbound_on_wall_start(self):
+        # on the wall moving up, with A = -0.173 < 0 but H = 0.1426 >= 0: the
+        # start's orbit is formed, and refused, before the on-wall test, so
+        # neither route records an impact there
+        s = CartesianState(0.3, 1.0, 0.1, 0.88)
+        p = Params(alpha=1.0, g=0.5, h=1.0)
+        assert s.speed_sq - p.alpha / s.r < 0.0 <= s.hamiltonian(p)
+        for call in (lambda: step(s, p), lambda: run(s, 3, p)):
+            with pytest.raises(Unbound, match=r"^H = 0\.142645 >= 0: not a bound orbit$"):
+                call()
 
     def test_events_carry_osculating_g0_elements(self):
         s = reference.conservation_state()
