@@ -876,7 +876,7 @@ class TestRevolvingFlow:
     def test_unbound_on_wall_start(self):
         # on the wall moving up, with A = -0.173 < 0 but H = 0.1426 >= 0: the
         # start's orbit is formed, and refused, before the on-wall test, so
-        # neither route records an impact there
+        # neither step nor run records an impact there
         s = CartesianState(0.3, 1.0, 0.1, 0.88)
         p = Params(alpha=1.0, g=0.5, h=1.0)
         assert s.speed_sq - p.alpha / s.r < 0.0 <= s.hamiltonian(p)
