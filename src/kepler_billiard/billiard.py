@@ -274,7 +274,7 @@ def next_revolving_crossing(
     B1 = ell * abs(k) + h * e
     B2 = ell * k * k + h * e
     # in MAX_ARC_TIME the radial motion completes at most n*T/(2*pi) + 1 turns
-    n = orb.mean_motion()
+    n = orb.n
     nu_max = orb.nu0 + n * MAX_ARC_TIME + TWO_PI
     no_crossing = NoCollision(f"no wall crossing within t = {MAX_ARC_TIME:g}")
     if B2 == 0.0:  # at rest at r = g/mu (k = e = 0)
@@ -523,8 +523,7 @@ def _revolving_chain(
         # an on-wall upward start's arc takes no time: the next arc's first
         # sample is that start, reflected
         if samples_per_arc > 0 and event.t != s.t:
-            E0 = eccentric_from_true(orb.nu0, orb.e)
-            chunks.append(_revolving_samples(orb, E0, E_hit, s.t, samples_per_arc))
+            chunks.append(_revolving_samples(orb, E_hit, s.t, samples_per_arc))
         if reports is not None:
             reports.append(invariant_report(event, p))
         s = out
@@ -560,8 +559,7 @@ def _orbit_samples(s: CartesianState, p: Params, m: int) -> np.ndarray:
     """
     if p.g > 0.0:
         orb = revolving_orbit(s, p)
-        E0 = eccentric_from_true(orb.nu0, orb.e)
-        return _revolving_samples(orb, E0, E0 + TWO_PI, s.t, m)
+        return _revolving_samples(orb, orb.E0 + TWO_PI, s.t, m)
     el = elements_from_cartesian(s, p)
     E0 = eccentric_of_state(el, s)
     return _arc_samples(el.geometry(), E0, E0 + TWO_PI, s.t, m)
@@ -582,12 +580,11 @@ def _arc_samples(geometry: tuple[float, ...], E0: float, E1: float, t0: float, m
     return np.column_stack([t, x, y, px, py])
 
 
-def _revolving_samples(
-    orb: RevolvingOrbit, E0: float, E1: float, t0: float, m: int
-) -> np.ndarray:
-    """Sample a revolving arc at m points uniform in E, by the formulas of ``state_at``."""
+def _revolving_samples(orb: RevolvingOrbit, E1: float, t0: float, m: int) -> np.ndarray:
+    """Sample a revolving arc from its start ``orb.E0`` to ``E1`` (excluded) at m points
+    uniform in E, by the formulas of ``state_at``; the first row is at ``t0``."""
     e, aM = orb.e, orb.aM
-    E = np.linspace(E0, E1, m, endpoint=False)
+    E = np.linspace(orb.E0, E1, m, endpoint=False)
     cE, sE = np.cos(E), np.sin(E)
     beta = e / (1.0 + math.sqrt(1.0 - e * e))
     nu = E + 2.0 * np.arctan2(beta * sE, 1.0 - beta * cE)
@@ -596,7 +593,7 @@ def _revolving_samples(
     pr = math.sqrt(orb.mu * aM) * e * sE / r
     pt = orb.l / r
     cphi, sphi = np.cos(phi), np.sin(phi)
-    t = t0 + ((E - e * sE) - mean_from_eccentric(E0, e)) / orb.mean_motion()
+    t = t0 + ((E - e * sE) - orb.M0) / orb.n
     return np.column_stack([t, r * cphi, r * sphi, pr * cphi - pt * sphi, pr * sphi + pt * cphi])
 
 
@@ -613,10 +610,12 @@ def run(
     ``invariant_report``'s of each event's Kepler (osculating, when g > 0)
     elements.  With ``samples_per_arc > 0`` each arc is sampled from the
     orbit its crossing was found on, up to that crossing.  Orbits that never
-    reach the wall are legal: the run returns one sampled (radial)
-    revolution of the untouched orbit with the reason in ``no_collision``.
-    A grazing contact, a near-radial (degenerate) ellipse, a hit state off
-    the wall or a reflected orbit that does not return to the wall within
+    reach the wall are legal: the run gives the reason in ``no_collision``
+    and, with ``samples_per_arc > 0``, that many samples of one (radial)
+    revolution of the untouched orbit.  With ``samples_per_arc = 0`` the
+    samples are the start's one row, whether or not the orbit hits.  A
+    grazing contact, a near-radial (degenerate) ellipse, a hit state off the
+    wall or a reflected orbit that does not return to the wall within
     ``MAX_ARC_TIME`` halts the run early with the events certified so far
     and a diagnostic in ``halted``.
     """
@@ -632,8 +631,8 @@ def run(
         k = len(events)
         if k == 0:
             no_collision = str(exc)
-            m = samples_per_arc if samples_per_arc > 0 else 256
-            chunks.append(_orbit_samples(s0, p, m))
+            if samples_per_arc > 0:
+                chunks.append(_orbit_samples(s0, p, samples_per_arc))
         else:
             halted = f"no further collision after event {k - 1}: {exc}"
     except GrazingContact as exc:

@@ -188,6 +188,10 @@ class RevolvingOrbit:
     Props. 43-45).  ``nu`` increases with time whatever the sense of
     rotation, and ``l_eff^2 >= g`` keeps ``e`` below 1.  A point of the orbit
     is named by the radial orbit's eccentric anomaly ``E``.
+
+    :func:`revolving_orbit` forms once each constant the formulas read:
+    ``k = l/l_eff``, ``semi_latus = l_eff^2/mu``, the radial mean motion
+    ``n = sqrt(mu/aM^3)``, and the start's anomalies ``E0`` (of ``nu0``) and ``M0``.
     """
 
     l: float
@@ -197,18 +201,11 @@ class RevolvingOrbit:
     mu: float
     phi0: float
     nu0: float
-
-    @property
-    def k(self) -> float:
-        return self.l / self.l_eff
-
-    @property
-    def semi_latus(self) -> float:
-        return self.l_eff * self.l_eff / self.mu
-
-    def mean_motion(self) -> float:
-        """Mean-anomaly rate of the radial motion, sqrt(mu/aM^3)."""
-        return math.sqrt(self.mu / self.aM**3)
+    k: float
+    semi_latus: float
+    n: float
+    E0: float
+    M0: float
 
     def state_at(self, E: float) -> CartesianState:
         """State at eccentric anomaly ``E``, at t = 0, with r and p_r = dr/dt formed in E
@@ -222,10 +219,8 @@ class RevolvingOrbit:
         return CartesianState(r * c, r * s, pr * c - pt * s, pr * s + pt * c)
 
     def time_to(self, E: float) -> float:
-        """Time from ``nu0`` to ``E``, by Kepler's equation of the radial orbit."""
-        e = self.e
-        M0 = mean_from_eccentric(eccentric_from_true(self.nu0, e), e)
-        return (mean_from_eccentric(E, e) - M0) / self.mean_motion()
+        """Time from ``E0`` to ``E``, by Kepler's equation of the radial orbit."""
+        return (mean_from_eccentric(E, self.e) - self.M0) / self.n
 
 
 def revolving_orbit(s: CartesianState, p: Params) -> RevolvingOrbit:
@@ -250,9 +245,12 @@ def revolving_orbit(s: CartesianState, p: Params) -> RevolvingOrbit:
     pr = (s.x * s.px + s.y * s.py) / r
     # (e*cos(nu0), e*sin(nu0)) from r = (l_eff^2/mu)/(1 + e*cos nu) and p_r
     nu0 = math.atan2(pr * l_eff / mu, l_eff * l_eff / (mu * r) - 1.0)
+    e = math.sqrt(e2) if e2 > 0.0 else 0.0
+    aM = -mu / (2.0 * H)
+    E0 = eccentric_from_true(nu0, e)
     return RevolvingOrbit(
-        l, l_eff, math.sqrt(e2) if e2 > 0.0 else 0.0, -mu / (2.0 * H), mu,
-        math.atan2(s.y, s.x), nu0,
+        l, l_eff, e, aM, mu, math.atan2(s.y, s.x), nu0,
+        l / l_eff, l_eff * l_eff / mu, math.sqrt(mu / aM**3), E0, mean_from_eccentric(E0, e),
     )
 
 

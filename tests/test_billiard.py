@@ -467,7 +467,27 @@ class TestRun:
         s = cartesian_from_elements(el, 0.0)
         res = run(s, 10, params)
         assert res.no_collision and not res.events
-        assert res.samples.shape[0] > 1  # one sampled revolution
+        assert res.samples.shape == (1, 5)  # the start only: no samples asked for
+        res = run(s, 10, params, samples_per_arc=16)
+        assert res.no_collision and not res.events
+        assert res.samples.shape == (16, 5)  # one sampled revolution
+
+    def test_revolving_no_collision_samples_one_revolution(self):
+        # at g = 0.05 this start's apocentre aM*(1 + e) = 0.625*1.2 lies below the wall
+        p = Params(alpha=1.0, g=0.05, h=1.0)
+        s = CartesianState(0.0, -0.5, 1.0, 0.0, 2.0)
+        res = run(s, 3, p, samples_per_arc=64)
+        assert res.no_collision == "apocentre 0.75 below wall y = 1" and not res.events
+        orb = revolving_orbit(s, p)
+        want = billiard._revolving_samples(orb, orb.E0 + TWO_PI, 2.0, 64)
+        assert res.samples.shape == (64, 5)
+        assert res.samples.tobytes() == want.tobytes()
+        assert np.max(np.abs(res.samples[0] - [s.t, s.x, s.y, s.px, s.py])) <= 1e-14
+        H, l = s.hamiltonian(p), s.angular_momentum
+        for t, x, y, px, py in res.samples:
+            row = CartesianState(x, y, px, py, t)
+            assert abs(row.hamiltonian(p) - H) <= 1e-13
+            assert abs(row.angular_momentum - l) <= 1e-13
 
     def test_grazing_halts_with_partial_output(self, params, reference_state, monkeypatch):
         # normal velocities on this orbit range over ~[0.41, 0.62]; a cutoff
@@ -598,8 +618,7 @@ class TestOnePassCollision:
             if m > 0:
                 orb = revolving_orbit(state, p)
                 E_hit, _ = next_revolving_crossing(orb, p, t0=state.t)
-                E0 = eccentric_from_true(orb.nu0, orb.e)
-                chunks.append(billiard._revolving_samples(orb, E0, E_hit, state.t, m))
+                chunks.append(billiard._revolving_samples(orb, E_hit, state.t, m))
             state, want = step(state, p, n=k)
             assert_same(ev, want)
             assert_same(rep, invariant_report(want, p))
